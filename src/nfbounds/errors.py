@@ -2,7 +2,8 @@
 
 Two families: ``ValidationError`` for structurally bad input (CLI exit
 code 2) and ``ResourceLimitError`` for exceeded budgets or series
-cutoffs (CLI exit code 3).
+cutoffs (CLI exit code 3).  ``InvariantError`` is neither: it reports an
+internal consistency check that failed, a bug rather than bad input.
 """
 
 
@@ -12,6 +13,10 @@ class ValidationError(ValueError):
 
 class ResourceLimitError(RuntimeError):
     """A configured budget, cutoff, or tolerance cannot be met."""
+
+
+class InvariantError(RuntimeError):
+    """An internal invariant does not hold (checked without ``assert``)."""
 
 
 class NotMonic(ValidationError):

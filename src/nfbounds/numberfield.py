@@ -18,7 +18,8 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 
-from .errors import EmptyInput, NotMonic, NotSquarefree, NotTotallyReal, ValidationError
+from .errors import (EmptyInput, InvariantError, NotMonic, NotSquarefree, NotTotallyReal,
+                     ValidationError)
 
 DEFAULT_PRECISION_BITS = 80
 
@@ -259,7 +260,8 @@ def _isolate(coeffs):
             stack.append((lo, mid, c_left))
             stack.append((mid, hi, cnt - c_left))
     intervals.sort()
-    assert len(intervals) == total
+    if len(intervals) != total:
+        raise InvariantError(f"isolated {len(intervals)} roots, Sturm count is {total}")
     return intervals
 
 

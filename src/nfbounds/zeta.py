@@ -1,10 +1,13 @@
 """Ideal-count Dirichlet coefficients and zeta-style sums.
 
-Coefficients a_k (number of integral ideals of norm k) are produced by
-factoring the minimal polynomial modulo each prime and expanding the
-local Euler factors through a sieve.  Only the *degrees* of the distinct
-irreducible factors matter, so a distinct-degree factorization on the
-radical of f mod p is enough; full factorization is never performed.
+Coefficients a_k (number of integral ideals of norm k) are produced from
+the splitting type of each prime, the degrees of the distinct irreducible
+factors of the minimal polynomial f mod p, by expanding the local Euler
+factors through a sieve.  Full factorization is never performed.  For an
+unramified prime p > n the type follows from the traces of the powers of
+the Berlekamp (Frobenius) matrix, computed for many primes at once in
+int64; every other prime gets a distinct-degree factorization of the
+radical of f mod p.
 
 Evaluations of the zeta function, its derivatives, and the bounded-height
 variant are finite partial sums with a doubling-based tail estimate
@@ -19,10 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CutoffTooSmall, NotPrime, ValidationError
+from .errors import CutoffTooSmall, InvariantError, NotPrime, ValidationError
 from .numberfield import NumberField
 
 _HARD_FLOOR_S2 = 10 ** 4
+# primes per batched Frobenius pass; bounds the kernel's arrays for any cutoff
+_CHUNK = 4096
 
 # ---------------------------------------------------------------------------
 # arithmetic mod p on dense coefficient lists (ascending, small degree)
@@ -187,17 +192,130 @@ class SplittingType:
     ramified: bool
 
 
-def splitting_type(field: NumberField, p: int) -> SplittingType:
-    """Factor-degree multiset of min_poly mod p (one entry per prime ideal)."""
-    if not _is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+def _ddf_type(field: NumberField, p: int) -> SplittingType:
+    """Splitting type by distinct-degree factorization of the radical of f mod p."""
     fp = [c % p for c in field.min_poly.coeffs]
     rad = _gf_radical(fp, p)
     ramified = (len(rad) - 1) < field.degree
     degs = tuple(_distinct_degrees(rad, p))
-    if not ramified:
-        assert sum(degs) == field.degree
+    if not ramified and sum(degs) != field.degree:
+        raise InvariantError(f"factor degrees {degs} of an unramified prime {p} "
+                             f"do not sum to the degree {field.degree}")
     return SplittingType(p, degs, ramified)
+
+
+def _fits_int64(n: int, p: int) -> bool:
+    """Whether n-term sums of products of residues mod p stay below 2^63."""
+    return n * (p - 1) ** 2 < 2 ** 63
+
+
+def _mulmod(a, b, red, p):
+    """a * b mod (f, p) for a batch of residue vectors of shape (B, n).
+
+    red[:, k] holds x^(n+k) mod (f, p).  With every input in [0, p), each
+    sum below has at most n products below p^2, which _fits_int64 bounds.
+    """
+    n = a.shape[1]
+    prod = np.zeros((a.shape[0], 2 * n - 1), dtype=np.int64)
+    for i in range(n):
+        prod[:, i : i + n] += a[:, i : i + 1] * b
+    prod %= p
+    out = prod[:, :n]
+    for k in range(n - 1):
+        out += prod[:, n + k : n + k + 1] * red[:, k]
+    return out % p
+
+
+def _frobenius_traces(coeffs, primes) -> np.ndarray:
+    """trace(Q^m) mod p for m = 1..n, one row per prime.
+
+    Q is the Berlekamp matrix of f mod p, whose row i is x^(p*i) mod (f, p):
+    the matrix of the Frobenius map of F_p[x]/(f).
+    """
+    n = len(coeffs) - 1
+    # re-checked here, not trusted to the caller: outside this range the
+    # traces are inexact or the int64 sums wrap
+    if min(primes) <= n or n * (max(primes) - 1) ** 2 >= 2 ** 63:
+        raise InvariantError(f"primes outside the exact int64 range for degree {n}")
+    p = np.array(primes, dtype=np.int64)[:, None]
+    batch = len(primes)
+    red = np.zeros((batch, n - 1, n), dtype=np.int64)
+    red[:, 0] = np.array([[-c % q for c in coeffs[:-1]] for q in primes], dtype=np.int64)
+    for k in range(1, n - 1):
+        red[:, k, 1:] = red[:, k - 1, :-1]
+        red[:, k] = (red[:, k] + red[:, k - 1, -1:] * red[:, 0]) % p
+    x = np.zeros((batch, n), dtype=np.int64)
+    x[:, 1] = 1
+    xp = np.zeros((batch, n), dtype=np.int64)
+    xp[:, 0] = 1
+    for bit in range(max(primes).bit_length() - 1, -1, -1):
+        xp = _mulmod(xp, xp, red, p)
+        odd = (p >> bit) & 1 == 1
+        xp = np.where(odd, _mulmod(xp, x, red, p), xp)
+    q = np.zeros((batch, n, n), dtype=np.int64)
+    q[:, 0, 0] = 1
+    q[:, 1] = xp
+    for i in range(2, n):
+        q[:, i] = _mulmod(q[:, i - 1], xp, red, p)
+    traces = np.empty((batch, n), dtype=np.int64)
+    power = q
+    for m in range(n):
+        if m:
+            power = np.matmul(power, q) % p[:, :, None]
+        traces[:, m] = np.trace(power, axis1=1, axis2=2) % p[:, 0]
+    return traces
+
+
+def _frobenius_types(coeffs, primes) -> list[tuple[int, ...]]:
+    """Factor degrees of f mod p for unramified primes n < p with _fits_int64.
+
+    trace(Q^m) = sum over d | m of d * r_d, with r_d the number of degree-d
+    factors, holds mod p; it is exact because sum(d * r_d) = n < p, so
+    Moebius inversion, solved for r_m one m at a time, recovers every r_d.
+    """
+    n = len(coeffs) - 1
+    traces = _frobenius_traces(coeffs, primes)
+    counts = np.zeros_like(traces)
+    for m in range(1, n + 1):
+        rest = traces[:, m - 1] - sum(d * counts[:, d - 1] for d in range(1, m) if m % d == 0)
+        if np.any(rest % m):
+            raise InvariantError("Frobenius traces do not invert to whole factor counts")
+        counts[:, m - 1] = rest // m
+    if np.any(counts < 0) or np.any(counts @ np.arange(1, n + 1) != n):
+        raise InvariantError(f"Frobenius factor degrees do not sum to the degree {n}")
+    types: dict[tuple, tuple[int, ...]] = {}
+    out = []
+    for row in map(tuple, counts.tolist()):
+        if row not in types:
+            types[row] = tuple(d for d, r in enumerate(row, 1) for _ in range(r))
+        out.append(types[row])
+    return out
+
+
+def _splitting_types(field: NumberField, primes):
+    """Yield the splitting type of each prime in ``primes``, in order.
+
+    Unramified primes p > n (p not dividing disc(f)) with _fits_int64 are
+    done _CHUNK at a time from Frobenius traces; the rest go through
+    distinct-degree factorization of the radical, one prime at a time.
+    """
+    n = field.degree
+    disc = field.poly_discriminant
+    for start in range(0, len(primes), _CHUNK):
+        chunk = primes[start : start + _CHUNK]
+        batch = [p for p in chunk if p > n and disc % p and _fits_int64(n, p)]
+        fast = {}
+        if batch:
+            fast = dict(zip(batch, _frobenius_types(field.min_poly.coeffs, batch)))
+        for p in chunk:
+            yield SplittingType(p, fast[p], False) if p in fast else _ddf_type(field, p)
+
+
+def splitting_type(field: NumberField, p: int) -> SplittingType:
+    """Factor-degree multiset of min_poly mod p (one entry per prime ideal)."""
+    if not _is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+    return next(_splitting_types(field, [p]))
 
 
 @dataclass(frozen=True)
@@ -230,15 +348,15 @@ def dirichlet_coeffs(field: NumberField, N: int) -> ZetaSeries:
     """Ideal counts a_k for k <= N via local Euler factors and a sieve."""
     if N < 1:
         raise ValidationError("cutoff must be >= 1")
-    for (key, cached_n), arr in _series_cache.items():
+    # a snapshot: other threads may insert while this one looks
+    for (key, cached_n), arr in list(_series_cache.items()):
         if key == field.key() and cached_n >= N:
             return ZetaSeries(field, N, arr[: N + 1])
     a = np.zeros(N + 1, dtype=np.int64)
     a[1] = 1
     if N >= 2:
-        for p in _primes_upto(N):
-            p = int(p)
-            degs = splitting_type(field, p).factor_degrees
+        for st in _splitting_types(field, _primes_upto(N).tolist()):
+            p, degs = st.p, st.factor_degrees
             if p ** min(degs) > N:
                 continue
             vmax, pv = 0, 1
@@ -258,11 +376,12 @@ def dirichlet_coeffs(field: NumberField, N: int) -> ZetaSeries:
                 if local[v]:
                     pv = p ** v
                     a[pv::pv] += local[v] * base[1 : N // pv + 1]
+    a.setflags(write=False)  # shared by every series cut from it
     _series_cache[(field.key(), N)] = a
     # keep only the largest array per field
-    stale = [k for k in _series_cache if k[0] == field.key() and k[1] < N]
+    stale = [k for k in list(_series_cache) if k[0] == field.key() and k[1] < N]
     for k in stale:
-        del _series_cache[k]
+        _series_cache.pop(k, None)
     return ZetaSeries(field, N, a)
 
 

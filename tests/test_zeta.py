@@ -5,9 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from nfbounds import numberfield, zeta
 from nfbounds.enumeration import BoxSpec, cached_orbits, cached_points
-from nfbounds.errors import CutoffTooSmall, NotPrime, ValidationError
+from nfbounds.errors import CutoffTooSmall, InvariantError, NotPrime, ValidationError
 from nfbounds.zeta import (
+    _ddf_type,
+    _fits_int64,
+    _is_prime,
+    _primes_upto,
+    _splitting_types,
     bounded_height_zeta,
     dirichlet_coeffs,
     splitting_type,
@@ -27,30 +33,32 @@ def quadratic_character_coeffs(N: int) -> np.ndarray:
     return a
 
 
+def order_mod_pm32(p):
+    """Residue degree of an odd prime in the octic: the order of p mod 32 up to sign."""
+    t, cur, o = p % 32, p % 32, 1
+    while cur not in (1, 31):
+        cur = cur * t % 32
+        o += 1
+    return o
+
+
 def test_splitting_examples(q5):
     assert splitting_type(q5, 11).factor_degrees == (1, 1)
     assert not splitting_type(q5, 11).ramified
     assert splitting_type(q5, 2).factor_degrees == (2,)
     ram = splitting_type(q5, 5)
     assert ram.factor_degrees == (1,) and ram.ramified
-    with pytest.raises(NotPrime):
-        splitting_type(q5, 10)
+    for bad in (0, 1, 10, 3 * (2 ** 31 - 1)):
+        with pytest.raises(NotPrime):
+            splitting_type(q5, bad)
 
 
 def test_splitting_octic_order_oracle(octic):
     """For this abelian field the residue degree of an odd prime is the
     multiplicative order of p modulo 32 up to sign."""
-
-    def order_mod_pm(p):
-        t, cur, o = p % 32, p % 32, 1
-        while cur not in (1, 31):
-            cur = cur * t % 32
-            o += 1
-        return o
-
     for p in (3, 5, 7, 17, 31, 97, 113, 193, 257, 577, 1009):
         st = splitting_type(octic, p)
-        f = order_mod_pm(p)
+        f = order_mod_pm32(p)
         assert st.factor_degrees == tuple([f] * (8 // f))
         assert not st.ramified
     st2 = splitting_type(octic, 2)
@@ -64,6 +72,85 @@ def test_splitting_quartic_ramification(quartic):
     assert ramified == [5, 29]
     for p in (2, 3, 7, 11, 13):
         assert sum(splitting_type(quartic, p).factor_degrees) == 4
+    types = list(_splitting_types(quartic, _primes_upto(2000).tolist()))
+    assert [st.p for st in types if st.ramified] == [5, 29]
+
+
+@pytest.mark.parametrize("name, cutoff", [("q5", 10 ** 5), ("quartic", 10 ** 5),
+                                          ("octic", 65536)])
+def test_batched_splitting_matches_ddf(name, cutoff, request):
+    """Every prime, prime by prime, against distinct-degree factorization."""
+    field = request.getfixturevalue(name)
+    n = field.degree
+    primes = _primes_upto(cutoff).tolist()
+    types = list(_splitting_types(field, primes))
+    assert [st.p for st in types] == primes
+    unramified = 0
+    for st in types:
+        oracle = _ddf_type(field, st.p)
+        assert st == oracle
+        unramified += st.p > n and not oracle.ramified
+    assert unramified == {"q5": 9590, "quartic": 9588, "octic": 6538}[name]
+
+
+def _octic_guard_primes():
+    """The largest prime that passes the octic's int64 guard and the next one."""
+    below = 2 ** 30
+    while not _is_prime(below):
+        below -= 1
+    above = below + 1
+    while not _is_prime(above):
+        above += 1
+    return below, above
+
+
+def test_int64_guard_boundary(octic, monkeypatch):
+    below, above = _octic_guard_primes()
+    assert _fits_int64(8, below) and not _fits_int64(8, above)
+    ddf_primes = []
+
+    def spy(field, p):
+        ddf_primes.append(p)
+        return _ddf_type(field, p)
+
+    monkeypatch.setattr(zeta, "_ddf_type", spy)
+    types = list(_splitting_types(octic, [below, above]))
+    assert ddf_primes == [above]
+    for st in types:
+        f = order_mod_pm32(st.p)
+        assert st.factor_degrees == tuple([f] * (8 // f)) and not st.ramified
+    assert types[0] == _ddf_type(octic, below)
+
+
+def test_ddf_degree_sum_invariant(quartic, monkeypatch):
+    monkeypatch.setattr(zeta, "_distinct_degrees", lambda sqf, p: [1])
+    with pytest.raises(InvariantError):
+        splitting_type(quartic, 3)
+
+
+@pytest.mark.parametrize("traces", [[1, 0], [2, 4], [0, 0]])
+def test_frobenius_inversion_invariants(q5, monkeypatch, traces):
+    """[1, 0]: 2 * r_2 = 0 - 1 is odd; [2, 4] and [0, 0]: sum of d * r_d is not 2."""
+    monkeypatch.setattr(zeta, "_frobenius_traces",
+                        lambda coeffs, primes: np.array([traces] * len(primes)))
+    with pytest.raises(InvariantError):
+        splitting_type(q5, 11)
+
+
+def test_frobenius_kernel_rejects_primes_past_int64_guard(octic, monkeypatch):
+    _, above = _octic_guard_primes()
+    monkeypatch.setattr(zeta, "_fits_int64", lambda n, p: True)
+    with pytest.raises(InvariantError):
+        splitting_type(octic, above)
+
+
+def test_isolate_root_count_invariant(monkeypatch):
+    real_eval = numberfield._poly_eval
+    # a phantom exact root at 0, the first bisection point of x^2 - x - 1
+    monkeypatch.setattr(numberfield, "_poly_eval",
+                        lambda coeffs, x: 0 if x == 0 else real_eval(coeffs, x))
+    with pytest.raises(InvariantError):
+        numberfield._isolate((-1, -1, 1))
 
 
 def test_dirichlet_examples(q5):
@@ -71,6 +158,13 @@ def test_dirichlet_examples(q5):
     assert [z.coefficient(k) for k in (1, 4, 5, 9, 11)] == [1, 1, 1, 1, 2]
     assert [z.coefficient(k) for k in (2, 3, 7)] == [0, 0, 0]
     assert z.coefficient(1) == 1
+
+
+def test_dirichlet_series_is_read_only(q5):
+    z = dirichlet_coeffs(q5, 100)
+    with pytest.raises(ValueError):
+        z.a[4] = 999
+    assert dirichlet_coeffs(q5, 50).a[4] == 1
 
 
 def test_dirichlet_character_oracle(q5):
