@@ -13,10 +13,11 @@ Three kinds of statement are computed:
 
       sum n_k_raw / k^s  <=  K1 * sum_m C(n-1,m) (log R^n)^{n-1-m} |D^(m)|
 
-  holds exactly (every dropped term is nonnegative), so it is asserted;
+  holds exactly (every dropped term is nonnegative), so a violation
+  raises InvariantError;
 
 * the printed leading-term form K1 (log R)^{n-1} zeta(s), which is
-  reported but never asserted: it is smaller than the m = 0 term of the
+  reported but never checked: it is smaller than the m = 0 term of the
   expansion it came from, so it need not dominate anything.
 """
 
@@ -28,11 +29,11 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .enumeration import BoxSpec, CountTable, cached_orbits, cached_points, count_by_norm
-from .errors import ValidationError
+from .enumeration import BoxSpec, CountTable, _norm_cap, cached_points, count_by_norm
+from .errors import InvariantError, ValidationError
 from .numberfield import NumberField
 from .units import UnitSystem
-from .zeta import ZetaSeries, dirichlet_coeffs, zeta_derivative
+from .zeta import ZetaSeries, bounded_height_zeta, dirichlet_coeffs, zeta_derivative
 
 
 def norm_sum(table: CountTable, s: int, column: str = "exact") -> float:
@@ -72,78 +73,15 @@ def pep_sum(table: CountTable) -> float:
 
 
 # ---------------------------------------------------------------------------
-# height-truncated statements (class number 1)
-
-
-@dataclass(frozen=True)
-class HeightBoundResult:
-    s: int
-    m: float
-    norm_sum: float
-    zeta_truncated: float
-    max_coefficient: int
-    coefficient_upper_bound: float
-    lower_holds: bool
-    upper_holds: bool
-    degenerate: bool  # only the unit ideal fits below height m
-
-
-def _height_table(field: NumberField, unit_system: UnitSystem, m: float) -> CountTable:
-    box = BoxSpec(float(m))
-    points = cached_points(field, box)
-    cap = int(math.floor((box.R + box.boundary_tolerance) ** field.degree + 1e-9))
-    series = dirichlet_coeffs(field, max(cap, 1))
-    return count_by_norm(points, series, box)
-
-
-def height_bound_report(field: NumberField, unit_system: UnitSystem,
-                        s: int, m: float) -> HeightBoundResult:
-    """Both zeta-based statements for the height-m truncation at exponent s."""
-    if s < 2:
-        raise ValidationError("s must be an integer >= 2")
-    if m < 1:
-        raise ValidationError("height bound m must be >= 1 (no points otherwise)")
-    table = _height_table(field, unit_system, m)
-    orbits = cached_orbits(field, unit_system, BoxSpec(float(m)))
-    zeta_trunc = float(sum(1.0 / orb.norm ** s for orb in orbits))
-    s_sum = norm_sum(table, s)
-    max_b = int(table.b.max()) if len(table.b) else 0
-    upper = max_b * zeta_trunc
-    degenerate = zeta_trunc <= 1.0
-    return HeightBoundResult(
-        s=s, m=m, norm_sum=s_sum, zeta_truncated=zeta_trunc,
-        max_coefficient=max_b, coefficient_upper_bound=upper,
-        lower_holds=s_sum > zeta_trunc > 1.0,
-        upper_holds=s_sum <= upper + 1e-12 * abs(upper),
-        degenerate=degenerate,
-    )
-
-
-def lower_bound_check(field: NumberField, unit_system: UnitSystem,
-                      s: int, m: float) -> tuple[float, float, bool]:
-    """(S(s,m), zeta(s,m), verdict S > zeta > 1)."""
-    rep = height_bound_report(field, unit_system, s, m)
-    return rep.norm_sum, rep.zeta_truncated, rep.lower_holds
-
-
-def coefficient_upper_bound(table: CountTable, field: NumberField,
-                            unit_system: UnitSystem, s: int) -> float:
-    """max{b_k} * zeta(s, m) for the table's own box; asserts it dominates."""
-    orbits = cached_orbits(field, unit_system, BoxSpec(table.R))
-    zeta_trunc = float(sum(1.0 / orb.norm ** s for orb in orbits))
-    bound = int(table.b.max()) * zeta_trunc
-    if norm_sum(table, s) > bound * (1 + 1e-12):
-        raise AssertionError("coefficient bound failed; table inconsistent")
-    return bound
-
-
-# ---------------------------------------------------------------------------
-# geometric bound via series derivatives
+# the report
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Everything the bound pipeline can say for one (s, truncation) pair."""
+    """Everything the bound pipeline can say for one (s, truncation) pair.
+
+    A height report fills the first four values, a geometric one the rest.
+    """
 
     s: int
     m_or_R: float
@@ -159,10 +97,73 @@ class BoundReport:
     derivative_tails: tuple[float, ...] | None = None
     zeta_cutoff: int | None = None
 
+    @property
+    def degenerate(self) -> bool:
+        """Only the unit ideal fits below the height truncation."""
+        return self.zeta_truncated <= 1.0
+
+    @property
+    def lower_holds(self) -> bool:
+        return self.norm_sum > self.zeta_truncated > 1.0
+
+    @property
+    def upper_holds(self) -> bool:
+        upper = self.coefficient_upper_bound
+        return self.norm_sum <= upper + 1e-12 * abs(upper)
+
     def to_json(self, **extra) -> str:
         payload = asdict(self)
         payload.update(extra)
         return json.dumps(payload, indent=2, sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# height-truncated statements (class number 1)
+
+
+def _height_table(field: NumberField, m: float) -> CountTable:
+    box = BoxSpec(float(m))
+    series = dirichlet_coeffs(field, max(_norm_cap(field, box, None), 1))
+    return count_by_norm(cached_points(field, box), series, box)
+
+
+def height_bound_report(field: NumberField, unit_system: UnitSystem,
+                        s: int, m: float) -> BoundReport:
+    """Both zeta-based statements for the height-m truncation at exponent s."""
+    if s < 2:
+        raise ValidationError("s must be an integer >= 2")
+    if m < 1:
+        raise ValidationError("height bound m must be >= 1 (no points otherwise)")
+    table = _height_table(field, m)
+    zeta_trunc = bounded_height_zeta(field, unit_system, s, m)
+    max_b = int(table.b.max()) if len(table.b) else 0
+    return BoundReport(
+        s=s, m_or_R=m, norm_sum=norm_sum(table, s), zeta_truncated=zeta_trunc,
+        lower_bound=zeta_trunc, coefficient_upper_bound=max_b * zeta_trunc,
+    )
+
+
+full_height_report = height_bound_report
+
+
+def lower_bound_check(field: NumberField, unit_system: UnitSystem,
+                      s: int, m: float) -> tuple[float, float, bool]:
+    """(S(s,m), zeta(s,m), verdict S > zeta > 1)."""
+    rep = height_bound_report(field, unit_system, s, m)
+    return rep.norm_sum, rep.zeta_truncated, rep.lower_holds
+
+
+def coefficient_upper_bound(table: CountTable, field: NumberField,
+                            unit_system: UnitSystem, s: int) -> float:
+    """max{b_k} * zeta(s, m) for the table's own box; checks it dominates."""
+    bound = int(table.b.max()) * bounded_height_zeta(field, unit_system, s, table.R)
+    if norm_sum(table, s) > bound * (1 + 1e-12):
+        raise ValidationError("coefficient bound failed; table inconsistent with its box")
+    return bound
+
+
+# ---------------------------------------------------------------------------
+# geometric bound via series derivatives
 
 
 def geometric_bound(zeta: ZetaSeries, unit_system: UnitSystem, s: int,
@@ -172,50 +173,34 @@ def geometric_bound(zeta: ZetaSeries, unit_system: UnitSystem, s: int,
     The left side sums raw estimates over table rows k <= min(R^n, cutoff);
     the right side uses derivative partial sums at the series cutoff, which
     can only exceed the matching finite sums, so the inequality is exact.
+    It needs R >= 1: below that log(R^n) < 0 and the expansion is no bound.
     """
     if s < 2:
         raise ValidationError("s must be an integer >= 2")
+    if R < 1:
+        raise ValidationError(f"the geometric bound needs R >= 1, got {R}")
     field = zeta.field
     n = field.degree
-    w = unit_system.w
-    K1 = w * math.sqrt(n) / (math.factorial(n - 1) * unit_system.log_volume)
-    cap = min(int(math.floor(R ** n + 1e-9)), zeta.cutoff)
+    cap = _norm_cap(field, BoxSpec(R, 0.0), zeta.cutoff)  # BoxSpec rejects R = inf, nan
+    K1 = unit_system.w * math.sqrt(n) / (math.factorial(n - 1) * unit_system.log_volume)
     ks = np.arange(1, cap + 1, dtype=float)
     a = zeta.a[1 : cap + 1].astype(float)
     t = n * math.log(R) - np.log(ks)
     lhs = float(K1 * (a * np.maximum(t, 0.0) ** (n - 1) / ks ** s).sum())
     logRn = n * math.log(R)
-    terms = []
-    tails = []
-    for mm in range(n):
-        dv = zeta_derivative(zeta, mm, s)
-        terms.append(math.comb(n - 1, mm) * logRn ** (n - 1 - mm) * abs(dv.value))
-        tails.append(dv.tail_estimate)
+    derivs = [zeta_derivative(zeta, mm, s) for mm in range(n)]
+    terms = [math.comb(n - 1, mm) * logRn ** (n - 1 - mm) * abs(dv.value)
+             for mm, dv in enumerate(derivs)]
     bound = K1 * sum(terms)
-    zeta0 = abs(zeta_derivative(zeta, 0, s).value)
-    leading = K1 * math.log(R) ** (n - 1) * zeta0
+    leading = K1 * math.log(R) ** (n - 1) * abs(derivs[0].value)
     if lhs > bound * (1 + 1e-9):
-        raise AssertionError(
-            f"binomial-expansion bound violated: {lhs} > {bound}"
-        )
+        raise InvariantError(f"binomial-expansion bound violated: {lhs} > {bound}")
     return BoundReport(
         s=s, m_or_R=R, K1=K1,
         geometric_bound_terms=tuple(K1 * v for v in terms),
         geometric_bound=bound,
         leading_term_bound=leading,
         estimator_sum=lhs,
-        derivative_tails=tuple(tails),
+        derivative_tails=tuple(dv.tail_estimate for dv in derivs),
         zeta_cutoff=zeta.cutoff,
-    )
-
-
-def full_height_report(field: NumberField, unit_system: UnitSystem,
-                       s: int, m: float) -> BoundReport:
-    rep = height_bound_report(field, unit_system, s, m)
-    return BoundReport(
-        s=s, m_or_R=m,
-        norm_sum=rep.norm_sum,
-        zeta_truncated=rep.zeta_truncated,
-        lower_bound=rep.zeta_truncated,
-        coefficient_upper_bound=rep.coefficient_upper_bound,
     )

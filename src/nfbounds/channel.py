@@ -7,6 +7,7 @@ matters for export.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,8 @@ def pep_curve(table: CountTable, snr_db_start: float, snr_db_stop: float,
     """Pairwise-error curves from exact counts and from the integer estimate."""
     if points < 1:
         raise EmptyGrid("SNR grid needs at least one point")
+    if not (math.isfinite(snr_db_start) and math.isfinite(snr_db_stop)):
+        raise ValidationError(f"SNR endpoints must be finite, got {snr_db_start}, {snr_db_stop}")
     if table.b is None or table.n_est is None:
         raise ValidationError("table needs both exact and estimate columns")
     if degree is None:

@@ -15,18 +15,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import channel, estimator
-from .bounds import full_height_report, geometric_bound
+from .bounds import eve_sum, full_height_report, geometric_bound
 from .enumeration import (
     DEFAULT_BUDGET,
     BoxSpec,
     CountTable,
+    _norm_cap,
     count_table,
     enumerate_box,
 )
@@ -74,9 +74,21 @@ def _write_csv(header, rows, out: str | None, preamble: str | None = None):
     _emit("\n".join(lines) + "\n", out)
 
 
+def _int_list(value, what: str) -> list[int]:
+    if not (isinstance(value, list)
+            and all(isinstance(c, int) and not isinstance(c, bool) for c in value)):
+        raise ValidationError(f"{what} must be a list of integers, got {value!r}")
+    return value
+
+
 def load_field_document(path: str, precision_bits: int) -> tuple[NumberField, dict]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    poly = Polynomial(tuple(int(c) for c in doc["min_poly"]))
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"field document is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValidationError("field document must be a JSON object")
+    poly = Polynomial(tuple(_int_list(doc.get("min_poly"), "min_poly")))
     if not doc.get("assume_maximal_order", False):
         raise ValidationError(
             "field document must set assume_maximal_order: computations use Z[theta]"
@@ -88,20 +100,26 @@ def load_field_document(path: str, precision_bits: int) -> tuple[NumberField, di
 
 
 def unit_system_from_document(field: NumberField, doc: dict) -> UnitSystem:
-    units = doc.get("fundamental_units")
+    units = doc.get("fundamental_units") or []
+    if not isinstance(units, list):
+        raise ValidationError("fundamental_units must be a list of coordinate lists")
+    w = doc.get("roots_of_unity", 2)
+    if not isinstance(w, int) or isinstance(w, bool):
+        raise ValidationError(f"roots_of_unity must be an integer, got {w!r}")
+    regulator = doc.get("expected_regulator")
+    if regulator is not None and not isinstance(regulator, (int, float)):
+        raise ValidationError(f"expected_regulator must be a number, got {regulator!r}")
     return build_unit_system(
         field,
-        units=[field.element(u) for u in units] if units else None,
-        w=int(doc.get("roots_of_unity", 2)),
-        expected_regulator=doc.get("expected_regulator"),
+        units=[field.element(_int_list(u, "a fundamental unit")) for u in units] or None,
+        w=w,
+        expected_regulator=regulator,
     )
 
 
 def _table_for(field: NumberField, doc: dict, args) -> CountTable:
     box = BoxSpec(args.radius, args.tol)
-    cap = min(int(math.floor((args.radius + args.tol) ** field.degree + 1e-9)),
-              args.max_norm if args.max_norm else 10 ** 18)
-    cutoff = args.cutoff if args.cutoff else cap
+    cutoff = args.cutoff or _norm_cap(field, box, args.max_norm)
     series = dirichlet_coeffs(field, max(cutoff, 1))
     return count_table(field, box, series, max_norm=args.max_norm, budget=args.budget)
 
@@ -206,7 +224,7 @@ def cmd_bounds(args) -> int:
     if args.height is not None:
         report = full_height_report(field, us, args.s, args.height)
     else:
-        cap = int(math.floor(args.radius ** field.degree + 1e-9))
+        cap = _norm_cap(field, BoxSpec(args.radius, 0.0), None)
         cutoff = args.cutoff or min(max(cap, 10 ** 4), 10 ** 5)
         series = dirichlet_coeffs(field, cutoff)
         report = geometric_bound(series, us, args.s, args.radius)
@@ -239,7 +257,7 @@ def cmd_eve(args) -> int:
         "gamma_e": args.gamma,
         "vol_lambda_b": args.vol,
         "radius": args.radius,
-        "eve_sum": float(np.sum(table.b / table.ks.astype(float) ** 3)),
+        "eve_sum": eve_sum(table),
         "probability_bound": value,
     }
     _emit(json.dumps(payload, indent=2) + "\n", args.out)

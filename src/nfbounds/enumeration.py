@@ -39,10 +39,10 @@ class BoxSpec:
     boundary_tolerance: float = 1e-9
 
     def __post_init__(self):
-        if not self.R > 0:
-            raise ValidationError("box radius must be positive")
-        if self.boundary_tolerance < 0:
-            raise ValidationError("boundary tolerance must be nonnegative")
+        if not 0 < self.R < math.inf:
+            raise ValidationError(f"box radius must be positive and finite, got {self.R}")
+        if not 0 <= self.boundary_tolerance < math.inf:
+            raise ValidationError("boundary tolerance must be nonnegative and finite")
 
 
 # ---------------------------------------------------------------------------

@@ -86,55 +86,59 @@ def _gcd_degree(a, b):
     return len(a) - 1
 
 
-def _sylvester_resultant(a, b):
-    """Resultant of two integer polynomials by fraction-free elimination."""
-    m, n = len(a) - 1, len(b) - 1
-    if m < 0 or n < 0:
-        return 0
-    size = m + n
-    rows = []
-    for i in range(n):
-        rows.append([0] * i + list(reversed(a)) + [0] * (n - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + list(reversed(b)) + [0] * (m - 1 - i))
-    # Bareiss
+def _bareiss(rows, rhs=None):
+    """Fraction-free Gaussian elimination of a square integer matrix M.
+
+    Returns (det(M), adj(M)·rhs), the second item None when no right-hand
+    side is given or M is singular.  Every intermediate entry is a minor
+    of [M | rhs], so all divisions are exact (Bareiss 1968; Cohen,
+    *A Course in Computational Algebraic Number Theory*, §2.2).
+    """
+    n = len(rows)
+    a = [list(r) for r in rows] if rhs is None else [list(r) + [v] for r, v in zip(rows, rhs)]
+    width = n if rhs is None else n + 1
     sign, prev = 1, 1
-    for k in range(size - 1):
-        if rows[k][k] == 0:
-            for r in range(k + 1, size):
-                if rows[r][k] != 0:
-                    rows[k], rows[r] = rows[r], rows[k]
-                    sign = -sign
+    for k in range(n):
+        top = a[k]
+        if top[k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], top
+                    top, sign = a[k], -sign
                     break
             else:
-                return 0
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                rows[i][j] = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) // prev
-            rows[i][k] = 0
-        prev = rows[k][k]
-    return sign * rows[size - 1][size - 1]
+                return 0, None
+        pivot = top[k]
+        for row in a[k + 1:]:
+            c = row[k]
+            for j in range(k + 1, width):
+                row[j] = (row[j] * pivot - c * top[j]) // prev
+        prev = pivot
+    det = sign * prev
+    if rhs is None:
+        return det, None
+    # a[i][n] is a row of an equivalent system; det·x is integral (Cramer)
+    adj = [0] * n
+    for i in range(n - 1, -1, -1):
+        acc = det * a[i][n] - sum(a[i][j] * adj[j] for j in range(i + 1, n))
+        adj[i] = acc // a[i][i]
+    return det, adj
 
 
 def _int_det(rows):
-    """Exact determinant of a small integer matrix (Bareiss)."""
-    n = len(rows)
-    rows = [list(r) for r in rows]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if rows[k][k] == 0:
-            for r in range(k + 1, n):
-                if rows[r][k] != 0:
-                    rows[k], rows[r] = rows[r], rows[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                rows[i][j] = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) // prev
-        prev = rows[k][k]
-    return sign * rows[n - 1][n - 1]
+    """Exact determinant of a small integer matrix."""
+    return _bareiss(rows)[0]
+
+
+def _sylvester_resultant(a, b):
+    """Resultant of two integer polynomials, the determinant of their
+    Sylvester matrix."""
+    m, n = len(a) - 1, len(b) - 1
+    if m < 0 or n < 0:
+        return 0
+    rows = [[0] * i + list(reversed(a)) + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + list(reversed(b)) + [0] * (m - 1 - i) for i in range(m)]
+    return _int_det(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -375,22 +379,6 @@ class NumberField:
                     nxt[j] += lead * -min_poly.coeffs[j]
             red.append(nxt)
         self._reduction_rows = tuple(tuple(r) for r in red)
-        # multiplication-by-theta^j matrices (columns act on the power basis)
-        mats = [[[1 if i == j else 0 for j in range(n)] for i in range(n)]]
-        for _ in range(n - 1):
-            prev = mats[-1]
-            nxt = [[0] * n for _ in range(n)]
-            for col in range(n):
-                vec = [prev[row][col] for row in range(n)]
-                shifted = [0] + vec[: n - 1]
-                lead = vec[n - 1]
-                if lead:
-                    for j in range(n):
-                        shifted[j] += lead * -min_poly.coeffs[j]
-                for row in range(n):
-                    nxt[row][col] = shifted[row]
-            mats.append(nxt)
-        self._power_mul_mats = tuple(tuple(tuple(r) for r in m) for m in mats)
 
     @property
     def poly_discriminant(self) -> int:
@@ -438,78 +426,41 @@ class NumberField:
                     out[j] += c * row[j]
         return tuple(out)
 
+    def _mul_matrix(self, coords):
+        """Integer matrix M(x) of multiplication by x: column j holds x·theta^j."""
+        f = self.min_poly.coeffs
+        col = list(coords)
+        cols = [col]
+        for _ in range(self.degree - 1):
+            lead = col[-1]
+            col = [0] + col[:-1]
+            if lead:
+                col = [c - lead * fj for c, fj in zip(col, f)]
+            cols.append(col)
+        return list(zip(*cols))
+
     def norm_coords(self, coords) -> int:
-        n = self.degree
-        rows = [[0] * n for _ in range(n)]
-        for j, cj in enumerate(coords):
-            if cj:
-                mat = self._power_mul_mats[j]
-                for r in range(n):
-                    for c in range(n):
-                        rows[r][c] += cj * mat[r][c]
-        return _int_det(rows)
+        return _int_det(self._mul_matrix(coords))
+
+    def _solve(self, y_coords, rhs):
+        """(N(y), adj(M(y))·rhs), so that y·q = rhs has q = adj·rhs / N(y)."""
+        det, adj = _bareiss(self._mul_matrix(y_coords), rhs)
+        if det == 0:
+            raise ZeroDivisionError("division by zero or by a zero divisor")
+        return det, adj
 
     def inverse_coords_rational(self, coords):
-        """Coordinates of 1/x over Q, via the extended Euclidean algorithm
-        against the minimal polynomial.  Raises on zero divisors."""
-        f = [Fraction(c) for c in self.min_poly.coeffs]
-        g = [Fraction(c) for c in coords]
-        if not _poly_trim(g):
-            raise ZeroDivisionError("inverse of zero")
-        # maintain s*g == r (mod f)
-        r0, s0 = f, [Fraction(0)]
-        r1, s1 = _poly_trim(g), [Fraction(1)]
-        while len(r1) > 1:
-            # quotient of r0 by r1
-            q = [Fraction(0)] * (len(r0) - len(r1) + 1)
-            rem = [Fraction(c) for c in r0]
-            while len(rem) >= len(r1) and _poly_trim(rem):
-                k = len(rem) - len(r1)
-                coef = rem[-1] / r1[-1]
-                q[k] = coef
-                for j, cj in enumerate(r1):
-                    rem[k + j] -= coef * cj
-                rem.pop()
-                rem = _poly_trim(rem) or [Fraction(0)]
-            rem = _poly_trim(rem)
-            # s_next = s0 - q*s1
-            qs = [Fraction(0)] * (len(q) + len(s1) - 1)
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        qs[i + j] += qi * sj
-            s_next = [Fraction(0)] * max(len(s0), len(qs))
-            for i, c in enumerate(s0):
-                s_next[i] += c
-            for i, c in enumerate(qs):
-                s_next[i] -= c
-            r0, s0, r1, s1 = r1, s1, (rem or [Fraction(0)]), _poly_trim(s_next) or [Fraction(0)]
-        if not _poly_trim(r1):
-            raise ZeroDivisionError("element is a zero divisor (polynomial not irreducible?)")
-        const = r1[0]
-        inv = [c / const for c in s1]
-        inv += [Fraction(0)] * (self.degree - len(inv))
-        return inv[: self.degree]
+        """Coordinates of 1/x over Q.  Raises ZeroDivisionError on zero
+        divisors (zero, or any x when the polynomial is reducible)."""
+        det, adj = self._solve(coords, [1] + [0] * (self.degree - 1))
+        return [Fraction(c, det) for c in adj]
 
     def divide_exact(self, x: "AlgebraicInt", y: "AlgebraicInt"):
         """x / y when the quotient lies in Z[theta], else None."""
-        inv = self.inverse_coords_rational(y.coords)
-        n = self.degree
-        acc = [Fraction(0)] * (2 * n - 1)
-        for i, xi in enumerate(x.coords):
-            if xi:
-                for j, cj in enumerate(inv):
-                    acc[i + j] += xi * cj
-        out = acc[:n]
-        for t in range(n - 1):
-            c = acc[n + t]
-            if c:
-                row = self._reduction_rows[t]
-                for j in range(n):
-                    out[j] += c * row[j]
-        if any(c.denominator != 1 for c in out):
+        det, adj = self._solve(y.coords, x.coords)
+        if any(c % det for c in adj):
             return None
-        return self.element([int(c) for c in out])
+        return self.element([c // det for c in adj])
 
 
 @lru_cache(maxsize=64)

@@ -403,34 +403,23 @@ class SeriesValue:
 
 def zeta_value(series: ZetaSeries, s: int, tolerance: float | None = None) -> SeriesValue:
     """Partial sum of the ideal-count Dirichlet series at integer s >= 2."""
-    if s < 2:
-        raise ValidationError("evaluation requires integer s >= 2")
-    if s == 2 and series.cutoff < _HARD_FLOOR_S2:
-        raise CutoffTooSmall(
-            f"s = 2 requires cutoff >= {_HARD_FLOOR_S2}, got {series.cutoff}"
-        )
-    N = series.cutoff
-    ks = np.arange(1, N + 1, dtype=float)
-    terms = series.a[1:].astype(float) / ks ** s
-    total = float(terms.sum())
-    half = float(terms[: N // 2].sum())
-    tail = abs(total - half)
-    if tolerance is not None and tail > tolerance:
-        raise CutoffTooSmall(
-            f"tail estimate {tail:.3e} exceeds tolerance {tolerance:.3e} at cutoff {N}"
-        )
-    return SeriesValue(total, tail, N)
+    return zeta_derivative(series, 0, s, tolerance)
 
 
 def zeta_derivative(series: ZetaSeries, m: int, s: int,
                     tolerance: float | None = None) -> SeriesValue:
-    """m-th derivative of the series in s: (-1)^m sum a_k (log k)^m / k^s."""
+    """m-th derivative of the series in s: (-1)^m sum a_k (log k)^m / k^s.
+
+    The value itself (m = 0) at s = 2 converges slowest and needs a cutoff
+    of at least 10^4."""
     if m < 0:
         raise ValidationError("derivative order must be >= 0")
-    if m == 0:
-        return zeta_value(series, s, tolerance)
     if s < 2:
         raise ValidationError("evaluation requires integer s >= 2")
+    if m == 0 and s == 2 and series.cutoff < _HARD_FLOOR_S2:
+        raise CutoffTooSmall(
+            f"s = 2 requires cutoff >= {_HARD_FLOOR_S2}, got {series.cutoff}"
+        )
     N = series.cutoff
     ks = np.arange(1, N + 1, dtype=float)
     terms = series.a[1:].astype(float) * np.log(ks) ** m / ks ** s
@@ -450,11 +439,13 @@ def bounded_height_zeta(field: NumberField, unit_system, s: int, m: float) -> fl
     has height <= m (class-number-one fields).
 
     Every generator of height <= m lies in the box of radius m, so grouping
-    the box into unit orbits recovers exactly the ideals of height <= m.
+    the box into unit orbits recovers exactly the ideals of height <= m.  The
+    box is closed up to its boundary tolerance, so an m just below 1 already
+    counts the unit ideal.
     """
     if s < 2:
         raise ValidationError("evaluation requires integer s >= 2")
-    if m < 1:
+    if m <= 0:
         return 0.0
     from .enumeration import BoxSpec, cached_orbits
 

@@ -66,6 +66,9 @@ def test_coefficient_upper_bound(q5, q5_units):
     t1 = count_table(q5, BoxSpec(1.0), z1)
     bound = coefficient_upper_bound(t1, q5, q5_units, 3)
     assert bound == pytest.approx(2.0)  # max b = 2, zeta(3,1) = 1: tight
+    # the closed box at R = 1 - 1e-10 still holds the units +-1
+    t_edge = count_table(q5, BoxSpec(1 - 1e-10), z1)
+    assert coefficient_upper_bound(t_edge, q5, q5_units, 3) == pytest.approx(2.0)
     z = dirichlet_coeffs(q5, 100)
     table = count_table(q5, BoxSpec(10.0), z)
     bound = coefficient_upper_bound(table, q5, q5_units, 3)
@@ -91,7 +94,7 @@ def test_synthetic_constant_coefficient_table(q5, q5_units):
 def test_height_report_consistency(q5, q5_units):
     rep = height_bound_report(q5, q5_units, 2, 10)
     assert rep.lower_holds and rep.upper_holds
-    assert rep.max_coefficient == 18
+    assert rep.coefficient_upper_bound == 18 * rep.zeta_truncated  # max b_k = 18
     full = full_height_report(q5, q5_units, 2, 10)
     assert full.norm_sum == rep.norm_sum
     payload = json.loads(full.to_json(label="x"))

@@ -136,6 +136,39 @@ def test_exit_code_validation(tmp_path, capsys):
     assert "NotTotallyReal" in err
 
 
+@pytest.mark.parametrize("command, doc_change, rest", [
+    ("bounds", None, ["--s", "2", "--radius", "0.5"]),
+    ("counts", None, ["--radius", "inf"]),
+    ("bounds", None, ["--s", "2", "--radius", "inf"]),
+    ("pep", None, ["--radius", "5", "--snr", "0:nan:3"]),
+    ("field-info", {"min_poly": None}, []),
+    ("field-info", {"roots_of_unity": "two"}, []),
+    ("field-info", {"expected_regulator": "0.48"}, []),
+    ("field-info", "{not json", []),
+], ids=["radius-below-one", "counts-radius-inf", "bounds-radius-inf", "snr-nan",
+        "no-min-poly", "roots-of-unity-text", "regulator-text", "not-json"])
+def test_bad_input_is_a_named_error(tmp_path, capsys, command, doc_change, rest):
+    """doc_change edits the Q(sqrt5) document (None drops a key) or replaces its text."""
+    doc = Q5
+    if doc_change is not None:
+        if isinstance(doc_change, str):
+            text = doc_change
+        else:
+            payload = json.loads(open(Q5, encoding="utf-8").read())
+            for key, value in doc_change.items():
+                if value is None:
+                    del payload[key]
+                else:
+                    payload[key] = value
+            text = json.dumps(payload)
+        doc = tmp_path / "doc.json"
+        doc.write_text(text)
+    code, out, err = run(capsys, command, str(doc), *rest)
+    assert code == 2
+    assert err.startswith("error:") and "ValidationError" in err
+    assert "Traceback" not in err and "nan" not in out
+
+
 def test_exit_code_budget_and_cutoff(capsys):
     code, _, err = run(capsys, "enumerate", Q5, "--radius", "50", "--budget", "10")
     assert code == 3 and "BoxTooLarge" in err

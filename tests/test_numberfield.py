@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nfbounds.errors import EmptyInput, NotMonic, NotSquarefree, NotTotallyReal, ValidationError
@@ -187,6 +187,132 @@ def test_division_and_inverse(q5):
     assert q5.divide_exact(x, q5.element([3, 0])) is None
     inv = q5.inverse_coords_rational((2, 1))
     assert inv == [Fraction(3, 5), Fraction(-1, 5)]  # (2+theta)(3-theta) = 5
+
+
+# -- reference for the adjugate kernel: extended Euclid over Q ---------------
+
+
+def _trim(p):
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _euclid_inverse(field, coords):
+    """1/x over Q from s*x + t*f = 1, all in Fractions."""
+    r0, s0 = [Fraction(c) for c in field.min_poly.coeffs], [Fraction(0)]
+    r1, s1 = _trim(Fraction(c) for c in coords), [Fraction(1)]
+    if not r1:
+        raise ZeroDivisionError("inverse of zero")
+    while len(r1) > 1:
+        q = [Fraction(0)] * (len(r0) - len(r1) + 1)
+        rem = list(r0)
+        while len(rem) >= len(r1):
+            k = len(rem) - len(r1)
+            q[k] = rem[-1] / r1[-1]
+            for j, cj in enumerate(r1):
+                rem[k + j] -= q[k] * cj
+            rem.pop()
+        rem = _trim(rem)
+        if not rem:
+            raise ZeroDivisionError("zero divisor")
+        qs = [Fraction(0)] * (len(q) + len(s1) - 1)
+        for i, qi in enumerate(q):
+            for j, sj in enumerate(s1):
+                qs[i + j] += qi * sj
+        s_next = [Fraction(0)] * max(len(s0), len(qs))
+        for i, c in enumerate(s0):
+            s_next[i] += c
+        for i, c in enumerate(qs):
+            s_next[i] -= c
+        r0, s0, r1, s1 = r1, s1, rem, _trim(s_next) or [Fraction(0)]
+    inv = [c / r1[0] for c in s1]
+    return inv + [Fraction(0)] * (field.degree - len(inv))
+
+
+def _euclid_quotient(field, x, y):
+    """x / y over Q: x times the reference inverse, reduced mod f."""
+    inv = _euclid_inverse(field, y)
+    prod = [Fraction(0)] * (2 * field.degree)
+    for i, xi in enumerate(x):
+        for j, cj in enumerate(inv):
+            prod[i + j] += xi * cj
+    f, n = field.min_poly.coeffs, field.degree
+    for d in range(len(prod) - 1, n - 1, -1):
+        lead = prod[d]
+        for j in range(n + 1):
+            prod[d - n + j] -= lead * f[j]
+    return prod[:n]
+
+
+def _nonzero_coords(data, field, bound=30):
+    coords = data.draw(st.lists(st.integers(-bound, bound),
+                                min_size=field.degree, max_size=field.degree))
+    assume(any(coords))
+    return coords
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_adjugate_inverse_matches_euclid(q5, quartic, octic, data):
+    field = data.draw(st.sampled_from([q5, quartic, octic]))
+    coords = _nonzero_coords(data, field)
+    assert field.inverse_coords_rational(coords) == _euclid_inverse(field, coords)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_divide_exact_matches_euclid(q5, quartic, octic, data):
+    field = data.draw(st.sampled_from([q5, quartic, octic]))
+    x = field.element(_nonzero_coords(data, field))
+    y = field.element(_nonzero_coords(data, field, bound=3))
+    assert field.divide_exact(x * y, y) == x
+    ref = _euclid_quotient(field, x.coords, y.coords)
+    q = field.divide_exact(x, y)
+    if all(c.denominator == 1 for c in ref):
+        assert q is not None and list(q.coords) == ref
+    else:
+        assert q is None
+
+
+def test_unit_inverses_match_euclid(q5_units, quartic_units, octic_units):
+    for us in (q5_units, quartic_units, octic_units):
+        field = us.field
+        units = list(us.units)
+        units += [u * u for u in units] + [units[0] * units[-1]]
+        for u in units:
+            inv = field.inverse_coords_rational(u.coords)
+            assert inv == _euclid_inverse(field, u.coords)
+            assert all(c.denominator == 1 for c in inv)
+            assert u * field.element(inv) == field.one()
+            assert field.divide_exact(field.one(), u) == field.element(inv)
+
+
+def test_division_by_zero_and_zero_divisors(q5, quartic, octic):
+    for field in (q5, quartic, octic):
+        with pytest.raises(ZeroDivisionError):
+            field.inverse_coords_rational(field.zero().coords)
+        with pytest.raises(ZeroDivisionError):
+            field.divide_exact(field.one(), field.zero())
+    # Z[x]/((x^2-1)(x^2-4)) is not a domain: theta - 1 divides zero
+    split = parse_field(Polynomial((4, 0, -5, 0, 1)))
+    with pytest.raises(ZeroDivisionError):
+        split.inverse_coords_rational((-1, 1, 0, 0))
+
+
+def test_poly_discriminant_all_fixtures(q5, quartic, octic):
+    assert q5.poly_discriminant == 5
+    assert quartic.poly_discriminant == 725
+    assert octic.poly_discriminant == 2 ** 31
+    # independent check: prod_{i<j} (r_i - r_j)^2 from the embeddings
+    for field in (q5, quartic, octic):
+        r = field.embeddings_mp
+        prod = 1
+        for i in range(field.degree):
+            for j in range(i + 1, field.degree):
+                prod *= (r[i] - r[j]) ** 2
+        assert float(prod) == pytest.approx(field.poly_discriminant, rel=1e-12)
 
 
 def test_mixed_field_arithmetic_rejected(q5, quartic):
