@@ -26,13 +26,18 @@ class PepCurve:
     ratio: float
 
 
-def pep_curve(table: CountTable, snr_db_start: float, snr_db_stop: float,
-              points: int, degree: int | None = None) -> PepCurve:
-    """Pairwise-error curves from exact counts and from the integer estimate."""
+def check_snr_grid(snr_db_start: float, snr_db_stop: float, points: int) -> None:
+    """Reject an SNR grid with no points or a non-finite endpoint."""
     if points < 1:
         raise EmptyGrid("SNR grid needs at least one point")
     if not (math.isfinite(snr_db_start) and math.isfinite(snr_db_stop)):
         raise ValidationError(f"SNR endpoints must be finite, got {snr_db_start}, {snr_db_stop}")
+
+
+def pep_curve(table: CountTable, snr_db_start: float, snr_db_stop: float,
+              points: int, degree: int | None = None) -> PepCurve:
+    """Pairwise-error curves from exact counts and from the integer estimate."""
+    check_snr_grid(snr_db_start, snr_db_stop, points)
     if table.b is None or table.n_est is None:
         raise ValidationError("table needs both exact and estimate columns")
     if degree is None:

@@ -182,16 +182,21 @@ def _read_counts_csv(path: str) -> tuple[CountTable, dict]:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or not lines[0].startswith("# nfbounds-counts"):
         raise ValidationError("counts CSV lacks the nfbounds-counts preamble")
-    meta = dict(tok.split("=", 1) for tok in lines[0].split()[2:])
-    body = [ln.split(",") for ln in lines[2:] if ln]
-    ks = np.array([int(r[0]) for r in body], dtype=np.int64)
-    a = np.array([int(r[1]) for r in body], dtype=np.int64)
-    b = np.array([int(r[2]) for r in body], dtype=np.int64)
-    table = CountTable(
-        R=float(meta["R"]), degree=int(meta["degree"]), cap=int(meta["cap"]),
-        max_norm=int(meta["max_norm"]), ks=ks, a=a, b=b,
-        total_points=int(meta["total"]),
-    )
+    try:
+        meta = dict(tok.split("=", 1) for tok in lines[0].split()[2:])
+        body = [[int(v) for v in ln.split(",")] for ln in lines[2:] if ln]
+        if any(len(r) != 3 for r in body):
+            raise ValueError("every row needs exactly the three fields k,a_k,b_k")
+        rows = np.array(body, dtype=np.int64).reshape(-1, 3)
+        table = CountTable(
+            R=BoxSpec(float(meta["R"])).R, degree=int(meta["degree"]), cap=int(meta["cap"]),
+            max_norm=int(meta["max_norm"]), ks=rows[:, 0], a=rows[:, 1], b=rows[:, 2],
+            total_points=int(meta["total"]),
+        )
+    except KeyError as exc:
+        raise ValidationError(f"counts CSV preamble lacks {exc}") from exc
+    except (ValueError, OverflowError) as exc:
+        raise ValidationError(f"malformed counts CSV: {exc}") from exc
     return table, meta
 
 
@@ -240,6 +245,7 @@ def cmd_pep(args) -> int:
         start, stop, npts = float(start), float(stop), int(npts)
     except ValueError as exc:
         raise ValidationError(f"--snr must be START:STOP:POINTS, got {args.snr!r}") from exc
+    channel.check_snr_grid(start, stop, npts)
     table = estimator.add_estimates(_table_for(field, doc, args), us)
     curve = channel.pep_curve(table, start, stop, npts)
     rows = zip(curve.snr_db, curve.snr_linear, curve.pe_estimate, curve.pe_exact)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
+from . import _memo
 from .errors import BoxTooLarge, CutoffMismatch, ValidationError
 from .numberfield import AlgebraicInt, NumberField
 from .zeta import ZetaSeries
@@ -235,6 +236,8 @@ class CountTable:
 
 
 def _norm_cap(field: NumberField, box: BoxSpec, max_norm: int | None) -> int:
+    if max_norm is not None and max_norm < 0:
+        raise ValidationError(f"max_norm must be nonnegative, got {max_norm}")
     geo = int(math.floor((box.R + box.boundary_tolerance) ** field.degree + 1e-9))
     return min(geo, max_norm) if max_norm is not None else geo
 
@@ -313,12 +316,12 @@ def count_table(field: NumberField, box: BoxSpec, zeta: ZetaSeries,
 # unit orbits (principal ideals realized inside a box)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Orbit:
     """A unit orbit: all box points generating one principal ideal."""
 
     norm: int
-    members: list[AlgebraicInt]
+    members: tuple[AlgebraicInt, ...]
     min_height: float = dataclass_field(init=False)
     min_height_member: AlgebraicInt = dataclass_field(init=False)
 
@@ -326,102 +329,48 @@ class Orbit:
         # float heights suffice here: the choice only labels the orbit
         heights = [float(np.abs(m.embed()).max()) for m in self.members]
         idx = int(np.argmin(heights))
-        self.min_height = heights[idx]
-        self.min_height_member = self.members[idx]
+        object.__setattr__(self, "min_height", heights[idx])
+        object.__setattr__(self, "min_height_member", self.members[idx])
 
 
-def unit_orbits(points, unit_system) -> list[Orbit]:
+def unit_orbits(points) -> list[Orbit]:
     """Partition box points into unit orbits.
 
-    Points sharing a principal ideal differ by a unit; the unit exponent
-    vector is read off the log lattice and removed exactly in the ring, so
-    two points are grouped iff their canonical representatives coincide.
-    A final exact-division sweep inside each norm class guards against
-    rounding on the fundamental-domain boundary.
+    Points x, y with |N(x)| = |N(y)| generate one principal ideal iff
+    y / x lies in Z[theta], which exact division decides; so each point
+    joins the first orbit of its norm whose representative divides it.
+    Orbits come by ascending norm, then by their smallest member, and
+    members are sorted by coordinates.
     """
-    points = list(points)
-    if not points:
-        return []
-    field = points[0].field
-    units = unit_system.units
-    A = unit_system.log_matrix
-    gram = A @ A.T
-    inv_units = []
-    for u in units:
-        inv = field.inverse_coords_rational(u.coords)
-        inv_units.append(field.element([int(c) for c in inv]))
-
-    def unit_power(i: int, e: int) -> AlgebraicInt:
-        base = units[i] if e >= 0 else inv_units[i]
-        return base ** abs(e)
-
-    def canonical(x: AlgebraicInt) -> tuple[int, ...]:
-        logs = np.log(np.abs(x.embed()))
-        logs = logs - logs.mean()
-        t = np.linalg.solve(gram, A @ logs)
-        r = x
-        for i, e in enumerate(np.round(t).astype(int)):
-            if e:
-                r = r * unit_power(i, -int(e))
-        coords = r.coords
-        for c in coords:
-            if c:
-                if c < 0:
-                    coords = tuple(-v for v in coords)
+    by_norm: dict[int, list[list[AlgebraicInt]]] = {}
+    for x in sorted(points, key=lambda p: p.coords):
+        groups = by_norm.setdefault(abs(x.norm()), [])
+        for g in groups:
+            if x.field.divide_exact(x, g[0]) is not None:
+                g.append(x)
                 break
-        return coords
-
-    by_norm: dict[int, list[AlgebraicInt]] = {}
-    for x in points:
-        by_norm.setdefault(abs(x.norm()), []).append(x)
-
-    orbits: list[Orbit] = []
-    for k in sorted(by_norm):
-        groups: dict[tuple[int, ...], list[AlgebraicInt]] = {}
-        for x in by_norm[k]:
-            groups.setdefault(canonical(x), []).append(x)
-        reps = sorted(groups)
-        merged_into = {}
-        for i, r1 in enumerate(reps):
-            if r1 in merged_into:
-                continue
-            e1 = field.element(r1)
-            for r2 in reps[i + 1 :]:
-                if r2 in merged_into:
-                    continue
-                if field.divide_exact(field.element(r2), e1) is not None:
-                    groups[r1].extend(groups.pop(r2))
-                    merged_into[r2] = r1
-        for rep in sorted(groups):
-            members = sorted(groups[rep], key=lambda m: m.coords)
-            orbits.append(Orbit(norm=k, members=members))
-    return orbits
+        else:
+            groups.append([x])
+    return [Orbit(norm=k, members=tuple(g)) for k in sorted(by_norm) for g in by_norm[k]]
 
 
 # ---------------------------------------------------------------------------
-# small memo caches shared by the bound computations
-
-
-_points_cache: dict[tuple, list] = {}
-_orbits_cache: dict[tuple, list] = {}
+# memoised results shared by the bound computations
 
 
 def cached_points(field: NumberField, box: BoxSpec,
-                  budget: int = DEFAULT_BUDGET) -> list[AlgebraicInt]:
-    key = (field.key(), box.R, box.boundary_tolerance)
-    if key not in _points_cache:
-        if len(_points_cache) > 16:
-            _points_cache.clear()
-        _points_cache[key] = enumerate_box(field, box, budget)
-    return _points_cache[key]
+                  budget: int = DEFAULT_BUDGET) -> tuple[AlgebraicInt, ...]:
+    key = ("points", field.key(), box.R, box.boundary_tolerance)
+    points = _memo.get(key)
+    if points is None:
+        points = _memo.put(key, enumerate_box(field, box, budget))
+    return points
 
 
-def cached_orbits(field: NumberField, unit_system, box: BoxSpec,
-                  budget: int = DEFAULT_BUDGET) -> list[Orbit]:
-    ukey = tuple(u.coords for u in unit_system.units)
-    key = (field.key(), box.R, box.boundary_tolerance, ukey)
-    if key not in _orbits_cache:
-        if len(_orbits_cache) > 16:
-            _orbits_cache.clear()
-        _orbits_cache[key] = unit_orbits(cached_points(field, box, budget), unit_system)
-    return _orbits_cache[key]
+def cached_orbits(field: NumberField, box: BoxSpec,
+                  budget: int = DEFAULT_BUDGET) -> tuple[Orbit, ...]:
+    key = ("orbits", field.key(), box.R, box.boundary_tolerance)
+    orbits = _memo.get(key)
+    if orbits is None:
+        orbits = _memo.put(key, unit_orbits(cached_points(field, box, budget)))
+    return orbits

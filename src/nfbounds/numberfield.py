@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 
 import mpmath
 import numpy as np
@@ -380,9 +380,13 @@ class NumberField:
             red.append(nxt)
         self._reduction_rows = tuple(tuple(r) for r in red)
 
-    @property
+    @cached_property
     def poly_discriminant(self) -> int:
-        return _poly_discriminant_cached(self.min_poly.coeffs)
+        coeffs = self.min_poly.coeffs
+        n = self.degree
+        res = _sylvester_resultant(list(coeffs), _poly_trim(_poly_derivative(coeffs)))
+        sign = -1 if (n * (n - 1) // 2) % 2 else 1
+        return sign * res
 
     def element(self, coords) -> "AlgebraicInt":
         return AlgebraicInt(self, tuple(int(c) for c in coords))
@@ -461,14 +465,6 @@ class NumberField:
         if any(c % det for c in adj):
             return None
         return self.element([c // det for c in adj])
-
-
-@lru_cache(maxsize=64)
-def _poly_discriminant_cached(coeffs):
-    n = len(coeffs) - 1
-    res = _sylvester_resultant(list(coeffs), list(_poly_trim(_poly_derivative(coeffs))))
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * res
 
 
 @dataclass(frozen=True)

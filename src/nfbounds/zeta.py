@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _memo
 from .errors import CutoffTooSmall, InvariantError, NotPrime, ValidationError
 from .numberfield import NumberField
 
@@ -341,17 +342,17 @@ def _primes_upto(N: int) -> np.ndarray:
     return np.flatnonzero(sieve)
 
 
-_series_cache: dict[tuple, np.ndarray] = {}
-
-
 def dirichlet_coeffs(field: NumberField, N: int) -> ZetaSeries:
-    """Ideal counts a_k for k <= N via local Euler factors and a sieve."""
+    """Ideal counts a_k for k <= N via local Euler factors and a sieve.
+
+    The memo keeps one array per polynomial, which serves every smaller
+    cutoff by slicing; the coefficients do not depend on the precision."""
     if N < 1:
         raise ValidationError("cutoff must be >= 1")
-    # a snapshot: other threads may insert while this one looks
-    for (key, cached_n), arr in list(_series_cache.items()):
-        if key == field.key() and cached_n >= N:
-            return ZetaSeries(field, N, arr[: N + 1])
+    key = ("series", field.min_poly.coeffs)
+    cached = _memo.get(key)
+    if cached is not None and len(cached) > N:
+        return ZetaSeries(field, N, cached[: N + 1])
     a = np.zeros(N + 1, dtype=np.int64)
     a[1] = 1
     if N >= 2:
@@ -376,13 +377,7 @@ def dirichlet_coeffs(field: NumberField, N: int) -> ZetaSeries:
                 if local[v]:
                     pv = p ** v
                     a[pv::pv] += local[v] * base[1 : N // pv + 1]
-    a.setflags(write=False)  # shared by every series cut from it
-    _series_cache[(field.key(), N)] = a
-    # keep only the largest array per field
-    stale = [k for k in list(_series_cache) if k[0] == field.key() and k[1] < N]
-    for k in stale:
-        _series_cache.pop(k, None)
-    return ZetaSeries(field, N, a)
+    return ZetaSeries(field, N, _memo.put(key, a))
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +436,8 @@ def bounded_height_zeta(field: NumberField, unit_system, s: int, m: float) -> fl
     Every generator of height <= m lies in the box of radius m, so grouping
     the box into unit orbits recovers exactly the ideals of height <= m.  The
     box is closed up to its boundary tolerance, so an m just below 1 already
-    counts the unit ideal.
+    counts the unit ideal.  The orbits need no unit basis, so ``unit_system``
+    is not read.
     """
     if s < 2:
         raise ValidationError("evaluation requires integer s >= 2")
@@ -449,5 +445,5 @@ def bounded_height_zeta(field: NumberField, unit_system, s: int, m: float) -> fl
         return 0.0
     from .enumeration import BoxSpec, cached_orbits
 
-    orbits = cached_orbits(field, unit_system, BoxSpec(float(m)))
+    orbits = cached_orbits(field, BoxSpec(float(m)))
     return float(sum(1.0 / orb.norm ** s for orb in orbits))

@@ -10,6 +10,8 @@ from nfbounds.cli import main
 
 Q5 = fixture_path("qsqrt5.json")
 QUARTIC = fixture_path("quartic725.json")
+COUNTS_HEAD = ("# nfbounds-counts label=Q(sqrt5) degree=2 R=3 cap=9 max_norm=1 total=2\n"
+               "k,a_k,b_k\n")
 
 
 def run(capsys, *argv):
@@ -145,10 +147,18 @@ def test_exit_code_validation(tmp_path, capsys):
     ("field-info", {"roots_of_unity": "two"}, []),
     ("field-info", {"expected_regulator": "0.48"}, []),
     ("field-info", "{not json", []),
+    ("counts", None, ["--radius", "3", "--max-norm", "-5"]),
+    ("estimate", None, ["--from-counts", (COUNTS_HEAD.replace(" R=3", "") + "1,1,2\n",)]),
+    ("estimate", None, ["--from-counts", (COUNTS_HEAD.replace("R=3", "R=three") + "1,1,2\n",)]),
+    ("estimate", None, ["--from-counts", (COUNTS_HEAD.replace("R=3", "R=nan") + "1,1,2\n",)]),
+    ("estimate", None, ["--from-counts", (COUNTS_HEAD + "1,1\n",)]),
 ], ids=["radius-below-one", "counts-radius-inf", "bounds-radius-inf", "snr-nan",
-        "no-min-poly", "roots-of-unity-text", "regulator-text", "not-json"])
+        "no-min-poly", "roots-of-unity-text", "regulator-text", "not-json",
+        "max-norm-negative", "counts-no-R", "counts-R-text", "counts-R-nan",
+        "counts-short-row"])
 def test_bad_input_is_a_named_error(tmp_path, capsys, command, doc_change, rest):
-    """doc_change edits the Q(sqrt5) document (None drops a key) or replaces its text."""
+    """doc_change edits the Q(sqrt5) document (None drops a key) or replaces its
+    text; a one-item tuple in rest is written to a file and passed by path."""
     doc = Q5
     if doc_change is not None:
         if isinstance(doc_change, str):
@@ -163,10 +173,27 @@ def test_bad_input_is_a_named_error(tmp_path, capsys, command, doc_change, rest)
             text = json.dumps(payload)
         doc = tmp_path / "doc.json"
         doc.write_text(text)
-    code, out, err = run(capsys, command, str(doc), *rest)
+    argv = []
+    for i, item in enumerate(rest):
+        if isinstance(item, tuple):
+            path = tmp_path / f"arg{i}.csv"
+            path.write_text(item[0])
+            item = str(path)
+        argv.append(item)
+    code, out, err = run(capsys, command, str(doc), *argv)
     assert code == 2
     assert err.startswith("error:") and "ValidationError" in err
     assert "Traceback" not in err and "nan" not in out
+
+
+@pytest.mark.parametrize("snr", ["0:nan:3", "0:40:0"])
+def test_snr_grid_is_checked_before_the_table(monkeypatch, capsys, snr):
+    def no_table(*args, **kwargs):
+        pytest.fail("the count table was built before the SNR grid was checked")
+
+    monkeypatch.setattr("nfbounds.cli.count_table", no_table)
+    code, _, err = run(capsys, "pep", Q5, "--radius", "5", "--snr", snr)
+    assert code == 2 and err.startswith("error:")
 
 
 def test_exit_code_budget_and_cutoff(capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -144,23 +145,23 @@ def test_exact_norm_keys(q5):
     assert sorted(set(table.ks[table.b > 0].tolist())) == norms
 
 
-def test_unit_orbit_examples(q5, q5_units):
+def test_unit_orbit_examples(q5):
     theta = q5.theta()
-    orbits = unit_orbits([theta, theta ** 2, -q5.one()], q5_units)
+    orbits = unit_orbits([theta, theta ** 2, -q5.one()])
     assert len(orbits) == 1
     assert orbits[0].min_height == pytest.approx(1.0, abs=1e-12)
     # y = x * theta lands in the same principal ideal
     x = q5.element([-1, 2])
     y = q5.element([2, 1])
     assert (x * theta).coords == y.coords
-    assert len(unit_orbits([x, y], q5_units)) == 1
+    assert len(unit_orbits([x, y])) == 1
     # recorded outcome: both norm-5 points generate the ramified prime
-    assert len(unit_orbits([q5.element([2, 1]), q5.element([3, -1])], q5_units)) == 1
+    assert len(unit_orbits([q5.element([2, 1]), q5.element([3, -1])])) == 1
 
 
-def test_orbit_relation_is_equivalence(q5, q5_units):
+def test_orbit_relation_is_equivalence(q5):
     points = [p for p in enumerate_box(q5, BoxSpec(100.0)) if abs(p.norm()) == 5]
-    orbits = unit_orbits(points, q5_units)
+    orbits = unit_orbits(points)
     assert sum(len(o.members) for o in orbits) == len(points)
     seen = set()
     for orb in orbits:
@@ -177,9 +178,9 @@ def test_orbit_relation_is_equivalence(q5, q5_units):
         assert q5.divide_exact(orbits[0].members[0], orbits[1].members[0]) is None
 
 
-def test_orbit_min_height_is_ideal_height(q5, q5_units):
+def test_orbit_min_height_is_ideal_height(q5):
     points = enumerate_box(q5, BoxSpec(10.0))
-    orbits = unit_orbits(points, q5_units)
+    orbits = unit_orbits(points)
     by_norm = {}
     for orb in orbits:
         by_norm.setdefault(orb.norm, []).append(orb)
@@ -187,6 +188,59 @@ def test_orbit_min_height_is_ideal_height(q5, q5_units):
     five = by_norm[5]
     assert len(five) == 1
     assert five[0].min_height == pytest.approx(math.sqrt(5), abs=1e-9)
+
+
+def log_lattice_partition(points, unit_system):
+    """Independent oracle for unit_orbits: read each point's unit exponents
+    off the log lattice, round them, remove that unit exactly in the ring,
+    normalise the sign, and group points whose remainders coincide.
+
+    An exponent within 1e-6 of a half-integer is rounded both ways and the
+    smallest normalised remainder wins.  Such ties are exact in the octic,
+    where 2 is totally ramified, and one float rounding would split them.
+
+    Returns {norm: {tuple of member coordinates}}."""
+    field = points[0].field
+    A = unit_system.log_matrix
+    gram = A @ A.T
+    inverses = [field.element([int(c) for c in field.inverse_coords_rational(u.coords)])
+                for u in unit_system.units]
+
+    def remainder(x, exponents):
+        r = x
+        for u, inv, e in zip(unit_system.units, inverses, exponents):
+            r = r * (inv if e > 0 else u) ** abs(e)
+        coords = r.coords
+        return tuple(-c for c in coords) if next(c for c in coords if c) < 0 else coords
+
+    groups: dict[tuple, list] = {}
+    for x in points:
+        logs = np.log(np.abs(x.embed()))
+        t = np.linalg.solve(gram, A @ (logs - logs.mean()))
+        choices = [{math.floor(v), math.ceil(v)} if abs(v - round(v)) > 0.5 - 1e-6
+                   else {round(v)} for v in t]
+        rep = min(remainder(x, e) for e in itertools.product(*choices))
+        groups.setdefault((abs(x.norm()), rep), []).append(x.coords)
+    partition: dict[int, set] = {}
+    for (k, _rep), members in groups.items():
+        partition.setdefault(k, set()).add(tuple(sorted(members)))
+    return partition
+
+
+@pytest.mark.parametrize("fixture_name,R", [("q5", 100.0), ("quartic", 8.0), ("octic", 4.0)])
+def test_unit_orbits_match_log_lattice_oracle(request, fixture_name, R):
+    field = request.getfixturevalue(fixture_name)
+    units = request.getfixturevalue(f"{fixture_name}_units")
+    points = enumerate_box(field, BoxSpec(R))
+    orbits = unit_orbits(points)
+    partition: dict[int, set] = {}
+    for orb in orbits:
+        partition.setdefault(orb.norm, set()).add(tuple(m.coords for m in orb.members))
+    assert partition == log_lattice_partition(points, units)
+    # norm ascending, then by smallest member; members sorted by coordinates
+    assert [(o.norm, o.members[0].coords) for o in orbits] == sorted(
+        (o.norm, o.members[0].coords) for o in orbits)
+    assert all(list(o.members) == sorted(o.members, key=lambda m: m.coords) for o in orbits)
 
 
 def test_partial_unit_symmetry(q5):

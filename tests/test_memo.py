@@ -1,0 +1,139 @@
+"""The one memo: hits share the stored object, stored values are frozen,
+the coefficient array is keyed on the polynomial alone, the table stays
+within its bound, concurrent callers agree with a serial run, and no
+other module keeps a cache of its own."""
+
+from __future__ import annotations
+
+import ast
+import dataclasses
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import nfbounds
+from nfbounds import _memo, zeta
+from nfbounds.enumeration import BoxSpec, cached_orbits, cached_points
+from nfbounds.numberfield import parse_field
+from nfbounds.zeta import dirichlet_coeffs
+
+
+def _clear_memo():
+    with _memo._lock:
+        _memo._entries.clear()
+
+
+def test_hits_return_the_frozen_miss_object(quartic):
+    box = BoxSpec(3.7)
+    points = cached_points(quartic, box)
+    assert cached_points(quartic, box) is points
+    assert isinstance(points, tuple)
+    orbits = cached_orbits(quartic, box)
+    assert cached_orbits(quartic, box) is orbits
+    assert isinstance(orbits, tuple) and isinstance(orbits[0].members, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        orbits[0].norm = 2
+    assert sum(len(o.members) for o in orbits) == len(points)
+
+
+def test_smaller_cutoff_is_a_slice(q5, monkeypatch):
+    _clear_memo()
+    big = dirichlet_coeffs(q5, 100)
+    calls = []
+    real = zeta._splitting_types
+
+    def counting(field, primes):
+        calls.append(len(primes))
+        return real(field, primes)
+
+    monkeypatch.setattr(zeta, "_splitting_types", counting)
+    small = dirichlet_coeffs(q5, 50)
+    assert calls == []
+    assert small.cutoff == 50 and np.array_equal(small.a, big.a[:51])
+    assert not small.a.flags.writeable
+    dirichlet_coeffs(q5, 200)  # a larger cutoff sieves afresh
+    assert len(calls) == 1
+
+
+def test_series_ignores_precision(q5, monkeypatch):
+    _clear_memo()
+    first = dirichlet_coeffs(q5, 300)
+    precise = parse_field(q5.min_poly, precision_bits=120)
+    monkeypatch.setattr(zeta, "_splitting_types", None)  # any sieve would fail
+    again = dirichlet_coeffs(precise, 300)
+    assert np.shares_memory(again.a, first.a)
+    assert again.field is precise
+
+
+def test_memo_stays_within_its_bound(q5):
+    for i in range(_memo.MAX_ENTRIES + 5):
+        cached_points(q5, BoxSpec(1.5 + i / 64))
+    assert len(_memo._entries) == _memo.MAX_ENTRIES
+
+
+def test_threads_agree_with_a_serial_run(q5, quartic, octic):
+    jobs = [(field, N, R) for field, radii in ((q5, (5.0, 9.0)), (quartic, (3.0, 4.0)),
+                                              (octic, (2.5, 3.0)))
+            for N in (500, 2000) for R in radii]
+
+    def job(spec):
+        field, N, R = spec
+        series = dirichlet_coeffs(field, N)
+        box = BoxSpec(R)
+        return (series.a.tolist(), [p.coords for p in cached_points(field, box)],
+                [(o.norm, [m.coords for m in o.members]) for o in cached_orbits(field, box)])
+
+    _clear_memo()
+    serial = [job(spec) for spec in jobs]
+    _clear_memo()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(job, jobs * 2, timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial * 2
+    assert len(_memo._entries) <= _memo.MAX_ENTRIES
+
+
+_MEMOISERS = {"lru_cache", "cache"}
+_CONTAINERS = {"dict", "OrderedDict", "defaultdict", "WeakValueDictionary"}
+
+
+def _cache_sites(tree):
+    """Line numbers of functools memoisers and of module-level mappings that
+    start empty or whose name says cache."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            if any(alias.name in _MEMOISERS for alias in node.names):
+                yield node.lineno
+        elif (isinstance(node, ast.Attribute) and node.attr in _MEMOISERS
+              and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+            yield node.lineno
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign):
+            targets, value = [node.target], node.value
+        else:
+            continue
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+        empty = isinstance(value, ast.Dict) and not value.keys
+        func = value.func if isinstance(value, ast.Call) else None
+        built = (isinstance(func, ast.Name) and func.id in _CONTAINERS
+                 or isinstance(func, ast.Attribute) and func.attr in _CONTAINERS)
+        if empty or built or any("cache" in n.lower() for n in names):
+            yield node.lineno
+
+
+def test_no_cache_outside_the_memo():
+    found = []
+    for path in sorted(Path(nfbounds.__file__).parent.glob("*.py")):
+        if path.name != "_memo.py":
+            tree = ast.parse(path.read_text(), filename=str(path))
+            found += [f"{path.name}:{line}" for line in _cache_sites(tree)]
+    assert not found, f"a cache outside nfbounds._memo: {found}"

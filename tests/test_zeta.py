@@ -270,8 +270,8 @@ def test_bounded_height_zeta_monotone(q5, q5_units):
     assert bounded_height_zeta(q5, q5_units, 3, 2) > 1
 
 
-def test_orbit_count_never_exceeds_ideal_count(q5, q5_units):
-    orbits = cached_orbits(q5, q5_units, BoxSpec(100.0))
+def test_orbit_count_never_exceeds_ideal_count(q5):
+    orbits = cached_orbits(q5, BoxSpec(100.0))
     counts: dict[int, int] = {}
     for orb in orbits:
         counts[orb.norm] = counts.get(orb.norm, 0) + 1
