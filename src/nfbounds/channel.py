@@ -35,19 +35,19 @@ def check_snr_grid(snr_db_start: float, snr_db_stop: float, points: int) -> None
 
 
 def pep_curve(table: CountTable, snr_db_start: float, snr_db_stop: float,
-              points: int, degree: int | None = None) -> PepCurve:
+              points: int) -> PepCurve:
     """Pairwise-error curves from exact counts and from the integer estimate."""
     check_snr_grid(snr_db_start, snr_db_stop, points)
     if table.b is None or table.n_est is None:
         raise ValidationError("table needs both exact and estimate columns")
-    if degree is None:
-        degree = table.degree
     sum_exact = norm_sum(table, 2, "exact")
+    if sum_exact == 0:
+        raise ValidationError("the count table has no points, so its norm sums are 0")
     sum_est = norm_sum(table, 2, "estimate")
     db = np.linspace(snr_db_start, snr_db_stop, points)
     gamma = 10.0 ** (db / 10.0)
-    pe_exact = sum_exact / gamma ** degree
-    pe_est = sum_est / gamma ** degree
+    pe_exact = sum_exact / gamma ** table.degree
+    pe_est = sum_est / gamma ** table.degree
     return PepCurve(
         snr_db=db, snr_linear=gamma,
         pe_estimate=pe_est, pe_exact=pe_exact,
@@ -55,12 +55,11 @@ def pep_curve(table: CountTable, snr_db_start: float, snr_db_stop: float,
     )
 
 
-def eve_probability(table: CountTable, gamma_e: float, vol_lambda_b: float = 1.0,
-                    degree: int | None = None) -> float:
+def eve_probability(table: CountTable, gamma_e: float, vol_lambda_b: float = 1.0) -> float:
     """Eavesdropper correct-decision bound at linear SNR gamma_e."""
-    if gamma_e <= 0 or vol_lambda_b <= 0:
-        raise ValidationError("gamma_e and vol_lambda_b must be positive")
-    if degree is None:
-        degree = table.degree
-    return (1.0 / (4.0 * gamma_e ** 2)) ** (degree / 2.0) * vol_lambda_b * norm_sum(table, 3)
+    if not (0 < gamma_e < math.inf and 0 < vol_lambda_b < math.inf):
+        raise ValidationError(f"gamma_e and vol_lambda_b must be positive and finite, "
+                              f"got {gamma_e}, {vol_lambda_b}")
+    return ((1.0 / (4.0 * gamma_e ** 2)) ** (table.degree / 2.0) * vol_lambda_b
+            * norm_sum(table, 3))
 

@@ -93,9 +93,7 @@ def load_field_document(path: str, precision_bits: int) -> tuple[NumberField, di
         raise ValidationError(
             "field document must set assume_maximal_order: computations use Z[theta]"
         )
-    field = parse_field(poly, assume_maximal_order=True,
-                        precision_bits=precision_bits,
-                        label=doc.get("label", ""))
+    field = parse_field(poly, precision_bits=precision_bits, label=doc.get("label", ""))
     return field, doc
 
 
@@ -205,6 +203,9 @@ def cmd_estimate(args) -> int:
     us = unit_system_from_document(field, doc)
     if args.from_counts:
         table, _meta = _read_counts_csv(args.from_counts)
+        if table.degree != field.degree:
+            raise ValidationError(f"counts file is for degree {table.degree}, "
+                                  f"the field document for degree {field.degree}")
     else:
         if args.radius is None:
             raise ValidationError("estimate needs --radius or --from-counts")

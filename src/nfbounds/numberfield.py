@@ -22,6 +22,8 @@ from .errors import (EmptyInput, InvariantError, NotMonic, NotSquarefree, NotTot
                      ValidationError)
 
 DEFAULT_PRECISION_BITS = 80
+# float64 mantissa: certification takes the float embeddings as exact to ~1e-14
+MIN_PRECISION_BITS = 53
 
 # extra mantissa bits used internally on top of the requested precision
 _GUARD_BITS = 24
@@ -356,14 +358,13 @@ class NumberField:
     """
 
     def __init__(self, min_poly: Polynomial, embeddings_mp, root_error: float,
-                 assume_maximal_order: bool, precision_bits: int, label: str = ""):
+                 precision_bits: int, label: str = ""):
         self.min_poly = min_poly
         self.degree = min_poly.degree
         self.embeddings_mp = tuple(embeddings_mp)
         self.embeddings = np.array([float(r) for r in embeddings_mp])
         self.root_error = root_error
         self.signature = (self.degree, 0)
-        self.assume_maximal_order = bool(assume_maximal_order)
         self.precision_bits = int(precision_bits)
         self.label = label or str(min_poly)
         n = self.degree
@@ -541,9 +542,12 @@ class AlgebraicInt:
 # module-level operations
 
 
-def parse_field(poly: Polynomial, assume_maximal_order: bool = True,
-                precision_bits: int = DEFAULT_PRECISION_BITS, label: str = "") -> NumberField:
+def parse_field(poly: Polynomial, precision_bits: int = DEFAULT_PRECISION_BITS,
+                label: str = "") -> NumberField:
     """Construct the field, certifying that every root of ``poly`` is real."""
+    if precision_bits < MIN_PRECISION_BITS:
+        raise ValidationError(f"precision must be at least {MIN_PRECISION_BITS} bits, "
+                              f"got {precision_bits}")
     if not isinstance(poly, Polynomial):
         poly = Polynomial(tuple(int(c) for c in poly))
     n = poly.degree
@@ -559,7 +563,7 @@ def parse_field(poly: Polynomial, assume_maximal_order: bool = True,
         roots.append(root)
         err = max(err, half)
     roots.sort()
-    return NumberField(poly, roots, err, assume_maximal_order, precision_bits, label)
+    return NumberField(poly, roots, err, precision_bits, label)
 
 
 def embed(x: AlgebraicInt) -> np.ndarray:

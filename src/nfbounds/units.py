@@ -26,6 +26,7 @@ from .errors import (
 from .numberfield import AlgebraicInt, NumberField, _GUARD_BITS
 
 _MINOR_AGREEMENT = 1e-9
+_REGULATOR_RTOL = 1e-6
 _DEPENDENCE_FLOOR = 1e-9
 
 
@@ -129,8 +130,7 @@ class UnitSystem:
 
 
 def build_unit_system(field: NumberField, units=None, w: int = 2,
-                      expected_regulator: float | None = None,
-                      regulator_rtol: float = 1e-6) -> UnitSystem:
+                      expected_regulator: float | None = None) -> UnitSystem:
     """Validate a fundamental system of units and compute its regulator.
 
     ``units`` may be omitted for degree-2 fields, in which case the
@@ -172,7 +172,7 @@ def build_unit_system(field: NumberField, units=None, w: int = 2,
             f"minor determinants disagree: {reg!r} vs {reg_alt!r}"
         )
     if expected_regulator is not None:
-        if abs(reg - expected_regulator) > regulator_rtol * max(1.0, abs(expected_regulator)):
+        if abs(reg - expected_regulator) > _REGULATOR_RTOL * max(1.0, abs(expected_regulator)):
             raise RegulatorMismatch(
                 f"computed regulator {reg!r} differs from expected {expected_regulator!r}"
             )

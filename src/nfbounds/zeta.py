@@ -3,11 +3,11 @@
 Coefficients a_k (number of integral ideals of norm k) are produced from
 the splitting type of each prime, the degrees of the distinct irreducible
 factors of the minimal polynomial f mod p, by expanding the local Euler
-factors through a sieve.  Full factorization is never performed.  For an
-unramified prime p > n the type follows from the traces of the powers of
-the Berlekamp (Frobenius) matrix, computed for many primes at once in
-int64; every other prime gets a distinct-degree factorization of the
-radical of f mod p.
+factors through a sieve.  Full factorization is never performed.  Every
+type is read from the powers of the Berlekamp (Frobenius) matrix of f mod
+p, built for many primes at once: from their traces when p > n, from the
+ranks of Q^m - I over F_p when p <= n.  Entries are int64 while no sum of
+residue products can wrap and Python integers past that.
 
 Evaluations of the zeta function, its derivatives, and the bounded-height
 variant are finite partial sums with a doubling-based tail estimate
@@ -29,133 +29,6 @@ from .numberfield import NumberField
 _HARD_FLOOR_S2 = 10 ** 4
 # primes per batched Frobenius pass; bounds the kernel's arrays for any cutoff
 _CHUNK = 4096
-
-# ---------------------------------------------------------------------------
-# arithmetic mod p on dense coefficient lists (ascending, small degree)
-
-
-def _trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _gf_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
-
-
-def _gf_rem(a, b, p):
-    a = list(a)
-    db = len(b) - 1
-    inv = pow(b[-1], p - 2, p)
-    while len(a) - 1 >= db and a:
-        q = a[-1] * inv % p
-        if q:
-            off = len(a) - 1 - db
-            for j, bj in enumerate(b):
-                a[off + j] = (a[off + j] - q * bj) % p
-        a.pop()
-        _trim(a)
-    return a
-
-
-def _gf_divexact(a, b, p):
-    a = list(a)
-    q = [0] * (len(a) - len(b) + 1)
-    db = len(b) - 1
-    inv = pow(b[-1], p - 2, p)
-    while len(a) - 1 >= db and a:
-        c = a[-1] * inv % p
-        off = len(a) - 1 - db
-        q[off] = c
-        if c:
-            for j, bj in enumerate(b):
-                a[off + j] = (a[off + j] - c * bj) % p
-        a.pop()
-        _trim(a)
-    return q
-
-
-def _gf_monic(a, p):
-    if not a or a[-1] == 1:
-        return list(a)
-    inv = pow(a[-1], p - 2, p)
-    return [c * inv % p for c in a]
-
-
-def _gf_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _gf_rem(a, b, p)
-    return _gf_monic(a, p)
-
-
-def _gf_deriv(a, p):
-    return _trim([(i * c) % p for i, c in enumerate(a)][1:])
-
-
-def _gf_radical(a, p):
-    """Product of the distinct monic irreducible factors of a mod p."""
-    a = _gf_monic(a, p)
-    rad = [1]
-    while len(a) > 1:
-        da = _gf_deriv(a, p)
-        if not da:
-            # a = h(x^p) = h(x)^p over F_p: same distinct factors as h
-            a = _trim([a[i] for i in range(0, len(a), p)])
-            continue
-        g = _gf_gcd(a, da, p)
-        w = _gf_divexact(a, g, p)  # each factor with multiplicity prime to p, once
-        fresh = _gf_divexact(w, _gf_gcd(rad, w, p), p)
-        rad = _gf_mul(rad, fresh, p)
-        while True:
-            d = _gf_gcd(a, w, p)
-            if len(d) <= 1:
-                break
-            a = _gf_divexact(a, d, p)
-    return rad
-
-
-def _gf_pow_mod(a, e, m, p):
-    r = [1]
-    a = _gf_rem(list(a), m, p)
-    while e:
-        if e & 1:
-            r = _gf_rem(_gf_mul(r, a, p), m, p)
-        e >>= 1
-        if e:
-            a = _gf_rem(_gf_mul(a, a, p), m, p)
-    return r
-
-
-def _distinct_degrees(sqf, p):
-    """Degrees (with repetition) of irreducible factors of a squarefree poly."""
-    degs = []
-    v = list(sqf)
-    h = _gf_rem([0, 1], v, p)
-    d = 0
-    while len(v) - 1 >= 2 * (d + 1):
-        d += 1
-        h = _gf_pow_mod(h, p, v, p)
-        diff = list(h) + [0] * max(0, 2 - len(h))
-        diff[1] = (diff[1] - 1) % p
-        g = _gf_gcd(_trim(diff), v, p)
-        if len(g) > 1:
-            degs += [d] * ((len(g) - 1) // d)
-            v = _gf_divexact(v, g, p)
-            if len(v) > 1:
-                h = _gf_rem(h, v, p)
-    if len(v) > 1:
-        degs.append(len(v) - 1)
-    return sorted(degs)
-
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -193,18 +66,6 @@ class SplittingType:
     ramified: bool
 
 
-def _ddf_type(field: NumberField, p: int) -> SplittingType:
-    """Splitting type by distinct-degree factorization of the radical of f mod p."""
-    fp = [c % p for c in field.min_poly.coeffs]
-    rad = _gf_radical(fp, p)
-    ramified = (len(rad) - 1) < field.degree
-    degs = tuple(_distinct_degrees(rad, p))
-    if not ramified and sum(degs) != field.degree:
-        raise InvariantError(f"factor degrees {degs} of an unramified prime {p} "
-                             f"do not sum to the degree {field.degree}")
-    return SplittingType(p, degs, ramified)
-
-
 def _fits_int64(n: int, p: int) -> bool:
     """Whether n-term sums of products of residues mod p stay below 2^63."""
     return n * (p - 1) ** 2 < 2 ** 63
@@ -214,10 +75,11 @@ def _mulmod(a, b, red, p):
     """a * b mod (f, p) for a batch of residue vectors of shape (B, n).
 
     red[:, k] holds x^(n+k) mod (f, p).  With every input in [0, p), each
-    sum below has at most n products below p^2, which _fits_int64 bounds.
+    sum below has at most n products below p^2, which _fits_int64 bounds
+    for int64 entries; object entries are Python integers and never wrap.
     """
     n = a.shape[1]
-    prod = np.zeros((a.shape[0], 2 * n - 1), dtype=np.int64)
+    prod = np.zeros((a.shape[0], 2 * n - 1), dtype=a.dtype)
     for i in range(n):
         prod[:, i : i + n] += a[:, i : i + 1] * b
     prod %= p
@@ -227,89 +89,136 @@ def _mulmod(a, b, red, p):
     return out % p
 
 
-def _frobenius_traces(coeffs, primes) -> np.ndarray:
-    """trace(Q^m) mod p for m = 1..n, one row per prime.
+def _berlekamp(coeffs, primes, dtype) -> np.ndarray:
+    """The Berlekamp matrix Q of f mod p for each prime, shape (B, n, n).
 
-    Q is the Berlekamp matrix of f mod p, whose row i is x^(p*i) mod (f, p):
-    the matrix of the Frobenius map of F_p[x]/(f).
+    Row i of Q is x^(p*i) mod (f, p), so Q is the matrix of the Frobenius
+    map a -> a^p of F_p[x]/(f) acting on coefficient rows.
     """
     n = len(coeffs) - 1
-    # re-checked here, not trusted to the caller: outside this range the
-    # traces are inexact or the int64 sums wrap
-    if min(primes) <= n or n * (max(primes) - 1) ** 2 >= 2 ** 63:
-        raise InvariantError(f"primes outside the exact int64 range for degree {n}")
-    p = np.array(primes, dtype=np.int64)[:, None]
+    # re-checked here, not trusted to the caller: past the guard int64 sums wrap
+    if dtype is not object and n * (max(primes) - 1) ** 2 >= 2 ** 63:
+        raise InvariantError(f"primes past the int64 guard for degree {n}")
+    p = np.array(primes, dtype=dtype)[:, None]
     batch = len(primes)
-    red = np.zeros((batch, n - 1, n), dtype=np.int64)
-    red[:, 0] = np.array([[-c % q for c in coeffs[:-1]] for q in primes], dtype=np.int64)
+    red = np.zeros((batch, n - 1, n), dtype=dtype)
+    red[:, 0] = np.array([[-c % q for c in coeffs[:-1]] for q in primes], dtype=dtype)
     for k in range(1, n - 1):
         red[:, k, 1:] = red[:, k - 1, :-1]
         red[:, k] = (red[:, k] + red[:, k - 1, -1:] * red[:, 0]) % p
-    x = np.zeros((batch, n), dtype=np.int64)
+    x = np.zeros((batch, n), dtype=dtype)
     x[:, 1] = 1
-    xp = np.zeros((batch, n), dtype=np.int64)
+    xp = np.zeros((batch, n), dtype=dtype)
     xp[:, 0] = 1
     for bit in range(max(primes).bit_length() - 1, -1, -1):
         xp = _mulmod(xp, xp, red, p)
         odd = (p >> bit) & 1 == 1
         xp = np.where(odd, _mulmod(xp, x, red, p), xp)
-    q = np.zeros((batch, n, n), dtype=np.int64)
+    q = np.zeros((batch, n, n), dtype=dtype)
     q[:, 0, 0] = 1
     q[:, 1] = xp
     for i in range(2, n):
         q[:, i] = _mulmod(q[:, i - 1], xp, red, p)
-    traces = np.empty((batch, n), dtype=np.int64)
+    return q
+
+
+def _totient(m: int) -> int:
+    return sum(1 for k in range(1, m + 1) if math.gcd(k, m) == 1)
+
+
+def _divisor_solve(values, weight):
+    """x_m for m = 1..n from values[:, m-1] = sum over e | m of weight(e) * x_e.
+
+    Solved one m at a time; a remainder means the readings belong to no
+    factorization."""
+    x = np.zeros_like(values)
+    for m in range(1, values.shape[1] + 1):
+        rest = values[:, m - 1] - sum(weight(e) * x[:, e - 1] for e in range(1, m) if m % e == 0)
+        if np.any(rest % weight(m)):
+            raise InvariantError("Frobenius readings do not invert to whole factor counts")
+        x[:, m - 1] = rest // weight(m)
+    return x
+
+
+def _rank_mod_p(rows, p: int) -> int:
+    """Rank over F_p of a small integer matrix, by Gaussian elimination."""
+    rows = [[int(v) % p for v in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for i in range(rank + 1, len(rows)):
+            c = rows[i][col] * inv % p
+            rows[i] = [(u - c * v) % p for u, v in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _factor_counts(coeffs, primes) -> np.ndarray:
+    """r_d, the number of distinct degree-d factors of f mod p, for d = 1..n.
+
+    Both readings come from the powers of one Berlekamp matrix Q per prime.
+    For p > n, trace(Q^m) = sum over d | m of d * r_d holds mod p even when
+    f mod p has repeated factors (Frobenius maps m^i into m^(pi), inside
+    m^(i+1), so nilpotents add nothing), and it is exact because the sum
+    is at most n < p.  For p <= n, dim ker(Q^m - I) = sum over factors of
+    gcd(d, m) = sum over e | m of phi(e) * g_e, with g_e the number of
+    factors whose degree e divides, and r_d = g_d - sum over k >= 2 of r_kd.
+    """
+    n = len(coeffs) - 1
+    dtype = np.int64 if _fits_int64(n, max(primes)) else object
+    q = _berlekamp(coeffs, primes, dtype)
+    p = np.array(primes, dtype=dtype)
+    large = p > n
+    small = np.flatnonzero(~large)
+    traces = np.empty((len(primes), n), dtype=dtype)
+    dims = np.empty((len(small), n), dtype=np.int64)
+    eye = np.eye(n, dtype=np.int64)
     power = q
     for m in range(n):
         if m:
-            power = np.matmul(power, q) % p[:, :, None]
-        traces[:, m] = np.trace(power, axis1=1, axis2=2) % p[:, 0]
-    return traces
-
-
-def _frobenius_types(coeffs, primes) -> list[tuple[int, ...]]:
-    """Factor degrees of f mod p for unramified primes n < p with _fits_int64.
-
-    trace(Q^m) = sum over d | m of d * r_d, with r_d the number of degree-d
-    factors, holds mod p; it is exact because sum(d * r_d) = n < p, so
-    Moebius inversion, solved for r_m one m at a time, recovers every r_d.
-    """
-    n = len(coeffs) - 1
-    traces = _frobenius_traces(coeffs, primes)
-    counts = np.zeros_like(traces)
-    for m in range(1, n + 1):
-        rest = traces[:, m - 1] - sum(d * counts[:, d - 1] for d in range(1, m) if m % d == 0)
-        if np.any(rest % m):
-            raise InvariantError("Frobenius traces do not invert to whole factor counts")
-        counts[:, m - 1] = rest // m
-    if np.any(counts < 0) or np.any(counts @ np.arange(1, n + 1) != n):
-        raise InvariantError(f"Frobenius factor degrees do not sum to the degree {n}")
-    types: dict[tuple, tuple[int, ...]] = {}
-    out = []
-    for row in map(tuple, counts.tolist()):
-        if row not in types:
-            types[row] = tuple(d for d, r in enumerate(row, 1) for _ in range(r))
-        out.append(types[row])
-    return out
+            power = np.matmul(power, q) % p[:, None, None]
+        traces[:, m] = np.trace(power, axis1=1, axis2=2) % p
+        for j, b in enumerate(small):
+            dims[j, m] = n - _rank_mod_p(power[b] - eye, primes[b])
+    counts = np.zeros((len(primes), n), dtype=np.int64)
+    counts[large] = _divisor_solve(traces[large], lambda e: e)
+    if len(small):
+        g = _divisor_solve(dims, _totient)
+        for d in range(n, 0, -1):
+            g[:, d - 1] -= g[:, 2 * d - 1 :: d].sum(axis=1)
+        counts[small] = g
+    if np.any(counts < 0) or np.any(counts @ np.arange(1, n + 1) > n):
+        raise InvariantError(f"Frobenius factor degrees sum past the degree {n}")
+    return counts
 
 
 def _splitting_types(field: NumberField, primes):
     """Yield the splitting type of each prime in ``primes``, in order.
 
-    Unramified primes p > n (p not dividing disc(f)) with _fits_int64 are
-    done _CHUNK at a time from Frobenius traces; the rest go through
-    distinct-degree factorization of the radical, one prime at a time.
+    Every prime is read from its Berlekamp matrix, _CHUNK primes at a time:
+    in int64 while the chunk's largest prime passes _fits_int64, in Python
+    integers past it.  f mod p has a repeated factor exactly when p divides
+    the polynomial discriminant, which cross-checks every type.
     """
     n = field.degree
     disc = field.poly_discriminant
     for start in range(0, len(primes), _CHUNK):
         chunk = primes[start : start + _CHUNK]
-        batch = [p for p in chunk if p > n and disc % p and _fits_int64(n, p)]
-        fast = {}
-        if batch:
-            fast = dict(zip(batch, _frobenius_types(field.min_poly.coeffs, batch)))
-        for p in chunk:
-            yield SplittingType(p, fast[p], False) if p in fast else _ddf_type(field, p)
+        counts = _factor_counts(field.min_poly.coeffs, chunk)
+        types: dict[tuple, tuple] = {}
+        for p, row in zip(chunk, map(tuple, counts.tolist())):
+            if row not in types:
+                degs = tuple(d for d, r in enumerate(row, 1) for _ in range(r))
+                types[row] = (degs, sum(degs) < n)
+            degs, ramified = types[row]
+            if ramified != (disc % p == 0):
+                raise InvariantError(f"factor degrees {degs} mod {p} disagree with "
+                                     f"the discriminant {disc}")
+            yield SplittingType(p, degs, ramified)
 
 
 def splitting_type(field: NumberField, p: int) -> SplittingType:

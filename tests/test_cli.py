@@ -152,10 +152,18 @@ def test_exit_code_validation(tmp_path, capsys):
     ("estimate", None, ["--from-counts", (COUNTS_HEAD.replace("R=3", "R=three") + "1,1,2\n",)]),
     ("estimate", None, ["--from-counts", (COUNTS_HEAD.replace("R=3", "R=nan") + "1,1,2\n",)]),
     ("estimate", None, ["--from-counts", (COUNTS_HEAD + "1,1\n",)]),
+    ("pep", None, ["--radius", "3", "--max-norm", "0", "--snr", "0:10:2"]),
+    ("estimate", None, ["--from-counts",
+                        (COUNTS_HEAD.replace("degree=2", "degree=8") + "1,1,2\n",)]),
+    ("eve", None, ["--radius", "10", "--gamma", "nan"]),
+    ("eve", None, ["--radius", "10", "--gamma", "1", "--vol", "inf"]),
+    ("field-info", None, ["--precision", "-10"]),
+    ("field-info", None, ["--precision", "10"]),
 ], ids=["radius-below-one", "counts-radius-inf", "bounds-radius-inf", "snr-nan",
         "no-min-poly", "roots-of-unity-text", "regulator-text", "not-json",
         "max-norm-negative", "counts-no-R", "counts-R-text", "counts-R-nan",
-        "counts-short-row"])
+        "counts-short-row", "pep-empty-table", "counts-other-degree", "eve-gamma-nan",
+        "eve-vol-inf", "precision-negative", "precision-below-53"])
 def test_bad_input_is_a_named_error(tmp_path, capsys, command, doc_change, rest):
     """doc_change edits the Q(sqrt5) document (None drops a key) or replaces its
     text; a one-item tuple in rest is written to a file and passed by path."""

@@ -1,15 +1,17 @@
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
 import pytest
 
+from ddf_oracle import _ddf_type
 from nfbounds import numberfield, zeta
 from nfbounds.enumeration import BoxSpec, cached_orbits, cached_points
 from nfbounds.errors import CutoffTooSmall, InvariantError, NotPrime, ValidationError
+from nfbounds.numberfield import Polynomial, parse_field
 from nfbounds.zeta import (
-    _ddf_type,
     _fits_int64,
     _is_prime,
     _primes_upto,
@@ -93,6 +95,29 @@ def test_batched_splitting_matches_ddf(name, cutoff, request):
     assert unramified == {"q5": 9590, "quartic": 9588, "octic": 6538}[name]
 
 
+# real subfields of Q(zeta_k): minimal polynomials of 2 cos(2 pi / k)
+REAL_CYCLOTOMIC = {
+    7: (-1, -2, 1, 1),
+    11: (1, 3, -3, -4, 1, 1),
+    13: (-1, 3, 6, -4, -5, 1, 1),
+    17: (1, -4, -10, 10, 15, -6, -7, 1, 1),
+    21: (1, -8, 8, 6, -6, -1, 1),
+    28: (-7, 0, 14, 0, -7, 0, 1),
+}
+
+
+@pytest.mark.parametrize("k", sorted(REAL_CYCLOTOMIC))
+def test_real_cyclotomic_splitting_matches_ddf(k):
+    """Every prime up to 2,000, including p <= n and the primes dividing k,
+    which are the ramified ones (totally so for prime k)."""
+    field = parse_field(Polynomial(REAL_CYCLOTOMIC[k]))
+    primes = _primes_upto(2000).tolist()
+    types = list(_splitting_types(field, primes))
+    for st in types:
+        assert st == _ddf_type(field, st.p)
+    assert [st.p for st in types if st.ramified] == [p for p in primes if k % p == 0]
+
+
 def _octic_guard_primes():
     """The largest prime that passes the octic's int64 guard and the next one."""
     below = 2 ** 30
@@ -105,39 +130,64 @@ def _octic_guard_primes():
 
 
 def test_int64_guard_boundary(octic, monkeypatch):
+    """Both sides of the guard, and a 61-bit prime, go through the Berlekamp
+    matrix: in int64 below the guard, in Python integers past it."""
     below, above = _octic_guard_primes()
     assert _fits_int64(8, below) and not _fits_int64(8, above)
-    ddf_primes = []
+    dtypes = []
+    real = zeta._berlekamp
 
-    def spy(field, p):
-        ddf_primes.append(p)
-        return _ddf_type(field, p)
+    def spy(coeffs, primes, dtype):
+        dtypes.append(dtype)
+        return real(coeffs, primes, dtype)
 
-    monkeypatch.setattr(zeta, "_ddf_type", spy)
-    types = list(_splitting_types(octic, [below, above]))
-    assert ddf_primes == [above]
-    for st in types:
-        f = order_mod_pm32(st.p)
+    monkeypatch.setattr(zeta, "_berlekamp", spy)
+    for p, dtype in ((below, np.int64), (above, object), (2 ** 61 - 1, object)):
+        dtypes.clear()
+        st = splitting_type(octic, p)
+        assert dtypes == [dtype]
+        f = order_mod_pm32(p)
         assert st.factor_degrees == tuple([f] * (8 // f)) and not st.ramified
-    assert types[0] == _ddf_type(octic, below)
+        assert st == _ddf_type(octic, p)
 
 
 def test_ddf_degree_sum_invariant(quartic, monkeypatch):
-    monkeypatch.setattr(zeta, "_distinct_degrees", lambda sqf, p: [1])
+    """p = 3 <= n is read from kernel ranks; a rank of 1 for every Q^m - I
+    gives three linear factors, too few for a prime that does not divide
+    the discriminant 725."""
+    monkeypatch.setattr(zeta, "_rank_mod_p", lambda rows, p: 1)
     with pytest.raises(InvariantError):
         splitting_type(quartic, 3)
 
 
+@pytest.mark.parametrize("disc", [725 * 3, 29])
+def test_ramification_cross_check(quartic, disc):
+    """A wrong discriminant: 3 splits f into distinct factors but would
+    divide it; 5 gives a repeated factor but would not divide it."""
+    field = copy.copy(quartic)
+    field.poly_discriminant = disc
+    with pytest.raises(InvariantError):
+        list(_splitting_types(field, [2, 3, 5, 7]))
+
+
 @pytest.mark.parametrize("traces", [[1, 0], [2, 4], [0, 0]])
 def test_frobenius_inversion_invariants(q5, monkeypatch, traces):
-    """[1, 0]: 2 * r_2 = 0 - 1 is odd; [2, 4] and [0, 0]: sum of d * r_d is not 2."""
-    monkeypatch.setattr(zeta, "_frobenius_traces",
-                        lambda coeffs, primes: np.array([traces] * len(primes)))
+    """Q becomes the companion matrix of x^2 - t1 x + e2 mod 11, whose powers
+    have traces t1 and t1^2 - 2 e2 = t2.  [1, 0]: 2 * r_2 = 0 - 1 is odd;
+    [2, 4]: the sum of d * r_d is 4 > 2; [0, 0]: the sum 0 < 2 reads as
+    ramified at 11, which does not divide the discriminant 5."""
+    t1, t2 = traces
+    e2 = (t1 * t1 - t2) * pow(2, -1, 11) % 11
+    companion = [[0, -e2 % 11], [1, t1]]
+    monkeypatch.setattr(zeta, "_berlekamp", lambda coeffs, primes, dtype:
+                        np.array([companion] * len(primes), dtype=dtype))
     with pytest.raises(InvariantError):
         splitting_type(q5, 11)
 
 
 def test_frobenius_kernel_rejects_primes_past_int64_guard(octic, monkeypatch):
+    """Told that every prime fits, the dispatcher picks int64 past the guard;
+    the matrix builder re-checks and refuses."""
     _, above = _octic_guard_primes()
     monkeypatch.setattr(zeta, "_fits_int64", lambda n, p: True)
     with pytest.raises(InvariantError):
