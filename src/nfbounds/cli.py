@@ -198,6 +198,20 @@ def _read_counts_csv(path: str) -> tuple[CountTable, dict]:
     return table, meta
 
 
+def _check_counts_field(field: NumberField, table: CountTable) -> None:
+    """The a_k column must be the document field's: equal at every listed
+    k, and no nonzero a_k up to the cap left out."""
+    ks = table.ks
+    if not np.all((ks >= 1) & (ks <= table.cap)):
+        raise ValidationError(f"counts file lists k outside 1..cap={table.cap}")
+    a = dirichlet_coeffs(field, max(table.cap, 1)).a
+    bad = np.union1d(ks[table.a != a[ks]],
+                     np.setdiff1d(np.flatnonzero(a[1:table.cap + 1]) + 1, ks))
+    if len(bad):
+        raise ValidationError(f"counts file is not for {field.label}: its a_k disagrees "
+                              f"with the field document's at k={bad[0]}")
+
+
 def cmd_estimate(args) -> int:
     field, doc = load_field_document(args.field_doc, args.precision)
     us = unit_system_from_document(field, doc)
@@ -206,6 +220,7 @@ def cmd_estimate(args) -> int:
         if table.degree != field.degree:
             raise ValidationError(f"counts file is for degree {table.degree}, "
                                   f"the field document for degree {field.degree}")
+        _check_counts_field(field, table)
     else:
         if args.radius is None:
             raise ValidationError("estimate needs --radius or --from-counts")

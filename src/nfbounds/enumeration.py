@@ -1,17 +1,22 @@
 """Complete enumeration of Z[theta] points inside a height hypercube.
 
-The search runs depth-first over integer coordinates with interval
+The search fixes one integer coordinate per level with interval
 propagation: at each level the remaining linear constraints
 |sum_j c_j sigma_i(theta)^j| <= R are intersected, using a priori ranges
 for the still-undecided coordinates.  To keep those intervals tight the
 search works in an LLL-reduced coordinate system (a unimodular change of
-variables, so the point set is unchanged); the innermost level is
-vectorised.  Candidates within a small float margin of the boundary are
-re-checked in high precision, so membership under the closed-box rule
+variables, so the point set is unchanged).  It walks the tree as a
+frontier (Fincke and Pohst 1985): the intervals of a whole chunk of
+prefixes are computed as arrays and expanded into the next level's
+chunk, depth-first over chunks, so at most one chunk per level is alive
+and working memory is bounded by `_CHUNK_ELEMENTS` whatever the box.
+Candidates within a small float margin of the boundary are re-checked
+in high precision, so membership under the closed-box rule
 |sigma_i(x)| <= R + boundary_tolerance is certified.
 
 Norm bucketing is always exact: a closed-form integer quadratic for
-degree 2 (vectorised), integer determinants otherwise.
+degree 2, otherwise one fraction-free determinant per block of rows
+(`NumberField.norm_rows`).
 """
 
 from __future__ import annotations
@@ -30,6 +35,10 @@ DEFAULT_BUDGET = 10 ** 8
 
 # float slack used before falling back to a high-precision boundary check
 _FLOAT_MARGIN = 1e-10
+
+# prefixes x degree per frontier chunk: bounds the scan's working memory
+# whatever the box, yet keeps each numpy call long at every degree
+_CHUNK_ELEMENTS = 8192
 
 
 @dataclass(frozen=True)
@@ -98,9 +107,10 @@ def _lll_transform(B: np.ndarray, delta: float = 0.99) -> np.ndarray:
 def _scan_blocks(field: NumberField, box: BoxSpec, budget: int):
     """Yield int64 arrays of accepted power-basis coordinate rows.
 
-    Deterministic: blocks arrive in ascending order of the reduced-basis
-    prefix, rows ascending in the innermost coordinate.  The zero vector
-    is excluded.  Rows are certified against the closed-box rule.
+    Deterministic: rows arrive in ascending order of the reduced-basis
+    prefix, ascending in the innermost coordinate within one prefix.  The
+    zero vector is excluded.  Rows are certified against the closed-box
+    rule.
     """
     n = field.degree
     V = field.embedding_matrix
@@ -115,7 +125,7 @@ def _scan_blocks(field: NumberField, box: BoxSpec, budget: int):
         rem[j] = rem[j - 1] + np.abs(W[:, j - 1]) * bounds[j - 1]
 
     examined = 0
-    cprime = np.zeros(n, dtype=np.int64)
+    chunk = max(1, _CHUNK_ELEMENTS // n)
     Ut = U.T.copy()
 
     # uncertainty of the float membership test, per unit coordinate mass
@@ -133,53 +143,57 @@ def _scan_blocks(field: NumberField, box: BoxSpec, budget: int):
         keep = clear_in.copy()
         for idx in np.flatnonzero(~clear_in & ~clear_out):
             x = AlgebraicInt(field, tuple(int(v) for v in rows[idx]))
-            vals = x.embed_mp()
-            keep[idx] = all(abs(v) <= Rt for v in vals)
+            # mpf-float comparisons are exact; abs() would round to mp.prec
+            keep[idx] = all(-Rt <= v <= Rt for v in x.embed_mp())
         return rows[keep]
 
-    def descend(j: int, partial: np.ndarray):
+    def children(j: int, partial: np.ndarray, prefix: np.ndarray):
+        """The level-j candidates of every prefix in one chunk, as chunks of
+        at most `chunk` rows: (partial embeddings, reduced coordinates)."""
         nonlocal examined
-        lo, hi = -bounds[j] - pad, bounds[j] + pad
-        for i in range(n):
+        lo = np.full(len(partial), -bounds[j] - pad)
+        hi = np.full(len(partial), bounds[j] + pad)
+        for i in np.flatnonzero(np.abs(W[:, j]) > 1e-14):
             wij = W[i, j]
-            if wij > 1e-14:
-                lo = max(lo, (-Rt - partial[i] - rem[j, i]) / wij)
-                hi = min(hi, (Rt - partial[i] + rem[j, i]) / wij)
-            elif wij < -1e-14:
-                lo = max(lo, (Rt - partial[i] + rem[j, i]) / wij)
-                hi = min(hi, (-Rt - partial[i] - rem[j, i]) / wij)
-        c_lo = math.ceil(lo - pad)
-        c_hi = math.floor(hi + pad)
-        if c_hi < c_lo:
-            return
-        examined += c_hi - c_lo + 1
-        if examined > budget:
+            low_end = (-Rt - partial[:, i] - rem[j, i]) / wij
+            high_end = (Rt - partial[:, i] + rem[j, i]) / wij
+            if wij < 0:
+                low_end, high_end = high_end, low_end
+            np.maximum(lo, low_end, out=lo)
+            np.minimum(hi, high_end, out=hi)
+        c_lo = np.ceil(lo - pad)
+        counts = np.maximum(np.floor(hi + pad) - c_lo + 1, 0)
+        total = counts.sum()
+        if not examined + total <= budget:  # also an unbounded range
             raise BoxTooLarge(
                 f"candidate budget {budget} exceeded at radius {box.R}; "
                 "raise the budget or shrink the box"
             )
-        if j == 0:
-            cs = np.arange(c_lo, c_hi + 1, dtype=np.int64)
-            Y = partial[None, :] + np.outer(cs.astype(float), W[:, 0])
-            mask = np.all(np.abs(Y) <= Rt + pad, axis=1)
-            cs = cs[mask]
-            if not len(cs):
-                return
-            block = np.empty((len(cs), n), dtype=np.int64)
-            block[:] = cprime[None, :]
-            block[:, 0] = cs
-            rows = block @ Ut
-            rows = rows[np.any(rows != 0, axis=1)]
-            rows = certify(rows)
+        examined += int(total)
+        counts = counts.astype(np.int64)
+        ends = np.cumsum(counts)
+        for s in range(0, int(total), chunk):
+            k = np.arange(s, min(s + chunk, int(total)))
+            parent = np.searchsorted(ends, k, side="right")
+            cs = c_lo[parent] + (k - ends[parent] + counts[parent])
+            block = prefix[parent]
+            block[:, j] = cs
+            yield partial[parent] + cs[:, None] * W[:, j], block
+
+    # one generator per level, each expanding one chunk of the level above
+    stack = [children(n - 1, np.zeros((1, n)), np.zeros((1, n), dtype=np.int64))]
+    while stack:
+        nxt = next(stack[-1], None)
+        if nxt is None:
+            stack.pop()
+        elif len(stack) < n:
+            stack.append(children(n - 1 - len(stack), *nxt))
+        else:
+            Y, block = nxt
+            rows = block[np.all(np.abs(Y) <= Rt + pad, axis=1)] @ Ut
+            rows = certify(rows[np.any(rows != 0, axis=1)])
             if len(rows):
                 yield rows
-        else:
-            for c in range(c_lo, c_hi + 1):
-                cprime[j] = c
-                yield from descend(j - 1, partial + c * W[:, j])
-            cprime[j] = 0
-
-    yield from descend(n - 1, np.zeros(n))
 
 
 def enumerate_box(field: NumberField, box: BoxSpec,
@@ -238,7 +252,11 @@ class CountTable:
 def _norm_cap(field: NumberField, box: BoxSpec, max_norm: int | None) -> int:
     if max_norm is not None and max_norm < 0:
         raise ValidationError(f"max_norm must be nonnegative, got {max_norm}")
-    geo = int(math.floor((box.R + box.boundary_tolerance) ** field.degree + 1e-9))
+    try:
+        geo = int(math.floor((box.R + box.boundary_tolerance) ** field.degree + 1e-9))
+    except OverflowError as exc:
+        raise BoxTooLarge(f"the norm cap (R + tol)^{field.degree} overflows at radius "
+                          f"{box.R} and tolerance {box.boundary_tolerance}") from exc
     return min(geo, max_norm) if max_norm is not None else geo
 
 
@@ -260,9 +278,7 @@ def _build_table(field: NumberField, box: BoxSpec, zeta: ZetaSeries,
         )
     acc = np.zeros(cap + 1, dtype=np.int64)
     for norms in norm_iter:
-        norms = norms[norms <= cap]
-        if len(norms):
-            acc += np.bincount(norms, minlength=cap + 1)
+        np.add.at(acc, norms[norms <= cap], 1)
     acc[0] = 0
     a_full = zeta.a[: cap + 1]
     keys = np.flatnonzero((a_full != 0) | (acc != 0))
@@ -297,17 +313,15 @@ def count_table(field: NumberField, box: BoxSpec, zeta: ZetaSeries,
                 max_norm: int | None = None,
                 budget: int = DEFAULT_BUDGET) -> CountTable:
     """Enumerate the box and bucket by exact |norm| without materialising
-    element objects (streaming; the degree-2 norm is fully vectorised)."""
+    element objects (streaming; each block's norms in one batch)."""
 
     def norm_iter():
         for rows in _scan_blocks(field, box, budget):
+            # the closed form is ~15x cheaper than a determinant per row
             if field.degree == 2:
                 yield _quadratic_norm_vec(field, rows).astype(np.int64)
             else:
-                yield np.array(
-                    [abs(field.norm_coords(tuple(int(v) for v in r))) for r in rows],
-                    dtype=np.int64,
-                )
+                yield field.norm_rows(rows)
 
     return _build_table(field, box, zeta, norm_iter(), max_norm)
 

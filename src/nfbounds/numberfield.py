@@ -132,6 +132,58 @@ def _int_det(rows):
     return _bareiss(rows)[0]
 
 
+def _bareiss_dets(a: np.ndarray) -> np.ndarray:
+    """Determinants of a stack of square integer matrices, shape (B, n, n).
+
+    The fraction-free elimination of `_bareiss`, one step for the whole
+    stack, each matrix with its own row swaps.  Entries are int64 or
+    Python integers (`object`); int64 input must pass `_fits_int64`.
+    """
+    # re-checked here, not trusted to the caller: past the guard int64 wraps
+    if a.dtype != object and not _fits_int64(a.astype(float)):
+        raise InvariantError("int64 matrices past the Hadamard guard")
+    a = a.copy()
+    B, n, _ = a.shape
+    sign = np.ones(B, dtype=np.int64)
+    singular = np.zeros(B, dtype=bool)
+    prev = np.ones(B, dtype=a.dtype)
+    for k in range(n):
+        zero = np.flatnonzero(a[:, k, k] == 0)
+        if len(zero):
+            below = a[zero, k + 1:, k] != 0
+            found = below.any(axis=1)
+            if found.any():
+                swap, r = zero[found], k + 1 + below[found].argmax(axis=1)
+                a[swap, k], a[swap, r] = a[swap, r], a[swap, k]
+                sign[swap] = -sign[swap]
+            dead = zero[~found]
+            singular[dead] = True
+            # a zero column: keep the rest of this matrix zero, divisions exact
+            a[dead, k:, k:] = 0
+            a[dead, k, k] = 1
+        pivot = a[:, k, k].copy()
+        a[:, k + 1:, k + 1:] = ((a[:, k + 1:, k + 1:] * pivot[:, None, None]
+                                 - a[:, k + 1:, k, None] * a[:, k, None, k + 1:])
+                                // prev[:, None, None])
+        prev = pivot
+    det = sign * prev
+    det[singular] = 0
+    return det
+
+
+def _fits_int64(mats: np.ndarray) -> bool:
+    """Whether int64 Bareiss on these (float) matrices cannot overflow.
+
+    Every entry of the elimination is a minor, bounded by Hadamard's
+    H = prod_j max(1, |column j|), so each step's difference of two
+    products stays below 2·H^2.  The margin covers the float rounding of
+    H^2.  Entries of matrices that pass are below 2^32, hence exact in
+    float.
+    """
+    h2 = np.prod(np.maximum((mats * mats).sum(axis=1), 1.0), axis=1)
+    return bool(2.0 * h2.max(initial=1.0) * (1 + 1e-12) < 2.0 ** 63)
+
+
 def _sylvester_resultant(a, b):
     """Resultant of two integer polynomials, the determinant of their
     Sylvester matrix."""
@@ -446,6 +498,31 @@ class NumberField:
 
     def norm_coords(self, coords) -> int:
         return _int_det(self._mul_matrix(coords))
+
+    def _mul_matrices(self, rows: np.ndarray) -> np.ndarray:
+        """Stack of M(x) for coordinate rows x, in the dtype of rows."""
+        f = np.array(self.min_poly.coeffs[:-1], dtype=rows.dtype)
+        out = np.empty(rows.shape + (self.degree,), dtype=rows.dtype)
+        col = out[:, :, 0] = rows
+        for j in range(1, self.degree):
+            shifted = np.zeros_like(col)
+            shifted[:, 1:] = col[:, :-1]
+            col = out[:, :, j] = shifted - col[:, -1:] * f
+        return out
+
+    def norm_rows(self, rows: np.ndarray) -> np.ndarray:
+        """|N(x)| of every int64 coordinate row, exactly, as int64.
+
+        One batched Bareiss determinant of the multiplication matrices, on
+        int64 when the Hadamard guard allows it and Python integers
+        otherwise.
+        """
+        mats = self._mul_matrices(rows.astype(float))
+        if _fits_int64(mats):
+            mats = mats.astype(np.int64)
+        else:
+            mats = self._mul_matrices(rows.astype(object))
+        return np.abs(_bareiss_dets(mats)).astype(np.int64)
 
     def _solve(self, y_coords, rhs):
         """(N(y), adj(M(y))·rhs), so that y·q = rhs has q = adj·rhs / N(y)."""

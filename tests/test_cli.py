@@ -211,6 +211,37 @@ def test_exit_code_budget_and_cutoff(capsys):
     assert code == 3 and "CutoffMismatch" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["eve", Q5, "--radius", "1e300", "--gamma", "10"],
+    ["counts", Q5, "--radius", "3", "--tol", "1e300"],
+], ids=["eve-radius-1e300", "counts-tol-1e300"])
+def test_norm_cap_overflow_is_box_too_large(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert err.startswith("error:") and "BoxTooLarge" in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_counts_of_another_field_are_rejected(tmp_path, capsys):
+    """Same degree, other field: x^2 - 2 must not relabel Q(sqrt5) counts."""
+    counts = tmp_path / "counts.csv"
+    assert run(capsys, "counts", Q5, "--radius", "10", "--out", str(counts))[0] == 0
+    qsqrt2 = tmp_path / "qsqrt2.json"
+    qsqrt2.write_text(json.dumps({"label": "qsqrt2", "min_poly": [-2, 0, 1],
+                                  "assume_maximal_order": True, "roots_of_unity": 2}))
+    code, out, err = run(capsys, "estimate", str(qsqrt2), "--from-counts", str(counts))
+    assert code == 2
+    assert err.startswith("error:") and "ValidationError" in err and "qsqrt2" in err
+    assert out == ""
+    # a row with a nonzero a_k left out is caught too (k = 4: a_4 = 1)
+    lines = counts.read_text().splitlines()
+    assert lines[3].startswith("4,1,")
+    gap = tmp_path / "gap.csv"
+    gap.write_text("\n".join(lines[:3] + lines[4:]) + "\n")
+    code, _, err = run(capsys, "estimate", Q5, "--from-counts", str(gap))
+    assert code == 2 and "k=4" in err
+
+
 def test_deterministic_output(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
