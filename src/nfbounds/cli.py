@@ -37,6 +37,7 @@ from .zeta import dirichlet_coeffs
 
 _HINTS = {
     "BoxTooLarge": "raise --budget or shrink --radius",
+    "SieveTooLarge": "lower --radius, --height, --max-norm, --max or --cutoff",
     "CutoffTooSmall": "raise --cutoff",
     "CutoffMismatch": "raise --cutoff to at least the table cap",
     "NotTotallyReal": "the minimal polynomial must have only real roots",
@@ -157,7 +158,8 @@ def cmd_enumerate(args) -> int:
     field, _doc = load_field_document(args.field_doc, args.precision)
     points = enumerate_box(field, BoxSpec(args.radius, args.tol), budget=args.budget)
     header = [f"c{i}" for i in range(field.degree)] + ["norm", "height"]
-    rows = (list(p.coords) + [p.norm(), p.height()] for p in points)
+    norms = field.norm_rows([p.coords for p in points]).tolist()
+    rows = (list(p.coords) + [k, p.height()] for p, k in zip(points, norms))
     _write_csv(header, rows, args.out)
     return 0
 
@@ -297,14 +299,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, radius_required=True):
+    def common(p, box=False):
         p.add_argument("field_doc", help="path to the field document (JSON)")
         p.add_argument("--precision", type=int, default=80,
                        help="working precision in bits (default 80)")
-        p.add_argument("--tol", type=float, default=1e-9,
-                       help="boundary tolerance for box membership")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                       help="candidate budget for enumeration")
+        if box:
+            p.add_argument("--tol", type=float, default=1e-9,
+                           help="boundary tolerance for box membership")
+            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                           help="candidate budget for enumeration")
         p.add_argument("--out", help="output path (default stdout)")
         return p
 
@@ -315,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=int, required=True, help="largest k")
     p.set_defaults(func=cmd_zeta_coeffs)
 
-    p = common(sub.add_parser("enumerate", help="all box points with norm and height"))
+    p = common(sub.add_parser("enumerate", help="all box points with norm and height"), box=True)
     p.add_argument("--radius", type=float, required=True)
     p.set_defaults(func=cmd_enumerate)
 
@@ -325,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("pep", cmd_pep, "pairwise-error curve over an SNR grid"),
         ("eve", cmd_eve, "eavesdropper correct-decision bound"),
     ]:
-        p = common(sub.add_parser(name, help=help_text))
+        p = common(sub.add_parser(name, help=help_text), box=True)
         p.add_argument("--radius", type=float, required=(name in ("counts", "pep", "eve")))
         p.add_argument("--max-norm", type=int, default=None,
                        help="keep only rows with k <= this cap")

@@ -14,15 +14,14 @@ Candidates within a small float margin of the boundary are re-checked
 in high precision, so membership under the closed-box rule
 |sigma_i(x)| <= R + boundary_tolerance is certified.
 
-Norm bucketing is always exact: a closed-form integer quadratic for
-degree 2, otherwise one fraction-free determinant per block of rows
-(`NumberField.norm_rows`).
+Norm bucketing is always exact: one `NumberField.norm_rows` call per
+block of rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -260,15 +259,6 @@ def _norm_cap(field: NumberField, box: BoxSpec, max_norm: int | None) -> int:
     return min(geo, max_norm) if max_norm is not None else geo
 
 
-def _quadratic_norm_vec(field: NumberField, rows: np.ndarray) -> np.ndarray:
-    c0, c1, _ = field.min_poly.coeffs
-    peak = int(np.abs(rows).max(initial=0))
-    if peak * peak * (1 + abs(c0) + abs(c1)) > 2 ** 62:
-        rows = rows.astype(object)  # exactness over speed for extreme inputs
-    av, bv = rows[:, 0], rows[:, 1]
-    return np.abs(av * av - c1 * av * bv + c0 * bv * bv)
-
-
 def _build_table(field: NumberField, box: BoxSpec, zeta: ZetaSeries,
                  norm_iter, max_norm: int | None) -> CountTable:
     cap = _norm_cap(field, box, max_norm)
@@ -300,13 +290,8 @@ def _build_table(field: NumberField, box: BoxSpec, zeta: ZetaSeries,
 def count_by_norm(points, zeta: ZetaSeries, box: BoxSpec,
                   max_norm: int | None = None) -> CountTable:
     """Exact per-norm counts of an explicit point list."""
-    points = list(points)
-    if points:
-        field = points[0].field
-    else:
-        field = zeta.field
-    norms = np.array([abs(x.norm()) for x in points], dtype=np.int64)
-    return _build_table(field, box, zeta, [norms], max_norm)
+    norms = np.abs(zeta.field.norm_rows([x.coords for x in points]))
+    return _build_table(zeta.field, box, zeta, [norms], max_norm)
 
 
 def count_table(field: NumberField, box: BoxSpec, zeta: ZetaSeries,
@@ -314,16 +299,8 @@ def count_table(field: NumberField, box: BoxSpec, zeta: ZetaSeries,
                 budget: int = DEFAULT_BUDGET) -> CountTable:
     """Enumerate the box and bucket by exact |norm| without materialising
     element objects (streaming; each block's norms in one batch)."""
-
-    def norm_iter():
-        for rows in _scan_blocks(field, box, budget):
-            # the closed form is ~15x cheaper than a determinant per row
-            if field.degree == 2:
-                yield _quadratic_norm_vec(field, rows).astype(np.int64)
-            else:
-                yield field.norm_rows(rows)
-
-    return _build_table(field, box, zeta, norm_iter(), max_norm)
+    norm_iter = (np.abs(field.norm_rows(rows)) for rows in _scan_blocks(field, box, budget))
+    return _build_table(field, box, zeta, norm_iter, max_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -336,36 +313,50 @@ class Orbit:
 
     norm: int
     members: tuple[AlgebraicInt, ...]
-    min_height: float = dataclass_field(init=False)
-    min_height_member: AlgebraicInt = dataclass_field(init=False)
-
-    def __post_init__(self):
-        # float heights suffice here: the choice only labels the orbit
-        heights = [float(np.abs(m.embed()).max()) for m in self.members]
-        idx = int(np.argmin(heights))
-        object.__setattr__(self, "min_height", heights[idx])
-        object.__setattr__(self, "min_height_member", self.members[idx])
+    min_height: float
+    min_height_member: AlgebraicInt
 
 
 def unit_orbits(points) -> list[Orbit]:
     """Partition box points into unit orbits.
 
-    Points x, y with |N(x)| = |N(y)| generate one principal ideal iff
-    y / x lies in Z[theta], which exact division decides; so each point
-    joins the first orbit of its norm whose representative divides it.
+    Points x, y with |N(x)| = |N(y)| = k generate one principal ideal iff
+    y / x lies in Z[theta], that is iff M(c(x))·y ≡ 0 mod k, where
+    c(x) = N(x)/x comes with the norms from one batched kernel call.
+    Within each norm, the first point in coordinate order not yet placed
+    starts an orbit, and every unplaced point it divides joins it.
     Orbits come by ascending norm, then by their smallest member, and
     members are sorted by coordinates.
     """
-    by_norm: dict[int, list[list[AlgebraicInt]]] = {}
-    for x in sorted(points, key=lambda p: p.coords):
-        groups = by_norm.setdefault(abs(x.norm()), [])
-        for g in groups:
-            if x.field.divide_exact(x, g[0]) is not None:
-                g.append(x)
-                break
-        else:
-            groups.append([x])
-    return [Orbit(norm=k, members=tuple(g)) for k in sorted(by_norm) for g in by_norm[k]]
+    points = sorted(points, key=lambda p: p.coords)
+    if not points:
+        return []
+    field = points[0].field
+    rows = np.array([p.coords for p in points], dtype=np.int64)
+    norms, cofactors = field.norm_rows(rows, cofactors=True)
+    norms = np.abs(norms)
+    heights = np.abs(rows.astype(float) @ field.embedding_matrix.T).max(axis=1)
+    order = np.argsort(norms, kind="stable")
+    orbits = []
+    for bucket in np.split(order, np.flatnonzero(np.diff(norms[order])) + 1):
+        k = int(norms[bucket[0]])
+        while len(bucket):
+            # adj(M(g)) = M(c(g)), reduced mod k in Python integers
+            adj = field._mul_matrices(cofactors[bucket[:1]].astype(object))[0] % k
+            ys = rows[bucket]
+            # exact in int64 while every sum of n products stays below 2^63
+            if field.degree * k * int(np.abs(ys).max()) < 2 ** 63:
+                adj = adj.astype(np.int64)
+            else:
+                ys = ys.astype(object)
+            joins = np.all(ys @ adj.T % k == 0, axis=1)
+            members = bucket[joins]
+            # float heights suffice here: the choice only labels the orbit
+            low = members[np.argmin(heights[members])]
+            orbits.append(Orbit(k, tuple(points[i] for i in members),
+                                float(heights[low]), points[low]))
+            bucket = bucket[~joins]
+    return orbits
 
 
 # ---------------------------------------------------------------------------

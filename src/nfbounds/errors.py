@@ -69,3 +69,7 @@ class CutoffMismatch(ResourceLimitError):
 
 class BoxTooLarge(ResourceLimitError):
     pass
+
+
+class SieveTooLarge(ResourceLimitError):
+    pass

@@ -28,6 +28,9 @@ MIN_PRECISION_BITS = 53
 # extra mantissa bits used internally on top of the requested precision
 _GUARD_BITS = 24
 
+# matrices per batched kernel call: bounds the stacks' memory for any point set
+_STACK_ROWS = 1024
+
 
 # ---------------------------------------------------------------------------
 # integer / rational polynomial helpers (coefficients ascending)
@@ -88,62 +91,22 @@ def _gcd_degree(a, b):
     return len(a) - 1
 
 
-def _bareiss(rows, rhs=None):
-    """Fraction-free Gaussian elimination of a square integer matrix M.
+def _bareiss_dets(a: np.ndarray, rhs: np.ndarray | None = None):
+    """(det(M), adj(M)·rhs) for a stack of square integer matrices M of
+    shape (B, n, n) and right-hand sides of shape (B, n); adj·rhs is None
+    without rhs and zero for singular M.
 
-    Returns (det(M), adj(M)·rhs), the second item None when no right-hand
-    side is given or M is singular.  Every intermediate entry is a minor
-    of [M | rhs], so all divisions are exact (Bareiss 1968; Cohen,
-    *A Course in Computational Algebraic Number Theory*, §2.2).
-    """
-    n = len(rows)
-    a = [list(r) for r in rows] if rhs is None else [list(r) + [v] for r, v in zip(rows, rhs)]
-    width = n if rhs is None else n + 1
-    sign, prev = 1, 1
-    for k in range(n):
-        top = a[k]
-        if top[k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], top
-                    top, sign = a[k], -sign
-                    break
-            else:
-                return 0, None
-        pivot = top[k]
-        for row in a[k + 1:]:
-            c = row[k]
-            for j in range(k + 1, width):
-                row[j] = (row[j] * pivot - c * top[j]) // prev
-        prev = pivot
-    det = sign * prev
-    if rhs is None:
-        return det, None
-    # a[i][n] is a row of an equivalent system; det·x is integral (Cramer)
-    adj = [0] * n
-    for i in range(n - 1, -1, -1):
-        acc = det * a[i][n] - sum(a[i][j] * adj[j] for j in range(i + 1, n))
-        adj[i] = acc // a[i][i]
-    return det, adj
-
-
-def _int_det(rows):
-    """Exact determinant of a small integer matrix."""
-    return _bareiss(rows)[0]
-
-
-def _bareiss_dets(a: np.ndarray) -> np.ndarray:
-    """Determinants of a stack of square integer matrices, shape (B, n, n).
-
-    The fraction-free elimination of `_bareiss`, one step for the whole
-    stack, each matrix with its own row swaps.  Entries are int64 or
-    Python integers (`object`); int64 input must pass `_fits_int64`.
+    Fraction-free elimination, one step for the whole stack, each matrix
+    with its own row swaps.  Every intermediate entry is a minor of
+    [M | rhs], so all divisions are exact (Bareiss 1968; Cohen, *A Course
+    in Computational Algebraic Number Theory*, §2.2).  Entries are int64
+    or Python integers (`object`); int64 input must pass `_fits_int64`.
     """
     # re-checked here, not trusted to the caller: past the guard int64 wraps
-    if a.dtype != object and not _fits_int64(a.astype(float)):
+    if a.dtype != object and not _fits_int64(a, rhs):
         raise InvariantError("int64 matrices past the Hadamard guard")
-    a = a.copy()
     B, n, _ = a.shape
+    a = a.copy() if rhs is None else np.concatenate([a, rhs[:, :, None]], axis=2)
     sign = np.ones(B, dtype=np.int64)
     singular = np.zeros(B, dtype=bool)
     prev = np.ones(B, dtype=a.dtype)
@@ -168,20 +131,43 @@ def _bareiss_dets(a: np.ndarray) -> np.ndarray:
         prev = pivot
     det = sign * prev
     det[singular] = 0
-    return det
+    if rhs is None:
+        return det, None
+    # a[:, i, n] is a row of an equivalent system; det·x is integral (Cramer)
+    adj = np.zeros((B, n), dtype=a.dtype)
+    for i in range(n - 1, -1, -1):
+        acc = det * a[:, i, n] - (a[:, i, i + 1:n] * adj[:, i + 1:]).sum(axis=1)
+        adj[:, i] = acc // a[:, i, i]
+    adj[singular] = 0
+    return det, adj
 
 
-def _fits_int64(mats: np.ndarray) -> bool:
-    """Whether int64 Bareiss on these (float) matrices cannot overflow.
+def _fits_int64(mats: np.ndarray, rhs: np.ndarray | None = None) -> bool:
+    """Whether int64 Bareiss on these matrices and right-hand sides cannot
+    overflow.
 
-    Every entry of the elimination is a minor, bounded by Hadamard's
-    H = prod_j max(1, |column j|), so each step's difference of two
-    products stays below 2·H^2.  The margin covers the float rounding of
-    H^2.  Entries of matrices that pass are below 2^32, hence exact in
-    float.
+    Every entry of the elimination and of adj(M)·rhs is a minor of
+    [M | rhs], bounded by Hadamard's H = prod_j max(1, |column j|).  Each
+    elimination step's difference of two products stays below 2·H^2, and
+    each back-substitution sum of at most n products below n·H^2.  The
+    margin covers the float rounding of H^2.  Entries of matrices that
+    pass are below 2^32, hence exact in float.
     """
+    n = mats.shape[1]
+    if rhs is not None:
+        mats = np.concatenate([mats, rhs[:, :, None]], axis=2)
+    mats = mats.astype(float)
     h2 = np.prod(np.maximum((mats * mats).sum(axis=1), 1.0), axis=1)
-    return bool(2.0 * h2.max(initial=1.0) * (1 + 1e-12) < 2.0 ** 63)
+    terms = 2 if rhs is None else max(2, n)
+    return bool(terms * h2.max(initial=1.0) * (1 + 1e-12) < 2.0 ** 63)
+
+
+def _int64_if_fits(values: np.ndarray) -> np.ndarray:
+    """The values as int64, or left as Python integers when one is past it."""
+    try:
+        return values.astype(np.int64)
+    except OverflowError:
+        return values
 
 
 def _sylvester_resultant(a, b):
@@ -192,7 +178,7 @@ def _sylvester_resultant(a, b):
         return 0
     rows = [[0] * i + list(reversed(a)) + [0] * (n - 1 - i) for i in range(n)]
     rows += [[0] * i + list(reversed(b)) + [0] * (m - 1 - i) for i in range(m)]
-    return _int_det(rows)
+    return int(_bareiss_dets(np.array(rows, dtype=object).reshape(1, m + n, m + n))[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -483,24 +469,8 @@ class NumberField:
                     out[j] += c * row[j]
         return tuple(out)
 
-    def _mul_matrix(self, coords):
-        """Integer matrix M(x) of multiplication by x: column j holds x·theta^j."""
-        f = self.min_poly.coeffs
-        col = list(coords)
-        cols = [col]
-        for _ in range(self.degree - 1):
-            lead = col[-1]
-            col = [0] + col[:-1]
-            if lead:
-                col = [c - lead * fj for c, fj in zip(col, f)]
-            cols.append(col)
-        return list(zip(*cols))
-
-    def norm_coords(self, coords) -> int:
-        return _int_det(self._mul_matrix(coords))
-
     def _mul_matrices(self, rows: np.ndarray) -> np.ndarray:
-        """Stack of M(x) for coordinate rows x, in the dtype of rows."""
+        """Stack of M(x) (column j holds x·theta^j) for rows x, in their dtype."""
         f = np.array(self.min_poly.coeffs[:-1], dtype=rows.dtype)
         out = np.empty(rows.shape + (self.degree,), dtype=rows.dtype)
         col = out[:, :, 0] = rows
@@ -510,26 +480,57 @@ class NumberField:
             col = out[:, :, j] = shifted - col[:, -1:] * f
         return out
 
-    def norm_rows(self, rows: np.ndarray) -> np.ndarray:
-        """|N(x)| of every int64 coordinate row, exactly, as int64.
+    def norm_coords(self, coords) -> int:
+        return int(self.norm_rows([coords])[0])
 
-        One batched Bareiss determinant of the multiplication matrices, on
-        int64 when the Hadamard guard allows it and Python integers
-        otherwise.
+    def norm_rows(self, rows, cofactors: bool = False):
+        """N(x) of every coordinate row, exactly: int64, or Python integers
+        when a norm is past int64.  Rows are an int64 array or a sequence
+        of coordinates, which may hold Python integers past int64.
+
+        Degree 2 without cofactors takes a^2 - c1·ab + c0·b^2.  Otherwise
+        each chunk of `_STACK_ROWS` rows is one kernel call on the M(x), on
+        int64 when the Hadamard guard allows it.  With cofactors, the call
+        takes right-hand side e_0 and also returns c(x) = adj(M(x))·e_0 =
+        N(x)/x mod |N(x)|: x divides y iff y·c(x) ≡ 0 mod N(x).
         """
-        mats = self._mul_matrices(rows.astype(float))
-        if _fits_int64(mats):
-            mats = mats.astype(np.int64)
-        else:
-            mats = self._mul_matrices(rows.astype(object))
-        return np.abs(_bareiss_dets(mats)).astype(np.int64)
+        n = self.degree
+        if not isinstance(rows, np.ndarray):
+            try:
+                rows = np.array(rows, dtype=np.int64)
+            except OverflowError:  # coordinates past int64 stay Python integers
+                rows = np.array(rows, dtype=object)
+        rows = rows.reshape(-1, n)
+        if n == 2 and not cofactors:
+            c0, c1, _ = self.min_poly.coeffs
+            a, b = rows[:, 0], rows[:, 1]
+            if int(np.abs(rows).max(initial=0)) ** 2 * (1 + abs(c0) + abs(c1)) > 2 ** 62:
+                a, b = a.astype(object), b.astype(object)  # exactness over speed
+            return _int64_if_fits(a * a - c1 * a * b + c0 * b * b)
+        dets, cofs = [np.zeros(0, dtype=np.int64)], [np.zeros((0, n), dtype=np.int64)]
+        for s in range(0, len(rows), _STACK_ROWS):
+            chunk = rows[s:s + _STACK_ROWS]
+            rhs = np.eye(1, n, dtype=np.int64).repeat(len(chunk), axis=0) if cofactors else None
+            dtype = object
+            if rows.dtype != object and _fits_int64(self._mul_matrices(chunk.astype(float)), rhs):
+                dtype = np.int64
+            det, adj = _bareiss_dets(self._mul_matrices(chunk.astype(dtype)), rhs)
+            dets.append(det)
+            if cofactors:
+                if not det.all():
+                    raise ZeroDivisionError("zero or a zero divisor has no cofactor")
+                cofs.append(adj % np.abs(det)[:, None])
+        norms = _int64_if_fits(np.concatenate(dets))
+        return (norms, _int64_if_fits(np.concatenate(cofs))) if cofactors else norms
 
     def _solve(self, y_coords, rhs):
-        """(N(y), adj(M(y))·rhs), so that y·q = rhs has q = adj·rhs / N(y)."""
-        det, adj = _bareiss(self._mul_matrix(y_coords), rhs)
-        if det == 0:
+        """(N(y), adj(M(y))·rhs), so that y·q = rhs has q = adj·rhs / N(y):
+        the kernel on a one-matrix stack of Python integers."""
+        mats = self._mul_matrices(np.array([[int(c) for c in y_coords]], dtype=object))
+        det, adj = _bareiss_dets(mats, np.array([[int(c) for c in rhs]], dtype=object))
+        if det[0] == 0:
             raise ZeroDivisionError("division by zero or by a zero divisor")
-        return det, adj
+        return int(det[0]), [int(c) for c in adj[0]]
 
     def inverse_coords_rational(self, coords):
         """Coordinates of 1/x over Q.  Raises ZeroDivisionError on zero
@@ -663,10 +664,6 @@ def min_product_distance(points) -> int:
     points = list(points)
     if not points:
         raise EmptyInput("minimum product distance of an empty set")
-    best = None
-    for x in points:
-        if x.is_zero():
-            raise ValidationError("minimum product distance is over nonzero points")
-        v = abs(x.norm())
-        best = v if best is None else min(best, v)
-    return best
+    if any(x.is_zero() for x in points):
+        raise ValidationError("minimum product distance is over nonzero points")
+    return int(np.abs(points[0].field.norm_rows([x.coords for x in points])).min())

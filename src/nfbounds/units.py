@@ -152,9 +152,9 @@ def build_unit_system(field: NumberField, units=None, w: int = 2,
     units = [u if isinstance(u, AlgebraicInt) else field.element(u) for u in units]
     if len(units) != rank:
         raise WrongRank(f"got {len(units)} units, expected rank r1+r2-1 = {rank}")
-    for u in units:
-        if abs(u.norm()) != 1:
-            raise NotAUnit(f"|N{u.coords}| = {abs(u.norm())} != 1")
+    for u, k in zip(units, field.norm_rows([u.coords for u in units])):
+        if abs(k) != 1:
+            raise NotAUnit(f"|N{u.coords}| = {abs(k)} != 1")
     with mpmath.workprec(field.precision_bits + _GUARD_BITS):
         rows = []
         for u in units:

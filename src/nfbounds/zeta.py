@@ -23,12 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _memo
-from .errors import CutoffTooSmall, InvariantError, NotPrime, ValidationError
+from .errors import CutoffTooSmall, InvariantError, NotPrime, SieveTooLarge, ValidationError
 from .numberfield import NumberField
 
 _HARD_FLOOR_S2 = 10 ** 4
 # primes per batched Frobenius pass; bounds the kernel's arrays for any cutoff
 _CHUNK = 4096
+# most coefficients one sieve may hold: 2 GiB of int64, checked before allocating
+_MAX_COEFFICIENTS = 2 ** 28
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -258,6 +260,8 @@ def dirichlet_coeffs(field: NumberField, N: int) -> ZetaSeries:
     cutoff by slicing; the coefficients do not depend on the precision."""
     if N < 1:
         raise ValidationError("cutoff must be >= 1")
+    if N > _MAX_COEFFICIENTS:
+        raise SieveTooLarge(f"{N} coefficients exceed the sieve ceiling of {_MAX_COEFFICIENTS}")
     key = ("series", field.min_poly.coeffs)
     cached = _memo.get(key)
     if cached is not None and len(cached) > N:

@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import json
 import math
+from collections import OrderedDict
 
 import pytest
 
 from conftest import fixture_path
+from nfbounds import _memo
 from nfbounds.cli import main
+from nfbounds.numberfield import NumberField
 
 Q5 = fixture_path("qsqrt5.json")
 QUARTIC = fixture_path("quartic725.json")
@@ -220,6 +223,56 @@ def test_norm_cap_overflow_is_box_too_large(capsys, argv):
     assert code == 3
     assert err.startswith("error:") and "BoxTooLarge" in err
     assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["counts", Q5, "--radius", "1e100"],
+    ["bounds", Q5, "--s", "2", "--height", "1e6"],
+    ["counts", Q5, "--radius", "20000"],
+], ids=["counts-radius-1e100", "bounds-height-1e6", "counts-radius-20000"])
+def test_sieve_past_its_ceiling_is_a_named_error(monkeypatch, capsys, argv):
+    """4e8 to 1e200 coefficients: refused before the sieve array exists."""
+    def no_allocation(*args, **kwargs):
+        pytest.fail("the sieve allocated past its ceiling")
+
+    monkeypatch.setattr("nfbounds.zeta._primes_upto", no_allocation)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert err.startswith("error:") and "SieveTooLarge" in err
+    assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("command, rest", [
+    ("field-info", []), ("zeta-coeffs", ["--max", "10"]), ("bounds", ["--s", "2", "--height", "3"])],
+    ids=["field-info", "zeta-coeffs", "bounds"])
+@pytest.mark.parametrize("flag", [["--tol", "0.1"], ["--budget", "10"]], ids=["tol", "budget"])
+def test_box_flags_only_where_a_box_is_scanned(capsys, command, rest, flag):
+    """--tol and --budget would be ignored here, so argparse refuses them."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, Q5, *rest, *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(flag) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", QUARTIC, "--s", "3", "--height", "5"],
+    ["enumerate", fixture_path("cyclo32real.json"), "--radius", "3"],
+], ids=["bounds-quartic-height-5", "enumerate-octic-3"])
+def test_no_per_point_elimination(tmp_path, monkeypatch, capsys, argv):
+    """Norms, orbits and units come from batched kernel calls: the CLI
+    never takes one element's norm or quotient, and gives the same output."""
+    want = tmp_path / "want.out"
+    assert run(capsys, *argv, "--out", str(want))[0] == 0
+
+    def per_point(*args):
+        pytest.fail("a norm or a quotient was taken one element at a time")
+
+    monkeypatch.setattr(NumberField, "norm_coords", per_point)
+    monkeypatch.setattr(NumberField, "divide_exact", per_point)
+    monkeypatch.setattr(_memo, "_entries", OrderedDict())  # no result from the first run
+    got = tmp_path / "got.out"
+    assert run(capsys, *argv, "--out", str(got))[0] == 0
+    assert got.read_bytes() == want.read_bytes()
 
 
 def test_counts_of_another_field_are_rejected(tmp_path, capsys):

@@ -15,6 +15,7 @@ from nfbounds.enumeration import (
 )
 from nfbounds.errors import BoxTooLarge, CutoffMismatch, ValidationError
 from nfbounds.zeta import dirichlet_coeffs
+from bareiss_oracle import bareiss, mul_matrix, norm as oracle_norm
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -220,14 +221,34 @@ def log_lattice_partition(points, unit_system):
         choices = [{math.floor(v), math.ceil(v)} if abs(v - round(v)) > 0.5 - 1e-6
                    else {round(v)} for v in t]
         rep = min(remainder(x, e) for e in itertools.product(*choices))
-        groups.setdefault((abs(x.norm()), rep), []).append(x.coords)
+        groups.setdefault((abs(oracle_norm(field, x.coords)), rep), []).append(x.coords)
     partition: dict[int, set] = {}
     for (k, _rep), members in groups.items():
         partition.setdefault(k, set()).add(tuple(sorted(members)))
     return partition
 
 
-@pytest.mark.parametrize("fixture_name,R", [("q5", 100.0), ("quartic", 8.0), ("octic", 4.0)])
+def division_orbits(points):
+    """Second oracle: each point, in coordinate order, joins the first
+    orbit of its norm whose representative g divides it, decided by the
+    scalar elimination adj(M(g))·x ≡ 0 mod N(g).  Returns [(norm, members)]
+    in the order unit_orbits promises."""
+    field = points[0].field
+    by_norm: dict[int, list] = {}
+    for x in sorted(points, key=lambda p: p.coords):
+        groups = by_norm.setdefault(abs(oracle_norm(field, x.coords)), [])
+        for mat, members in groups:
+            det, adj = bareiss(mat, x.coords)
+            if all(c % det == 0 for c in adj):
+                members.append(x.coords)
+                break
+        else:
+            groups.append((mul_matrix(field, x.coords), [x.coords]))
+    return [(k, tuple(members)) for k in sorted(by_norm) for _, members in by_norm[k]]
+
+
+@pytest.mark.parametrize("fixture_name,R", [("q5", 100.0), ("quartic", 8.0), ("quartic", 12.0),
+                                          ("octic", 4.0), ("octic", 5.0)])
 def test_unit_orbits_match_log_lattice_oracle(request, fixture_name, R):
     field = request.getfixturevalue(fixture_name)
     units = request.getfixturevalue(f"{fixture_name}_units")
@@ -241,6 +262,9 @@ def test_unit_orbits_match_log_lattice_oracle(request, fixture_name, R):
     assert [(o.norm, o.members[0].coords) for o in orbits] == sorted(
         (o.norm, o.members[0].coords) for o in orbits)
     assert all(list(o.members) == sorted(o.members, key=lambda m: m.coords) for o in orbits)
+    # the same orbits in the same order as pairwise scalar division
+    assert [(o.norm, tuple(m.coords for m in o.members)) for o in orbits] == \
+        division_orbits(points)
 
 
 def test_partial_unit_symmetry(q5):

@@ -1,6 +1,7 @@
 """The chunked frontier scan against the recursive DFS oracle, against an
 mpmath brute force of the reduced coordinate box, on the closed boundary,
-and in memory; the batched norms against the per-row determinant."""
+and in memory; the batched Bareiss kernel and its norms against the
+scalar elimination oracle."""
 
 from __future__ import annotations
 
@@ -15,8 +16,9 @@ import pytest
 from nfbounds.enumeration import (BoxSpec, _lll_transform, _scan_blocks, count_table,
                                   enumerate_box)
 from nfbounds.errors import BoxTooLarge, InvariantError
-from nfbounds.numberfield import _bareiss_dets, _fits_int64, _int_det
+from nfbounds.numberfield import _bareiss_dets, _fits_int64
 from nfbounds.zeta import dirichlet_coeffs
+from bareiss_oracle import bareiss, mul_matrix, norm as oracle_norm
 from scan_oracle import dfs_scan
 
 ORACLE_CASES = [("q5", 10.0), ("q5", 100.0), ("q5", 300.0), ("quartic", 5.0),
@@ -40,6 +42,10 @@ def test_frontier_matches_dfs_oracle(request, fixture_name, R):
         scan_rows(field, box, budget=examined - 1)
 
 
+def oracle_norms(field, rows):
+    return [oracle_norm(field, r) for r in rows]
+
+
 @pytest.mark.parametrize("fixture_name,R,dtype", [
     ("q5", 10.0, np.int64), ("q5", 100.0, np.int64), ("q5", 300.0, np.int64),
     ("quartic", 5.0, np.int64), ("quartic", 10.0, np.int64),
@@ -47,16 +53,18 @@ def test_frontier_matches_dfs_oracle(request, fixture_name, R):
 def test_norm_rows_match_norm_coords(request, fixture_name, R, dtype):
     field = request.getfixturevalue(fixture_name)
     rows = scan_rows(field, BoxSpec(R))
-    want = [field.norm_coords(tuple(int(v) for v in r)) for r in rows]
+    want = oracle_norms(field, rows)
+    # the one-matrix call of the kernel, on a sample of the rows
+    assert [field.norm_coords(tuple(r)) for r in rows[::40].tolist()] == want[::40]
     # the Hadamard guard picks the dtype these boxes are pinned to
     assert (_fits_int64(field._mul_matrices(rows.astype(float)))) == (dtype is np.int64)
-    assert field.norm_rows(rows).tolist() == [abs(v) for v in want]
+    assert field.norm_rows(rows).tolist() == want
     # the other dtype path: Python integers everywhere, int64 where it fits
-    assert _bareiss_dets(field._mul_matrices(rows.astype(object))).tolist() == want
+    assert _bareiss_dets(field._mul_matrices(rows.astype(object)))[0].tolist() == want
     small = np.abs(rows).max(axis=1) <= 1
     mats = field._mul_matrices(rows[small].astype(float))
     assert _fits_int64(mats)
-    dets = _bareiss_dets(mats.astype(np.int64))
+    dets = _bareiss_dets(mats.astype(np.int64))[0]
     assert dets.dtype == np.int64
     assert dets.tolist() == [v for v, s in zip(want, small) if s]
 
@@ -72,13 +80,13 @@ def test_norm_rows_pivot_swaps(request, fixture_name):
         rows[j, j] = 1            # theta^j
         rows[n + j, j] = -2       # -2 theta^j, mixed with ...
         rows[n + j, 0] += 3       # ... 3 in front: no swap
-    want = [field.norm_coords(tuple(int(v) for v in r)) for r in rows]
-    assert _bareiss_dets(field._mul_matrices(rows.astype(object))).tolist() == want
-    assert field.norm_rows(rows).tolist() == [abs(v) for v in want]
+    want = oracle_norms(field, rows)
+    assert _bareiss_dets(field._mul_matrices(rows.astype(object)))[0].tolist() == want
+    assert field.norm_rows(rows).tolist() == want
     # int64 on the rows inside the guard: theta..theta^4 at least, all swaps
     fits = np.array([_fits_int64(field._mul_matrices(r[None].astype(float))) for r in rows])
     assert fits[1:min(n, 5)].all()
-    dets = _bareiss_dets(field._mul_matrices(rows[fits]))
+    dets = _bareiss_dets(field._mul_matrices(rows[fits]))[0]
     assert dets.dtype == np.int64 and dets.tolist() == list(np.array(want)[fits])
 
 
@@ -95,15 +103,77 @@ def test_int64_guard(octic, octic_units):
             _bareiss_dets(octic._mul_matrices(row[None]))
 
 
-def test_bareiss_dets_match_int_det_on_singular_matrices():
-    """Random 0/±1 matrices: many zero pivots, many singular stacks."""
+def test_norm_rows_past_int64(quartic, quartic_units):
+    """Norms past int64 come back as Python integers, from int64 rows and
+    from coordinates past int64 alike; so do the cofactors."""
+    u = quartic_units.units[0]
+    coords = [(u ** 50 + quartic.one()).coords, (u ** 100 + quartic.one()).coords]
+    assert max(abs(c) for c in coords[0]) < 2 ** 62 < max(abs(c) for c in coords[1])
+    want = [oracle_norm(quartic, c) for c in coords]
+    assert min(abs(w) for w in want) > 2 ** 63
+    assert quartic.norm_rows(coords).tolist() == want
+    assert quartic.norm_rows(np.array(coords[:1], dtype=np.int64)).tolist() == want[:1]
+    assert [quartic.norm_coords(c) for c in coords] == want
+    norms, cofs = quartic.norm_rows(coords, cofactors=True)
+    for c, k, cof in zip(coords, norms, cofs):
+        det, adj = bareiss(mul_matrix(quartic, c), [1, 0, 0, 0])
+        assert (k, cof.tolist()) == (det, [v % abs(det) for v in adj])
+
+
+def test_int64_guard_covers_back_substitution():
+    """M = diag(2^30, 1) passes the determinant guard, but adj(M)·rhs for
+    rhs = (0, 2^34) is (0, 2^64), past int64: the guard over [M | rhs]
+    refuses int64, and the Python-integer path is exact."""
+    mats = np.array([[[2 ** 30, 0], [0, 1]]], dtype=np.int64)
+    rhs = np.array([[0, 2 ** 34]], dtype=np.int64)
+    assert _fits_int64(mats) and not _fits_int64(mats, rhs)
+    with pytest.raises(InvariantError):
+        _bareiss_dets(mats, rhs)
+    det, adj = _bareiss_dets(mats.astype(object), rhs.astype(object))
+    assert (int(det[0]), adj[0].tolist()) == bareiss(mats[0].tolist(), rhs[0].tolist())
+    assert adj[0].tolist() == [0, 2 ** 64]
+
+
+def test_norm_rows_cofactors_take_python_integers_past_the_sum_bound(octic):
+    """Back substitution sums n = 8 products: a row with 2·H^2 < 2^63 <= 8·H^2
+    keeps int64 norms but needs Python integers for its cofactor."""
+    row = np.array([[0, 1, 1, 1, 1, 0, 0, 0]], dtype=np.int64)
+    mats = octic._mul_matrices(row.astype(float))
+    e0 = np.eye(8, dtype=np.int64)[:1]
+    assert _fits_int64(mats) and not _fits_int64(mats, e0)
+    det, cof = octic.norm_rows(row, cofactors=True)
+    want_det, want_adj = bareiss(mul_matrix(octic, row[0]), [1] + [0] * 7)
+    assert det.tolist() == [want_det]
+    assert cof[0].tolist() == [c % abs(want_det) for c in want_adj]
+
+
+def test_bareiss_dets_match_oracle():
+    """Random stacks on both dtypes against the scalar oracle, with and
+    without right-hand sides: 0/±1 matrices give many zero pivots (row
+    swaps) and many singular matrices; Python integers also get entries
+    far past int64."""
     rng = np.random.default_rng(6)
-    for n in (2, 3, 4, 5):
-        mats = rng.integers(-1, 2, size=(400, n, n))
-        want = [_int_det(m.tolist()) for m in mats]
-        assert any(w == 0 for w in want) and any(w != 0 for w in want)
-        assert _bareiss_dets(mats.astype(np.int64)).tolist() == want
-        assert _bareiss_dets(mats.astype(object)).tolist() == want
+    swapped = singular = 0
+    for dtype, scale in ((np.int64, 3), (object, 10 ** 12)):
+        for n in (1, 2, 3, 4, 5, 8):
+            mats = rng.integers(-1, 2, size=(300, n, n)).astype(object)
+            rhs = rng.integers(-5, 6, size=(300, n)).astype(object)
+            mats[150:] *= rng.integers(-scale, scale + 1, size=(150, n, n)).astype(object)
+            rhs[150:] *= scale
+            mats, rhs = mats.astype(dtype), rhs.astype(dtype)
+            if dtype is np.int64:
+                assert _fits_int64(mats, rhs)
+            dets, _ = _bareiss_dets(mats)
+            dets_rhs, adj = _bareiss_dets(mats, rhs)
+            assert dets.dtype == adj.dtype == np.dtype(dtype)
+            for m, b, d, d_rhs, a in zip(mats.tolist(), rhs.tolist(), dets.tolist(),
+                                         dets_rhs.tolist(), adj.tolist()):
+                want_det, want_adj = bareiss(m, b)
+                assert d == d_rhs == want_det
+                assert a == (want_adj if want_det else [0] * n)
+                singular += want_det == 0
+                swapped += want_det != 0 and m[0][0] == 0
+    assert singular > 100 and swapped > 100
 
 
 def test_count_table_calls_no_per_row_norm(quartic, octic, monkeypatch):
@@ -127,7 +197,7 @@ def mp_brute_force(field, R, tol):
     n = field.degree
     V = field.embedding_matrix
     U = _lll_transform(V)
-    assert abs(_int_det(U.tolist())) == 1  # unimodular: same lattice
+    assert abs(bareiss(U.tolist())[0]) == 1  # unimodular: same lattice
     Rt = R + tol
     b = Rt * np.abs(np.linalg.inv(V @ U)).sum(axis=1)
     # margin: a point on the boundary can have c_j = b_j, which floats round
