@@ -29,7 +29,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .enumeration import BoxSpec, CountTable, _norm_cap, cached_points, count_by_norm
+from .enumeration import BoxSpec, CountTable, _build_table, _norm_cap, cached_orbits
 from .errors import InvariantError, ValidationError
 from .numberfield import NumberField
 from .units import UnitSystem
@@ -122,9 +122,14 @@ class BoundReport:
 
 
 def _height_table(field: NumberField, m: float) -> CountTable:
+    """b_k of the height-m box: the sizes of its unit orbits of norm k summed,
+    so the norms taken for the orbits serve the table too."""
     box = BoxSpec(float(m))
     series = dirichlet_coeffs(field, max(_norm_cap(field, box, None), 1))
-    return count_by_norm(cached_points(field, box), series, box)
+    orbits = cached_orbits(field, box)
+    norms = np.repeat(np.array([orb.norm for orb in orbits], dtype=np.int64),
+                      [len(orb.members) for orb in orbits])
+    return _build_table(field, box, series, [norms], None)
 
 
 def height_bound_report(field: NumberField, unit_system: UnitSystem,

@@ -38,6 +38,7 @@ from .zeta import dirichlet_coeffs
 _HINTS = {
     "BoxTooLarge": "raise --budget or shrink --radius",
     "SieveTooLarge": "lower --radius, --height, --max-norm, --max or --cutoff",
+    "PrecisionTooHigh": "lower --precision",
     "CutoffTooSmall": "raise --cutoff",
     "CutoffMismatch": "raise --cutoff to at least the table cap",
     "NotTotallyReal": "the minimal polynomial must have only real roots",

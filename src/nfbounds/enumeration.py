@@ -314,7 +314,6 @@ class Orbit:
     norm: int
     members: tuple[AlgebraicInt, ...]
     min_height: float
-    min_height_member: AlgebraicInt
 
 
 def unit_orbits(points) -> list[Orbit]:
@@ -351,10 +350,8 @@ def unit_orbits(points) -> list[Orbit]:
                 ys = ys.astype(object)
             joins = np.all(ys @ adj.T % k == 0, axis=1)
             members = bucket[joins]
-            # float heights suffice here: the choice only labels the orbit
-            low = members[np.argmin(heights[members])]
             orbits.append(Orbit(k, tuple(points[i] for i in members),
-                                float(heights[low]), points[low]))
+                                float(heights[members].min())))
             bucket = bucket[~joins]
     return orbits
 

@@ -73,3 +73,7 @@ class BoxTooLarge(ResourceLimitError):
 
 class SieveTooLarge(ResourceLimitError):
     pass
+
+
+class PrecisionTooHigh(ResourceLimitError):
+    pass

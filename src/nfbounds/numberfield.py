@@ -19,11 +19,13 @@ import mpmath
 import numpy as np
 
 from .errors import (EmptyInput, InvariantError, NotMonic, NotSquarefree, NotTotallyReal,
-                     ValidationError)
+                     PrecisionTooHigh, ValidationError)
 
 DEFAULT_PRECISION_BITS = 80
 # float64 mantissa: certification takes the float embeddings as exact to ~1e-14
 MIN_PRECISION_BITS = 53
+# one exact sign per refined bit: the octic fixture loads in ~8 s at 4,096 bits
+MAX_PRECISION_BITS = 4096
 
 # extra mantissa bits used internally on top of the requested precision
 _GUARD_BITS = 24
@@ -81,14 +83,6 @@ def _poly_rem(a, b):
         while a and a[-1] == 0:
             a.pop()
     return a
-
-
-def _gcd_degree(a, b):
-    """Degree of gcd(a, b) over Q."""
-    a, b = _poly_trim(a), _poly_trim(b)
-    while b:
-        a, b = b, _poly_trim(_poly_rem(a, b))
-    return len(a) - 1
 
 
 def _bareiss_dets(a: np.ndarray, rhs: np.ndarray | None = None):
@@ -200,7 +194,7 @@ class Polynomial:
             raise NotMonic(f"leading coefficient is {coeffs[-1]}, expected 1")
         if coeffs[0] == 0:
             raise ValidationError("constant coefficient must be nonzero")
-        if _gcd_degree(coeffs, _poly_derivative(coeffs)) > 0:
+        if _sylvester_resultant(coeffs, _poly_derivative(coeffs)) == 0:
             raise NotSquarefree("polynomial has a repeated factor over Q")
 
     @property
@@ -227,7 +221,15 @@ class Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# certified real root isolation (Sturm counts + bisection + safeguarded Newton)
+# certified real root isolation (Sturm counts + dyadic bisection)
+
+
+def _sign_at(coeffs, a, k):
+    """Sign of f(a/2^k), read exactly from the integer 2^(k·deg)·f(a/2^k)."""
+    acc = 0
+    for j, c in enumerate(reversed(coeffs)):
+        acc = acc * a + (c << (k * j))
+    return (acc > 0) - (acc < 0)
 
 
 def _sturm_chain(coeffs):
@@ -244,12 +246,8 @@ def _sturm_chain(coeffs):
     return chain
 
 
-def _sign_variations(chain, x):
-    signs = []
-    for poly in chain:
-        v = _poly_eval(poly, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+def _sign_variations(chain, a, k):
+    signs = [s for s in (_sign_at(poly, a, k) for poly in chain) if s]
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
@@ -261,110 +259,80 @@ def _root_bound(coeffs):
 def count_real_roots(coeffs) -> int:
     """Number of distinct real roots of a squarefree integer polynomial."""
     chain = _sturm_chain(coeffs)
-    bound = Fraction(_root_bound(coeffs))
-    return _sign_variations(chain, -bound) - _sign_variations(chain, bound)
+    bound = _root_bound(coeffs)
+    return _sign_variations(chain, -bound, 0) - _sign_variations(chain, bound, 0)
 
 
 def _isolate(coeffs):
-    """Disjoint rational intervals each containing exactly one real root.
+    """Disjoint dyadic intervals [a/2^k, b/2^k] as (a, b, k), sorted, each
+    containing exactly one real root.
 
-    Endpoints are non-roots except for exact integer roots, which are
-    returned as zero-width intervals.
+    The root bound is an integer and every split halves, so all endpoints
+    are dyadic.  Endpoints are non-roots except for exact dyadic roots,
+    which are returned as zero-width intervals.
     """
     chain = _sturm_chain(coeffs)
-    bound = Fraction(_root_bound(coeffs))
-    total = _sign_variations(chain, -bound) - _sign_variations(chain, bound)
+    bound = _root_bound(coeffs)
+    total = _sign_variations(chain, -bound, 0) - _sign_variations(chain, bound, 0)
     intervals = []
-    stack = [(-bound, bound, total)]
+    stack = [(-bound, bound, 0, total)]
     while stack:
-        lo, hi, cnt = stack.pop()
+        lo, hi, k, cnt = stack.pop()
         if cnt == 0:
             continue
-        if cnt == 1 and _poly_eval(coeffs, lo) * _poly_eval(coeffs, hi) < 0:
-            intervals.append((lo, hi))
+        if cnt == 1 and _sign_at(coeffs, lo, k) * _sign_at(coeffs, hi, k) < 0:
+            intervals.append((lo, hi, k))
             continue
-        mid = (lo + hi) / 2
-        if _poly_eval(coeffs, mid) == 0:
-            intervals.append((mid, mid))
-            # nudge around the exact root before recursing
-            width = hi - lo
-            eps = width / (1 << 12)
-            left = mid - eps
-            right = mid + eps
-            while _poly_eval(coeffs, left) == 0:
-                left = (lo + left) / 2
-            while _poly_eval(coeffs, right) == 0:
-                right = (right + hi) / 2
-            c_left = _sign_variations(chain, lo) - _sign_variations(chain, left)
-            c_right = _sign_variations(chain, right) - _sign_variations(chain, hi)
-            stack.append((lo, left, c_left))
-            stack.append((right, hi, c_right))
+        mid = lo + hi  # at scale 2^(k+1)
+        if _sign_at(coeffs, mid, k + 1) == 0:
+            intervals.append((mid, mid, k + 1))
+            # nudge around the exact root by 2^-12 of the width, at scale 2^(k+12)
+            left, right = (mid << 11) - (hi - lo), (mid << 11) + (hi - lo)
+            lo_left, hi_right, k_left, k_right = lo << 12, hi << 12, k + 12, k + 12
+            while _sign_at(coeffs, left, k_left) == 0:
+                left, lo_left, k_left = lo_left + left, 2 * lo_left, k_left + 1
+            while _sign_at(coeffs, right, k_right) == 0:
+                right, hi_right, k_right = right + hi_right, 2 * hi_right, k_right + 1
+            c_left = (_sign_variations(chain, lo_left, k_left)
+                      - _sign_variations(chain, left, k_left))
+            c_right = (_sign_variations(chain, right, k_right)
+                       - _sign_variations(chain, hi_right, k_right))
+            stack.append((lo_left, left, k_left, c_left))
+            stack.append((right, hi_right, k_right, c_right))
         else:
-            c_left = _sign_variations(chain, lo) - _sign_variations(chain, mid)
-            stack.append((lo, mid, c_left))
-            stack.append((mid, hi, cnt - c_left))
-    intervals.sort()
+            lo, hi, k = 2 * lo, 2 * hi, k + 1
+            c_left = _sign_variations(chain, lo, k) - _sign_variations(chain, mid, k)
+            stack.append((lo, mid, k, c_left))
+            stack.append((mid, hi, k, cnt - c_left))
+    intervals.sort(key=lambda iv: Fraction(iv[0], 1 << iv[2]))
     if len(intervals) != total:
         raise InvariantError(f"isolated {len(intervals)} roots, Sturm count is {total}")
     return intervals
 
 
-def _mpf_to_fraction(x):
-    sign, man, exp, _ = x._mpf_
-    if man == 0:
-        return Fraction(0)
-    v = Fraction(man) * (Fraction(1 << exp) if exp >= 0 else Fraction(1, 1 << -exp))
-    return -v if sign else v
+def _refine(coeffs, a, b, k, prec_bits):
+    """Midpoint, as an mpf, of the isolating interval [a/2^k, b/2^k] bisected
+    until the bracket [lo, hi] is at most max(1, |lo|, |hi|)·2^-(prec_bits+4)
+    wide.
 
-
-def _refine(coeffs, lo, hi, prec_bits):
-    """Shrink an isolating interval to relative width 2^-prec_bits.
-
-    Newton steps accelerate plain bisection; every bracket update uses an
-    exact rational sign evaluation, so the enclosure stays certified.
-    Returns (root as mpf, halfwidth as float).
+    Each step keeps the half whose ends have opposite exact signs, so the
+    enclosure stays certified; a zero sign at a midpoint is the root.  The
+    width is measured against the current bracket, so a root deep inside a
+    wide isolating interval still gets prec_bits relative bits.
     """
-    if lo == hi:
-        with mpmath.workprec(prec_bits + _GUARD_BITS):
-            return mpmath.mpf(lo.numerator) / lo.denominator, 0.0
-    dcoeffs = _poly_derivative(coeffs)
-    sign_lo = 1 if _poly_eval(coeffs, lo) > 0 else -1
-    scale = max(1, abs(lo), abs(hi))
-    target = Fraction(1, 1 << (prec_bits + 4)) * scale
+    sign_a = _sign_at(coeffs, a, k)
+    while (b - a) << (prec_bits + 4) > max(1 << k, abs(a), abs(b)):
+        mid = a + b
+        a, b, k = 2 * a, 2 * b, k + 1
+        sign = _sign_at(coeffs, mid, k)
+        if sign == 0:
+            a = b = mid
+        elif sign == sign_a:
+            a = mid
+        else:
+            b = mid
     with mpmath.workprec(prec_bits + _GUARD_BITS):
-        while hi - lo > target:
-            x = mpmath.mpf((lo + hi).numerator) / (lo + hi).denominator / 2
-            fx = _poly_eval(coeffs, x)
-            fpx = _poly_eval(dcoeffs, x)
-            cand = None
-            if fpx != 0:
-                step = x - fx / fpx
-                cand = _mpf_to_fraction(step) if mpmath.isfinite(step) else None
-            mid = (lo + hi) / 2
-            probe = cand if cand is not None and lo < cand < hi else mid
-            v = _poly_eval(coeffs, probe)
-            if v == 0:
-                lo = hi = probe
-                break
-            if (1 if v > 0 else -1) == sign_lo:
-                lo = probe
-            else:
-                hi = probe
-            # a Newton probe may barely move; force geometric progress
-            if hi - lo > target:
-                mid = (lo + hi) / 2
-                v = _poly_eval(coeffs, mid)
-                if v == 0:
-                    lo = hi = mid
-                    break
-                if (1 if v > 0 else -1) == sign_lo:
-                    lo = mid
-                else:
-                    hi = mid
-        center = (lo + hi) / 2
-        root = mpmath.mpf(center.numerator) / center.denominator
-        half = float(Fraction(hi - lo) / 2)
-    return root, half
+        return mpmath.ldexp(mpmath.mpf(a + b), -(k + 1))
 
 
 def real_roots(poly, precision: float = 1e-15):
@@ -374,14 +342,10 @@ def real_roots(poly, precision: float = 1e-15):
     error is below ``precision * max(1, |root|)``.
     """
     coeffs = poly.coeffs if isinstance(poly, Polynomial) else tuple(int(c) for c in poly)
-    if _gcd_degree(coeffs, _poly_derivative(coeffs)) > 0:
+    if _sylvester_resultant(coeffs, _poly_derivative(coeffs)) == 0:
         raise NotSquarefree("root isolation requires a squarefree polynomial")
     prec_bits = max(DEFAULT_PRECISION_BITS, int(-math.log2(precision)) + 8)
-    roots = []
-    for lo, hi in _isolate(coeffs):
-        root, _ = _refine(coeffs, lo, hi, prec_bits)
-        roots.append(root)
-    return roots
+    return [_refine(coeffs, a, b, k, prec_bits) for a, b, k in _isolate(coeffs)]
 
 
 # ---------------------------------------------------------------------------
@@ -395,13 +359,12 @@ class NumberField:
     threads; all element operations are pure functions of (field, coords).
     """
 
-    def __init__(self, min_poly: Polynomial, embeddings_mp, root_error: float,
-                 precision_bits: int, label: str = ""):
+    def __init__(self, min_poly: Polynomial, embeddings_mp, precision_bits: int,
+                 label: str = ""):
         self.min_poly = min_poly
         self.degree = min_poly.degree
         self.embeddings_mp = tuple(embeddings_mp)
         self.embeddings = np.array([float(r) for r in embeddings_mp])
-        self.root_error = root_error
         self.signature = (self.degree, 0)
         self.precision_bits = int(precision_bits)
         self.label = label or str(min_poly)
@@ -626,22 +589,19 @@ def parse_field(poly: Polynomial, precision_bits: int = DEFAULT_PRECISION_BITS,
     if precision_bits < MIN_PRECISION_BITS:
         raise ValidationError(f"precision must be at least {MIN_PRECISION_BITS} bits, "
                               f"got {precision_bits}")
+    if precision_bits > MAX_PRECISION_BITS:
+        raise PrecisionTooHigh(f"precision must be at most {MAX_PRECISION_BITS} bits, "
+                               f"got {precision_bits}")
     if not isinstance(poly, Polynomial):
         poly = Polynomial(tuple(int(c) for c in poly))
     n = poly.degree
-    n_real = count_real_roots(poly.coeffs)
-    if n_real < n:
+    intervals = _isolate(poly.coeffs)
+    if len(intervals) < n:
         raise NotTotallyReal(
-            f"{poly} has {n_real} real roots out of degree {n}; field is not totally real"
+            f"{poly} has {len(intervals)} real roots out of degree {n}; field is not totally real"
         )
-    roots = []
-    err = 0.0
-    for lo, hi in _isolate(poly.coeffs):
-        root, half = _refine(poly.coeffs, lo, hi, precision_bits)
-        roots.append(root)
-        err = max(err, half)
-    roots.sort()
-    return NumberField(poly, roots, err, precision_bits, label)
+    roots = [_refine(poly.coeffs, a, b, k, precision_bits) for a, b, k in intervals]
+    return NumberField(poly, roots, precision_bits, label)
 
 
 def embed(x: AlgebraicInt) -> np.ndarray:

@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import json
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
+from nfbounds import _memo
 from nfbounds.bounds import (
+    _height_table,
     coefficient_upper_bound,
     eve_sum,
     full_height_report,
@@ -16,9 +19,11 @@ from nfbounds.bounds import (
     norm_sum,
     pep_sum,
 )
-from nfbounds.enumeration import BoxSpec, CountTable, count_table, enumerate_box
+from nfbounds.enumeration import (BoxSpec, CountTable, cached_points, count_by_norm,
+                                  count_table, enumerate_box)
 from nfbounds.errors import ValidationError
 from nfbounds.estimator import add_estimates
+from nfbounds.numberfield import NumberField
 from nfbounds.zeta import dirichlet_coeffs
 
 
@@ -100,6 +105,34 @@ def test_height_report_consistency(q5, q5_units):
     payload = json.loads(full.to_json(label="x"))
     assert payload["label"] == "x"
     assert payload["zeta_truncated"] == rep.zeta_truncated
+
+
+@pytest.mark.parametrize("name, m", [("q5", 10), ("quartic", 5), ("octic", 3)])
+def test_height_table_matches_counts_by_norm(request, name, m):
+    """The table summed from orbit sizes equals per-point counts of the box."""
+    field = request.getfixturevalue(name)
+    table = _height_table(field, m)
+    box = BoxSpec(float(m))
+    oracle = count_by_norm(cached_points(field, box), dirichlet_coeffs(field, table.cap), box)
+    assert table.total_points == oracle.total_points > 0
+    assert (table.cap, table.max_norm) == (oracle.cap, oracle.max_norm)
+    for column in ("ks", "a", "b"):
+        assert np.array_equal(getattr(table, column), getattr(oracle, column))
+
+
+def test_height_report_takes_each_norm_once(quartic, quartic_units, monkeypatch):
+    """The orbits and the table share one batch of norms over the box."""
+    rows = []
+    real_norm_rows = NumberField.norm_rows
+
+    def counted(self, coords, cofactors=False):
+        rows.append(len(coords))
+        return real_norm_rows(self, coords, cofactors)
+
+    monkeypatch.setattr(NumberField, "norm_rows", counted)
+    monkeypatch.setattr(_memo, "_entries", OrderedDict())
+    height_bound_report(quartic, quartic_units, 3, 5)
+    assert sum(rows) == len(cached_points(quartic, BoxSpec(5.0))) == 372
 
 
 def test_geometric_bound_golden(q5, q5_units):

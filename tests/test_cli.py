@@ -242,6 +242,19 @@ def test_sieve_past_its_ceiling_is_a_named_error(monkeypatch, capsys, argv):
     assert "Traceback" not in err and out == ""
 
 
+@pytest.mark.parametrize("bits, code", [("4096", 0), ("4097", 3), ("1000000", 3)])
+def test_precision_past_its_ceiling_is_a_named_error(monkeypatch, capsys, bits, code):
+    """Past 4,096 bits the field is refused before any root is isolated."""
+    if code:
+        monkeypatch.setattr("nfbounds.numberfield._isolate",
+                            lambda coeffs: pytest.fail("roots isolated past the ceiling"))
+    got, out, err = run(capsys, "field-info", Q5, "--precision", bits)
+    assert got == code
+    if code:
+        assert err.startswith("error:") and "PrecisionTooHigh" in err and "--precision" in err
+        assert "Traceback" not in err and out == ""
+
+
 @pytest.mark.parametrize("command, rest", [
     ("field-info", []), ("zeta-coeffs", ["--max", "10"]), ("bounds", ["--s", "2", "--height", "3"])],
     ids=["field-info", "zeta-coeffs", "bounds"])

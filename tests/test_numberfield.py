@@ -8,14 +8,18 @@ from fractions import Fraction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import load_fixture_doc
 from nfbounds.errors import EmptyInput, NotMonic, NotSquarefree, NotTotallyReal, ValidationError
 from nfbounds.numberfield import (
     Polynomial,
+    _isolate,
+    _refine,
     count_real_roots,
     min_product_distance,
     parse_field,
     real_roots,
 )
+from refine_oracle import _mpf_to_fraction, _refine as oracle_refine
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -84,6 +88,61 @@ def test_exact_integer_roots_handled():
     # x^2 - x - 2 = (x-2)(x+1) is squarefree with integer roots
     roots = [float(r) for r in real_roots((-2, -1, 1))]
     assert roots == pytest.approx([-1.0, 2.0], abs=0)
+
+
+def _encloses_a_root(coeffs, r, width):
+    """f changes sign across [r - width, r + width], or r is an exact root;
+    r and width are Fractions, f is summed exactly."""
+    def f(x):
+        return sum(c * x ** i for i, c in enumerate(coeffs))
+
+    return f(r) == 0 or f(r - width) * f(r + width) < 0
+
+
+ROOT_POLYS = {name: tuple(load_fixture_doc(f"{name}.json")["min_poly"])
+              for name in ("qsqrt5", "quartic725", "cyclo32real")}
+ROOT_POLYS.update({"x2-x-2": (-2, -1, 1), "x2-9": (-9, 0, 1),  # exact integer roots
+                   "x2-1000000007": (-1000000007, 0, 1)})  # brackets far wider than the roots
+ROOT_CASES = [pytest.param(coeffs, bits, id=f"{name}-{bits}")
+              for name, coeffs in ROOT_POLYS.items() for bits in (53, 80, 220, 500, 2000)
+              if bits < 2000 or len(coeffs) == 3]
+
+
+@pytest.mark.parametrize("coeffs, bits", ROOT_CASES)
+def test_bisected_roots_match_newton_oracle(coeffs, bits):
+    """On each isolating interval, the bisected root's enclosure overlaps the
+    Newton oracle's, and f changes sign across it or the root is exact.  The
+    enclosure is also relative to the root, not to the isolating interval."""
+    intervals = _isolate(coeffs)
+    assert len(intervals) == len(coeffs) - 1
+    for a, b, k in intervals:
+        lo, hi = Fraction(a, 1 << k), Fraction(b, 1 << k)
+        width = max(1, abs(lo), abs(hi)) * Fraction(1, 2 ** (bits + 4))
+        root = _mpf_to_fraction(_refine(coeffs, a, b, k, bits))
+        want, _ = oracle_refine(coeffs, lo, hi, bits)  # its float half-width underflows
+        # both brackets hold the root and are at most `width` wide, so their
+        # centres lie within `width` of each other; 2^-20 covers the rounding
+        assert abs(root - _mpf_to_fraction(want)) <= width * (1 + Fraction(1, 2 ** 20))
+        assert lo <= root <= hi
+        assert _encloses_a_root(coeffs, root, width)
+        assert _encloses_a_root(coeffs, root, max(1, abs(root)) * Fraction(2, 2 ** (bits + 4)))
+
+
+@given(st.integers(2, 6).flatmap(lambda n: st.lists(st.integers(-30, 30), min_size=n,
+                                                     max_size=n)))
+@settings(max_examples=200, deadline=None)
+def test_parse_field_roots_are_certified(low):
+    """Any small monic polynomial is refused by name or gets sorted roots
+    that each enclose a root of f to 2^-80 relative."""
+    coeffs = (*low, 1)
+    try:
+        field = parse_field(coeffs)
+    except ValidationError:
+        return
+    roots = [_mpf_to_fraction(r) for r in field.embeddings_mp]
+    assert len(roots) == field.degree and roots == sorted(set(roots))
+    for r in roots:
+        assert _encloses_a_root(coeffs, r, max(1, abs(r)) * Fraction(1, 2 ** 80))
 
 
 def test_embed_examples(q5):

@@ -195,10 +195,10 @@ def test_frobenius_kernel_rejects_primes_past_int64_guard(octic, monkeypatch):
 
 
 def test_isolate_root_count_invariant(monkeypatch):
-    real_eval = numberfield._poly_eval
+    real_sign = numberfield._sign_at
     # a phantom exact root at 0, the first bisection point of x^2 - x - 1
-    monkeypatch.setattr(numberfield, "_poly_eval",
-                        lambda coeffs, x: 0 if x == 0 else real_eval(coeffs, x))
+    monkeypatch.setattr(numberfield, "_sign_at",
+                        lambda coeffs, a, k: 0 if a == 0 else real_sign(coeffs, a, k))
     with pytest.raises(InvariantError):
         numberfield._isolate((-1, -1, 1))
 
