@@ -29,11 +29,11 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .enumeration import BoxSpec, CountTable, _build_table, _norm_cap, cached_orbits
+from .enumeration import BoxSpec, CountTable, _norm_cap, cached_orbits
 from .errors import InvariantError, ValidationError
 from .numberfield import NumberField
 from .units import UnitSystem
-from .zeta import ZetaSeries, bounded_height_zeta, dirichlet_coeffs, zeta_derivative
+from .zeta import ZetaSeries, bounded_height_zeta, zeta_derivative
 
 
 def norm_sum(table: CountTable, s: int, column: str = "exact") -> float:
@@ -121,30 +121,26 @@ class BoundReport:
 # height-truncated statements (class number 1)
 
 
-def _height_table(field: NumberField, m: float) -> CountTable:
-    """b_k of the height-m box: the sizes of its unit orbits of norm k summed,
-    so the norms taken for the orbits serve the table too."""
-    box = BoxSpec(float(m))
-    series = dirichlet_coeffs(field, max(_norm_cap(field, box, None), 1))
-    orbits = cached_orbits(field, box)
-    norms = np.repeat(np.array([orb.norm for orb in orbits], dtype=np.int64),
-                      [len(orb.members) for orb in orbits])
-    return _build_table(field, box, series, [norms], None)
-
-
 def height_bound_report(field: NumberField, unit_system: UnitSystem,
                         s: int, m: float) -> BoundReport:
-    """Both zeta-based statements for the height-m truncation at exponent s."""
+    """Both zeta-based statements for the height-m truncation at exponent s.
+
+    Read off the unit orbits of the height-m box: b_k, the number of box
+    points of norm k, is the total size of its orbits of norm k, so no
+    Dirichlet coefficient is needed.
+    """
     if s < 2:
         raise ValidationError("s must be an integer >= 2")
     if m < 1:
         raise ValidationError("height bound m must be >= 1 (no points otherwise)")
-    table = _height_table(field, m)
+    orbits = cached_orbits(field, BoxSpec(float(m)))  # m >= 1: the units are in it
+    ks, which = np.unique([orb.norm for orb in orbits], return_inverse=True)
+    b = np.bincount(which, weights=[len(orb.members) for orb in orbits])
     zeta_trunc = bounded_height_zeta(field, unit_system, s, m)
-    max_b = int(table.b.max()) if len(table.b) else 0
     return BoundReport(
-        s=s, m_or_R=m, norm_sum=norm_sum(table, s), zeta_truncated=zeta_trunc,
-        lower_bound=zeta_trunc, coefficient_upper_bound=max_b * zeta_trunc,
+        s=s, m_or_R=m, norm_sum=float((b / ks.astype(float) ** s).sum()),
+        zeta_truncated=zeta_trunc, lower_bound=zeta_trunc,
+        coefficient_upper_bound=int(b.max()) * zeta_trunc,
     )
 
 

@@ -13,8 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .enumeration import CountTable
-from .errors import EmptyGrid, ValidationError
+from .errors import EmptyGrid, GridTooLarge, ValidationError
 from .bounds import norm_sum
+
+# a fixed ceiling: the CSV of 10^5 points takes about a second, of 10^6 about ten
+MAX_SNR_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -27,9 +30,11 @@ class PepCurve:
 
 
 def check_snr_grid(snr_db_start: float, snr_db_stop: float, points: int) -> None:
-    """Reject an SNR grid with no points or a non-finite endpoint."""
+    """Reject an SNR grid with no points, too many, or a non-finite endpoint."""
     if points < 1:
         raise EmptyGrid("SNR grid needs at least one point")
+    if points > MAX_SNR_POINTS:
+        raise GridTooLarge(f"SNR grid of {points} points exceeds {MAX_SNR_POINTS}")
     if not (math.isfinite(snr_db_start) and math.isfinite(snr_db_stop)):
         raise ValidationError(f"SNR endpoints must be finite, got {snr_db_start}, {snr_db_stop}")
 

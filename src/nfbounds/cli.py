@@ -36,11 +36,10 @@ from .units import UnitSystem, build_unit_system
 from .zeta import dirichlet_coeffs
 
 _HINTS = {
-    "BoxTooLarge": "raise --budget or shrink --radius",
-    "SieveTooLarge": "lower --radius, --height, --max-norm, --max or --cutoff",
+    "BoxTooLarge": "raise --budget or shrink --radius or --height",
+    "SieveTooLarge": "lower --radius, --max-norm, --max or --cutoff",
     "PrecisionTooHigh": "lower --precision",
     "CutoffTooSmall": "raise --cutoff",
-    "CutoffMismatch": "raise --cutoff to at least the table cap",
     "NotTotallyReal": "the minimal polynomial must have only real roots",
     "NotSquarefree": "the minimal polynomial must be squarefree",
     "NotMonic": "the minimal polynomial must be monic",
@@ -48,6 +47,7 @@ _HINTS = {
     "NotAUnit": "every supplied unit must have |norm| = 1",
     "RegulatorMismatch": "supplied units disagree with expected_regulator",
     "EmptyGrid": "the SNR grid needs at least one point",
+    "GridTooLarge": "use fewer --snr points",
 }
 
 
@@ -119,8 +119,7 @@ def unit_system_from_document(field: NumberField, doc: dict) -> UnitSystem:
 
 def _table_for(field: NumberField, doc: dict, args) -> CountTable:
     box = BoxSpec(args.radius, args.tol)
-    cutoff = args.cutoff or _norm_cap(field, box, args.max_norm)
-    series = dirichlet_coeffs(field, max(cutoff, 1))
+    series = dirichlet_coeffs(field, max(_norm_cap(field, box, args.max_norm), 1))
     return count_table(field, box, series, max_norm=args.max_norm, budget=args.budget)
 
 
@@ -246,6 +245,8 @@ def cmd_bounds(args) -> int:
     if (args.height is None) == (args.radius is None):
         raise ValidationError("bounds needs exactly one of --height or --radius")
     if args.height is not None:
+        if args.cutoff is not None:
+            raise ValidationError("--cutoff belongs to --radius: --height reads no a_k")
         report = full_height_report(field, us, args.s, args.height)
     else:
         cap = _norm_cap(field, BoxSpec(args.radius, 0.0), None)
@@ -333,8 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--radius", type=float, required=(name in ("counts", "pep", "eve")))
         p.add_argument("--max-norm", type=int, default=None,
                        help="keep only rows with k <= this cap")
-        p.add_argument("--cutoff", type=int, default=None,
-                       help="coefficient cutoff (default: the table cap)")
         if name == "estimate":
             p.add_argument("--from-counts", help="re-ingest a counts CSV")
             p.add_argument("--profile-out", help="write the error histogram CSV here")

@@ -122,6 +122,10 @@ def _scan_blocks(field: NumberField, box: BoxSpec, budget: int):
     rem = np.zeros((n + 1, n))
     for j in range(1, n + 1):
         rem[j] = rem[j - 1] + np.abs(W[:, j - 1]) * bounds[j - 1]
+    # the box holds vol(box shrunk by half a reduced cell) / covolume lattice points
+    # or more, each a candidate: a box sure to pass the budget is refused at once
+    cell = (np.abs(W).sum(axis=1) / 2).tolist()  # Python floats overflow to inf quietly
+    least = math.prod(2 * max(Rt - c, 0.0) for c in cell) / abs(np.linalg.det(W)) * (1 - 1e-6)
 
     examined = 0
     chunk = max(1, _CHUNK_ELEMENTS // n)
@@ -135,10 +139,11 @@ def _scan_blocks(field: NumberField, box: BoxSpec, budget: int):
         if not len(rows):
             return rows
         Y = rows.astype(float) @ V.T
-        unc = rows.astype(float) @ absV.T * 1e-14 + 1e-300
+        # sum_j |x_j·sigma_i(theta)^j|: signed rows would let the terms cancel
+        unc = np.abs(rows).astype(float) @ absV.T * 1e-14 + 1e-300
         absy = np.abs(Y)
-        clear_in = np.all(absy <= Rt - np.abs(unc), axis=1)
-        clear_out = np.any(absy > Rt + np.abs(unc), axis=1)
+        clear_in = np.all(absy <= Rt - unc, axis=1)
+        clear_out = np.any(absy > Rt + unc, axis=1)
         keep = clear_in.copy()
         for idx in np.flatnonzero(~clear_in & ~clear_out):
             x = AlgebraicInt(field, tuple(int(v) for v in rows[idx]))
@@ -163,7 +168,7 @@ def _scan_blocks(field: NumberField, box: BoxSpec, budget: int):
         c_lo = np.ceil(lo - pad)
         counts = np.maximum(np.floor(hi + pad) - c_lo + 1, 0)
         total = counts.sum()
-        if not examined + total <= budget:  # also an unbounded range
+        if not max(examined + total, least) <= budget:  # also an unbounded range
             raise BoxTooLarge(
                 f"candidate budget {budget} exceeded at radius {box.R}; "
                 "raise the budget or shrink the box"
@@ -216,8 +221,8 @@ def enumerate_box(field: NumberField, box: BoxSpec,
 
 @dataclass(frozen=True)
 class CountTable:
-    """Per-norm records for a box: exact counts b_k, coefficients a_k, and
-    (after estimation) the geometric estimates and error column."""
+    """Per-norm records for a box: exact counts b_k, coefficients a_k, and (after
+    estimation) the estimates and error column, each a read-only view."""
 
     R: float
     degree: int
@@ -230,6 +235,13 @@ class CountTable:
     n_raw: np.ndarray | None = None
     n_est: np.ndarray | None = None
     f: np.ndarray | None = None
+
+    def __post_init__(self):
+        for name in ("ks", "a", "b", "n_raw", "n_est", "f"):
+            if getattr(self, name) is not None:
+                column = getattr(self, name).view()
+                column.flags.writeable = False
+                object.__setattr__(self, name, column)
 
     def row(self, k: int):
         idx = int(np.searchsorted(self.ks, k))

@@ -77,3 +77,7 @@ class SieveTooLarge(ResourceLimitError):
 
 class PrecisionTooHigh(ResourceLimitError):
     pass
+
+
+class GridTooLarge(ResourceLimitError):
+    pass

@@ -56,35 +56,6 @@ def _poly_trim(coeffs):
     return coeffs
 
 
-def _primitive(coeffs):
-    """Scale a rational polynomial by a positive constant to a primitive
-    integer polynomial (sign pattern preserved)."""
-    den = math.lcm(*(c.denominator for c in coeffs)) if coeffs else 1
-    ints = [int(c * den) for c in coeffs]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, abs(c))
-    if g > 1:
-        ints = [c // g for c in ints]
-    return ints
-
-
-def _poly_rem(a, b):
-    """Remainder of a by b over Q (b nonempty, exact)."""
-    a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in b]
-    db = len(b) - 1
-    while len(a) - 1 >= db and a:
-        q = a[-1] / b[-1]
-        off = len(a) - 1 - db
-        for j, bj in enumerate(b):
-            a[off + j] -= q * bj
-        a.pop()
-        while a and a[-1] == 0:
-            a.pop()
-    return a
-
-
 def _bareiss_dets(a: np.ndarray, rhs: np.ndarray | None = None):
     """(det(M), adj(M)·rhs) for a stack of square integer matrices M of
     shape (B, n, n) and right-hand sides of shape (B, n); adj·rhs is None
@@ -204,9 +175,6 @@ class Polynomial:
     def __call__(self, x):
         return _poly_eval(self.coeffs, x)
 
-    def derivative_coeffs(self) -> tuple[int, ...]:
-        return _poly_derivative(self.coeffs)
-
     def __str__(self):
         terms = []
         for i, c in enumerate(self.coeffs):
@@ -233,16 +201,28 @@ def _sign_at(coeffs, a, k):
 
 
 def _sturm_chain(coeffs):
-    chain = [_primitive([Fraction(c) for c in coeffs])]
-    d = _poly_trim(_poly_derivative(coeffs))
-    if d:
-        chain.append(_primitive([Fraction(c) for c in d]))
-    while len(chain[-1]) > 1:
-        rem = _poly_rem(chain[-2], chain[-1])
-        rem = _poly_trim(rem)
-        if not rem:
-            break
-        chain.append(_primitive([-c for c in rem]))
+    """Sturm chain of an integer polynomial, kept in integers.
+
+    Each remainder is a signed pseudo-remainder (every step scales by
+    |lc| > 0 only) and each member is divided by its content, so the chain
+    has the signs of the rational Sturm chain everywhere.
+    """
+    chain, p = [], list(coeffs)
+    while p:
+        g = math.gcd(*p)
+        chain.append([c // g for c in p])
+        if len(chain) == 1:
+            p = _poly_trim(_poly_derivative(coeffs))
+            continue
+        a, b = chain[-2], chain[-1]
+        lead, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
+        while len(a) >= len(b):
+            q, off = sign * a[-1], len(a) - len(b)
+            a = [lead * c for c in a]
+            for j, bj in enumerate(b):
+                a[off + j] -= q * bj
+            a = _poly_trim(a)
+        p = [-c for c in a]
     return chain
 
 
@@ -371,6 +351,8 @@ class NumberField:
         n = self.degree
         # Vandermonde of embeddings: row i holds sigma_i(theta)^j
         self.embedding_matrix = np.vander(self.embeddings, n, increasing=True)
+        self.embeddings.setflags(write=False)
+        self.embedding_matrix.setflags(write=False)
         # theta^(n+t) reduced to the power basis, exact integers
         red = [list(-c for c in min_poly.coeffs[:n])]
         for _ in range(n - 2):

@@ -177,4 +177,5 @@ def build_unit_system(field: NumberField, units=None, w: int = 2,
                 f"computed regulator {reg!r} differs from expected {expected_regulator!r}"
             )
     log_volume = reg * math.sqrt(r1 + r2)
+    A.setflags(write=False)
     return UnitSystem(field, tuple(units), w, A, reg, log_volume)

@@ -9,7 +9,6 @@ import pytest
 
 from nfbounds import _memo
 from nfbounds.bounds import (
-    _height_table,
     coefficient_upper_bound,
     eve_sum,
     full_height_report,
@@ -19,8 +18,8 @@ from nfbounds.bounds import (
     norm_sum,
     pep_sum,
 )
-from nfbounds.enumeration import (BoxSpec, CountTable, cached_points, count_by_norm,
-                                  count_table, enumerate_box)
+from nfbounds.enumeration import (BoxSpec, CountTable, _norm_cap, cached_points,
+                                  count_by_norm, count_table, enumerate_box)
 from nfbounds.errors import ValidationError
 from nfbounds.estimator import add_estimates
 from nfbounds.numberfield import NumberField
@@ -108,16 +107,21 @@ def test_height_report_consistency(q5, q5_units):
 
 
 @pytest.mark.parametrize("name, m", [("q5", 10), ("quartic", 5), ("octic", 3)])
-def test_height_table_matches_counts_by_norm(request, name, m):
-    """The table summed from orbit sizes equals per-point counts of the box."""
+def test_height_table_matches_counts_by_norm(request, monkeypatch, name, m):
+    """The report, summed from orbit sizes without a sieve, agrees with the
+    per-point counts of the box."""
     field = request.getfixturevalue(name)
-    table = _height_table(field, m)
+    units = request.getfixturevalue(f"{name}_units")
+    monkeypatch.setattr(_memo, "_entries", OrderedDict())
+    with monkeypatch.context() as patched:
+        patched.setattr("nfbounds.zeta._primes_upto",
+                        lambda N: pytest.fail("the height report sieved"))
+        rep = height_bound_report(field, units, 2, m)
     box = BoxSpec(float(m))
-    oracle = count_by_norm(cached_points(field, box), dirichlet_coeffs(field, table.cap), box)
-    assert table.total_points == oracle.total_points > 0
-    assert (table.cap, table.max_norm) == (oracle.cap, oracle.max_norm)
-    for column in ("ks", "a", "b"):
-        assert np.array_equal(getattr(table, column), getattr(oracle, column))
+    oracle = count_by_norm(cached_points(field, box),
+                           dirichlet_coeffs(field, _norm_cap(field, box, None)), box)
+    assert rep.norm_sum == pytest.approx(norm_sum(oracle, 2), rel=1e-12)
+    assert rep.coefficient_upper_bound == int(oracle.b.max()) * rep.zeta_truncated
 
 
 def test_height_report_takes_each_norm_once(quartic, quartic_units, monkeypatch):

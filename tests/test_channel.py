@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from nfbounds.channel import eve_probability, pep_curve
+from nfbounds.channel import MAX_SNR_POINTS, check_snr_grid, eve_probability, pep_curve
 from nfbounds.enumeration import BoxSpec, CountTable, count_table
-from nfbounds.errors import EmptyGrid, ValidationError
+from nfbounds.errors import EmptyGrid, GridTooLarge, ValidationError
 from nfbounds.estimator import add_estimates
 from nfbounds.zeta import dirichlet_coeffs
 
@@ -64,6 +64,13 @@ def test_pep_requires_columns_and_grid(q5, q5_units):
     table = add_estimates(bare, q5_units)
     with pytest.raises(EmptyGrid):
         pep_curve(table, 0, 40, 0)
+
+
+def test_snr_grid_ceiling():
+    assert MAX_SNR_POINTS == 100_000
+    check_snr_grid(0, 40, 100_000)
+    with pytest.raises(GridTooLarge):
+        check_snr_grid(0, 40, 100_001)
 
 
 def test_eve_probability_examples(q5):

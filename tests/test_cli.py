@@ -90,7 +90,11 @@ def test_estimate_max_error_small(tmp_path, capsys):
     assert max(fs) <= 2
 
 
-def test_bounds_height_mode(capsys):
+def test_bounds_height_mode(monkeypatch, capsys):
+    """The height report reads no a_k, so it runs with the sieve disabled."""
+    monkeypatch.setattr(_memo, "_entries", OrderedDict())
+    monkeypatch.setattr("nfbounds.zeta._primes_upto",
+                        lambda N: pytest.fail("the height report sieved"))
     code, out, _ = run(capsys, "bounds", QUARTIC, "--s", "3", "--height", "10")
     assert code == 0
     payload = json.loads(out)
@@ -105,6 +109,20 @@ def test_bounds_radius_mode(capsys):
     assert payload["K1"] == pytest.approx(4.1562, abs=1e-3)
     assert payload["geometric_bound"] >= payload["estimator_sum"]
     assert len(payload["geometric_bound_terms"]) == 2
+    code, out, _ = run(capsys, "bounds", Q5, "--s", "2", "--radius", "5", "--cutoff", "20000")
+    assert code == 0 and json.loads(out)["zeta_cutoff"] == 20000
+
+
+@pytest.mark.parametrize("command, rest", [
+    ("counts", ["--radius", "3"]), ("estimate", ["--radius", "3"]),
+    ("pep", ["--radius", "3", "--snr", "0:40:3"]), ("eve", ["--radius", "3", "--gamma", "10"])],
+    ids=["counts", "estimate", "pep", "eve"])
+def test_cutoff_only_for_the_geometric_bound(capsys, command, rest):
+    """A table's series is sized to its cap, so the table commands take no --cutoff."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, Q5, *rest, "--cutoff", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cutoff 5" in capsys.readouterr().err
 
 
 def test_bounds_mode_exclusive(capsys):
@@ -162,11 +180,12 @@ def test_exit_code_validation(tmp_path, capsys):
     ("eve", None, ["--radius", "10", "--gamma", "1", "--vol", "inf"]),
     ("field-info", None, ["--precision", "-10"]),
     ("field-info", None, ["--precision", "10"]),
+    ("bounds", None, ["--s", "2", "--height", "3", "--cutoff", "5"]),
 ], ids=["radius-below-one", "counts-radius-inf", "bounds-radius-inf", "snr-nan",
         "no-min-poly", "roots-of-unity-text", "regulator-text", "not-json",
         "max-norm-negative", "counts-no-R", "counts-R-text", "counts-R-nan",
         "counts-short-row", "pep-empty-table", "counts-other-degree", "eve-gamma-nan",
-        "eve-vol-inf", "precision-negative", "precision-below-53"])
+        "eve-vol-inf", "precision-negative", "precision-below-53", "height-with-cutoff"])
 def test_bad_input_is_a_named_error(tmp_path, capsys, command, doc_change, rest):
     """doc_change edits the Q(sqrt5) document (None drops a key) or replaces its
     text; a one-item tuple in rest is written to a file and passed by path."""
@@ -210,8 +229,9 @@ def test_snr_grid_is_checked_before_the_table(monkeypatch, capsys, snr):
 def test_exit_code_budget_and_cutoff(capsys):
     code, _, err = run(capsys, "enumerate", Q5, "--radius", "50", "--budget", "10")
     assert code == 3 and "BoxTooLarge" in err
-    code, _, err = run(capsys, "counts", Q5, "--radius", "10", "--cutoff", "5")
-    assert code == 3 and "CutoffMismatch" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["counts", Q5, "--radius", "10", "--cutoff", "5"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -227,9 +247,8 @@ def test_norm_cap_overflow_is_box_too_large(capsys, argv):
 
 @pytest.mark.parametrize("argv", [
     ["counts", Q5, "--radius", "1e100"],
-    ["bounds", Q5, "--s", "2", "--height", "1e6"],
     ["counts", Q5, "--radius", "20000"],
-], ids=["counts-radius-1e100", "bounds-height-1e6", "counts-radius-20000"])
+], ids=["counts-radius-1e100", "counts-radius-20000"])
 def test_sieve_past_its_ceiling_is_a_named_error(monkeypatch, capsys, argv):
     """4e8 to 1e200 coefficients: refused before the sieve array exists."""
     def no_allocation(*args, **kwargs):
@@ -239,6 +258,25 @@ def test_sieve_past_its_ceiling_is_a_named_error(monkeypatch, capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 3
     assert err.startswith("error:") and "SieveTooLarge" in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_height_past_the_scan_budget_is_box_too_large(monkeypatch, capsys):
+    """The height report sieves nothing: height 10^6 stops at the scan budget."""
+    monkeypatch.setattr("nfbounds.zeta._primes_upto",
+                        lambda N: pytest.fail("the height report sieved"))
+    code, out, err = run(capsys, "bounds", Q5, "--s", "2", "--height", "1e6")
+    assert code == 3
+    assert err.startswith("error:") and "BoxTooLarge" in err and "--height" in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_snr_grid_past_its_ceiling_is_a_named_error(monkeypatch, capsys):
+    """10^9 points are refused before the grid is allocated."""
+    monkeypatch.setattr("numpy.linspace", lambda *a, **k: pytest.fail("grid allocated"))
+    code, out, err = run(capsys, "pep", Q5, "--radius", "3", "--snr", "0:40:1000000000")
+    assert code == 3
+    assert err.startswith("error:") and "GridTooLarge" in err and "--snr" in err
     assert "Traceback" not in err and out == ""
 
 

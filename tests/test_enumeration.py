@@ -8,12 +8,14 @@ import pytest
 
 from nfbounds.enumeration import (
     BoxSpec,
+    CountTable,
     count_by_norm,
     count_table,
     enumerate_box,
     unit_orbits,
 )
 from nfbounds.errors import BoxTooLarge, CutoffMismatch, ValidationError
+from nfbounds.estimator import add_estimates
 from nfbounds.zeta import dirichlet_coeffs
 from bareiss_oracle import bareiss, mul_matrix, norm as oracle_norm
 
@@ -130,6 +132,21 @@ def test_max_norm_filter(q5):
     full = count_table(q5, BoxSpec(100.0), z)
     for k in table.ks:
         assert table.row(int(k))["b"] == full.row(int(k))["b"]
+
+
+def test_returned_arrays_are_read_only(q5, q5_units):
+    """Writing any column, embedding array or log matrix raises; a table
+    takes views, so the caller's own arrays stay writable."""
+    table = add_estimates(count_table(q5, BoxSpec(10.0), dirichlet_coeffs(q5, 100)), q5_units)
+    ks, a, b = np.array([1]), np.array([1]), np.array([2])
+    mine = CountTable(R=1.0, degree=2, cap=1, max_norm=1, ks=ks, a=a, b=b, total_points=2)
+    arrays = [getattr(t, c) for t in (table, mine) for c in ("ks", "a", "b")]
+    arrays += [table.n_raw, table.n_est, table.f,
+               q5.embeddings, q5.embedding_matrix, q5_units.log_matrix]
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    assert all(x.flags.writeable for x in (ks, a, b))
 
 
 def test_cutoff_mismatch(q5):

@@ -248,6 +248,31 @@ def test_closed_box_boundary_unit_height(q5, k, inside):
     assert ((q5.theta() ** k).coords in got) == inside
 
 
+def test_closed_box_boundary_mixed_signs(q5):
+    """Tolerance 0, x = a + b·theta with a = round(b(1 - phi)) and R either
+    float next to height(x).  The signed sum a + b·|1 - phi| is below 1/2
+    while |a + b(1 - phi)| is about 1.24b, so the float error bound must be
+    taken over |x_j|: over signed coordinates it falls below an ulp of R."""
+    for b in range(1, 60):
+        with mpmath.workprec(400):
+            phi = (1 + mpmath.sqrt(5)) / 2
+            a = int(mpmath.nint(b * (1 - phi)))
+            height = max(abs(a + b * phi), abs(a + b * (1 - phi)))
+            near = float(height)
+            side = math.nextafter(near, 0 if mpmath.mpf(near) > height else math.inf)
+            radii = [(R, mpmath.mpf(R) > height) for R in (near, side)]
+        for R, inside in radii:
+            got = {tuple(r) for r in scan_rows(q5, BoxSpec(R, 0.0)).tolist()}
+            assert ((a, b) in got, (-a, -b) in got) == (inside, inside), (a, b, R)
+
+
+def test_box_sure_to_pass_the_budget_is_refused_at_once(q5):
+    """About 1.8·10^12 points lie in the box: walking it up to the budget
+    would take seconds and a GiB of rows before the refusal."""
+    with pytest.raises(BoxTooLarge):
+        next(_scan_blocks(q5, BoxSpec(1e6), 10 ** 8))
+
+
 def test_memory_stays_chunked(q5, octic):
     """The scan holds one bounded chunk per level, whatever the box: a
     frontier expanded a whole level at a time needs tens of MiB here."""
