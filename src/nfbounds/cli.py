@@ -158,8 +158,8 @@ def cmd_enumerate(args) -> int:
     field, _doc = load_field_document(args.field_doc, args.precision)
     points = enumerate_box(field, BoxSpec(args.radius, args.tol), budget=args.budget)
     header = [f"c{i}" for i in range(field.degree)] + ["norm", "height"]
-    norms = field.norm_rows([p.coords for p in points]).tolist()
-    rows = (list(p.coords) + [k, p.height()] for p, k in zip(points, norms))
+    norms = field.norm_rows(points).tolist()
+    rows = (r + [k, field.element(r).height()] for r, k in zip(points.tolist(), norms))
     _write_csv(header, rows, args.out)
     return 0
 
@@ -218,6 +218,8 @@ def cmd_estimate(args) -> int:
     field, doc = load_field_document(args.field_doc, args.precision)
     us = unit_system_from_document(field, doc)
     if args.from_counts:
+        if args.radius is not None or args.max_norm is not None:
+            raise ValidationError("--radius and --max-norm build a table: --from-counts reads one")
         table, _meta = _read_counts_csv(args.from_counts)
         if table.degree != field.degree:
             raise ValidationError(f"counts file is for degree {table.degree}, "

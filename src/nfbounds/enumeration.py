@@ -201,18 +201,17 @@ def _scan_blocks(field: NumberField, box: BoxSpec, budget: int):
 
 
 def enumerate_box(field: NumberField, box: BoxSpec,
-                  budget: int = DEFAULT_BUDGET) -> list[AlgebraicInt]:
+                  budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """All nonzero x in Z[theta] with height(x) <= R + tolerance.
 
-    Complete, duplicate-free, and returned in lexicographic coordinate
-    order.
+    Complete and duplicate-free: a read-only int64 (P, n) array of
+    power-basis coordinate rows in lexicographic order.
     """
-    rows = [blk for blk in _scan_blocks(field, box, budget)]
-    if not rows:
-        return []
-    all_rows = np.concatenate(rows, axis=0)
-    order = np.lexsort(all_rows.T[::-1])
-    return [AlgebraicInt(field, tuple(int(v) for v in r)) for r in all_rows[order]]
+    rows = np.concatenate([np.zeros((0, field.degree), dtype=np.int64),
+                           *_scan_blocks(field, box, budget)])
+    rows = rows[np.lexsort(rows.T[::-1])]
+    rows.setflags(write=False)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +298,10 @@ def _build_table(field: NumberField, box: BoxSpec, zeta: ZetaSeries,
     )
 
 
-def count_by_norm(points, zeta: ZetaSeries, box: BoxSpec,
+def count_by_norm(rows, zeta: ZetaSeries, box: BoxSpec,
                   max_norm: int | None = None) -> CountTable:
-    """Exact per-norm counts of an explicit point list."""
-    norms = np.abs(zeta.field.norm_rows([x.coords for x in points]))
+    """Exact per-norm counts of explicit coordinate rows."""
+    norms = np.abs(zeta.field.norm_rows(rows))
     return _build_table(zeta.field, box, zeta, [norms], max_norm)
 
 
@@ -319,31 +318,30 @@ def count_table(field: NumberField, box: BoxSpec, zeta: ZetaSeries,
 # unit orbits (principal ideals realized inside a box)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Orbit:
-    """A unit orbit: all box points generating one principal ideal."""
+    """A unit orbit: all box points generating one principal ideal, as
+    read-only int64 (size, n) coordinate rows."""
 
     norm: int
-    members: tuple[AlgebraicInt, ...]
+    members: np.ndarray
     min_height: float
 
 
-def unit_orbits(points) -> list[Orbit]:
-    """Partition box points into unit orbits.
+def unit_orbits(field: NumberField, rows) -> list[Orbit]:
+    """Partition the coordinate rows of box points into unit orbits.
 
     Points x, y with |N(x)| = |N(y)| = k generate one principal ideal iff
     y / x lies in Z[theta], that is iff M(c(x))·y ≡ 0 mod k, where
     c(x) = N(x)/x comes with the norms from one batched kernel call.
-    Within each norm, the first point in coordinate order not yet placed
-    starts an orbit, and every unplaced point it divides joins it.
-    Orbits come by ascending norm, then by their smallest member, and
-    members are sorted by coordinates.
+    Within each norm, the first row not yet placed starts an orbit, and
+    every unplaced point it divides joins it.  Orbits come by ascending
+    norm, then by their first member, and members keep the order of rows:
+    for the lexicographic rows of `enumerate_box`, by coordinates.
     """
-    points = sorted(points, key=lambda p: p.coords)
-    if not points:
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, field.degree)
+    if not len(rows):
         return []
-    field = points[0].field
-    rows = np.array([p.coords for p in points], dtype=np.int64)
     norms, cofactors = field.norm_rows(rows, cofactors=True)
     norms = np.abs(norms)
     heights = np.abs(rows.astype(float) @ field.embedding_matrix.T).max(axis=1)
@@ -361,9 +359,10 @@ def unit_orbits(points) -> list[Orbit]:
             else:
                 ys = ys.astype(object)
             joins = np.all(ys @ adj.T % k == 0, axis=1)
-            members = bucket[joins]
-            orbits.append(Orbit(k, tuple(points[i] for i in members),
-                                float(heights[members].min())))
+            idx = bucket[joins]
+            members = rows[idx]
+            members.setflags(write=False)
+            orbits.append(Orbit(k, members, float(heights[idx].min())))
             bucket = bucket[~joins]
     return orbits
 
@@ -372,19 +371,17 @@ def unit_orbits(points) -> list[Orbit]:
 # memoised results shared by the bound computations
 
 
-def cached_points(field: NumberField, box: BoxSpec,
-                  budget: int = DEFAULT_BUDGET) -> tuple[AlgebraicInt, ...]:
+def cached_points(field: NumberField, box: BoxSpec) -> np.ndarray:
     key = ("points", field.key(), box.R, box.boundary_tolerance)
     points = _memo.get(key)
     if points is None:
-        points = _memo.put(key, enumerate_box(field, box, budget))
+        points = _memo.put(key, enumerate_box(field, box))
     return points
 
 
-def cached_orbits(field: NumberField, box: BoxSpec,
-                  budget: int = DEFAULT_BUDGET) -> tuple[Orbit, ...]:
+def cached_orbits(field: NumberField, box: BoxSpec) -> tuple[Orbit, ...]:
     key = ("orbits", field.key(), box.R, box.boundary_tolerance)
     orbits = _memo.get(key)
     if orbits is None:
-        orbits = _memo.put(key, unit_orbits(cached_points(field, box, budget)))
+        orbits = _memo.put(key, unit_orbits(field, cached_points(field, box)))
     return orbits

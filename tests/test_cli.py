@@ -15,6 +15,7 @@ Q5 = fixture_path("qsqrt5.json")
 QUARTIC = fixture_path("quartic725.json")
 COUNTS_HEAD = ("# nfbounds-counts label=Q(sqrt5) degree=2 R=3 cap=9 max_norm=1 total=2\n"
                "k,a_k,b_k\n")
+Q5_ROWS_R3 = "1,1,10\n4,1,2\n5,1,2\n9,1,2\n"  # a valid table body under COUNTS_HEAD
 
 
 def run(capsys, *argv):
@@ -181,11 +182,14 @@ def test_exit_code_validation(tmp_path, capsys):
     ("field-info", None, ["--precision", "-10"]),
     ("field-info", None, ["--precision", "10"]),
     ("bounds", None, ["--s", "2", "--height", "3", "--cutoff", "5"]),
+    ("estimate", None, ["--from-counts", (COUNTS_HEAD + Q5_ROWS_R3,), "--radius", "3"]),
+    ("estimate", None, ["--from-counts", (COUNTS_HEAD + Q5_ROWS_R3,), "--max-norm", "5"]),
 ], ids=["radius-below-one", "counts-radius-inf", "bounds-radius-inf", "snr-nan",
         "no-min-poly", "roots-of-unity-text", "regulator-text", "not-json",
         "max-norm-negative", "counts-no-R", "counts-R-text", "counts-R-nan",
         "counts-short-row", "pep-empty-table", "counts-other-degree", "eve-gamma-nan",
-        "eve-vol-inf", "precision-negative", "precision-below-53", "height-with-cutoff"])
+        "eve-vol-inf", "precision-negative", "precision-below-53", "height-with-cutoff",
+        "from-counts-with-radius", "from-counts-with-max-norm"])
 def test_bad_input_is_a_named_error(tmp_path, capsys, command, doc_change, rest):
     """doc_change edits the Q(sqrt5) document (None drops a key) or replaces its
     text; a one-item tuple in rest is written to a file and passed by path."""

@@ -47,14 +47,15 @@ def test_box_spec_validation():
 
 
 def test_small_boxes(q5):
-    assert enumerate_box(q5, BoxSpec(0.5)) == []
+    empty = enumerate_box(q5, BoxSpec(0.5))
+    assert empty.shape == (0, 2) and empty.dtype == np.int64
     points = enumerate_box(q5, BoxSpec(1.0))
-    assert [p.coords for p in points] == [(-1, 0), (1, 0)]
+    assert points.tolist() == [[-1, 0], [1, 0]]
 
 
 def test_unit_content_radius_3(q5):
     points = enumerate_box(q5, BoxSpec(3.0))
-    units = {p.coords for p in points if abs(p.norm()) == 1}
+    units = {tuple(r) for r in points.tolist() if abs(q5.element(r).norm()) == 1}
     theta = q5.theta()
     inv = q5.element([-1, 1])  # theta - 1 = 1/theta
     expected = set()
@@ -68,19 +69,19 @@ def test_unit_content_radius_3(q5):
 
 @pytest.mark.parametrize("R", [1.0, 2.5, 5.0, 10.0])
 def test_completeness_vs_brute_force(q5, R):
-    points = [p.coords for p in enumerate_box(q5, BoxSpec(R))]
+    points = [tuple(r) for r in enumerate_box(q5, BoxSpec(R)).tolist()]
     assert points == brute_force_box(q5, R)
 
 
 def test_determinism_and_order(q5):
     a = enumerate_box(q5, BoxSpec(7.0))
     b = enumerate_box(q5, BoxSpec(7.0))
-    assert [p.coords for p in a] == [p.coords for p in b]
-    assert [p.coords for p in a] == sorted(p.coords for p in a)
+    assert a.tolist() == b.tolist()
+    assert a.tolist() == sorted(a.tolist())
 
 
 def test_negation_closure(quartic):
-    points = {p.coords for p in enumerate_box(quartic, BoxSpec(4.0))}
+    points = {tuple(r) for r in enumerate_box(quartic, BoxSpec(4.0)).tolist()}
     assert all(tuple(-c for c in p) in points for p in points)
 
 
@@ -159,46 +160,47 @@ def test_exact_norm_keys(q5):
     z = dirichlet_coeffs(q5, 100)
     table = count_table(q5, BoxSpec(10.0), z)
     points = enumerate_box(q5, BoxSpec(10.0))
-    norms = sorted({abs(p.norm()) for p in points})
+    norms = sorted({abs(q5.element(r).norm()) for r in points.tolist()})
     assert sorted(set(table.ks[table.b > 0].tolist())) == norms
 
 
 def test_unit_orbit_examples(q5):
     theta = q5.theta()
-    orbits = unit_orbits([theta, theta ** 2, -q5.one()])
+    orbits = unit_orbits(q5, [theta.coords, (theta ** 2).coords, (-q5.one()).coords])
     assert len(orbits) == 1
     assert orbits[0].min_height == pytest.approx(1.0, abs=1e-12)
     # y = x * theta lands in the same principal ideal
     x = q5.element([-1, 2])
     y = q5.element([2, 1])
     assert (x * theta).coords == y.coords
-    assert len(unit_orbits([x, y])) == 1
+    assert len(unit_orbits(q5, [x.coords, y.coords])) == 1
     # recorded outcome: both norm-5 points generate the ramified prime
-    assert len(unit_orbits([q5.element([2, 1]), q5.element([3, -1])])) == 1
+    assert len(unit_orbits(q5, [[2, 1], [3, -1]])) == 1
 
 
 def test_orbit_relation_is_equivalence(q5):
-    points = [p for p in enumerate_box(q5, BoxSpec(100.0)) if abs(p.norm()) == 5]
-    orbits = unit_orbits(points)
+    points = [r for r in enumerate_box(q5, BoxSpec(100.0)).tolist()
+              if abs(q5.element(r).norm()) == 5]
+    orbits = unit_orbits(q5, points)
     assert sum(len(o.members) for o in orbits) == len(points)
     seen = set()
     for orb in orbits:
-        for m in orb.members:
-            assert m.coords not in seen  # disjoint (symmetric + transitive grouping)
-            seen.add(m.coords)
+        for m in map(tuple, orb.members.tolist()):
+            assert m not in seen  # disjoint (symmetric + transitive grouping)
+            seen.add(m)
         # every pair in one orbit is mutually divisible
-        g = orb.members[0]
-        for m in orb.members[1:]:
+        g, *rest = map(q5.element, orb.members.tolist())
+        for m in rest:
             assert q5.divide_exact(m, g) is not None
             assert q5.divide_exact(g, m) is not None
     # distinct orbits are not mutually divisible
     if len(orbits) >= 2:
-        assert q5.divide_exact(orbits[0].members[0], orbits[1].members[0]) is None
+        assert q5.divide_exact(q5.element(orbits[0].members[0]),
+                               q5.element(orbits[1].members[0])) is None
 
 
 def test_orbit_min_height_is_ideal_height(q5):
-    points = enumerate_box(q5, BoxSpec(10.0))
-    orbits = unit_orbits(points)
+    orbits = unit_orbits(q5, enumerate_box(q5, BoxSpec(10.0)))
     by_norm = {}
     for orb in orbits:
         by_norm.setdefault(orb.norm, []).append(orb)
@@ -269,25 +271,26 @@ def division_orbits(points):
 def test_unit_orbits_match_log_lattice_oracle(request, fixture_name, R):
     field = request.getfixturevalue(fixture_name)
     units = request.getfixturevalue(f"{fixture_name}_units")
-    points = enumerate_box(field, BoxSpec(R))
-    orbits = unit_orbits(points)
+    rows = enumerate_box(field, BoxSpec(R))
+    points = [field.element(r) for r in rows.tolist()]
+    orbits = unit_orbits(field, rows)
+    members = [tuple(map(tuple, o.members.tolist())) for o in orbits]
     partition: dict[int, set] = {}
-    for orb in orbits:
-        partition.setdefault(orb.norm, set()).add(tuple(m.coords for m in orb.members))
+    for orb, ms in zip(orbits, members):
+        partition.setdefault(orb.norm, set()).add(ms)
     assert partition == log_lattice_partition(points, units)
     # norm ascending, then by smallest member; members sorted by coordinates
-    assert [(o.norm, o.members[0].coords) for o in orbits] == sorted(
-        (o.norm, o.members[0].coords) for o in orbits)
-    assert all(list(o.members) == sorted(o.members, key=lambda m: m.coords) for o in orbits)
+    assert [(o.norm, ms[0]) for o, ms in zip(orbits, members)] == sorted(
+        (o.norm, ms[0]) for o, ms in zip(orbits, members))
+    assert all(list(ms) == sorted(ms) for ms in members)
     # the same orbits in the same order as pairwise scalar division
-    assert [(o.norm, tuple(m.coords for m in o.members)) for o in orbits] == \
-        division_orbits(points)
+    assert [(o.norm, ms) for o, ms in zip(orbits, members)] == division_orbits(points)
 
 
 def test_partial_unit_symmetry(q5):
     """Multiplying by a unit permutes the box points whose image stays inside."""
     R = 10.0
-    points = {p.coords for p in enumerate_box(q5, BoxSpec(R))}
+    points = {tuple(r) for r in enumerate_box(q5, BoxSpec(R)).tolist()}
     theta = q5.theta()
     for coords in list(points):
         y = q5.element(coords) * theta
@@ -310,7 +313,7 @@ def test_completeness_vs_brute_force_quartic(quartic):
                 for c0 in range(lo, hi + 1):
                     if (c0 or c1 or c2 or c3) and np.all(np.abs(base + c0) <= R + 1e-9):
                         brute.append((c0, c1, c2, c3))
-    points = [p.coords for p in enumerate_box(quartic, BoxSpec(R))]
+    points = [tuple(r) for r in enumerate_box(quartic, BoxSpec(R)).tolist()]
     assert points == sorted(brute)
 
 
@@ -324,7 +327,7 @@ def test_unit_translation_closure(request, fixture_name, R):
     """
     field = request.getfixturevalue(fixture_name)
     units = request.getfixturevalue(f"{fixture_name}_units").units
-    points = {p.coords for p in enumerate_box(field, BoxSpec(R))}
+    points = {tuple(r) for r in enumerate_box(field, BoxSpec(R)).tolist()}
     steps = []
     for u in units:
         steps.append(u)
@@ -346,8 +349,7 @@ def test_concurrent_reads_are_consistent(q5, quartic):
     def job(_):
         pts = enumerate_box(q5, BoxSpec(7.0))
         qts = enumerate_box(quartic, BoxSpec(3.0))
-        return ([p.coords for p in pts], [q.coords for q in qts],
-                [p.norm() for p in pts[:50]])
+        return (pts.tolist(), qts.tolist(), [q5.element(r).norm() for r in pts[:50].tolist()])
 
     with ThreadPoolExecutor(max_workers=4) as pool:
         results = list(pool.map(job, range(8)))
@@ -357,6 +359,6 @@ def test_concurrent_reads_are_consistent(q5, quartic):
 @pytest.mark.parametrize("fixture_name,radii", [("q5", (1.0, 3.0, 7.0)), ("quartic", (2.0, 4.0))])
 def test_box_monotone_in_radius(request, fixture_name, radii):
     field = request.getfixturevalue(fixture_name)
-    sets = [{p.coords for p in enumerate_box(field, BoxSpec(R))} for R in radii]
+    sets = [{tuple(r) for r in enumerate_box(field, BoxSpec(R)).tolist()} for R in radii]
     for small, big in zip(sets, sets[1:]):
         assert small <= big

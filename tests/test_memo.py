@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import gc
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -30,13 +32,32 @@ def test_hits_return_the_frozen_miss_object(quartic):
     box = BoxSpec(3.7)
     points = cached_points(quartic, box)
     assert cached_points(quartic, box) is points
-    assert isinstance(points, tuple)
+    assert isinstance(points, np.ndarray) and points.dtype == np.int64
     orbits = cached_orbits(quartic, box)
     assert cached_orbits(quartic, box) is orbits
-    assert isinstance(orbits, tuple) and isinstance(orbits[0].members, tuple)
+    assert isinstance(orbits, tuple) and isinstance(orbits[0].members, np.ndarray)
     with pytest.raises(dataclasses.FrozenInstanceError):
         orbits[0].norm = 2
+    for array in (points, orbits[0].members):
+        with pytest.raises(ValueError):
+            array[0, 0] = 7
     assert sum(len(o.members) for o in orbits) == len(points)
+
+
+def test_memoised_points_cost_at_most_64_bytes_each(q5):
+    """The memo keeps the box as one int64 array, not an object per point."""
+    _clear_memo()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        points = cached_points(q5, BoxSpec(100.0))
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(points) == 17888
+    assert retained <= 64 * len(points)
 
 
 def test_smaller_cutoff_is_a_slice(q5, monkeypatch):
@@ -83,8 +104,8 @@ def test_threads_agree_with_a_serial_run(q5, quartic, octic):
         field, N, R = spec
         series = dirichlet_coeffs(field, N)
         box = BoxSpec(R)
-        return (series.a.tolist(), [p.coords for p in cached_points(field, box)],
-                [(o.norm, [m.coords for m in o.members]) for o in cached_orbits(field, box)])
+        return (series.a.tolist(), cached_points(field, box).tolist(),
+                [(o.norm, o.members.tolist()) for o in cached_orbits(field, box)])
 
     _clear_memo()
     serial = [job(spec) for spec in jobs]

@@ -43,7 +43,7 @@ def test_fundamental_unit_brute_force_oracle(coeffs):
     field = parse_field(Polynomial(coeffs))
     u = quadratic_fundamental_unit(field)
     top = float(u.embed_mp()[-1])
-    points = enumerate_box(field, BoxSpec(top + 1e-6))
+    points = [field.element(r) for r in enumerate_box(field, BoxSpec(top + 1e-6)).tolist()]
     strictly_between = [
         p for p in points
         if abs(p.norm()) == 1 and 1 + 1e-9 < p.embed()[-1] < top - 1e-9

@@ -285,7 +285,7 @@ def test_bounded_height_zeta_orbit_oracle(q5, q5_units):
     """Brute-force oracle: group box points into ideals by pairwise exact
     division only, then sum norm powers once per group."""
     m = 10
-    points = cached_points(q5, BoxSpec(float(m)))
+    points = [q5.element(r) for r in cached_points(q5, BoxSpec(float(m))).tolist()]
     by_norm: dict[int, list] = {}
     for p in points:
         by_norm.setdefault(abs(p.norm()), []).append(p)

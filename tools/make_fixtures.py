@@ -118,7 +118,7 @@ def quartic_fixture():
     field = parse_field(Polynomial((1, 1, -3, -1, 1)), precision_bits=PREC_BITS,
                         label="totally real quartic, discriminant 725")
     pts = enumerate_box(field, BoxSpec(10.0))
-    units = [p for p, k in zip(pts, field.norm_rows([p.coords for p in pts])) if abs(k) == 1]
+    units = [field.element(r) for r in pts[np.abs(field.norm_rows(pts)) == 1].tolist()]
     print(f"quartic: {len(units)} units of height <= 10")
     basis = saturate(field, units)
     reg = regulator_mp(field, basis)
@@ -158,7 +158,7 @@ def octic_fixture():
     print(f"octic sine-quotient regulator: {mpmath.nstr(reg, 20)}")
     # independent check: saturating the box units must give the same lattice
     pts = enumerate_box(field, BoxSpec(5.0))
-    box_units = [p for p, k in zip(pts, field.norm_rows([p.coords for p in pts])) if abs(k) == 1]
+    box_units = [field.element(r) for r in pts[np.abs(field.norm_rows(pts)) == 1].tolist()]
     print(f"octic: {len(box_units)} units of height <= 5")
     basis = saturate(field, box_units)
     reg_box = regulator_mp(field, basis)
