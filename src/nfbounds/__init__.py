@@ -27,10 +27,7 @@ from .numberfield import (
     AlgebraicInt,
     NumberField,
     Polynomial,
-    embed,
-    height,
     min_product_distance,
-    norm,
     parse_field,
     real_roots,
 )
@@ -68,7 +65,6 @@ __all__ = [
     "count_by_norm",
     "count_table",
     "dirichlet_coeffs",
-    "embed",
     "enumerate_box",
     "error_profile",
     "estimate_counts",
@@ -76,12 +72,10 @@ __all__ = [
     "eve_sum",
     "full_height_report",
     "geometric_bound",
-    "height",
     "height_bound_report",
     "is_unit",
     "lower_bound_check",
     "min_product_distance",
-    "norm",
     "norm_sum",
     "parse_field",
     "pep_curve",

@@ -1,11 +1,12 @@
 """The one memo for results that are costly to recompute.
 
-Coefficient arrays, box points and unit orbits are kept here, at most
-MAX_ENTRIES of them, the least recently used dropped first.  Every value
-is frozen when it is stored: an ndarray becomes read-only and a list
-becomes a tuple, so callers may share it but cannot change it.  One lock
-guards the table; the work itself runs outside it, so two threads that
-miss on one key may both compute it, and the later store wins.
+Coefficient arrays, box points and unit-orbit tables are kept here, at
+most MAX_ENTRIES of them, the least recently used dropped first.  Every
+value is frozen: an ndarray is made read-only when it is stored, and an
+orbit table holds only read-only arrays, so callers may share it but
+cannot change it.  One lock guards the table; the work itself runs
+outside it, so two threads that miss on one key may both compute it, and
+the later store wins.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ def put(key, value):
     """Freeze value, store it under key and return the frozen value."""
     if isinstance(value, np.ndarray):
         value.setflags(write=False)
-    else:
-        value = tuple(value)
     with _lock:
         _entries[key] = value
         _entries.move_to_end(key)

@@ -134,11 +134,13 @@ def height_bound_report(field: NumberField, unit_system: UnitSystem,
     if m < 1:
         raise ValidationError("height bound m must be >= 1 (no points otherwise)")
     orbits = cached_orbits(field, BoxSpec(float(m)))  # m >= 1: the units are in it
-    ks, which = np.unique([orb.norm for orb in orbits], return_inverse=True)
-    b = np.bincount(which, weights=[len(orb.members) for orb in orbits])
+    ks, first = np.unique(orbits.norms, return_index=True)  # orbits come by norm
+    b = np.diff(orbits.starts[first], append=len(orbits.rows))
+    with np.errstate(over="ignore"):  # b_k / inf = 0.0 is below the last bit: b_1 >= 2
+        total = float((b / ks.astype(float) ** s).sum())
     zeta_trunc = bounded_height_zeta(field, unit_system, s, m)
     return BoundReport(
-        s=s, m_or_R=m, norm_sum=float((b / ks.astype(float) ** s).sum()),
+        s=s, m_or_R=m, norm_sum=total,
         zeta_truncated=zeta_trunc, lower_bound=zeta_trunc,
         coefficient_upper_bound=int(b.max()) * zeta_trunc,
     )

@@ -36,7 +36,6 @@ from .units import UnitSystem, build_unit_system
 from .zeta import dirichlet_coeffs
 
 _HINTS = {
-    "BoxTooLarge": "raise --budget or shrink --radius or --height",
     "SieveTooLarge": "lower --radius, --max-norm, --max or --cutoff",
     "PrecisionTooHigh": "lower --precision",
     "CutoffTooSmall": "raise --cutoff",
@@ -369,6 +368,11 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         name = type(exc).__name__
         hint = _HINTS.get(name, "raise the relevant limit")
+        if name == "BoxTooLarge":  # name only options that this command takes
+            hint = " or ".join(f"shrink --{opt}" for opt in ("radius", "height")
+                               if getattr(args, opt, None) is not None)
+            if hasattr(args, "budget"):
+                hint += " or raise --budget"
         print(f"error: {name}: {exc} ({hint})", file=sys.stderr)
         return 3
 

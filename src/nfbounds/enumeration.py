@@ -15,7 +15,9 @@ in high precision, so membership under the closed-box rule
 |sigma_i(x)| <= R + boundary_tolerance is certified.
 
 Norm bucketing is always exact: one `NumberField.norm_rows` call per
-block of rows.
+block of rows.  Unit orbits take one more such call, then rounds that
+place the points of every norm at once; they are kept as one frozen
+`OrbitTable` of arrays, not as an object per orbit.
 """
 
 from __future__ import annotations
@@ -169,10 +171,7 @@ def _scan_blocks(field: NumberField, box: BoxSpec, budget: int):
         counts = np.maximum(np.floor(hi + pad) - c_lo + 1, 0)
         total = counts.sum()
         if not max(examined + total, least) <= budget:  # also an unbounded range
-            raise BoxTooLarge(
-                f"candidate budget {budget} exceeded at radius {box.R}; "
-                "raise the budget or shrink the box"
-            )
+            raise BoxTooLarge(f"candidate budget {budget} exceeded at radius {box.R}")
         examined += int(total)
         counts = counts.astype(np.int64)
         ends = np.cumsum(counts)
@@ -319,52 +318,64 @@ def count_table(field: NumberField, box: BoxSpec, zeta: ZetaSeries,
 
 
 @dataclass(frozen=True, eq=False)
-class Orbit:
-    """A unit orbit: all box points generating one principal ideal, as
-    read-only int64 (size, n) coordinate rows."""
+class OrbitTable:
+    """Box points grouped by unit orbit: int64 (P, n) coordinate rows, each
+    orbit contiguous, orbit i starting at row starts[i] with norm norms[i].
+    The three arrays are read-only, and len() is the orbit count."""
 
-    norm: int
-    members: np.ndarray
-    min_height: float
+    rows: np.ndarray
+    starts: np.ndarray
+    norms: np.ndarray
+
+    def __post_init__(self):
+        for array in (self.rows, self.starts, self.norms):
+            array.setflags(write=False)
+
+    def __len__(self):
+        return len(self.starts)
 
 
-def unit_orbits(field: NumberField, rows) -> list[Orbit]:
+def unit_orbits(field: NumberField, rows) -> OrbitTable:
     """Partition the coordinate rows of box points into unit orbits.
 
     Points x, y with |N(x)| = |N(y)| = k generate one principal ideal iff
     y / x lies in Z[theta], that is iff M(c(x))·y ≡ 0 mod k, where
-    c(x) = N(x)/x comes with the norms from one batched kernel call.
-    Within each norm, the first row not yet placed starts an orbit, and
-    every unplaced point it divides joins it.  Orbits come by ascending
-    norm, then by their first member, and members keep the order of rows:
-    for the lexicographic rows of `enumerate_box`, by coordinates.
+    c(x) = N(x)/x comes with the norms from one batched kernel call.  In
+    each round the first unplaced row g of every norm starts an orbit, and
+    every unplaced row of that norm that g divides joins it: one round per
+    orbit of the most crowded norm.  Orbits come by ascending norm, then by
+    their first member, and members keep the order of rows: for the
+    lexicographic rows of `enumerate_box`, by coordinates.
     """
-    rows = np.asarray(rows, dtype=np.int64).reshape(-1, field.degree)
-    if not len(rows):
-        return []
+    n = field.degree
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, n)
     norms, cofactors = field.norm_rows(rows, cofactors=True)
-    norms = np.abs(norms)
-    heights = np.abs(rows.astype(float) @ field.embedding_matrix.T).max(axis=1)
-    order = np.argsort(norms, kind="stable")
-    orbits = []
-    for bucket in np.split(order, np.flatnonzero(np.diff(norms[order])) + 1):
-        k = int(norms[bucket[0]])
-        while len(bucket):
-            # adj(M(g)) = M(c(g)), reduced mod k in Python integers
-            adj = field._mul_matrices(cofactors[bucket[:1]].astype(object))[0] % k
-            ys = rows[bucket]
-            # exact in int64 while every sum of n products stays below 2^63
-            if field.degree * k * int(np.abs(ys).max()) < 2 ** 63:
-                adj = adj.astype(np.int64)
-            else:
-                ys = ys.astype(object)
-            joins = np.all(ys @ adj.T % k == 0, axis=1)
-            idx = bucket[joins]
-            members = rows[idx]
-            members.setflags(write=False)
-            orbits.append(Orbit(k, members, float(heights[idx].min())))
-            bucket = bucket[~joins]
-    return orbits
+    order = np.argsort(np.abs(norms), kind="stable")
+    norms = np.abs(norms[order])
+    # the unplaced rows: positions in norm order, norms and coordinates
+    live, k, y = np.arange(len(rows)), norms, rows[order]
+    head = np.empty(len(rows), dtype=np.intp)  # the first position of each one's orbit
+    block = max(1, _CHUNK_ELEMENTS // n)  # rows per product, so gathered matrices stay small
+    while len(live):
+        first = np.r_[True, k[1:] != k[:-1]]
+        g, which = live[first], np.cumsum(first) - 1  # each norm's g, each row's g
+        # adj(M(g)) = M(c(g)), reduced mod k in Python integers
+        adj = field._mul_matrices(cofactors[order[g]].astype(object))
+        adj %= k[first].astype(object)[:, None, None]
+        # exact in int64 while every sum of n products stays below 2^63
+        dtype = np.int64 if n * int(k[-1]) * int(max(y.max(), -y.min())) < 2 ** 63 else object
+        adj, ys, ks = adj.astype(dtype), y.astype(dtype, copy=False), k.astype(dtype, copy=False)
+        # y joins g's orbit iff M(c(g))·y ≡ 0 mod k, one block of rows at a time
+        joins = np.empty(len(live), dtype=bool)
+        for s in range(0, len(live), block):
+            part = slice(s, s + block)
+            prod = (adj[which[part]] @ ys[part, :, None])[:, :, 0]
+            joins[part] = np.all(prod % ks[part, None] == 0, axis=1)
+        head[live[joins]] = g[which[joins]]
+        live, k, y = live[~joins], k[~joins], y[~joins]
+    by_orbit = np.argsort(head, kind="stable")
+    starts = np.flatnonzero(head[by_orbit] == by_orbit)
+    return OrbitTable(rows[order[by_orbit]], starts, norms[by_orbit[starts]])
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +390,7 @@ def cached_points(field: NumberField, box: BoxSpec) -> np.ndarray:
     return points
 
 
-def cached_orbits(field: NumberField, box: BoxSpec) -> tuple[Orbit, ...]:
+def cached_orbits(field: NumberField, box: BoxSpec) -> OrbitTable:
     key = ("orbits", field.key(), box.R, box.boundary_tolerance)
     orbits = _memo.get(key)
     if orbits is None:

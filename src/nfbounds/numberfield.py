@@ -130,7 +130,7 @@ def _fits_int64(mats: np.ndarray, rhs: np.ndarray | None = None) -> bool:
 def _int64_if_fits(values: np.ndarray) -> np.ndarray:
     """The values as int64, or left as Python integers when one is past it."""
     try:
-        return values.astype(np.int64)
+        return values.astype(np.int64, copy=False)
     except OverflowError:
         return values
 
@@ -584,21 +584,6 @@ def parse_field(poly: Polynomial, precision_bits: int = DEFAULT_PRECISION_BITS,
         )
     roots = [_refine(poly.coeffs, a, b, k, precision_bits) for a, b, k in intervals]
     return NumberField(poly, roots, precision_bits, label)
-
-
-def embed(x: AlgebraicInt) -> np.ndarray:
-    """Vector of real-embedding images of x."""
-    return x.embed()
-
-
-def norm(x: AlgebraicInt) -> int:
-    """Exact field norm (product of all embedding images)."""
-    return x.norm()
-
-
-def height(x: AlgebraicInt) -> float:
-    """Largest absolute embedding image; 0 only for x = 0."""
-    return x.height()
 
 
 def min_product_distance(points) -> int:

@@ -358,5 +358,7 @@ def bounded_height_zeta(field: NumberField, unit_system, s: int, m: float) -> fl
         return 0.0
     from .enumeration import BoxSpec, cached_orbits
 
-    orbits = cached_orbits(field, BoxSpec(float(m)))
-    return float(sum(1.0 / orb.norm ** s for orb in orbits))
+    ks, per_norm = np.unique(cached_orbits(field, BoxSpec(float(m))).norms, return_counts=True)
+    # 1.0 / k**s; past the float range the exactly rounded 1 / k**s, subnormal or 0.0
+    terms = [1.0 / p if p.bit_length() < 1024 else 1 / p for p in (k ** s for k in ks.tolist())]
+    return float(sum(np.repeat(terms, per_norm).tolist()))  # orbit by orbit, in order

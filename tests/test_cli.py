@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import warnings
 from collections import OrderedDict
 
 import pytest
@@ -101,6 +103,20 @@ def test_bounds_height_mode(monkeypatch, capsys):
     payload = json.loads(out)
     assert payload["norm_sum"] > payload["zeta_truncated"] > 1
     assert payload["coefficient_upper_bound"] >= payload["norm_sum"]
+
+
+def test_bounds_height_mode_at_large_s(capsys):
+    """1/k^s past the float range is a float, not an OverflowError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "bounds", Q5, "--s", "400", "--height", "3")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    values = [payload[key] for key in ("norm_sum", "zeta_truncated", "lower_bound",
+                                       "coefficient_upper_bound")]
+    assert all(math.isfinite(v) for v in values)
+    # only the units' terms are left: ten units of norm 1 in the box
+    assert payload["zeta_truncated"] == 1.0 and payload["norm_sum"] == 10.0
 
 
 def test_bounds_radius_mode(capsys):
@@ -273,6 +289,26 @@ def test_height_past_the_scan_budget_is_box_too_large(monkeypatch, capsys):
     assert code == 3
     assert err.startswith("error:") and "BoxTooLarge" in err and "--height" in err
     assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", Q5, "--radius", "50", "--budget", "10"],
+    ["counts", Q5, "--radius", "50", "--budget", "10"],
+    ["estimate", Q5, "--radius", "50", "--budget", "10"],
+    ["pep", Q5, "--radius", "50", "--budget", "10", "--snr", "0:10:3"],
+    ["eve", Q5, "--radius", "1e300", "--gamma", "10"],
+    ["bounds", Q5, "--s", "2", "--height", "1e6"],
+    ["bounds", Q5, "--s", "2", "--radius", "1e300"],
+], ids=["enumerate", "counts", "estimate", "pep", "eve", "bounds-height", "bounds-radius"])
+def test_box_too_large_hint_names_options_of_its_command(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 3 and "BoxTooLarge" in err
+    hinted = re.findall(r"--[a-z-]+", err[err.rindex("("):])
+    assert hinted and ("--budget" in hinted) == (argv[0] != "bounds")
+    with pytest.raises(SystemExit):
+        main([argv[0], "--help"])
+    usage = capsys.readouterr().out
+    assert all(option in usage for option in hinted)
 
 
 def test_snr_grid_past_its_ceiling_is_a_named_error(monkeypatch, capsys):

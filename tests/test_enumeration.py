@@ -164,11 +164,23 @@ def test_exact_norm_keys(q5):
     assert sorted(set(table.ks[table.b > 0].tolist())) == norms
 
 
+def members(orbits):
+    """The member rows of each orbit of a table, as tuples of coordinates."""
+    return [tuple(map(tuple, block.tolist()))
+            for block in np.split(orbits.rows, orbits.starts[1:])] if len(orbits) else []
+
+
+def min_heights(field, orbits):
+    """The smallest height in each orbit, read off its member rows."""
+    heights = np.abs(orbits.rows.astype(float) @ field.embedding_matrix.T).max(axis=1)
+    return np.minimum.reduceat(heights, orbits.starts)
+
+
 def test_unit_orbit_examples(q5):
     theta = q5.theta()
     orbits = unit_orbits(q5, [theta.coords, (theta ** 2).coords, (-q5.one()).coords])
     assert len(orbits) == 1
-    assert orbits[0].min_height == pytest.approx(1.0, abs=1e-12)
+    assert min_heights(q5, orbits)[0] == pytest.approx(1.0, abs=1e-12)
     # y = x * theta lands in the same principal ideal
     x = q5.element([-1, 2])
     y = q5.element([2, 1])
@@ -182,32 +194,29 @@ def test_orbit_relation_is_equivalence(q5):
     points = [r for r in enumerate_box(q5, BoxSpec(100.0)).tolist()
               if abs(q5.element(r).norm()) == 5]
     orbits = unit_orbits(q5, points)
-    assert sum(len(o.members) for o in orbits) == len(points)
+    groups = members(orbits)
+    assert sum(map(len, groups)) == len(points)
     seen = set()
-    for orb in orbits:
-        for m in map(tuple, orb.members.tolist()):
+    for group in groups:
+        for m in group:
             assert m not in seen  # disjoint (symmetric + transitive grouping)
             seen.add(m)
         # every pair in one orbit is mutually divisible
-        g, *rest = map(q5.element, orb.members.tolist())
+        g, *rest = map(q5.element, group)
         for m in rest:
             assert q5.divide_exact(m, g) is not None
             assert q5.divide_exact(g, m) is not None
     # distinct orbits are not mutually divisible
-    if len(orbits) >= 2:
-        assert q5.divide_exact(q5.element(orbits[0].members[0]),
-                               q5.element(orbits[1].members[0])) is None
+    if len(groups) >= 2:
+        assert q5.divide_exact(q5.element(groups[0][0]), q5.element(groups[1][0])) is None
 
 
 def test_orbit_min_height_is_ideal_height(q5):
     orbits = unit_orbits(q5, enumerate_box(q5, BoxSpec(10.0)))
-    by_norm = {}
-    for orb in orbits:
-        by_norm.setdefault(orb.norm, []).append(orb)
+    five = np.flatnonzero(orbits.norms == 5)
     # the ramified prime above 5 is generated by 2 theta - 1 with height sqrt5
-    five = by_norm[5]
     assert len(five) == 1
-    assert five[0].min_height == pytest.approx(math.sqrt(5), abs=1e-9)
+    assert min_heights(q5, orbits)[five[0]] == pytest.approx(math.sqrt(5), abs=1e-9)
 
 
 def log_lattice_partition(points, unit_system):
@@ -274,17 +283,41 @@ def test_unit_orbits_match_log_lattice_oracle(request, fixture_name, R):
     rows = enumerate_box(field, BoxSpec(R))
     points = [field.element(r) for r in rows.tolist()]
     orbits = unit_orbits(field, rows)
-    members = [tuple(map(tuple, o.members.tolist())) for o in orbits]
+    table = list(zip(orbits.norms.tolist(), members(orbits)))
     partition: dict[int, set] = {}
-    for orb, ms in zip(orbits, members):
-        partition.setdefault(orb.norm, set()).add(ms)
+    for k, ms in table:
+        partition.setdefault(k, set()).add(ms)
     assert partition == log_lattice_partition(points, units)
     # norm ascending, then by smallest member; members sorted by coordinates
-    assert [(o.norm, ms[0]) for o, ms in zip(orbits, members)] == sorted(
-        (o.norm, ms[0]) for o, ms in zip(orbits, members))
-    assert all(list(ms) == sorted(ms) for ms in members)
+    assert [(k, ms[0]) for k, ms in table] == sorted((k, ms[0]) for k, ms in table)
+    assert all(list(ms) == sorted(ms) for _, ms in table)
     # the same orbits in the same order as pairwise scalar division
-    assert [(o.norm, ms) for o, ms in zip(orbits, members)] == division_orbits(points)
+    assert table == division_orbits(points)
+
+
+def test_unit_orbits_past_int64_match_division(q5):
+    """Norms past int64 take the Python-integer rounds and give the same
+    partition and order as scalar division."""
+    c = 2 ** 31 + 11
+    base = [(1, 0), (0, 1), (1, 1), (2, 0), (-1, 2), (2, 1)]  # 1, θ, θ², 2, 2θ−1, θ+2
+    rows = sorted(base + [(c * a, c * b) for a, b in base])
+    orbits = unit_orbits(q5, rows)
+    assert orbits.norms.dtype == object and max(orbits.norms) > 2 ** 63
+    assert len(orbits) == 6
+    table = list(zip(orbits.norms.tolist(), members(orbits)))
+    assert table == division_orbits([q5.element(r) for r in rows])
+
+
+def test_orbit_table_is_frozen_and_counts_orbits(quartic):
+    rows = enumerate_box(quartic, BoxSpec(5.0))
+    orbits = unit_orbits(quartic, rows)
+    assert len(orbits) == len(orbits.starts) == len(orbits.norms) == len(members(orbits))
+    assert orbits.starts[0] == 0 and np.all(np.diff(orbits.starts) > 0)
+    assert sorted(map(tuple, orbits.rows.tolist())) == sorted(map(tuple, rows.tolist()))
+    for array in (orbits.rows, orbits.starts, orbits.norms):
+        assert not array.flags.writeable
+    empty = unit_orbits(quartic, np.zeros((0, 4), dtype=np.int64))
+    assert len(empty) == 0 and empty.rows.shape == (0, 4)
 
 
 def test_partial_unit_symmetry(q5):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import nfbounds
-from nfbounds import _memo, zeta
+from nfbounds import _memo, enumeration, zeta
 from nfbounds.enumeration import BoxSpec, cached_orbits, cached_points
 from nfbounds.numberfield import parse_field
 from nfbounds.zeta import dirichlet_coeffs
@@ -35,29 +35,64 @@ def test_hits_return_the_frozen_miss_object(quartic):
     assert isinstance(points, np.ndarray) and points.dtype == np.int64
     orbits = cached_orbits(quartic, box)
     assert cached_orbits(quartic, box) is orbits
-    assert isinstance(orbits, tuple) and isinstance(orbits[0].members, np.ndarray)
+    assert isinstance(orbits, enumeration.OrbitTable) and orbits.rows.dtype == np.int64
     with pytest.raises(dataclasses.FrozenInstanceError):
-        orbits[0].norm = 2
-    for array in (points, orbits[0].members):
+        orbits.norms = np.ones(len(orbits), dtype=np.int64)
+    for array in (points, orbits.rows):
         with pytest.raises(ValueError):
             array[0, 0] = 7
-    assert sum(len(o.members) for o in orbits) == len(points)
+    for array in (orbits.starts, orbits.norms):
+        with pytest.raises(ValueError):
+            array[0] = 7
+    assert len(orbits.rows) == len(points)
+
+
+def _retained_bytes(compute):
+    """(result, bytes still allocated once compute() has returned)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = compute()
+        gc.collect()
+        return result, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
 
 
 def test_memoised_points_cost_at_most_64_bytes_each(q5):
     """The memo keeps the box as one int64 array, not an object per point."""
     _clear_memo()
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        points = cached_points(q5, BoxSpec(100.0))
-        gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+    points, retained = _retained_bytes(lambda: cached_points(q5, BoxSpec(100.0)))
     assert len(points) == 17888
     assert retained <= 64 * len(points)
+
+
+def test_memoised_orbits_cost_at_most_32_bytes_per_point(q5):
+    """The orbits are one table of arrays, not an object per orbit."""
+    _clear_memo()
+    points = cached_points(q5, BoxSpec(100.0))
+    orbits, retained = _retained_bytes(lambda: cached_orbits(q5, BoxSpec(100.0)))
+    assert len(orbits.rows) == len(points) == 17888
+    assert retained <= 32 * len(points)
+
+
+def test_cached_orbits_calls_unit_orbits_through_the_module(q5, monkeypatch):
+    """A benchmark counter wraps enumeration.unit_orbits and reads len() of
+    its result as the orbit count, so both must hold."""
+    _clear_memo()
+    rows = cached_points(q5, BoxSpec(10.0))
+    orbits = enumeration.unit_orbits(q5, rows)
+    assert len(orbits) == len(orbits.starts) == len(np.split(orbits.rows, orbits.starts[1:]))
+    calls = []
+
+    def wrapped(field, points):
+        calls.append(len(points))
+        return orbits
+
+    monkeypatch.setattr(enumeration, "unit_orbits", wrapped)
+    assert cached_orbits(q5, BoxSpec(10.0)) is orbits
+    assert calls == [len(rows)]
 
 
 def test_smaller_cutoff_is_a_slice(q5, monkeypatch):
@@ -104,8 +139,9 @@ def test_threads_agree_with_a_serial_run(q5, quartic, octic):
         field, N, R = spec
         series = dirichlet_coeffs(field, N)
         box = BoxSpec(R)
+        orbits = cached_orbits(field, box)
         return (series.a.tolist(), cached_points(field, box).tolist(),
-                [(o.norm, o.members.tolist()) for o in cached_orbits(field, box)])
+                orbits.rows.tolist(), orbits.starts.tolist(), orbits.norms.tolist())
 
     _clear_memo()
     serial = [job(spec) for spec in jobs]

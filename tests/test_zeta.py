@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import copy
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from ddf_oracle import _ddf_type
-from nfbounds import numberfield, zeta
+from nfbounds import enumeration, numberfield, zeta
 from nfbounds.enumeration import BoxSpec, cached_orbits, cached_points
 from nfbounds.errors import CutoffTooSmall, InvariantError, NotPrime, ValidationError
 from nfbounds.numberfield import Polynomial, parse_field
@@ -320,11 +321,23 @@ def test_bounded_height_zeta_monotone(q5, q5_units):
     assert bounded_height_zeta(q5, q5_units, 3, 2) > 1
 
 
+@pytest.mark.parametrize("k, s, kind", [(2, 400, "normal"), (3, 650, "subnormal"),
+                                        (2, 1074, "subnormal"), (2, 1075, "zero"),
+                                        (3, 700, "zero")])
+def test_bounded_height_zeta_terms_past_the_float_range(q5, q5_units, monkeypatch, k, s, kind):
+    """Where k**s has no float, 1/k^s is rounded exactly: a subnormal stays
+    subnormal, and a term below half the least one is 0.0."""
+    table = enumeration.OrbitTable(np.zeros((1, 2), dtype=np.int64), np.array([0]), np.array([k]))
+    monkeypatch.setattr(enumeration, "cached_orbits", lambda field, box: table)
+    value = bounded_height_zeta(q5, q5_units, s, 3)
+    assert value == 1 / k ** s
+    assert kind == ("zero" if value == 0 else
+                    "subnormal" if value < sys.float_info.min else "normal")
+
+
 def test_orbit_count_never_exceeds_ideal_count(q5):
-    orbits = cached_orbits(q5, BoxSpec(100.0))
-    counts: dict[int, int] = {}
-    for orb in orbits:
-        counts[orb.norm] = counts.get(orb.norm, 0) + 1
+    ks, per_norm = np.unique(cached_orbits(q5, BoxSpec(100.0)).norms, return_counts=True)
+    counts = dict(zip(ks.tolist(), per_norm.tolist()))
     a = dirichlet_coeffs(q5, 10 ** 4).a
     for k, c in counts.items():
         assert c <= a[k]
