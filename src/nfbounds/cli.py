@@ -8,14 +8,18 @@ the probability curves (`pep`, `eve`).
 
 Exit codes: 0 success, 2 validation error, 3 budget or cutoff failure.
 CSV output uses a header row, UTF-8, '.' decimals, and 15 significant
-digits for floats, so repeated runs diff cleanly.
+digits for floats, so repeated runs diff cleanly.  Cells are formatted a
+column at a time and written a block of rows at a time, so no table is
+held as text.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -50,12 +54,23 @@ _HINTS = {
 }
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return str(bool(x))
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.15g}"
+# rows formatted, joined and written per step: bounds the text alive at once
+_CSV_BLOCK = 4096
+
+
+def _column(values) -> list[str]:
+    """CSV cells of one column (an array, or a list numpy converts without
+    loss): integers as `str` gives them, floats to 15 significant digits."""
+    values = np.asarray(values)
+    spec = "{:.15g}" if values.dtype.kind == "f" else "{}"
+    return list(map(spec.format, values.tolist()))
+
+
+def _cells(*columns):
+    """Rows of preformatted cells from equal-length columns, formatted one
+    block of `_CSV_BLOCK` rows at a time."""
+    for s in range(0, len(columns[0]), _CSV_BLOCK):
+        yield from zip(*(_column(c[s:s + _CSV_BLOCK]) for c in columns))
 
 
 def _emit(text: str, out: str | None):
@@ -66,13 +81,14 @@ def _emit(text: str, out: str | None):
 
 
 def _write_csv(header, rows, out: str | None, preamble: str | None = None):
-    lines = []
-    if preamble:
-        lines.append(preamble)
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _emit("\n".join(lines) + "\n", out)
+    """Write rows of preformatted cells under the header, one block of
+    `_CSV_BLOCK` lines per write."""
+    head = ([preamble] if preamble else []) + [",".join(header)]
+    rows = iter(rows)
+    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write("\n".join(head) + "\n")
+        while block := [",".join(row) for row in islice(rows, _CSV_BLOCK)]:
+            fh.write("\n".join(block) + "\n")
 
 
 def _int_list(value, what: str) -> list[int]:
@@ -148,8 +164,8 @@ def cmd_field_info(args) -> int:
 def cmd_zeta_coeffs(args) -> int:
     field, _doc = load_field_document(args.field_doc, args.precision)
     series = dirichlet_coeffs(field, args.max)
-    rows = ((k, int(series.a[k])) for k in range(1, args.max + 1))
-    _write_csv(["k", "a_k"], rows, args.out)
+    ks = np.arange(1, args.max + 1)
+    _write_csv(["k", "a_k"], _cells(ks, series.a[ks]), args.out)
     return 0
 
 
@@ -157,23 +173,29 @@ def cmd_enumerate(args) -> int:
     field, _doc = load_field_document(args.field_doc, args.precision)
     points = enumerate_box(field, BoxSpec(args.radius, args.tol), budget=args.budget)
     header = [f"c{i}" for i in range(field.degree)] + ["norm", "height"]
-    norms = field.norm_rows(points).tolist()
-    rows = (r + [k, field.element(r).height()] for r, k in zip(points.tolist(), norms))
-    _write_csv(header, rows, args.out)
+    norms = field.norm_rows(points)
+
+    def rows():  # each block's heights as it is written
+        for s in range(0, len(points), _CSV_BLOCK):
+            block = points[s:s + _CSV_BLOCK]
+            heights = [field.element(r).height() for r in block.tolist()]
+            yield from _cells(*block.T, norms[s:s + _CSV_BLOCK], heights)
+
+    _write_csv(header, rows(), args.out)
     return 0
 
 
 def _counts_preamble(field: NumberField, table: CountTable) -> str:
     return ("# nfbounds-counts"
-            f" label={field.label} degree={table.degree} R={_fmt(table.R)}"
+            f" label={field.label} degree={table.degree} R={table.R:.15g}"
             f" cap={table.cap} max_norm={table.max_norm} total={table.total_points}")
 
 
 def cmd_counts(args) -> int:
     field, doc = load_field_document(args.field_doc, args.precision)
     table = _table_for(field, doc, args)
-    rows = zip(table.ks.tolist(), table.a.tolist(), table.b.tolist())
-    _write_csv(["k", "a_k", "b_k"], rows, args.out, _counts_preamble(field, table))
+    _write_csv(["k", "a_k", "b_k"], _cells(table.ks, table.a, table.b), args.out,
+               _counts_preamble(field, table))
     return 0
 
 
@@ -229,13 +251,13 @@ def cmd_estimate(args) -> int:
             raise ValidationError("estimate needs --radius or --from-counts")
         table = _table_for(field, doc, args)
     table = estimator.add_estimates(table, us)
-    rows = zip(table.ks.tolist(), table.a.tolist(), table.b.tolist(),
-               table.n_raw.tolist(), table.n_est.tolist(), table.f.tolist())
+    rows = _cells(table.ks, table.a, table.b, table.n_raw, table.n_est, table.f)
     _write_csv(["k", "a_k", "b_k", "n_k_raw", "n_k", "f_k"], rows, args.out,
                _counts_preamble(field, table))
     if args.profile_out:
         profile = estimator.error_profile(table)
-        rows = [(f, profile.histogram[f], c) for (f, c) in profile.cumulative]
+        fs, cumulative = zip(*profile.cumulative)
+        rows = _cells(fs, [profile.histogram[f] for f in fs], cumulative)
         _write_csv(["f", "count", "cumulative_fraction"], rows, args.profile_out)
     return 0
 
@@ -269,9 +291,9 @@ def cmd_pep(args) -> int:
     channel.check_snr_grid(start, stop, npts)
     table = estimator.add_estimates(_table_for(field, doc, args), us)
     curve = channel.pep_curve(table, start, stop, npts)
-    rows = zip(curve.snr_db, curve.snr_linear, curve.pe_estimate, curve.pe_exact)
+    rows = _cells(curve.snr_db, curve.snr_linear, curve.pe_estimate, curve.pe_exact)
     _write_csv(["snr_db", "gamma", "pe_estimate", "pe_exact"], rows, args.out,
-               f"# nfbounds-pep ratio={_fmt(curve.ratio)}")
+               f"# nfbounds-pep ratio={curve.ratio:.15g}")
     return 0
 
 
@@ -369,10 +391,14 @@ def main(argv=None) -> int:
         name = type(exc).__name__
         hint = _HINTS.get(name, "raise the relevant limit")
         if name == "BoxTooLarge":  # name only options that this command takes
-            hint = " or ".join(f"shrink --{opt}" for opt in ("radius", "height")
-                               if getattr(args, opt, None) is not None)
-            if hasattr(args, "budget"):
-                hint += " or raise --budget"
+            fixes = [f"shrink --{opt}" for opt in ("radius", "height")
+                     if getattr(args, opt, None) is not None]
+            # no budget helps a norm cap past any float: only a smaller box does
+            option, fix = (("budget", "raise --budget") if exc.budget_helps
+                           else ("tol", "lower --tol"))
+            if hasattr(args, option):
+                fixes.append(fix)
+            hint = " or ".join(fixes)
         print(f"error: {name}: {exc} ({hint})", file=sys.stderr)
         return 3
 

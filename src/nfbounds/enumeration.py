@@ -10,9 +10,12 @@ frontier (Fincke and Pohst 1985): the intervals of a whole chunk of
 prefixes are computed as arrays and expanded into the next level's
 chunk, depth-first over chunks, so at most one chunk per level is alive
 and working memory is bounded by `_CHUNK_ELEMENTS` whatever the box.
-Candidates within a small float margin of the boundary are re-checked
-in high precision, so membership under the closed-box rule
-|sigma_i(x)| <= R + boundary_tolerance is certified.
+A chunk is column-major, one column per prefix (partial embeddings
+(n, P) float, reduced coordinates (n, P) int64), so every reduction over
+embeddings or coordinates runs along the long axis; the scan hands out
+its rows as (P, n) transposes.  Candidates within a small float margin
+of the boundary are re-checked in high precision, so membership under
+the closed-box rule |sigma_i(x)| <= R + boundary_tolerance is certified.
 
 Norm bucketing is always exact: one `NumberField.norm_rows` call per
 block of rows.  Unit orbits take one more such call, then rounds that
@@ -106,7 +109,8 @@ def _lll_transform(B: np.ndarray, delta: float = 0.99) -> np.ndarray:
 
 
 def _scan_blocks(field: NumberField, box: BoxSpec, budget: int):
-    """Yield int64 arrays of accepted power-basis coordinate rows.
+    """Yield int64 (P, n) arrays of accepted power-basis coordinate rows,
+    P >= 1, each the transpose of a column-major leaf chunk.
 
     Deterministic: rows arrive in ascending order of the reduced-basis
     prefix, ascending in the innermost coordinate within one prefix.  The
@@ -131,38 +135,35 @@ def _scan_blocks(field: NumberField, box: BoxSpec, budget: int):
 
     examined = 0
     chunk = max(1, _CHUNK_ELEMENTS // n)
-    Ut = U.T.copy()
 
     # uncertainty of the float membership test, per unit coordinate mass
     absV = np.abs(V)
 
-    def certify(rows: np.ndarray) -> np.ndarray:
-        """Exact closed-box filter on power-basis coordinate rows."""
-        if not len(rows):
-            return rows
-        Y = rows.astype(float) @ V.T
-        # sum_j |x_j·sigma_i(theta)^j|: signed rows would let the terms cancel
-        unc = np.abs(rows).astype(float) @ absV.T * 1e-14 + 1e-300
+    def certify(cols: np.ndarray) -> np.ndarray:
+        """Exact closed-box filter on power-basis coordinate columns."""
+        Y = V @ cols.astype(float)
+        # sum_j |x_j·sigma_i(theta)^j|: signed columns would let the terms cancel
+        unc = absV @ np.abs(cols).astype(float) * 1e-14 + 1e-300
         absy = np.abs(Y)
-        clear_in = np.all(absy <= Rt - unc, axis=1)
-        clear_out = np.any(absy > Rt + unc, axis=1)
+        clear_in = (absy <= Rt - unc).all(axis=0)
+        clear_out = (absy > Rt + unc).any(axis=0)
         keep = clear_in.copy()
         for idx in np.flatnonzero(~clear_in & ~clear_out):
-            x = AlgebraicInt(field, tuple(int(v) for v in rows[idx]))
+            x = AlgebraicInt(field, tuple(int(v) for v in cols[:, idx]))
             # mpf-float comparisons are exact; abs() would round to mp.prec
             keep[idx] = all(-Rt <= v <= Rt for v in x.embed_mp())
-        return rows[keep]
+        return cols[:, keep]
 
     def children(j: int, partial: np.ndarray, prefix: np.ndarray):
         """The level-j candidates of every prefix in one chunk, as chunks of
-        at most `chunk` rows: (partial embeddings, reduced coordinates)."""
+        at most `chunk` columns: (partial embeddings, reduced coordinates)."""
         nonlocal examined
-        lo = np.full(len(partial), -bounds[j] - pad)
-        hi = np.full(len(partial), bounds[j] + pad)
+        lo = np.full(partial.shape[1], -bounds[j] - pad)
+        hi = np.full(partial.shape[1], bounds[j] + pad)
         for i in np.flatnonzero(np.abs(W[:, j]) > 1e-14):
             wij = W[i, j]
-            low_end = (-Rt - partial[:, i] - rem[j, i]) / wij
-            high_end = (Rt - partial[:, i] + rem[j, i]) / wij
+            low_end = (-Rt - partial[i] - rem[j, i]) / wij
+            high_end = (Rt - partial[i] + rem[j, i]) / wij
             if wij < 0:
                 low_end, high_end = high_end, low_end
             np.maximum(lo, low_end, out=lo)
@@ -179,12 +180,12 @@ def _scan_blocks(field: NumberField, box: BoxSpec, budget: int):
             k = np.arange(s, min(s + chunk, int(total)))
             parent = np.searchsorted(ends, k, side="right")
             cs = c_lo[parent] + (k - ends[parent] + counts[parent])
-            block = prefix[parent]
-            block[:, j] = cs
-            yield partial[parent] + cs[:, None] * W[:, j], block
+            block = prefix[:, parent]
+            block[j] = cs
+            yield partial[:, parent] + W[:, j, None] * cs, block
 
     # one generator per level, each expanding one chunk of the level above
-    stack = [children(n - 1, np.zeros((1, n)), np.zeros((1, n), dtype=np.int64))]
+    stack = [children(n - 1, np.zeros((n, 1)), np.zeros((n, 1), dtype=np.int64))]
     while stack:
         nxt = next(stack[-1], None)
         if nxt is None:
@@ -193,10 +194,10 @@ def _scan_blocks(field: NumberField, box: BoxSpec, budget: int):
             stack.append(children(n - 1 - len(stack), *nxt))
         else:
             Y, block = nxt
-            rows = block[np.all(np.abs(Y) <= Rt + pad, axis=1)] @ Ut
-            rows = certify(rows[np.any(rows != 0, axis=1)])
-            if len(rows):
-                yield rows
+            cols = U @ block[:, (np.abs(Y) <= Rt + pad).all(axis=0)]
+            cols = certify(cols[:, cols.any(axis=0)])
+            if cols.shape[1]:
+                yield cols.T
 
 
 def enumerate_box(field: NumberField, box: BoxSpec,
@@ -265,7 +266,8 @@ def _norm_cap(field: NumberField, box: BoxSpec, max_norm: int | None) -> int:
         geo = int(math.floor((box.R + box.boundary_tolerance) ** field.degree + 1e-9))
     except OverflowError as exc:
         raise BoxTooLarge(f"the norm cap (R + tol)^{field.degree} overflows at radius "
-                          f"{box.R} and tolerance {box.boundary_tolerance}") from exc
+                          f"{box.R} and tolerance {box.boundary_tolerance}",
+                          budget_helps=False) from exc
     return min(geo, max_norm) if max_norm is not None else geo
 
 

@@ -68,7 +68,12 @@ class CutoffMismatch(ResourceLimitError):
 
 
 class BoxTooLarge(ResourceLimitError):
-    pass
+    """The box needs more candidates than the budget, or (``budget_helps``
+    false) its norm cap (R + tol)^n is past any float."""
+
+    def __init__(self, message: str, budget_helps: bool = True):
+        super().__init__(message)
+        self.budget_helps = budget_helps
 
 
 class SieveTooLarge(ResourceLimitError):

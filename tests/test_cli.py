@@ -291,20 +291,27 @@ def test_height_past_the_scan_budget_is_box_too_large(monkeypatch, capsys):
     assert "Traceback" not in err and out == ""
 
 
-@pytest.mark.parametrize("argv", [
-    ["enumerate", Q5, "--radius", "50", "--budget", "10"],
-    ["counts", Q5, "--radius", "50", "--budget", "10"],
-    ["estimate", Q5, "--radius", "50", "--budget", "10"],
-    ["pep", Q5, "--radius", "50", "--budget", "10", "--snr", "0:10:3"],
-    ["eve", Q5, "--radius", "1e300", "--gamma", "10"],
-    ["bounds", Q5, "--s", "2", "--height", "1e6"],
-    ["bounds", Q5, "--s", "2", "--radius", "1e300"],
-], ids=["enumerate", "counts", "estimate", "pep", "eve", "bounds-height", "bounds-radius"])
-def test_box_too_large_hint_names_options_of_its_command(capsys, argv):
+BUDGET = ["--radius", "--budget"]
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["enumerate", Q5, "--radius", "50", "--budget", "10"], BUDGET),
+    (["counts", Q5, "--radius", "50", "--budget", "10"], BUDGET),
+    (["estimate", Q5, "--radius", "50", "--budget", "10"], BUDGET),
+    (["pep", Q5, "--radius", "50", "--budget", "10", "--snr", "0:10:3"], BUDGET),
+    (["eve", Q5, "--radius", "1e300", "--gamma", "10"], ["--radius", "--tol"]),
+    (["bounds", Q5, "--s", "2", "--height", "1e6"], ["--height"]),
+    (["bounds", Q5, "--s", "2", "--radius", "1e300"], ["--radius"]),
+    (["counts", Q5, "--radius", "3", "--tol", "1e300"], ["--radius", "--tol"]),
+], ids=["enumerate", "counts", "estimate", "pep", "eve", "bounds-height", "bounds-radius",
+        "counts-tol"])
+def test_box_too_large_hint_names_options_of_its_command(capsys, argv, want):
+    """A budget overrun hints --budget; a norm cap (R + tol)^n past any
+    float hints --tol where the command takes it, and never --budget."""
     code, _, err = run(capsys, *argv)
     assert code == 3 and "BoxTooLarge" in err
     hinted = re.findall(r"--[a-z-]+", err[err.rindex("("):])
-    assert hinted and ("--budget" in hinted) == (argv[0] != "bounds")
+    assert hinted == want
     with pytest.raises(SystemExit):
         main([argv[0], "--help"])
     usage = capsys.readouterr().out

@@ -42,6 +42,21 @@ def test_frontier_matches_dfs_oracle(request, fixture_name, R):
         scan_rows(field, box, budget=examined - 1)
 
 
+@pytest.mark.parametrize("fixture_name,R", ORACLE_CASES)
+def test_scan_blocks_are_int64_row_blocks(request, fixture_name, R):
+    """Every block is a nonempty int64 (P, n) array, C-ordered or the
+    transpose of one, and the blocks hold the box's points: the benchmark
+    counts scanned points as the sum of len(block)."""
+    field = request.getfixturevalue(fixture_name)
+    box = BoxSpec(R)
+    blocks = list(_scan_blocks(field, box, 10 ** 12))
+    for block in blocks:
+        assert isinstance(block, np.ndarray) and block.dtype == np.int64
+        assert block.ndim == 2 and block.shape[0] >= 1 and block.shape[1] == field.degree
+        assert block.flags.c_contiguous or block.T.flags.c_contiguous
+    assert sum(len(block) for block in blocks) == len(enumerate_box(field, box))
+
+
 def oracle_norms(field, rows):
     return [oracle_norm(field, r) for r in rows]
 
