@@ -13,9 +13,13 @@ and working memory is bounded by `_CHUNK_ELEMENTS` whatever the box.
 A chunk is column-major, one column per prefix (partial embeddings
 (n, P) float, reduced coordinates (n, P) int64), so every reduction over
 embeddings or coordinates runs along the long axis; the scan hands out
-its rows as (P, n) transposes.  Candidates within a small float margin
-of the boundary are re-checked in high precision, so membership under
-the closed-box rule |sigma_i(x)| <= R + boundary_tolerance is certified.
+its rows as (P, n) transposes.  Below a fixed prefix x is affine in the
+innermost coordinate and the box is convex, so the prefix's box points
+form one run of that coordinate: the closed-box rule
+|sigma_i(x)| <= R + boundary_tolerance is tested only at the two ends of
+each candidate run, which step inward until they pass, and the points
+between are inside.  An end within a small float margin of the boundary
+is re-checked in high precision, so membership is certified.
 
 Norm bucketing is always exact: one `NumberField.norm_rows` call per
 block of rows.  Unit orbits take one more such call, then rounds that
@@ -114,8 +118,9 @@ def _scan_blocks(field: NumberField, box: BoxSpec, budget: int):
 
     Deterministic: rows arrive in ascending order of the reduced-basis
     prefix, ascending in the innermost coordinate within one prefix.  The
-    zero vector is excluded.  Rows are certified against the closed-box
-    rule.
+    zero vector is excluded.  For one prefix the box points form a run of
+    innermost coordinates (x is affine in it and the box is convex), so
+    the closed-box rule is certified at the two ends of each run only.
     """
     n = field.degree
     V = field.embedding_matrix
@@ -139,24 +144,22 @@ def _scan_blocks(field: NumberField, box: BoxSpec, budget: int):
     # uncertainty of the float membership test, per unit coordinate mass
     absV = np.abs(V)
 
-    def certify(cols: np.ndarray) -> np.ndarray:
-        """Exact closed-box filter on power-basis coordinate columns."""
+    def inside(cols: np.ndarray) -> np.ndarray:
+        """Exact closed-box test of power-basis coordinate columns, as a mask."""
         Y = V @ cols.astype(float)
         # sum_j |x_j·sigma_i(theta)^j|: signed columns would let the terms cancel
         unc = absV @ np.abs(cols).astype(float) * 1e-14 + 1e-300
         absy = np.abs(Y)
-        clear_in = (absy <= Rt - unc).all(axis=0)
-        clear_out = (absy > Rt + unc).any(axis=0)
-        keep = clear_in.copy()
-        for idx in np.flatnonzero(~clear_in & ~clear_out):
+        keep = (absy <= Rt - unc).all(axis=0)
+        for idx in np.flatnonzero(~keep & ~(absy > Rt + unc).any(axis=0)):
             x = AlgebraicInt(field, tuple(int(v) for v in cols[:, idx]))
             # mpf-float comparisons are exact; abs() would round to mp.prec
             keep[idx] = all(-Rt <= v <= Rt for v in x.embed_mp())
-        return cols[:, keep]
+        return keep
 
-    def children(j: int, partial: np.ndarray, prefix: np.ndarray):
-        """The level-j candidates of every prefix in one chunk, as chunks of
-        at most `chunk` columns: (partial embeddings, reduced coordinates)."""
+    def ranges(j: int, partial: np.ndarray):
+        """The level-j candidates of every prefix in one chunk, counted
+        against the budget: the first (float) and the count (int64)."""
         nonlocal examined
         lo = np.full(partial.shape[1], -bounds[j] - pad)
         hi = np.full(partial.shape[1], bounds[j] + pad)
@@ -174,30 +177,71 @@ def _scan_blocks(field: NumberField, box: BoxSpec, budget: int):
         if not max(examined + total, least) <= budget:  # also an unbounded range
             raise BoxTooLarge(f"candidate budget {budget} exceeded at radius {box.R}")
         examined += int(total)
-        counts = counts.astype(np.int64)
+        return c_lo, counts.astype(np.int64)
+
+    def runs(first: np.ndarray, counts: np.ndarray):
+        """(prefix index, coordinate) of the runs first[p], ...,
+        first[p] + counts[p] - 1, in chunks of at most `chunk` columns."""
         ends = np.cumsum(counts)
-        for s in range(0, int(total), chunk):
-            k = np.arange(s, min(s + chunk, int(total)))
-            parent = np.searchsorted(ends, k, side="right")
-            cs = c_lo[parent] + (k - ends[parent] + counts[parent])
+        shift = first - ends + counts  # coordinate minus position among all runs
+        total = int(ends[-1]) if len(ends) else 0
+        for s in range(0, total, chunk):
+            e = min(s + chunk, total)
+            p, q = np.searchsorted(ends, [s, e - 1], side="right")
+            lens = counts[p:q + 1].copy()
+            lens[0] = ends[p] - s
+            lens[-1] -= ends[q] - e
+            parent = np.repeat(np.arange(p, q + 1), lens)
+            yield parent, np.arange(s, e) + shift[parent]
+
+    def children(j: int, partial: np.ndarray, prefix: np.ndarray):
+        """The level-j candidates of every prefix in one chunk, as chunks of
+        at most `chunk` columns: (partial embeddings, reduced coordinates)."""
+        for parent, cs in runs(*ranges(j, partial)):
             block = prefix[:, parent]
             block[j] = cs
             yield partial[:, parent] + W[:, j, None] * cs, block
 
-    # one generator per level, each expanding one chunk of the level above
+    def leaf(partial: np.ndarray, prefix: np.ndarray):
+        """The box points below one chunk of level-1 prefixes, as columns:
+        each candidate run shrinks from both ends until both are inside."""
+        c_lo, counts = ranges(0, partial)
+        some = counts > 0
+        base = U @ prefix[:, some]  # each prefix's point at innermost coordinate 0
+        first = c_lo[some].astype(np.int64)
+        last = first + counts[some] - 1
+
+        def points(p, cs):
+            return np.take(base, p, axis=1) + np.multiply.outer(U[:, 0], cs)
+
+        low = high = np.arange(len(first))
+        while len(low) or len(high):
+            high = high[last[high] > first[high]]  # a one-point run is its low end
+            ok = inside(points(np.concatenate((low, high)),
+                               np.concatenate((first[low], last[high]))))
+            low, high = low[~ok[:len(low)]], high[~ok[len(low):]]
+            first[low] += 1
+            last[high] -= 1
+            low = low[first[low] <= last[low]]
+        zero = np.flatnonzero(~base.any(axis=0))  # the prefix whose run holds 0
+        for parent, cs in runs(first, last - first + 1):
+            cols = points(parent, cs)
+            if len(zero) and parent[0] <= zero[0] <= parent[-1]:
+                cols = cols[:, cols.any(axis=0)]
+            if cols.shape[1]:
+                yield cols.T
+
+    # one generator per level above the leaf, each expanding one chunk of the
+    # level above it; n >= 2, so level 1 always exists
     stack = [children(n - 1, np.zeros((n, 1)), np.zeros((n, 1), dtype=np.int64))]
     while stack:
         nxt = next(stack[-1], None)
         if nxt is None:
             stack.pop()
-        elif len(stack) < n:
+        elif len(stack) < n - 1:
             stack.append(children(n - 1 - len(stack), *nxt))
         else:
-            Y, block = nxt
-            cols = U @ block[:, (np.abs(Y) <= Rt + pad).all(axis=0)]
-            cols = certify(cols[:, cols.any(axis=0)])
-            if cols.shape[1]:
-                yield cols.T
+            yield from leaf(*nxt)
 
 
 def enumerate_box(field: NumberField, box: BoxSpec,
@@ -280,7 +324,9 @@ def _build_table(field: NumberField, box: BoxSpec, zeta: ZetaSeries,
         )
     acc = np.zeros(cap + 1, dtype=np.int64)
     for norms in norm_iter:
-        np.add.at(acc, norms[norms <= cap], 1)
+        # cast only the admitted norms: an `object` norm past int64 would overflow.
+        # (np.bincount with minlength=cap + 1 costs O(cap) per block: slower here)
+        np.add.at(acc, norms[norms <= cap].astype(np.int64), 1)
     acc[0] = 0
     a_full = zeta.a[: cap + 1]
     keys = np.flatnonzero((a_full != 0) | (acc != 0))

@@ -1,10 +1,13 @@
 """Recursive depth-first box scan: the enumeration oracle.
 
 One coordinate per recursion level, in the LLL-reduced system, with the
-same interval propagation, margins, vectorised innermost level and
-closed-box certification as `enumeration._scan_blocks`.  The library
-walks the same tree a chunk of prefixes at a time; the tests compare
-the two row sets and candidate counts.
+same interval propagation and margins as `enumeration._scan_blocks`.  It
+is the per-point certification oracle: every candidate of the innermost
+level passes the float prefilter and the closed-box test on its own.
+The library walks the same tree a chunk of prefixes at a time and tests
+only the two ends of each innermost run, relying on the convexity of
+the box for the points between; the tests compare the two row sets and
+candidate counts.
 """
 
 from __future__ import annotations
@@ -52,8 +55,8 @@ def dfs_scan(field: NumberField, box: BoxSpec, budget: int = 10 ** 12):
         keep = clear_in.copy()
         for idx in np.flatnonzero(~clear_in & ~clear_out):
             x = AlgebraicInt(field, tuple(int(v) for v in rows[idx]))
-            vals = x.embed_mp()
-            keep[idx] = all(abs(v) <= Rt for v in vals)
+            # mpf-float comparisons are exact; abs() would round to mp.prec
+            keep[idx] = all(-Rt <= v <= Rt for v in x.embed_mp())
         return rows[keep]
 
     def descend(j: int, partial: np.ndarray):

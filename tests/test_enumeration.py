@@ -125,6 +125,26 @@ def test_fast_path_matches_list_path(q5, quartic):
         assert t_list.total_points == t_fast.total_points
 
 
+def test_count_by_norm_is_exact_past_int64(quartic, quartic_units):
+    """A row whose norm passes 2^63 makes the norms `object`: it is past the
+    cap and skipped, and every other row is bucketed as without it."""
+    box = BoxSpec(5.0)
+    rows = enumerate_box(quartic, box)
+    big = (quartic_units.units[0] ** 50 + quartic.one()).coords
+    with_big = np.concatenate([rows, np.array([big], dtype=np.int64)])
+    norms = quartic.norm_rows(with_big)
+    assert norms.dtype == object and abs(norms[-1]) > 2 ** 63
+    z = dirichlet_coeffs(quartic, 625)
+    table = count_by_norm(with_big, z, box)
+    want = count_table(quartic, box, z)
+    assert np.array_equal(table.ks, want.ks) and np.array_equal(table.b, want.b)
+    assert table.total_points == len(rows)
+    counts = {}
+    for k in (abs(oracle_norm(quartic, r)) for r in rows):
+        counts[k] = counts.get(k, 0) + 1
+    assert {int(k): int(b) for k, b in zip(table.ks, table.b) if b} == counts
+
+
 def test_max_norm_filter(q5):
     z = dirichlet_coeffs(q5, 10 ** 4)
     table = count_table(q5, BoxSpec(100.0), z, max_norm=50)

@@ -12,11 +12,13 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nfbounds.enumeration import (BoxSpec, _lll_transform, _scan_blocks, count_table,
                                   enumerate_box)
 from nfbounds.errors import BoxTooLarge, InvariantError
-from nfbounds.numberfield import _bareiss_dets, _fits_int64
+from nfbounds.numberfield import AlgebraicInt, _bareiss_dets, _fits_int64
 from nfbounds.zeta import dirichlet_coeffs
 from bareiss_oracle import bareiss, mul_matrix, norm as oracle_norm
 from scan_oracle import dfs_scan
@@ -40,6 +42,48 @@ def test_frontier_matches_dfs_oracle(request, fixture_name, R):
     assert np.array_equal(scan_rows(field, box, budget=examined), want)
     with pytest.raises(BoxTooLarge):
         scan_rows(field, box, budget=examined - 1)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_run_ends_match_dfs_oracle(q5, quartic, data):
+    """The leaf certifies only the two ends of each innermost run; the
+    oracle certifies every candidate.  Same rows, same candidate count."""
+    field, top = data.draw(st.sampled_from([(q5, 300.0), (quartic, 8.0)]))
+    box = BoxSpec(data.draw(st.floats(1.0, top)), data.draw(st.sampled_from([0.0, 1e-9])))
+    want, examined = dfs_scan(field, box)
+    assert np.array_equal(scan_rows(field, box, budget=examined), want)
+    with pytest.raises(BoxTooLarge):
+        scan_rows(field, box, budget=examined - 1)
+
+
+def test_run_ends_step_inward_on_both_sides(q5, monkeypatch):
+    """Tolerance 0 and R the float just below height(20 + 5·theta).  The
+    prefix 5·theta then runs from -25 + 5·theta to 20 + 5·theta, and both
+    ends have that height: each lies in the padded candidate range, just
+    outside the box, so the leaf rejects it in high precision and steps
+    inward on both sides."""
+    with mpmath.workprec(400):
+        height = 20 + 5 * (1 + mpmath.sqrt(5)) / 2
+        R = float(height)
+        if mpmath.mpf(R) >= height:
+            R = math.nextafter(R, 0)
+    rechecked = []
+    embed_mp = AlgebraicInt.embed_mp
+
+    def recording(self):
+        rechecked.append(self.coords)
+        return embed_mp(self)
+
+    monkeypatch.setattr(AlgebraicInt, "embed_mp", recording)
+    got = [tuple(r) for r in scan_rows(q5, BoxSpec(R, 0.0)).tolist()]
+    assert {(20, 5), (-25, 5)} <= set(rechecked)
+    assert (19, 5) in got and (-24, 5) in got
+    assert (20, 5) not in got and (-25, 5) not in got
+    monkeypatch.undo()
+    want, _ = mp_brute_force(q5, R, 0.0)
+    assert sorted(got) == want
+    assert np.array_equal(np.array(got), dfs_scan(q5, BoxSpec(R, 0.0))[0])
 
 
 @pytest.mark.parametrize("fixture_name,R", ORACLE_CASES)
