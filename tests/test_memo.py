@@ -99,26 +99,26 @@ def test_smaller_cutoff_is_a_slice(q5, monkeypatch):
     _clear_memo()
     big = dirichlet_coeffs(q5, 100)
     calls = []
-    real = zeta._splitting_types
+    real = zeta._splitting_counts
 
     def counting(field, primes):
         calls.append(len(primes))
         return real(field, primes)
 
-    monkeypatch.setattr(zeta, "_splitting_types", counting)
+    monkeypatch.setattr(zeta, "_splitting_counts", counting)
     small = dirichlet_coeffs(q5, 50)
     assert calls == []
     assert small.cutoff == 50 and np.array_equal(small.a, big.a[:51])
     assert not small.a.flags.writeable
-    dirichlet_coeffs(q5, 200)  # a larger cutoff sieves afresh
-    assert len(calls) == 1
+    dirichlet_coeffs(q5, 200)  # a larger cutoff sieves afresh, every prime once
+    assert sum(calls) == 46
 
 
 def test_series_ignores_precision(q5, monkeypatch):
     _clear_memo()
     first = dirichlet_coeffs(q5, 300)
     precise = parse_field(q5.min_poly, precision_bits=120)
-    monkeypatch.setattr(zeta, "_splitting_types", None)  # any sieve would fail
+    monkeypatch.setattr(zeta, "_splitting_counts", None)  # any sieve would fail
     again = dirichlet_coeffs(precise, 300)
     assert np.shares_memory(again.a, first.a)
     assert again.field is precise

@@ -3,12 +3,14 @@ from __future__ import annotations
 import copy
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ddf_oracle import _ddf_type
-from nfbounds import enumeration, numberfield, zeta
+from sieve_oracle import euler_sieve, splitting_types
+from nfbounds import _memo, enumeration, numberfield, zeta
 from nfbounds.enumeration import BoxSpec, cached_orbits, cached_points
 from nfbounds.errors import CutoffTooSmall, InvariantError, NotPrime, ValidationError
 from nfbounds.numberfield import Polynomial, parse_field
@@ -16,7 +18,6 @@ from nfbounds.zeta import (
     _fits_int64,
     _is_prime,
     _primes_upto,
-    _splitting_types,
     bounded_height_zeta,
     dirichlet_coeffs,
     splitting_type,
@@ -75,7 +76,7 @@ def test_splitting_quartic_ramification(quartic):
     assert ramified == [5, 29]
     for p in (2, 3, 7, 11, 13):
         assert sum(splitting_type(quartic, p).factor_degrees) == 4
-    types = list(_splitting_types(quartic, _primes_upto(2000).tolist()))
+    types = splitting_types(quartic, _primes_upto(2000))
     assert [st.p for st in types if st.ramified] == [5, 29]
 
 
@@ -86,7 +87,7 @@ def test_batched_splitting_matches_ddf(name, cutoff, request):
     field = request.getfixturevalue(name)
     n = field.degree
     primes = _primes_upto(cutoff).tolist()
-    types = list(_splitting_types(field, primes))
+    types = splitting_types(field, primes)
     assert [st.p for st in types] == primes
     unramified = 0
     for st in types:
@@ -113,7 +114,7 @@ def test_real_cyclotomic_splitting_matches_ddf(k):
     which are the ramified ones (totally so for prime k)."""
     field = parse_field(Polynomial(REAL_CYCLOTOMIC[k]))
     primes = _primes_upto(2000).tolist()
-    types = list(_splitting_types(field, primes))
+    types = splitting_types(field, primes)
     for st in types:
         assert st == _ddf_type(field, st.p)
     assert [st.p for st in types if st.ramified] == [p for p in primes if k % p == 0]
@@ -168,7 +169,7 @@ def test_ramification_cross_check(quartic, disc):
     field = copy.copy(quartic)
     field.poly_discriminant = disc
     with pytest.raises(InvariantError):
-        list(_splitting_types(field, [2, 3, 5, 7]))
+        splitting_types(field, [2, 3, 5, 7])
 
 
 @pytest.mark.parametrize("traces", [[1, 0], [2, 4], [0, 0]])
@@ -181,7 +182,7 @@ def test_frobenius_inversion_invariants(q5, monkeypatch, traces):
     e2 = (t1 * t1 - t2) * pow(2, -1, 11) % 11
     companion = [[0, -e2 % 11], [1, t1]]
     monkeypatch.setattr(zeta, "_berlekamp", lambda coeffs, primes, dtype:
-                        np.array([companion] * len(primes), dtype=dtype))
+                        np.array([companion] * len(primes), dtype=dtype).transpose(1, 2, 0))
     with pytest.raises(InvariantError):
         splitting_type(q5, 11)
 
@@ -230,6 +231,67 @@ def test_dirichlet_multiplicative(q5):
         for k in range(j + 1, N // j + 1):
             if math.gcd(j, k) == 1:
                 assert a[j * k] == a[j] * a[k]
+
+
+def cold_coeffs(field, N):
+    """dirichlet_coeffs(field, N).a sieved afresh, not sliced from the memo."""
+    with _memo._lock:
+        _memo._entries.clear()
+    return dirichlet_coeffs(field, N).a
+
+
+# N = 1 and 2; p^2 - 1 and p^2, where p joins the primes up to sqrt(N); more
+# than _CHUNK primes past sqrt(N) at 40,000 (4,157 of them); 10^5
+SIEVE_CUTOFFS = (1, 2, 3, 4, 8, 9, 48, 49, 960, 961, 40000, 10 ** 5)
+
+
+@pytest.mark.parametrize("name", ["q5", "quartic", "octic"] + sorted(REAL_CYCLOTOMIC))
+def test_sieve_matches_euler_factor_oracle(name, request, monkeypatch):
+    """The small-prime loop plus the large-prime scatter against one whole
+    Euler factor per prime, at cutoffs where the split moves."""
+    if isinstance(name, int):
+        field = parse_field(Polynomial(REAL_CYCLOTOMIC[name]))
+    else:
+        field = request.getfixturevalue(name)
+    oracle = euler_sieve(field, max(SIEVE_CUTOFFS))  # a_k does not depend on N
+    for N in SIEVE_CUTOFFS:
+        assert np.array_equal(cold_coeffs(field, N), oracle[: N + 1]), N
+    monkeypatch.setattr(zeta, "_CHUNK", 7)  # small and large primes over many chunks
+    assert np.array_equal(cold_coeffs(field, 2000), oracle[:2001])
+
+
+def test_benchmark_sieves_run_on_int64(q5, quartic, octic, monkeypatch):
+    """The benchmark's cold sieves read every chunk on int64, never on the
+    Python-integer fallback."""
+    dtypes = []
+    real = zeta._berlekamp
+
+    def spy(coeffs, primes, dtype):
+        dtypes.append(dtype)
+        return real(coeffs, primes, dtype)
+
+    monkeypatch.setattr(zeta, "_berlekamp", spy)
+    for field, N in ((quartic, 30000), (q5, 50000), (octic, 1000)):
+        dtypes.clear()
+        cold_coeffs(field, N)
+        assert dtypes and set(dtypes) == {np.int64}
+
+
+def test_sieve_memory_is_bounded(q5):
+    """A cold sieve to 10^6 holds little beside its 8 MB output: the Frobenius
+    passes and the large-prime scatter keep their temporaries bounded."""
+    N = 10 ** 6
+    cold_coeffs(q5, 1000)  # warm the lazy set-up
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        a = cold_coeffs(q5, N)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert a.nbytes == 8 * (N + 1)
+    assert peak < 2.5 * a.nbytes, peak
 
 
 def test_zeta_value_golden(q5):
