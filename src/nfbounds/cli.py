@@ -30,6 +30,7 @@ from .enumeration import (
     DEFAULT_BUDGET,
     BoxSpec,
     CountTable,
+    _check_budget,
     _norm_cap,
     count_table,
     enumerate_box,
@@ -133,6 +134,7 @@ def unit_system_from_document(field: NumberField, doc: dict) -> UnitSystem:
 
 
 def _table_for(field: NumberField, doc: dict, args) -> CountTable:
+    _check_budget(args.budget)  # before the sieve
     box = BoxSpec(args.radius, args.tol)
     series = dirichlet_coeffs(field, max(_norm_cap(field, box, args.max_norm), 1))
     return count_table(field, box, series, max_norm=args.max_norm, budget=args.budget)

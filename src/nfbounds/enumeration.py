@@ -4,8 +4,9 @@ The search fixes one integer coordinate per level with interval
 propagation: at each level the remaining linear constraints
 |sum_j c_j sigma_i(theta)^j| <= R are intersected, using a priori ranges
 for the still-undecided coordinates.  To keep those intervals tight the
-search works in an LLL-reduced coordinate system (a unimodular change of
-variables, so the point set is unchanged).  It walks the tree as a
+search works in the field's LLL-reduced basis, `NumberField.reduced_basis`
+(a unimodular change of variables, so the point set is unchanged).  It
+walks the tree as a
 frontier (Fincke and Pohst 1985): the intervals of a whole chunk of
 prefixes are computed as arrays and expanded into the next level's
 chunk, depth-first over chunks, so at most one chunk per level is alive
@@ -21,8 +22,9 @@ each candidate run, which step inward until they pass, and the points
 between are inside.  An end within a small float margin of the boundary
 is re-checked in high precision, so membership is certified.
 
-Norm bucketing is always exact: one `NumberField.norm_rows` call per
-block of rows.  Unit orbits take one more such call, then rounds that
+Norm bucketing is always exact: `count_table` gathers scan blocks into
+batches of `_STACK_ROWS` rows, one `NumberField.norm_rows` call and one
+kernel call each.  Unit orbits take one more such call, then rounds that
 place the points of every norm at once; they are kept as one frozen
 `OrbitTable` of arrays, not as an object per orbit.
 """
@@ -36,7 +38,7 @@ import numpy as np
 
 from . import _memo
 from .errors import BoxTooLarge, CutoffMismatch, ValidationError
-from .numberfield import AlgebraicInt, NumberField
+from .numberfield import _STACK_ROWS, AlgebraicInt, NumberField, _max_abs
 from .zeta import ZetaSeries
 
 DEFAULT_BUDGET = 10 ** 8
@@ -64,51 +66,6 @@ class BoxSpec:
 
 
 # ---------------------------------------------------------------------------
-# LLL reduction of the embedding basis (float arithmetic, exact unimodular U)
-
-
-def _lll_transform(B: np.ndarray, delta: float = 0.99) -> np.ndarray:
-    n = B.shape[1]
-    W = B.astype(float).copy()
-    U = np.eye(n, dtype=np.int64)
-
-    def gso(M):
-        Q = np.zeros_like(M)
-        mu = np.zeros((n, n))
-        for i in range(n):
-            v = M[:, i].copy()
-            for j in range(i):
-                denom = Q[:, j] @ Q[:, j]
-                mu[i, j] = (M[:, i] @ Q[:, j]) / denom
-                v -= mu[i, j] * Q[:, j]
-            Q[:, i] = v
-        return Q, mu
-
-    Q, mu = gso(W)
-    k, steps = 1, 0
-    while k < n and steps < 10000:
-        steps += 1
-        for j in range(k - 1, -1, -1):
-            q = round(mu[k, j])
-            if q:
-                W[:, k] -= q * W[:, j]
-                U[:, k] -= q * U[:, j]
-                Q, mu = gso(W)
-        if Q[:, k] @ Q[:, k] >= (delta - mu[k, k - 1] ** 2) * (Q[:, k - 1] @ Q[:, k - 1]):
-            k += 1
-        else:
-            W[:, [k - 1, k]] = W[:, [k, k - 1]]
-            U[:, [k - 1, k]] = U[:, [k, k - 1]]
-            Q, mu = gso(W)
-            k = max(k - 1, 1)
-    # the transform must be unimodular; fall back to identity otherwise
-    det = round(float(np.linalg.det(U.astype(float))))
-    if abs(det) != 1:
-        return np.eye(n, dtype=np.int64)
-    return U
-
-
-# ---------------------------------------------------------------------------
 # core scan
 
 
@@ -124,7 +81,7 @@ def _scan_blocks(field: NumberField, box: BoxSpec, budget: int):
     """
     n = field.degree
     V = field.embedding_matrix
-    U = _lll_transform(V)
+    U = field.reduced_basis[0]
     W = V @ U
     Rt = box.R + box.boundary_tolerance
     bounds = (Rt) * np.abs(np.linalg.inv(W)).sum(axis=1)
@@ -244,6 +201,11 @@ def _scan_blocks(field: NumberField, box: BoxSpec, budget: int):
             yield from leaf(*nxt)
 
 
+def _check_budget(budget: int) -> None:
+    if budget < 0:
+        raise ValidationError(f"candidate budget must be nonnegative, got {budget}")
+
+
 def enumerate_box(field: NumberField, box: BoxSpec,
                   budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """All nonzero x in Z[theta] with height(x) <= R + tolerance.
@@ -251,6 +213,7 @@ def enumerate_box(field: NumberField, box: BoxSpec,
     Complete and duplicate-free: a read-only int64 (P, n) array of
     power-basis coordinate rows in lexicographic order.
     """
+    _check_budget(budget)
     rows = np.concatenate([np.zeros((0, field.degree), dtype=np.int64),
                            *_scan_blocks(field, box, budget)])
     rows = rows[np.lexsort(rows.T[::-1])]
@@ -356,9 +319,29 @@ def count_table(field: NumberField, box: BoxSpec, zeta: ZetaSeries,
                 max_norm: int | None = None,
                 budget: int = DEFAULT_BUDGET) -> CountTable:
     """Enumerate the box and bucket by exact |norm| without materialising
-    element objects (streaming; each block's norms in one batch)."""
-    norm_iter = (np.abs(field.norm_rows(rows)) for rows in _scan_blocks(field, box, budget))
+    element objects (streaming; each batch's norms in one call)."""
+    _check_budget(budget)
+    batches = _batches(_scan_blocks(field, box, budget), _STACK_ROWS)
+    norm_iter = (np.abs(field.norm_rows(rows)) for rows in batches)
     return _build_table(field, box, zeta, norm_iter, max_norm)
+
+
+def _batches(blocks, size: int):
+    """The row blocks gathered into batches of at most `size` rows, so that
+    each batch is one kernel call; a block of `size` rows or more passes
+    through alone, uncopied."""
+    pending, held = [], 0
+    for block in blocks:
+        if pending and held + len(block) > size:
+            yield np.concatenate(pending)
+            pending, held = [], 0
+        if len(block) >= size:
+            yield block
+        else:
+            pending.append(block)
+            held += len(block)
+    if pending:
+        yield np.concatenate(pending)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +394,7 @@ def unit_orbits(field: NumberField, rows) -> OrbitTable:
         adj = field._mul_matrices(cofactors[order[g]].astype(object))
         adj %= k[first].astype(object)[:, None, None]
         # exact in int64 while every sum of n products stays below 2^63
-        dtype = np.int64 if n * int(k[-1]) * int(max(y.max(), -y.min())) < 2 ** 63 else object
+        dtype = np.int64 if n * int(k[-1]) * _max_abs(y) < 2 ** 63 else object
         adj, ys, ks = adj.astype(dtype), y.astype(dtype, copy=False), k.astype(dtype, copy=False)
         # y joins g's orbit iff M(c(g))·y ≡ 0 mod k, one block of rows at a time
         joins = np.empty(len(live), dtype=bool)

@@ -5,7 +5,12 @@ roots are isolated with exact Sturm counts and refined to a configurable
 working precision (default 80 bits) with a certified enclosure, so that
 all later boundary decisions (box membership, heights) can fall back on
 a rigorous high-precision value.  Norms are always computed by exact
-integer arithmetic, never by rounding a floating product.
+integer arithmetic, never by rounding a floating product: one
+fraction-free elimination kernel, run on int64 where a Hadamard bound
+proves it exact and on Python integers past it.  Each field keeps one
+LLL-reduced basis of Z[theta], found lazily; the box scan walks its
+coordinates, and the norm kernel takes its multiplication matrices in
+it, whose entries and minors are far smaller than in the power basis.
 """
 
 from __future__ import annotations
@@ -127,12 +132,68 @@ def _fits_int64(mats: np.ndarray, rhs: np.ndarray | None = None) -> bool:
     return bool(terms * h2.max(initial=1.0) * (1 + 1e-12) < 2.0 ** 63)
 
 
+def _max_abs(values: np.ndarray) -> int:
+    """max |v| over an integer array, as a Python integer: |-2^63| does
+    not wrap."""
+    return max(int(values.max(initial=0)), -int(values.min(initial=0)))
+
+
+def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for integer matrices, exactly: on int64 when every partial sum
+    is below 2^63, that is max|a| times the largest column sum of |b|, and
+    on Python integers otherwise."""
+    if (a.dtype == b.dtype == np.int64
+            and _max_abs(a) * int(np.abs(b.astype(object)).sum(axis=0).max()) < 2 ** 63):
+        return a @ b
+    return a.astype(object) @ b.astype(object)
+
+
 def _int64_if_fits(values: np.ndarray) -> np.ndarray:
     """The values as int64, or left as Python integers when one is past it."""
     try:
         return values.astype(np.int64, copy=False)
     except OverflowError:
         return values
+
+
+def _lll_transform(B: np.ndarray, delta: float = 0.99) -> np.ndarray:
+    """Integer U whose column operations LLL-reduce the columns of B, in
+    float arithmetic.  Every step is a unimodular column operation, but
+    int64 may wrap: callers check U exactly before they use it."""
+    n = B.shape[1]
+    W = B.astype(float).copy()
+    U = np.eye(n, dtype=np.int64)
+
+    def gso(M):
+        Q = np.zeros_like(M)
+        mu = np.zeros((n, n))
+        for i in range(n):
+            v = M[:, i].copy()
+            for j in range(i):
+                denom = Q[:, j] @ Q[:, j]
+                mu[i, j] = (M[:, i] @ Q[:, j]) / denom
+                v -= mu[i, j] * Q[:, j]
+            Q[:, i] = v
+        return Q, mu
+
+    Q, mu = gso(W)
+    k, steps = 1, 0
+    while k < n and steps < 10000:
+        steps += 1
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k, j])
+            if q:
+                W[:, k] -= q * W[:, j]
+                U[:, k] -= q * U[:, j]
+                Q, mu = gso(W)
+        if Q[:, k] @ Q[:, k] >= (delta - mu[k, k - 1] ** 2) * (Q[:, k - 1] @ Q[:, k - 1]):
+            k += 1
+        else:
+            W[:, [k - 1, k]] = W[:, [k, k - 1]]
+            U[:, [k - 1, k]] = U[:, [k, k - 1]]
+            Q, mu = gso(W)
+            k = max(k - 1, 1)
+    return U
 
 
 def _sylvester_resultant(a, b):
@@ -425,6 +486,37 @@ class NumberField:
             col = out[:, :, j] = shifted - col[:, -1:] * f
         return out
 
+    @cached_property
+    def reduced_basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """(U, U^-1), read-only int64: the columns of U are an LLL-reduced
+        basis of Z[theta] under the embeddings, in power-basis coordinates.
+
+        Found on first use, not at construction.  U^-1 is the kernel's
+        exact adjugate over det(U); when det(U) is not ±1 (int64 wrapped
+        inside the float LLL) or U^-1 is past int64, both are the identity.
+        """
+        n = self.degree
+        U = _lll_transform(self.embedding_matrix)
+        det, adj = _bareiss_dets(np.repeat(U[None].astype(object), n, axis=0),
+                                 np.eye(n, dtype=object))
+        if abs(det[0]) == 1 and _max_abs(adj) < 2 ** 63:
+            U_inv = (adj * det[0]).T.astype(np.int64)
+        else:
+            U = U_inv = np.eye(n, dtype=np.int64)
+        U.setflags(write=False)
+        U_inv.setflags(write=False)
+        return U, U_inv
+
+    @cached_property
+    def _reduced_mul(self) -> np.ndarray:
+        """T of shape (n, n·n) with x @ T = U^-1·M(x)·U, row-major, for
+        power-basis rows x: M(x) is linear in x, so T stacks the products
+        for x = 1, theta, ..., theta^(n-1).  int64 when it fits."""
+        n = self.degree
+        U, U_inv = (m.astype(object) for m in self.reduced_basis)
+        mats = U_inv @ self._mul_matrices(np.eye(n, dtype=object)) @ U
+        return _int64_if_fits(mats.reshape(n, n * n))
+
     def norm_coords(self, coords) -> int:
         return int(self.norm_rows([coords])[0])
 
@@ -434,10 +526,14 @@ class NumberField:
         of coordinates, which may hold Python integers past int64.
 
         Degree 2 without cofactors takes a^2 - c1·ab + c0·b^2.  Otherwise
-        each chunk of `_STACK_ROWS` rows is one kernel call on the M(x), on
-        int64 when the Hadamard guard allows it.  With cofactors, the call
-        takes right-hand side e_0 and also returns c(x) = adj(M(x))·e_0 =
-        N(x)/x mod |N(x)|: x divides y iff y·c(x) ≡ 0 mod N(x).
+        each chunk of `_STACK_ROWS` rows is one kernel call on the
+        M_U(x) = U^-1·M(x)·U of `reduced_basis`, similar to M(x), so of the
+        same determinant.  The chunk runs on int64 when its M_U(x) were
+        built without wrapping and pass the Hadamard guard, and on Python
+        integers otherwise.  With cofactors, the call takes right-hand side
+        U^-1·e_0 and also returns c(x) = adj(M(x))·e_0 = N(x)/x mod |N(x)|,
+        from adj(M(x)) = U·adj(M_U(x))·U^-1: x divides y iff
+        y·c(x) ≡ 0 mod N(x).
         """
         n = self.degree
         if not isinstance(rows, np.ndarray):
@@ -449,22 +545,25 @@ class NumberField:
         if n == 2 and not cofactors:
             c0, c1, _ = self.min_poly.coeffs
             a, b = rows[:, 0], rows[:, 1]
-            if int(np.abs(rows).max(initial=0)) ** 2 * (1 + abs(c0) + abs(c1)) > 2 ** 62:
+            if _max_abs(rows) ** 2 * (1 + abs(c0) + abs(c1)) > 2 ** 62:
                 a, b = a.astype(object), b.astype(object)  # exactness over speed
             return _int64_if_fits(a * a - c1 * a * b + c0 * b * b)
+        U, U_inv = self.reduced_basis
         dets, cofs = [np.zeros(0, dtype=np.int64)], [np.zeros((0, n), dtype=np.int64)]
         for s in range(0, len(rows), _STACK_ROWS):
             chunk = rows[s:s + _STACK_ROWS]
-            rhs = np.eye(1, n, dtype=np.int64).repeat(len(chunk), axis=0) if cofactors else None
-            dtype = object
-            if rows.dtype != object and _fits_int64(self._mul_matrices(chunk.astype(float)), rhs):
-                dtype = np.int64
-            det, adj = _bareiss_dets(self._mul_matrices(chunk.astype(dtype)), rhs)
+            rhs = U_inv[None, :, 0].repeat(len(chunk), axis=0) if cofactors else None
+            mats = _exact_matmul(chunk, self._reduced_mul).reshape(-1, n, n)
+            if mats.dtype != object and not _fits_int64(mats, rhs):
+                mats = mats.astype(object)
+            det, adj = _bareiss_dets(mats, rhs)
             dets.append(det)
             if cofactors:
                 if not det.all():
                     raise ZeroDivisionError("zero or a zero divisor has no cofactor")
-                cofs.append(adj % np.abs(det)[:, None])
+                k = np.abs(det)[:, None]
+                # reduce, map back by U, reduce again: mod |N| is a ring map
+                cofs.append(_exact_matmul(adj % k, U.T) % k)
         norms = _int64_if_fits(np.concatenate(dets))
         return (norms, _int64_if_fits(np.concatenate(cofs))) if cofactors else norms
 

@@ -16,9 +16,9 @@ import math
 
 import numpy as np
 
-from nfbounds.enumeration import _FLOAT_MARGIN, BoxSpec, _lll_transform
+from nfbounds.enumeration import _FLOAT_MARGIN, BoxSpec
 from nfbounds.errors import BoxTooLarge
-from nfbounds.numberfield import AlgebraicInt, NumberField
+from nfbounds.numberfield import AlgebraicInt, NumberField, _lll_transform
 
 
 def dfs_scan(field: NumberField, box: BoxSpec, budget: int = 10 ** 12):

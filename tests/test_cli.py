@@ -212,12 +212,14 @@ def test_exit_code_validation(tmp_path, capsys):
     ("bounds", None, ["--s", "2", "--radius", "10", "--cutoff", "0"]),
     ("estimate", None, ["--from-counts", (COUNTS_HEAD + Q5_ROWS_R3,), "--radius", "3"]),
     ("estimate", None, ["--from-counts", (COUNTS_HEAD + Q5_ROWS_R3,), "--max-norm", "5"]),
+    ("counts", None, ["--radius", "3", "--budget", "-1"]),
 ], ids=["radius-below-one", "counts-radius-inf", "bounds-radius-inf", "snr-nan",
         "no-min-poly", "roots-of-unity-text", "regulator-text", "not-json",
         "max-norm-negative", "counts-no-R", "counts-R-text", "counts-R-nan",
         "counts-short-row", "pep-empty-table", "counts-other-degree", "eve-gamma-nan",
         "eve-vol-inf", "precision-negative", "precision-below-53", "height-with-cutoff",
-        "radius-cutoff-zero", "from-counts-with-radius", "from-counts-with-max-norm"])
+        "radius-cutoff-zero", "from-counts-with-radius", "from-counts-with-max-norm",
+        "budget-negative"])
 def test_bad_input_is_a_named_error(tmp_path, capsys, command, doc_change, rest):
     """doc_change edits the Q(sqrt5) document (None drops a key) or replaces its
     text; a one-item tuple in rest is written to a file and passed by path."""
@@ -258,9 +260,20 @@ def test_snr_grid_is_checked_before_the_table(monkeypatch, capsys, snr):
     assert code == 2 and err.startswith("error:")
 
 
+def test_negative_budget_is_refused_before_the_sieve(monkeypatch, capsys):
+    def no_sieve(*args, **kwargs):
+        pytest.fail("the sieve ran before the budget was checked")
+
+    monkeypatch.setattr("nfbounds.cli.dirichlet_coeffs", no_sieve)
+    code, _, err = run(capsys, "counts", Q5, "--radius", "3", "--budget", "-1")
+    assert code == 2 and "ValidationError" in err
+
+
 def test_exit_code_budget_and_cutoff(capsys):
     code, _, err = run(capsys, "enumerate", Q5, "--radius", "50", "--budget", "10")
     assert code == 3 and "BoxTooLarge" in err
+    code, _, err = run(capsys, "counts", Q5, "--radius", "3", "--budget", "0")
+    assert code == 3 and "BoxTooLarge" in err and "raise --budget" in err
     with pytest.raises(SystemExit) as exc:
         main(["counts", Q5, "--radius", "10", "--cutoff", "5"])
     assert exc.value.code == 2

@@ -86,8 +86,16 @@ def test_negation_closure(quartic):
 
 
 def test_budget_guard(q5):
+    """A budget too small is a limit; a negative budget is bad input."""
+    z = dirichlet_coeffs(q5, 100)
     with pytest.raises(BoxTooLarge):
         enumerate_box(q5, BoxSpec(50.0), budget=100)
+    with pytest.raises(BoxTooLarge):
+        count_table(q5, BoxSpec(10.0), z, budget=0)
+    with pytest.raises(ValidationError):
+        enumerate_box(q5, BoxSpec(10.0), budget=-1)
+    with pytest.raises(ValidationError):
+        count_table(q5, BoxSpec(10.0), z, budget=-1)
 
 
 def test_count_table_examples(q5):

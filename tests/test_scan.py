@@ -15,10 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nfbounds.enumeration import (BoxSpec, _lll_transform, _scan_blocks, count_table,
-                                  enumerate_box)
+from conftest import fixture_path
+from nfbounds import numberfield
+from nfbounds.cli import main
+from nfbounds.enumeration import BoxSpec, _scan_blocks, count_table, enumerate_box, unit_orbits
 from nfbounds.errors import BoxTooLarge, InvariantError
-from nfbounds.numberfield import AlgebraicInt, _bareiss_dets, _fits_int64
+from nfbounds.numberfield import (AlgebraicInt, _bareiss_dets, _fits_int64, _lll_transform,
+                                  parse_field)
 from nfbounds.zeta import dirichlet_coeffs
 from bareiss_oracle import bareiss, mul_matrix, norm as oracle_norm
 from scan_oracle import dfs_scan
@@ -105,27 +108,133 @@ def oracle_norms(field, rows):
     return [oracle_norm(field, r) for r in rows]
 
 
-@pytest.mark.parametrize("fixture_name,R,dtype", [
+def reduced_matrices(field, rows):
+    """U^-1·M(x)·U in Python integers, from the power-basis M(x)."""
+    U, U_inv = (m.astype(object) for m in field.reduced_basis)
+    return U_inv @ field._mul_matrices(rows.astype(object)) @ U
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """(dtype, matrices, n, has a right-hand side) of every kernel call."""
+    calls = []
+    kernel = numberfield._bareiss_dets
+
+    def spy(a, rhs=None):
+        calls.append((a.dtype, a.shape[0], a.shape[1], rhs is not None))
+        return kernel(a, rhs)
+
+    monkeypatch.setattr(numberfield, "_bareiss_dets", spy)
+    return calls
+
+
+@pytest.mark.parametrize("fixture_name,R,power_basis_dtype", [
     ("q5", 10.0, np.int64), ("q5", 100.0, np.int64), ("q5", 300.0, np.int64),
     ("quartic", 5.0, np.int64), ("quartic", 10.0, np.int64),
     ("octic", 3.0, object), ("octic", 4.0, object), ("octic", 5.0, object)])
-def test_norm_rows_match_norm_coords(request, fixture_name, R, dtype):
+def test_norm_rows_match_norm_coords(request, kernel_calls, fixture_name, R, power_basis_dtype):
     field = request.getfixturevalue(fixture_name)
     rows = scan_rows(field, BoxSpec(R))
     want = oracle_norms(field, rows)
+    kernel_calls.clear()
     # the one-matrix call of the kernel, on a sample of the rows
     assert [field.norm_coords(tuple(r)) for r in rows[::40].tolist()] == want[::40]
-    # the Hadamard guard picks the dtype these boxes are pinned to
-    assert (_fits_int64(field._mul_matrices(rows.astype(float)))) == (dtype is np.int64)
+    # the Hadamard guard puts every box on int64 in the reduced basis; in the
+    # power basis it would send the octic ones to Python integers
+    power_basis_fits = _fits_int64(field._mul_matrices(rows.astype(float)))
+    assert power_basis_fits == (power_basis_dtype is np.int64)
+    mats = reduced_matrices(field, rows)
+    assert _fits_int64(mats.astype(float))
     assert field.norm_rows(rows).tolist() == want
-    # the other dtype path: Python integers everywhere, int64 where it fits
-    assert _bareiss_dets(field._mul_matrices(rows.astype(object)))[0].tolist() == want
-    small = np.abs(rows).max(axis=1) <= 1
-    mats = field._mul_matrices(rows[small].astype(float))
-    assert _fits_int64(mats)
+    assert {call[0] for call in kernel_calls} <= {np.dtype(np.int64)}
+    # both dtypes of the kernel, and the power basis: similar matrices
     dets = _bareiss_dets(mats.astype(np.int64))[0]
-    assert dets.dtype == np.int64
-    assert dets.tolist() == [v for v, s in zip(want, small) if s]
+    assert dets.dtype == np.int64 and dets.tolist() == want
+    assert _bareiss_dets(mats)[0].tolist() == want
+    assert _bareiss_dets(field._mul_matrices(rows.astype(object)))[0].tolist() == want
+
+
+@pytest.mark.parametrize("fixture_name,R", [
+    ("quartic", 6.0), ("octic", 3.0), ("octic", 4.0), ("octic", 5.0)])
+def test_norm_rows_cofactors_match_oracle(request, kernel_calls, fixture_name, R):
+    """Norms and cofactors adj(M(x))·e_0 mod |N(x)| of box rows against the
+    scalar elimination of the power-basis M(x); the kernel runs on int64
+    in the reduced basis."""
+    field = request.getfixturevalue(fixture_name)
+    rows = scan_rows(field, BoxSpec(R))
+    kernel_calls.clear()
+    norms, cofs = field.norm_rows(rows, cofactors=True)
+    assert norms.tolist() == field.norm_rows(rows).tolist()
+    e0 = [1] + [0] * (field.degree - 1)
+    for row, k, cof in zip(rows.tolist(), norms.tolist(), cofs.tolist()):
+        det, adj = bareiss(mul_matrix(field, row), e0)
+        assert (k, cof) == (det, [v % abs(det) for v in adj])
+    assert {dtype for dtype, *_ in kernel_calls} == {np.dtype(np.int64)}
+
+
+@pytest.mark.parametrize("argv,rows", [
+    (["counts", "--radius", "4.5", "--max-norm", "1000"], 986),
+    (["enumerate", "--radius", "3.5"], 150)], ids=["counts", "enumerate"])
+def test_octic_box_norms_take_one_int64_kernel_call(kernel_calls, tmp_path, argv, rows):
+    """The octic jobs of the benchmark: every box row's norm in one int64
+    kernel call.  The other calls are the resultant and the inverse of the
+    reduced basis, on Python integers."""
+    out = tmp_path / "out.csv"
+    assert main([argv[0], fixture_path("cyclo32real.json"), *argv[1:], "--out", str(out)]) == 0
+    norm_calls = [(dtype, size) for dtype, size, n, rhs in kernel_calls if n == 8 and not rhs]
+    assert norm_calls == [(np.dtype(np.int64), rows)]
+
+
+def test_rows_past_the_reduced_basis_guard_take_python_integers(octic, octic_units,
+                                                                kernel_calls):
+    """u^4, the smallest power of the first octic unit past the
+    reduced-basis guard, and u^4 + 1 run on Python integers, exactly; u^3
+    and u^3 + 1 run on int64."""
+    u, one = octic_units.units[0], octic.one()
+
+    def rows(k):
+        return np.array([(u ** k).coords, (u ** k + one).coords], dtype=np.int64)
+
+    fits = [_fits_int64(reduced_matrices(octic, rows(k)[:1]).astype(float)) for k in range(1, 5)]
+    assert fits == [True, True, True, False]
+    e0 = [1] + [0] * 7
+    for k, dtype in ((3, np.int64), (4, object)):
+        kernel_calls.clear()
+        norms, cofs = octic.norm_rows(rows(k), cofactors=True)
+        assert octic.norm_rows(rows(k)).tolist() == norms.tolist()
+        assert [call[0] for call in kernel_calls] == [np.dtype(dtype)] * 2
+        for row, norm, cof in zip(rows(k).tolist(), norms.tolist(), cofs.tolist()):
+            det, adj = bareiss(mul_matrix(octic, row), e0)
+            assert (norm, cof) == (det, [v % abs(det) for v in adj])
+        assert abs(norms[0]) == 1
+
+
+def test_non_unimodular_lll_falls_back_to_the_identity(monkeypatch, quartic, octic):
+    """A U that is not unimodular would change the lattice: the field takes
+    the power basis instead, and scan and norms are unchanged.  Scan and
+    norms share one LLL per field."""
+    calls = []
+
+    def doubled(B):
+        calls.append(B)
+        return 2 * np.eye(B.shape[1], dtype=np.int64)
+
+    for field in (quartic, octic):  # the fixtures keep their real bases
+        assert not np.array_equal(field.reduced_basis[0], np.eye(field.degree))
+    monkeypatch.setattr(numberfield, "_lll_transform", doubled)
+    for field, R in ((quartic, 6.0), (octic, 3.0)):
+        fresh = parse_field(field.min_poly, label=field.label)
+        box = BoxSpec(R)
+        rows = enumerate_box(fresh, box)
+        assert np.array_equal(rows, enumerate_box(field, box))
+        for U in fresh.reduced_basis:
+            assert np.array_equal(U, np.eye(field.degree))
+        assert fresh.norm_rows(rows).tolist() == field.norm_rows(rows).tolist()
+        got, want = fresh.norm_rows(rows, True), field.norm_rows(rows, True)
+        assert [a.tolist() for a in got] == [a.tolist() for a in want]
+        z = dirichlet_coeffs(fresh, int(R ** fresh.degree))
+        assert count_table(fresh, box, z).total_points == len(rows)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("fixture_name", ["q5", "quartic", "octic"])
@@ -193,17 +302,33 @@ def test_int64_guard_covers_back_substitution():
     assert adj[0].tolist() == [0, 2 ** 64]
 
 
-def test_norm_rows_cofactors_take_python_integers_past_the_sum_bound(octic):
-    """Back substitution sums n = 8 products: a row with 2·H^2 < 2^63 <= 8·H^2
-    keeps int64 norms but needs Python integers for its cofactor."""
-    row = np.array([[0, 1, 1, 1, 1, 0, 0, 0]], dtype=np.int64)
-    mats = octic._mul_matrices(row.astype(float))
-    e0 = np.eye(8, dtype=np.int64)[:1]
-    assert _fits_int64(mats) and not _fits_int64(mats, e0)
+def test_norm_rows_cofactors_take_python_integers_past_the_sum_bound(octic, kernel_calls):
+    """Back substitution sums n = 8 products: a row (a unit product plus 2)
+    whose reduced-basis [M_U(x) | U^-1·e_0] has 2·H^2 < 2^63 <= 8·H^2 keeps
+    int64 norms but needs Python integers for its cofactor."""
+    row = np.array([[3, 4, 2, -6, -3, 2, 1, 0]], dtype=np.int64)
+    mats = reduced_matrices(octic, row).astype(float)
+    rhs = octic.reduced_basis[1][None, :, 0]
+    assert _fits_int64(mats) and not _fits_int64(mats, rhs)
+    kernel_calls.clear()
+    norm = octic.norm_rows(row)
     det, cof = octic.norm_rows(row, cofactors=True)
+    assert [call[0] for call in kernel_calls] == [np.dtype(np.int64), np.dtype(object)]
     want_det, want_adj = bareiss(mul_matrix(octic, row[0]), [1] + [0] * 7)
-    assert det.tolist() == [want_det]
+    assert norm.tolist() == det.tolist() == [want_det]
     assert cof[0].tolist() == [c % abs(want_det) for c in want_adj]
+
+
+def test_int64_guards_take_magnitudes_in_python_integers(q5):
+    """|-2^63| wraps to -2^63 in int64: the degree-2 norm guard read 0 for
+    N(-2^63) = 2^126, and the orbit guard took int64 for rows whose
+    coordinates are all negative."""
+    assert q5.norm_rows(np.array([[-2 ** 63, 0]], dtype=np.int64)).tolist() == [2 ** 126]
+    assert q5.norm_coords((-2 ** 63, 0)) == 2 ** 126
+    row = (-2 ** 63, -1)
+    table = unit_orbits(q5, np.array([row], dtype=np.int64))
+    assert table.rows.tolist() == [list(row)]
+    assert table.norms.tolist() == [abs(oracle_norm(q5, row))] == [2 ** 126 + 2 ** 63 - 1]
 
 
 def test_bareiss_dets_match_oracle():
