@@ -42,7 +42,7 @@ from .zeta import dirichlet_coeffs
 
 _HINTS = {
     "SieveTooLarge": "lower --radius, --max-norm, --max or --cutoff",
-    "PrecisionTooHigh": "lower --precision",
+    "PrecisionTooHigh": "lower --precision, or move --radius or --tol off a boundary point",
     "CutoffTooSmall": "raise --cutoff",
     "NotTotallyReal": "the minimal polynomial must have only real roots",
     "NotSquarefree": "the minimal polynomial must be squarefree",
@@ -133,11 +133,19 @@ def unit_system_from_document(field: NumberField, doc: dict) -> UnitSystem:
     )
 
 
+def _box_and_budget(args) -> tuple[BoxSpec, int]:
+    """The box of --radius and --tol and the budget of --budget, checked;
+    an option left out takes the library default."""
+    budget = DEFAULT_BUDGET if args.budget is None else args.budget
+    _check_budget(budget)
+    tol = BoxSpec.boundary_tolerance if args.tol is None else args.tol
+    return BoxSpec(args.radius, tol), budget
+
+
 def _table_for(field: NumberField, doc: dict, args) -> CountTable:
-    _check_budget(args.budget)  # before the sieve
-    box = BoxSpec(args.radius, args.tol)
+    box, budget = _box_and_budget(args)  # before the sieve
     series = dirichlet_coeffs(field, max(_norm_cap(field, box, args.max_norm), 1))
-    return count_table(field, box, series, max_norm=args.max_norm, budget=args.budget)
+    return count_table(field, box, series, max_norm=args.max_norm, budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -173,15 +181,13 @@ def cmd_zeta_coeffs(args) -> int:
 
 def cmd_enumerate(args) -> int:
     field, _doc = load_field_document(args.field_doc, args.precision)
-    points = enumerate_box(field, BoxSpec(args.radius, args.tol), budget=args.budget)
+    points = enumerate_box(field, *_box_and_budget(args))
     header = [f"c{i}" for i in range(field.degree)] + ["norm", "height"]
-    norms = field.norm_rows(points)
 
-    def rows():  # each block's heights as it is written
+    def rows():  # each block's norms and correctly rounded heights as it is written
         for s in range(0, len(points), _CSV_BLOCK):
             block = points[s:s + _CSV_BLOCK]
-            heights = [field.element(r).height() for r in block.tolist()]
-            yield from _cells(*block.T, norms[s:s + _CSV_BLOCK], heights)
+            yield from _cells(*block.T, field.norm_rows(block), field.heights(block))
 
     _write_csv(header, rows(), args.out)
     return 0
@@ -241,8 +247,12 @@ def cmd_estimate(args) -> int:
     field, doc = load_field_document(args.field_doc, args.precision)
     us = unit_system_from_document(field, doc)
     if args.from_counts:
-        if args.radius is not None or args.max_norm is not None:
-            raise ValidationError("--radius and --max-norm build a table: --from-counts reads one")
+        given = [option for option, value in (("--radius", args.radius),
+                                              ("--max-norm", args.max_norm),
+                                              ("--tol", args.tol), ("--budget", args.budget))
+                 if value is not None]
+        if given:
+            raise ValidationError(f"{' and '.join(given)} build a table: --from-counts reads one")
         table, _meta = _read_counts_csv(args.from_counts)
         if table.degree != field.degree:
             raise ValidationError(f"counts file is for degree {table.degree}, "
@@ -329,12 +339,13 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, box=False):
         p.add_argument("field_doc", help="path to the field document (JSON)")
         p.add_argument("--precision", type=int, default=80,
-                       help="working precision in bits (default 80)")
+                       help="bits of the root brackets to start from; embedding "
+                            "decisions double them up to 4096 (default 80)")
         if box:
-            p.add_argument("--tol", type=float, default=1e-9,
-                           help="boundary tolerance for box membership")
-            p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                           help="candidate budget for enumeration")
+            p.add_argument("--tol", type=float,
+                           help="boundary tolerance for box membership (default 1e-9)")
+            p.add_argument("--budget", type=int,
+                           help=f"candidate budget for enumeration (default {DEFAULT_BUDGET})")
         p.add_argument("--out", help="output path (default stdout)")
         return p
 

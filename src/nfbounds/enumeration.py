@@ -19,8 +19,9 @@ innermost coordinate and the box is convex, so the prefix's box points
 form one run of that coordinate: the closed-box rule
 |sigma_i(x)| <= R + boundary_tolerance is tested only at the two ends of
 each candidate run, which step inward until they pass, and the points
-between are inside.  An end within a small float margin of the boundary
-is re-checked in high precision, so membership is certified.
+between are inside.  An end within the float error bound of the boundary
+is decided by `NumberField.enclose`, in integers, so membership is
+certified.
 
 Norm bucketing is always exact: `count_table` gathers scan blocks into
 batches of `_STACK_ROWS` rows, one `NumberField.norm_rows` call and one
@@ -38,12 +39,12 @@ import numpy as np
 
 from . import _memo
 from .errors import BoxTooLarge, CutoffMismatch, ValidationError
-from .numberfield import _STACK_ROWS, AlgebraicInt, NumberField, _max_abs
+from .numberfield import _STACK_ROWS, AlgebraicInt, NumberField, _closed_box, _max_abs
 from .zeta import ZetaSeries
 
 DEFAULT_BUDGET = 10 ** 8
 
-# float slack used before falling back to a high-precision boundary check
+# float slack of the candidate ranges, which certification then decides
 _FLOAT_MARGIN = 1e-10
 
 # prefixes x degree per frontier chunk: bounds the scan's working memory
@@ -110,8 +111,7 @@ def _scan_blocks(field: NumberField, box: BoxSpec, budget: int):
         keep = (absy <= Rt - unc).all(axis=0)
         for idx in np.flatnonzero(~keep & ~(absy > Rt + unc).any(axis=0)):
             x = AlgebraicInt(field, tuple(int(v) for v in cols[:, idx]))
-            # mpf-float comparisons are exact; abs() would round to mp.prec
-            keep[idx] = all(-Rt <= v <= Rt for v in x.embed_mp())
+            keep[idx] = x.embed_mp(_closed_box(Rt))  # certified, in integers
         return keep
 
     def ranges(j: int, partial: np.ndarray):

@@ -1,16 +1,21 @@
 """Exact arithmetic in the order Z[theta] of a totally real number field.
 
 The field is described by a monic squarefree integer polynomial; its real
-roots are isolated with exact Sturm counts and refined to a configurable
-working precision (default 80 bits) with a certified enclosure, so that
-all later boundary decisions (box membership, heights) can fall back on
-a rigorous high-precision value.  Norms are always computed by exact
-integer arithmetic, never by rounding a floating product: one
-fraction-free elimination kernel, run on int64 where a Hadamard bound
-proves it exact and on Python integers past it.  Each field keeps one
-LLL-reduced basis of Z[theta], found lazily; the box scan walks its
-coordinates, and the norm kernel takes its multiplication matrices in
-it, whose entries and minors are far smaller than in the power basis.
+roots are isolated with exact Sturm counts and kept as certified dyadic
+brackets [a/2^k, b/2^k], shrunk by exact signs to a configurable working
+precision (default 80 bits).  One primitive, `NumberField.enclose`,
+decides every question about the embeddings sigma_i(x) of integer
+coordinate rows past float accuracy (box membership, heights, unit
+logarithms): it encloses them by interval arithmetic on integers and
+doubles the bracket bits until the enclosure decides (Moore, *Interval
+Analysis*, 1966).  Norms
+are always computed by exact integer arithmetic, never by rounding a
+floating product: one fraction-free elimination kernel, run on int64
+where a Hadamard bound proves it exact and on Python integers past it.
+Each field keeps one LLL-reduced basis of Z[theta], found lazily; the box
+scan walks its coordinates, and the norm kernel takes its multiplication
+matrices in it, whose entries and minors are far smaller than in the
+power basis.
 """
 
 from __future__ import annotations
@@ -18,9 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from decimal import Decimal, localcontext
 from functools import cached_property
 
-import mpmath
 import numpy as np
 
 from .errors import (EmptyInput, InvariantError, NotMonic, NotSquarefree, NotTotallyReal,
@@ -29,11 +34,12 @@ from .errors import (EmptyInput, InvariantError, NotMonic, NotSquarefree, NotTot
 DEFAULT_PRECISION_BITS = 80
 # float64 mantissa: certification takes the float embeddings as exact to ~1e-14
 MIN_PRECISION_BITS = 53
-# one exact sign per refined bit: the octic fixture loads in ~8 s at 4,096 bits
+# the octic fixture loads in about 0.2 s at 4,096 bits;
+# also the most bits `NumberField.enclose` doubles up to
 MAX_PRECISION_BITS = 4096
 
-# extra mantissa bits used internally on top of the requested precision
-_GUARD_BITS = 24
+# decimal digits of the logarithms that `_log_abs` rounds to float
+_LOG_DIGITS = 40
 
 # matrices per batched kernel call: bounds the stacks' memory for any point set
 _STACK_ROWS = 1024
@@ -253,11 +259,17 @@ class Polynomial:
 # certified real root isolation (Sturm counts + dyadic bisection)
 
 
-def _sign_at(coeffs, a, k):
-    """Sign of f(a/2^k), read exactly from the integer 2^(k·deg)·f(a/2^k)."""
+def _scaled_value(coeffs, a, k):
+    """The integer 2^(k·deg)·f(a/2^k), exactly."""
     acc = 0
     for j, c in enumerate(reversed(coeffs)):
         acc = acc * a + (c << (k * j))
+    return acc
+
+
+def _sign_at(coeffs, a, k):
+    """Sign of f(a/2^k), read exactly from `_scaled_value`."""
+    acc = _scaled_value(coeffs, a, k)
     return (acc > 0) - (acc < 0)
 
 
@@ -295,13 +307,6 @@ def _sign_variations(chain, a, k):
 def _root_bound(coeffs):
     lead = abs(coeffs[-1])
     return 1 + max(abs(c) for c in coeffs[:-1]) // lead + 1
-
-
-def count_real_roots(coeffs) -> int:
-    """Number of distinct real roots of a squarefree integer polynomial."""
-    chain = _sturm_chain(coeffs)
-    bound = _root_bound(coeffs)
-    return _sign_variations(chain, -bound, 0) - _sign_variations(chain, bound, 0)
 
 
 def _isolate(coeffs):
@@ -352,19 +357,39 @@ def _isolate(coeffs):
 
 
 def _refine(coeffs, a, b, k, prec_bits):
-    """Midpoint, as an mpf, of the isolating interval [a/2^k, b/2^k] bisected
-    until the bracket [lo, hi] is at most max(1, |lo|, |hi|)·2^-(prec_bits+4)
-    wide.
+    """The isolating interval [a/2^k, b/2^k] shrunk until the bracket
+    [lo, hi] is at most max(1, |lo|, |hi|)·2^-(prec_bits+4) wide, as
+    (a, b, k) again.
 
-    Each step keeps the half whose ends have opposite exact signs, so the
-    enclosure stays certified; a zero sign at a midpoint is the root.  The
-    width is measured against the current bracket, so a root deep inside a
-    wide isolating interval still gets prec_bits relative bits.
+    Each step tries a Newton step from the midpoint at twice the bits: it
+    keeps the small bracket around the Newton point, clipped to the old
+    one, when the exact signs at its ends differ as the old ends' do.
+    Otherwise it bisects, keeping the half whose ends have opposite exact
+    signs.  So the enclosure stays certified, and a zero sign is the root,
+    a zero-width bracket.  The width is measured against the current
+    bracket, so a root deep inside a wide isolating interval still gets
+    prec_bits relative bits.
     """
     sign_a = _sign_at(coeffs, a, k)
+    slope = _poly_derivative(coeffs)
     while (b - a) << (prec_bits + 4) > max(1 << k, abs(a), abs(b)):
-        mid = a + b
-        a, b, k = 2 * a, 2 * b, k + 1
+        mid, k = a + b, k + 1
+        a, b = 2 * a, 2 * b
+        d = _scaled_value(slope, mid, k)  # 2^(k(deg-1))·f'(mid/2^k)
+        if d:
+            # x = mid/2^k - f/f' at scale 2^(2k); the error is about step^2 there
+            step = (_scaled_value(coeffs, mid, k) << k) // d
+            x, r = (mid << k) - step, max(4, (step * step) >> (2 * k - 4))
+            lo, hi = max(x - r, a << k), min(x + r, b << k)
+            if hi - lo < (b - a) << (k - 1):
+                sign_lo, sign_hi = _sign_at(coeffs, lo, 2 * k), _sign_at(coeffs, hi, 2 * k)
+                if 0 in (sign_lo, sign_hi):
+                    root = lo if sign_lo == 0 else hi
+                    a, b, k = root, root, 2 * k
+                    continue
+                if sign_lo == sign_a != sign_hi:
+                    a, b, k = lo, hi, 2 * k
+                    continue
         sign = _sign_at(coeffs, mid, k)
         if sign == 0:
             a = b = mid
@@ -372,21 +397,92 @@ def _refine(coeffs, a, b, k, prec_bits):
             a = mid
         else:
             b = mid
-    with mpmath.workprec(prec_bits + _GUARD_BITS):
-        return mpmath.ldexp(mpmath.mpf(a + b), -(k + 1))
+    return a, b, k
 
 
-def real_roots(poly, precision: float = 1e-15):
+def real_roots(poly, precision: float = 1e-15) -> list[Fraction]:
     """All real roots of a squarefree polynomial, sorted ascending.
 
-    Each root is returned as an mpmath float whose certified absolute
-    error is below ``precision * max(1, |root|)``.
+    Each root is returned as a dyadic rational, the midpoint of a certified
+    bracket, whose absolute error is below ``precision * max(1, |root|)``.
     """
     coeffs = poly.coeffs if isinstance(poly, Polynomial) else tuple(int(c) for c in poly)
     if _sylvester_resultant(coeffs, _poly_derivative(coeffs)) == 0:
         raise NotSquarefree("root isolation requires a squarefree polynomial")
     prec_bits = max(DEFAULT_PRECISION_BITS, int(-math.log2(precision)) + 8)
-    return [_refine(coeffs, a, b, k, prec_bits) for a, b, k in _isolate(coeffs)]
+    return [Fraction(a + b, 1 << (k + 1))
+            for a, b, k in (_refine(coeffs, *iv, prec_bits) for iv in _isolate(coeffs))]
+
+
+# ---------------------------------------------------------------------------
+# certified dyadic enclosures of embeddings (integer interval arithmetic)
+
+
+def _power_bounds(bracket, n: int, bits: int):
+    """(centres, radii) with |theta^j·2^bits - centres[j]| <= radii[j] for
+    j < n and every theta in the bracket [a/2^k, b/2^k]: exact interval
+    powers [lo, hi]/2^(k·j) of the bracket, first rounded outward to at
+    most 16 bits past the scale, then rounded outward to the scale 2^bits."""
+    a, b, k = bracket
+    if k > bits + 16:
+        drop = k - bits - 16
+        a, b, k = a >> drop, -(-b >> drop), bits + 16
+    lo = hi = 1
+    centres, radii = [], []
+    for j in range(n):
+        shift = k * j - bits
+        low, high = (lo >> shift, -(-hi >> shift)) if shift >= 0 else (lo << -shift, hi << -shift)
+        centres.append((low + high) >> 1)
+        radii.append(high - centres[-1])
+        ends = (lo * a, lo * b, hi * a, hi * b)
+        lo, hi = min(ends), max(ends)
+    return centres, radii
+
+
+def _rounded(C, E, bits):
+    """Rule for `NumberField.enclose`: each row's sigma_i(x) as correctly
+    rounded floats, decided once both ends of every enclosure round to
+    the same float (rounding is monotonic, so the exact value does too)."""
+    scale = 1 << bits
+    low, high = ((C - E) / scale).astype(float), ((C + E) / scale).astype(float)
+    decided = (low == high).all(axis=1)
+    return [row if ok else None for row, ok in zip(low.tolist(), decided.tolist())]
+
+
+def _log_abs(C, E, bits):
+    """Rule for `NumberField.enclose`: each row's log|sigma_i(x)| as
+    correctly rounded floats, decided once every enclosure is within 2^-60
+    relative of its centre and the logarithm of the centre (to
+    `_LOG_DIGITS` digits), widened by the enclosure's relative width and
+    that rounding, rounds to one float at both ends."""
+    def log(c, e):
+        if c <= e << 60:
+            return None
+        y = (Decimal(c) / scale).ln()
+        # |log(c ± e) - log(c)| <= e / (c - e), plus the rounding of y
+        width = Decimal(e) / Decimal(c - e) + slack * (1 + abs(y))
+        low, high = float(y - width), float(y + width)
+        return low if low == high else None
+
+    with localcontext() as ctx:
+        ctx.prec = _LOG_DIGITS
+        scale, slack = Decimal(1 << bits), Decimal(10) ** (2 - _LOG_DIGITS)
+        rows = [[log(c, e) for c, e in zip(cs, es)] for cs, es in zip(np.abs(C), E)]
+    return [None if None in row else row for row in rows]
+
+
+def _closed_box(bound: float):
+    """Rule for `NumberField.enclose`: whether |sigma_i(x)| <= bound for
+    every i, the float bound taken as the dyadic rational it is."""
+    p, q = float(bound).as_integer_ratio()
+
+    def rule(C, E, bits):
+        size, slack, limit = np.abs(C) * q, E * q, p << bits
+        inside = (size + slack <= limit).all(axis=1)
+        outside = (size - slack > limit).any(axis=1)
+        return [True if i else False if o else None for i, o in zip(inside, outside)]
+
+    return rule
 
 
 # ---------------------------------------------------------------------------
@@ -398,18 +494,24 @@ class NumberField:
 
     Instances are immutable after construction and safe to share across
     threads; all element operations are pure functions of (field, coords).
+    The enclosure tables fill lazily, and whichever brackets a thread
+    builds one from, it is certified and decides the same.
     """
 
-    def __init__(self, min_poly: Polynomial, embeddings_mp, precision_bits: int,
-                 label: str = ""):
+    def __init__(self, min_poly: Polynomial, brackets, precision_bits: int, label: str = ""):
         self.min_poly = min_poly
         self.degree = min_poly.degree
-        self.embeddings_mp = tuple(embeddings_mp)
-        self.embeddings = np.array([float(r) for r in embeddings_mp])
+        # certified dyadic root brackets (a, b, k), ascending, at precision_bits
+        self.brackets = tuple(brackets)
         self.signature = (self.degree, 0)
         self.precision_bits = int(precision_bits)
         self.label = label or str(min_poly)
+        # enclosure tables by bits, and the finest brackets refined for them
+        self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._brackets = list(self.brackets)
         n = self.degree
+        theta = [0, 1] + [0] * (n - 2)
+        self.embeddings = np.array(self.enclose([theta], _rounded)[0])
         # Vandermonde of embeddings: row i holds sigma_i(theta)^j
         self.embedding_matrix = np.vander(self.embeddings, n, increasing=True)
         self.embeddings.setflags(write=False)
@@ -456,6 +558,54 @@ class NumberField:
 
     def __repr__(self):
         return f"NumberField({self.label!r}, degree={self.degree})"
+
+    # -- certified embeddings ----------------------------------------------
+
+    def _table(self, bits: int) -> tuple[np.ndarray, np.ndarray]:
+        """(centres, radii), (n, n) Python integers: |sigma_i(theta)^j·2^bits
+        - centres[i, j]| <= radii[i, j], from the brackets refined to bits,
+        each refined on from the finest one held."""
+        if bits not in self._tables:
+            coeffs = self.min_poly.coeffs
+            brackets = [_refine(coeffs, *bracket, bits) for bracket in self._brackets]
+            rows = [_power_bounds(bracket, self.degree, bits) for bracket in brackets]
+            self._brackets = brackets
+            self._tables[bits] = tuple(np.array(m, dtype=object) for m in zip(*rows))
+        return self._tables[bits]
+
+    def enclose(self, rows, rule) -> list:
+        """The certified embeddings primitive: for every integer coordinate
+        row x, rule's verdict on dyadic enclosures of sigma_1(x), ...,
+        sigma_n(x), as a list.
+
+        rule(C, E, bits) gets (P, n) Python-integer arrays for P rows with
+        |sigma_i(x)·2^bits - C[p, i]| <= E[p, i], the sum over j of x_j
+        times the interval theta_i^j of `_table`, and returns one value per
+        row, None where the enclosure does not decide.  Undecided rows go
+        again with the brackets at twice the bits, from `precision_bits` up
+        to `MAX_PRECISION_BITS`; a row still undecided there raises
+        PrecisionTooHigh.  Rows may hold Python integers past int64.
+        """
+        rows = np.array(rows, dtype=object).reshape(-1, self.degree)
+        out = [None] * len(rows)
+        pending, bits = np.arange(len(rows)), self.precision_bits
+        while len(pending):
+            centres, radii = self._table(bits)
+            x = rows[pending]
+            for i, value in zip(pending.tolist(), rule(x @ centres.T, np.abs(x) @ radii.T, bits)):
+                out[i] = value
+            pending = np.array([i for i in pending.tolist() if out[i] is None], dtype=np.intp)
+            if len(pending) and bits >= MAX_PRECISION_BITS:
+                raise PrecisionTooHigh(f"{len(pending)} embedding decisions need more than "
+                                       f"{MAX_PRECISION_BITS} bits")
+            bits = min(2 * bits, MAX_PRECISION_BITS)
+        return out
+
+    def heights(self, rows) -> np.ndarray:
+        """max_i |sigma_i(x)| of every coordinate row, correctly rounded to
+        float: the largest of the correctly rounded |sigma_i(x)|."""
+        rounded = np.array(self.enclose(rows, _rounded), dtype=float).reshape(-1, self.degree)
+        return np.abs(rounded).max(axis=1, initial=0.0)
 
     # -- exact ring helpers ------------------------------------------------
 
@@ -609,17 +759,17 @@ class AlgebraicInt:
     def embed(self) -> np.ndarray:
         return self.field.embedding_matrix @ np.array(self.coords, dtype=float)
 
-    def embed_mp(self):
-        with mpmath.workprec(self.field.precision_bits + _GUARD_BITS):
-            return [_poly_eval(self.coords, r) for r in self.field.embeddings_mp]
+    def embed_mp(self, rule):
+        """`NumberField.enclose` on this one element: rule's verdict.  The
+        scan's closed-box re-checks call it once per point, so a trace of
+        this method counts them."""
+        return self.field.enclose([self.coords], rule)[0]
 
     def norm(self) -> int:
         return self.field.norm_coords(self.coords)
 
     def height(self) -> float:
-        if self.is_zero():
-            return 0.0
-        return float(max(abs(v) for v in self.embed_mp()))
+        return float(self.field.heights([self.coords])[0])
 
     def __add__(self, other):
         self._check(other)
@@ -681,8 +831,8 @@ def parse_field(poly: Polynomial, precision_bits: int = DEFAULT_PRECISION_BITS,
         raise NotTotallyReal(
             f"{poly} has {len(intervals)} real roots out of degree {n}; field is not totally real"
         )
-    roots = [_refine(poly.coeffs, a, b, k, precision_bits) for a, b, k in intervals]
-    return NumberField(poly, roots, precision_bits, label)
+    brackets = [_refine(poly.coeffs, a, b, k, precision_bits) for a, b, k in intervals]
+    return NumberField(poly, brackets, precision_bits, label)
 
 
 def min_product_distance(points) -> int:

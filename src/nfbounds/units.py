@@ -5,7 +5,9 @@ the periodic continued-fraction expansion of theta, entirely in integer
 arithmetic.  For higher degree the caller supplies an independent system
 of units (fixture data); the builder validates unit-ness and independence
 and cross-checks the resulting regulator against two different minors and,
-when available, an expected value.
+when available, an expected value.  The log rows are the correctly
+rounded log|sigma_j(eps_i)|, decided by `NumberField.enclose` with as many
+bits as the cancellation in a small conjugate takes.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from .errors import (
@@ -23,7 +24,7 @@ from .errors import (
     ValidationError,
     WrongRank,
 )
-from .numberfield import AlgebraicInt, NumberField, _GUARD_BITS
+from .numberfield import AlgebraicInt, NumberField, _log_abs, _rounded
 
 _MINOR_AGREEMENT = 1e-9
 _REGULATOR_RTOL = 1e-6
@@ -103,8 +104,11 @@ def quadratic_fundamental_unit(field: NumberField) -> AlgebraicInt:
     # pick the representative with sigma_max > 1 among {u, -u, u^-1, -u^-1}
     inv_coords = field.inverse_coords_rational(u.coords)
     u_inv = field.element([int(c) for c in inv_coords])
-    for cand in (u, -u, u_inv, -u_inv):
-        if cand.embed_mp()[-1] > 1:
+    # sigma_max of a unit other than ±1 is at least phi or at most 1/phi in
+    # size, so its correctly rounded float compares with 1 as it does
+    candidates = (u, -u, u_inv, -u_inv)
+    for cand, sigma in zip(candidates, field.enclose([c.coords for c in candidates], _rounded)):
+        if sigma[-1] > 1:
             return cand
     raise ValidationError("internal error: no candidate exceeds 1")
 
@@ -155,11 +159,8 @@ def build_unit_system(field: NumberField, units=None, w: int = 2,
     for u, k in zip(units, field.norm_rows([u.coords for u in units])):
         if abs(k) != 1:
             raise NotAUnit(f"|N{u.coords}| = {abs(k)} != 1")
-    with mpmath.workprec(field.precision_bits + _GUARD_BITS):
-        rows = []
-        for u in units:
-            rows.append([float(mpmath.log(abs(v))) for v in u.embed_mp()])
-    A = np.array(rows)
+    # correctly rounded logs: a small conjugate needs the bits its cancellation eats
+    A = np.array(field.enclose([u.coords for u in units], _log_abs))
     row_sums = np.abs(A.sum(axis=1))
     if row_sums.max() > 1e-8:
         raise NotAUnit(f"log rows do not sum to zero (max {row_sums.max():.2e})")

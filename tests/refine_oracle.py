@@ -4,7 +4,7 @@ Each step probes a Newton candidate in mpmath, converts it to a
 `Fraction`, and forces one more exact bisection, with every bracket
 update decided by an exact rational sign.  The library refines by plain
 bisection on dyadic integer brackets (`numberfield._refine`); the tests
-compare the two enclosures root by root.
+compare the bracket midpoints with the oracle's roots.
 """
 
 from __future__ import annotations
@@ -13,7 +13,10 @@ from fractions import Fraction
 
 import mpmath
 
-from nfbounds.numberfield import _GUARD_BITS, _poly_derivative, _poly_eval
+from nfbounds.numberfield import _poly_derivative, _poly_eval
+
+# extra mantissa bits of the mpmath working precision
+_GUARD_BITS = 24
 
 
 def _mpf_to_fraction(x):

@@ -3,8 +3,8 @@
 One coordinate per recursion level, in the LLL-reduced system, with the
 same interval propagation and margins as `enumeration._scan_blocks`.  It
 is the per-point certification oracle: every candidate of the innermost
-level passes the float prefilter and the closed-box test on its own.
-The library walks the same tree a chunk of prefixes at a time and tests
+level passes the float prefilter and the closed-box test on its own, and
+the float test's undecided candidates go to 400-bit mpmath.  The library walks the same tree a chunk of prefixes at a time and tests
 only the two ends of each innermost run, relying on the convexity of
 the box for the points between; the tests compare the two row sets and
 candidate counts.
@@ -12,13 +12,32 @@ candidate counts.
 
 from __future__ import annotations
 
+import functools
 import math
 
+import mpmath
 import numpy as np
 
 from nfbounds.enumeration import _FLOAT_MARGIN, BoxSpec
 from nfbounds.errors import BoxTooLarge
-from nfbounds.numberfield import AlgebraicInt, NumberField, _lll_transform
+from nfbounds.numberfield import NumberField, _lll_transform
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_roots(coeffs):
+    """The real roots of the polynomial at 400 bits, ascending, by mpmath."""
+    with mpmath.workprec(400):
+        roots = mpmath.polyroots(list(reversed(coeffs)), maxsteps=200, extraprec=400)
+        return sorted(mpmath.re(r) for r in roots)
+
+
+def mp_inside(field: NumberField, coords, bound: float) -> bool:
+    """|sigma_i(x)| <= bound for every i, in 400-bit mpmath: the library
+    decides the same in integers (`NumberField.enclose`).  A rational
+    integer x is summed exactly; mpf-float comparisons are exact."""
+    with mpmath.workprec(400):
+        return all(-bound <= mpmath.fsum(int(c) * r ** j for j, c in enumerate(coords)) <= bound
+                   for r in _mp_roots(field.min_poly.coeffs))
 
 
 def dfs_scan(field: NumberField, box: BoxSpec, budget: int = 10 ** 12):
@@ -54,9 +73,7 @@ def dfs_scan(field: NumberField, box: BoxSpec, budget: int = 10 ** 12):
         clear_out = np.any(absy > Rt + np.abs(unc), axis=1)
         keep = clear_in.copy()
         for idx in np.flatnonzero(~clear_in & ~clear_out):
-            x = AlgebraicInt(field, tuple(int(v) for v in rows[idx]))
-            # mpf-float comparisons are exact; abs() would round to mp.prec
-            keep[idx] = all(-Rt <= v <= Rt for v in x.embed_mp())
+            keep[idx] = mp_inside(field, rows[idx], Rt)
         return rows[keep]
 
     def descend(j: int, partial: np.ndarray):

@@ -2,12 +2,17 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from collections import OrderedDict
+from pathlib import Path
 
 import pytest
 
+import nfbounds
 from conftest import fixture_path
 from nfbounds import _memo
 from nfbounds.cli import main
@@ -213,13 +218,18 @@ def test_exit_code_validation(tmp_path, capsys):
     ("estimate", None, ["--from-counts", (COUNTS_HEAD + Q5_ROWS_R3,), "--radius", "3"]),
     ("estimate", None, ["--from-counts", (COUNTS_HEAD + Q5_ROWS_R3,), "--max-norm", "5"]),
     ("counts", None, ["--radius", "3", "--budget", "-1"]),
+    ("estimate", None, ["--from-counts", (COUNTS_HEAD + Q5_ROWS_R3,), "--budget", "10"]),
+    ("estimate", None, ["--from-counts", (COUNTS_HEAD + Q5_ROWS_R3,), "--tol", "0.1"]),
+    ("estimate", None, ["--from-counts", (COUNTS_HEAD + Q5_ROWS_R3,),
+                        "--budget", "-1", "--tol", "-5"]),
 ], ids=["radius-below-one", "counts-radius-inf", "bounds-radius-inf", "snr-nan",
         "no-min-poly", "roots-of-unity-text", "regulator-text", "not-json",
         "max-norm-negative", "counts-no-R", "counts-R-text", "counts-R-nan",
         "counts-short-row", "pep-empty-table", "counts-other-degree", "eve-gamma-nan",
         "eve-vol-inf", "precision-negative", "precision-below-53", "height-with-cutoff",
         "radius-cutoff-zero", "from-counts-with-radius", "from-counts-with-max-norm",
-        "budget-negative"])
+        "budget-negative", "from-counts-with-budget", "from-counts-with-tol",
+        "from-counts-with-invalid-budget-and-tol"])
 def test_bad_input_is_a_named_error(tmp_path, capsys, command, doc_change, rest):
     """doc_change edits the Q(sqrt5) document (None drops a key) or replaces its
     text; a one-item tuple in rest is written to a file and passed by path."""
@@ -444,3 +454,14 @@ def test_octic_estimate_smoke(tmp_path, capsys):
     assert lines[1] == "k,a_k,b_k,n_k_raw,n_k,f_k"
     first = lines[2].split(",")
     assert first[0] == "1" and int(first[2]) >= 2  # unit row present
+
+
+def test_cli_import_leaves_mpmath_out():
+    """Embeddings are decided in integers, so mpmath is only a test
+    dependency: a fresh `import nfbounds.cli` must not load it."""
+    src = str(Path(nfbounds.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, nfbounds.cli; print(sorted(m for m in sys.modules if 'mpmath' in m))"
+    done = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
+    assert done.stdout.strip() == "[]"

@@ -14,7 +14,6 @@ from nfbounds.numberfield import (
     Polynomial,
     _isolate,
     _refine,
-    count_real_roots,
     min_product_distance,
     parse_field,
     real_roots,
@@ -79,9 +78,9 @@ def test_real_roots_cubic():
 
 
 def test_real_root_count():
-    assert count_real_roots((1, 0, 1)) == 0
-    assert count_real_roots((-1, -1, 1)) == 2
-    assert count_real_roots((2, 0, -16, 0, 20, 0, -8, 0, 1)) == 8
+    assert len(_isolate((1, 0, 1))) == 0
+    assert len(_isolate((-1, -1, 1))) == 2
+    assert len(_isolate((2, 0, -16, 0, 20, 0, -8, 0, 1))) == 8
 
 
 def test_exact_integer_roots_handled():
@@ -118,7 +117,9 @@ def test_bisected_roots_match_newton_oracle(coeffs, bits):
     for a, b, k in intervals:
         lo, hi = Fraction(a, 1 << k), Fraction(b, 1 << k)
         width = max(1, abs(lo), abs(hi)) * Fraction(1, 2 ** (bits + 4))
-        root = _mpf_to_fraction(_refine(coeffs, a, b, k, bits))
+        a, b, k = _refine(coeffs, a, b, k, bits)
+        assert Fraction(b - a, 1 << k) <= width
+        root = Fraction(a + b, 1 << (k + 1))  # the bracket's midpoint
         want, _ = oracle_refine(coeffs, lo, hi, bits)  # its float half-width underflows
         # both brackets hold the root and are at most `width` wide, so their
         # centres lie within `width` of each other; 2^-20 covers the rounding
@@ -139,7 +140,7 @@ def test_parse_field_roots_are_certified(low):
         field = parse_field(coeffs)
     except ValidationError:
         return
-    roots = [_mpf_to_fraction(r) for r in field.embeddings_mp]
+    roots = [Fraction(a + b, 1 << (k + 1)) for a, b, k in field.brackets]
     assert len(roots) == field.degree and roots == sorted(set(roots))
     for r in roots:
         assert _encloses_a_root(coeffs, r, max(1, abs(r)) * Fraction(1, 2 ** 80))
@@ -366,7 +367,7 @@ def test_poly_discriminant_all_fixtures(q5, quartic, octic):
     assert octic.poly_discriminant == 2 ** 31
     # independent check: prod_{i<j} (r_i - r_j)^2 from the embeddings
     for field in (q5, quartic, octic):
-        r = field.embeddings_mp
+        r = [Fraction(a + b, 1 << (k + 1)) for a, b, k in field.brackets]
         prod = 1
         for i in range(field.degree):
             for j in range(i + 1, field.degree):

@@ -24,7 +24,7 @@ from nfbounds.numberfield import (AlgebraicInt, _bareiss_dets, _fits_int64, _lll
                                   parse_field)
 from nfbounds.zeta import dirichlet_coeffs
 from bareiss_oracle import bareiss, mul_matrix, norm as oracle_norm
-from scan_oracle import dfs_scan
+from scan_oracle import dfs_scan, mp_inside
 
 ORACLE_CASES = [("q5", 10.0), ("q5", 100.0), ("q5", 300.0), ("quartic", 5.0),
                 ("quartic", 10.0), ("octic", 3.0), ("octic", 4.0), ("octic", 5.0)]
@@ -74,9 +74,9 @@ def test_run_ends_step_inward_on_both_sides(q5, monkeypatch):
     rechecked = []
     embed_mp = AlgebraicInt.embed_mp
 
-    def recording(self):
+    def recording(self, rule):
         rechecked.append(self.coords)
-        return embed_mp(self)
+        return embed_mp(self, rule)
 
     monkeypatch.setattr(AlgebraicInt, "embed_mp", recording)
     got = [tuple(r) for r in scan_rows(q5, BoxSpec(R, 0.0)).tolist()]
@@ -448,6 +448,32 @@ def test_closed_box_boundary_mixed_signs(q5):
         for R, inside in radii:
             got = {tuple(r) for r in scan_rows(q5, BoxSpec(R, 0.0)).tolist()}
             assert ((a, b) in got, (-a, -b) in got) == (inside, inside), (a, b, R)
+
+
+@pytest.mark.parametrize("k,inside", [(73, False), (74, True), (75, False), (76, True)])
+def test_closed_box_boundary_lucas_radius(q5, k, inside):
+    """Tolerance 0, x = phi^k = F_(k-1) + F_k·theta and R = L_k, a Lucas
+    number exact as a float.  phi^k = L_k - psi^k with psi = -1/phi, so x
+    lies phi^-k inside the box for even k and as far outside for odd k:
+    about 2^-102 relative to R, past any fixed 104-bit evaluation.  The
+    primitive and the closed-box rule that the scan's run ends use both
+    decide it, in agreement with 400-bit mpmath."""
+    fib = [0, 1]
+    while len(fib) <= k + 1:
+        fib.append(fib[-1] + fib[-2])
+    x, lucas = (fib[k - 1], fib[k]), fib[k - 1] + fib[k + 1]
+    R = float(lucas)
+    assert R == lucas and (q5.theta() ** k).coords == x
+    with mpmath.workprec(400):
+        assert (((1 + mpmath.sqrt(5)) / 2) ** k <= R) == inside
+    assert mp_inside(q5, x, R) == inside
+    rule = numberfield._closed_box(R)
+    minus = tuple(-c for c in x)
+    assert q5.enclose([x, minus], rule) == [inside, inside]
+    assert q5.element(x).embed_mp(rule) is inside
+    # one float below L_k both are outside, so the decision is not at the ulp of R
+    below = numberfield._closed_box(math.nextafter(R, 0))
+    assert q5.enclose([x, minus], below) == [False, False]
 
 
 def test_box_sure_to_pass_the_budget_is_refused_at_once(q5):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,7 +18,7 @@ def test_fundamental_unit_golden(q5):
     u = quadratic_fundamental_unit(q5)
     assert u.coords == (0, 1)  # theta itself
     assert abs(u.norm()) == 1
-    assert math.log(float(u.embed_mp()[-1])) == pytest.approx(GOLDEN_REGULATOR, abs=1e-12)
+    assert math.log(u.embed()[-1]) == pytest.approx(GOLDEN_REGULATOR, abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -42,13 +43,36 @@ def test_fundamental_unit_brute_force_oracle(coeffs):
     """No unit of the order lies strictly between 1 and the fundamental one."""
     field = parse_field(Polynomial(coeffs))
     u = quadratic_fundamental_unit(field)
-    top = float(u.embed_mp()[-1])
+    top = u.height()
     points = [field.element(r) for r in enumerate_box(field, BoxSpec(top + 1e-6)).tolist()]
     strictly_between = [
         p for p in points
         if abs(p.norm()) == 1 and 1 + 1e-9 < p.embed()[-1] < top - 1e-9
     ]
     assert strictly_between == []
+
+
+def test_every_quadratic_unit_below_1000_validates():
+    """x^2 - d for all 968 nonsquare d in [2, 999]: the continued-fraction
+    unit eps = a + b·sqrt(d) validates, and its log row is the correctly
+    rounded (-log eps, log eps), against 400-bit-plus mpmath.  The small
+    conjugate 1/eps cancels in a + b·(-sqrt(d)): at a fixed 104 bits its
+    log row failed to sum to zero for 154 of these d (151 and 211 among
+    them)."""
+    checked = 0
+    for d in range(2, 1000):
+        if math.isqrt(d) ** 2 == d:
+            continue
+        field = parse_field(Polynomial((-d, 0, 1)))
+        us = build_unit_system(field)
+        a, b = us.units[0].coords
+        assert a > 0 and b > 0 and a * a - d * b * b in (1, -1)
+        with mpmath.workprec(2 * (a * b).bit_length() + 400):
+            log_eps = float(mpmath.log(a + b * mpmath.sqrt(d)))
+        assert us.log_matrix.tolist() == [[-log_eps, log_eps]], d
+        assert us.regulator == pytest.approx(log_eps, rel=1e-15, abs=0), d
+        checked += 1
+    assert checked == 968
 
 
 def test_is_unit(q5):
@@ -120,8 +144,6 @@ def test_build_unit_system_errors(q5, quartic):
 
 def test_floor_surd_randomized_oracle():
     import random
-
-    import mpmath
 
     from nfbounds.units import _floor_surd
 

@@ -28,7 +28,7 @@ import mpmath
 import numpy as np
 
 from nfbounds.enumeration import BoxSpec, enumerate_box
-from nfbounds.numberfield import Polynomial, parse_field
+from nfbounds.numberfield import Polynomial, _poly_eval, parse_field
 
 PREC_BITS = 220
 
@@ -103,12 +103,20 @@ def saturate(field, units):
     return out
 
 
+def embed_mp(field, u):
+    """sigma_i(u) in mpmath, by Horner at the midpoints of the field's
+    root brackets, with 24 guard bits over the working precision."""
+    with mpmath.workprec(PREC_BITS + 24):
+        roots = [mpmath.ldexp(mpmath.mpf(a + b), -(k + 1)) for a, b, k in field.brackets]
+        return [_poly_eval(u.coords, r) for r in roots]
+
+
 def regulator_mp(field, units):
     """Regulator at working precision, as a high-precision string."""
     with mpmath.workprec(PREC_BITS):
         rows = []
         for u in units:
-            rows.append([mpmath.log(abs(v)) for v in u.embed_mp()])
+            rows.append([mpmath.log(abs(v)) for v in embed_mp(field, u)])
         r = len(units)
         A = mpmath.matrix([row[:r] for row in rows])
         return abs(mpmath.det(A))
