@@ -4,10 +4,10 @@ One coordinate per recursion level, in the LLL-reduced system, with the
 same interval propagation and margins as `enumeration._scan_blocks`.  It
 is the per-point certification oracle: every candidate of the innermost
 level passes the float prefilter and the closed-box test on its own, and
-the float test's undecided candidates go to 400-bit mpmath.  The library walks the same tree a chunk of prefixes at a time and tests
-only the two ends of each innermost run, relying on the convexity of
-the box for the points between; the tests compare the two row sets and
-candidate counts.
+the float test's undecided candidates go to 400-bit mpmath.  The library
+walks the same tree a chunk of prefixes at a time and tests only the two
+ends of each innermost run, relying on the convexity of the box for the
+points between; the tests compare the two row sets and candidate counts.
 """
 
 from __future__ import annotations
