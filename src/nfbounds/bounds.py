@@ -122,8 +122,7 @@ class BoundReport:
 # height-truncated statements (class number 1)
 
 
-def height_bound_report(field: NumberField, unit_system: UnitSystem,
-                        s: int, m: float) -> BoundReport:
+def height_bound_report(field: NumberField, s: int, m: float) -> BoundReport:
     """Both zeta-based statements for the height-m truncation at exponent s.
 
     Read off the unit orbits of the height-m box: b_k, the number of box
@@ -139,7 +138,7 @@ def height_bound_report(field: NumberField, unit_system: UnitSystem,
     b = np.diff(orbits.starts[first], append=len(orbits.rows))
     with np.errstate(over="ignore"):  # b_k / inf = 0.0 is below the last bit: b_1 >= 2
         total = float((b / ks.astype(float) ** s).sum())
-    zeta_trunc = bounded_height_zeta(field, unit_system, s, m)
+    zeta_trunc = bounded_height_zeta(field, s, m)
     return BoundReport(
         s=s, m_or_R=m, norm_sum=total,
         zeta_truncated=zeta_trunc, lower_bound=zeta_trunc,
@@ -150,17 +149,15 @@ def height_bound_report(field: NumberField, unit_system: UnitSystem,
 full_height_report = height_bound_report
 
 
-def lower_bound_check(field: NumberField, unit_system: UnitSystem,
-                      s: int, m: float) -> tuple[float, float, bool]:
+def lower_bound_check(field: NumberField, s: int, m: float) -> tuple[float, float, bool]:
     """(S(s,m), zeta(s,m), verdict S > zeta > 1)."""
-    rep = height_bound_report(field, unit_system, s, m)
+    rep = height_bound_report(field, s, m)
     return rep.norm_sum, rep.zeta_truncated, rep.lower_holds
 
 
-def coefficient_upper_bound(table: CountTable, field: NumberField,
-                            unit_system: UnitSystem, s: int) -> float:
+def coefficient_upper_bound(table: CountTable, field: NumberField, s: int) -> float:
     """max{b_k} * zeta(s, m) for the table's own box; checks it dominates."""
-    bound = int(table.b.max()) * bounded_height_zeta(field, unit_system, s, table.R)
+    bound = int(table.b.max()) * bounded_height_zeta(field, s, table.R)
     if norm_sum(table, s) > bound * (1 + 1e-12):
         raise ValidationError("coefficient bound failed; table inconsistent with its box")
     return bound

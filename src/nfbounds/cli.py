@@ -42,7 +42,7 @@ from .zeta import dirichlet_coeffs
 
 _HINTS = {
     "SieveTooLarge": "lower --radius, --max-norm, --max or --cutoff",
-    "PrecisionTooHigh": "lower --precision, or move --radius or --tol off a boundary point",
+    "PrecisionTooHigh": "move --radius or --tol off a boundary point",
     "CutoffTooSmall": "raise --cutoff",
     "NotTotallyReal": "the minimal polynomial must have only real roots",
     "NotSquarefree": "the minimal polynomial must be squarefree",
@@ -99,7 +99,7 @@ def _int_list(value, what: str) -> list[int]:
     return value
 
 
-def load_field_document(path: str, precision_bits: int) -> tuple[NumberField, dict]:
+def load_field_document(path: str) -> tuple[NumberField, dict]:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
@@ -111,7 +111,7 @@ def load_field_document(path: str, precision_bits: int) -> tuple[NumberField, di
         raise ValidationError(
             "field document must set assume_maximal_order: computations use Z[theta]"
         )
-    field = parse_field(poly, precision_bits=precision_bits, label=doc.get("label", ""))
+    field = parse_field(poly, label=doc.get("label", ""))
     return field, doc
 
 
@@ -142,7 +142,7 @@ def _box_and_budget(args) -> tuple[BoxSpec, int]:
     return BoxSpec(args.radius, tol), budget
 
 
-def _table_for(field: NumberField, doc: dict, args) -> CountTable:
+def _table_for(field: NumberField, args) -> CountTable:
     box, budget = _box_and_budget(args)  # before the sieve
     series = dirichlet_coeffs(field, max(_norm_cap(field, box, args.max_norm), 1))
     return count_table(field, box, series, max_norm=args.max_norm, budget=budget)
@@ -153,7 +153,7 @@ def _table_for(field: NumberField, doc: dict, args) -> CountTable:
 
 
 def cmd_field_info(args) -> int:
-    field, doc = load_field_document(args.field_doc, args.precision)
+    field, doc = load_field_document(args.field_doc)
     us = unit_system_from_document(field, doc)
     payload = {
         "label": field.label,
@@ -172,7 +172,7 @@ def cmd_field_info(args) -> int:
 
 
 def cmd_zeta_coeffs(args) -> int:
-    field, _doc = load_field_document(args.field_doc, args.precision)
+    field, _doc = load_field_document(args.field_doc)
     series = dirichlet_coeffs(field, args.max)
     ks = np.arange(1, args.max + 1)
     _write_csv(["k", "a_k"], _cells(ks, series.a[ks]), args.out)
@@ -180,7 +180,7 @@ def cmd_zeta_coeffs(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    field, _doc = load_field_document(args.field_doc, args.precision)
+    field, _doc = load_field_document(args.field_doc)
     points = enumerate_box(field, *_box_and_budget(args))
     header = [f"c{i}" for i in range(field.degree)] + ["norm", "height"]
 
@@ -200,8 +200,8 @@ def _counts_preamble(field: NumberField, table: CountTable) -> str:
 
 
 def cmd_counts(args) -> int:
-    field, doc = load_field_document(args.field_doc, args.precision)
-    table = _table_for(field, doc, args)
+    field, _doc = load_field_document(args.field_doc)
+    table = _table_for(field, args)
     _write_csv(["k", "a_k", "b_k"], _cells(table.ks, table.a, table.b), args.out,
                _counts_preamble(field, table))
     return 0
@@ -244,7 +244,7 @@ def _check_counts_field(field: NumberField, table: CountTable) -> None:
 
 
 def cmd_estimate(args) -> int:
-    field, doc = load_field_document(args.field_doc, args.precision)
+    field, doc = load_field_document(args.field_doc)
     us = unit_system_from_document(field, doc)
     if args.from_counts:
         given = [option for option, value in (("--radius", args.radius),
@@ -261,7 +261,7 @@ def cmd_estimate(args) -> int:
     else:
         if args.radius is None:
             raise ValidationError("estimate needs --radius or --from-counts")
-        table = _table_for(field, doc, args)
+        table = _table_for(field, args)
     table = estimator.add_estimates(table, us)
     rows = _cells(table.ks, table.a, table.b, table.n_raw, table.n_est, table.f)
     _write_csv(["k", "a_k", "b_k", "n_k_raw", "n_k", "f_k"], rows, args.out,
@@ -275,14 +275,14 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    field, doc = load_field_document(args.field_doc, args.precision)
+    field, doc = load_field_document(args.field_doc)
     us = unit_system_from_document(field, doc)
     if (args.height is None) == (args.radius is None):
         raise ValidationError("bounds needs exactly one of --height or --radius")
     if args.height is not None:
         if args.cutoff is not None:
             raise ValidationError("--cutoff belongs to --radius: --height reads no a_k")
-        report = full_height_report(field, us, args.s, args.height)
+        report = full_height_report(field, args.s, args.height)
     else:
         cap = _norm_cap(field, BoxSpec(args.radius, 0.0), None)
         cutoff = args.cutoff if args.cutoff is not None else min(max(cap, 10 ** 4), 10 ** 5)
@@ -293,7 +293,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_pep(args) -> int:
-    field, doc = load_field_document(args.field_doc, args.precision)
+    field, doc = load_field_document(args.field_doc)
     us = unit_system_from_document(field, doc)
     try:
         start, stop, npts = args.snr.split(":")
@@ -301,7 +301,7 @@ def cmd_pep(args) -> int:
     except ValueError as exc:
         raise ValidationError(f"--snr must be START:STOP:POINTS, got {args.snr!r}") from exc
     channel.check_snr_grid(start, stop, npts)
-    table = estimator.add_estimates(_table_for(field, doc, args), us)
+    table = estimator.add_estimates(_table_for(field, args), us)
     curve = channel.pep_curve(table, start, stop, npts)
     rows = _cells(curve.snr_db, curve.snr_linear, curve.pe_estimate, curve.pe_exact)
     _write_csv(["snr_db", "gamma", "pe_estimate", "pe_exact"], rows, args.out,
@@ -310,8 +310,8 @@ def cmd_pep(args) -> int:
 
 
 def cmd_eve(args) -> int:
-    field, doc = load_field_document(args.field_doc, args.precision)
-    table = _table_for(field, doc, args)
+    field, _doc = load_field_document(args.field_doc)
+    table = _table_for(field, args)
     value = channel.eve_probability(table, args.gamma, args.vol)
     payload = {
         "label": field.label,
@@ -338,9 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, box=False):
         p.add_argument("field_doc", help="path to the field document (JSON)")
-        p.add_argument("--precision", type=int, default=80,
-                       help="bits of the root brackets to start from; embedding "
-                            "decisions double them up to 4096 (default 80)")
         if box:
             p.add_argument("--tol", type=float,
                            help="boundary tolerance for box membership (default 1e-9)")

@@ -2,16 +2,16 @@
 
 The field is described by a monic squarefree integer polynomial; its real
 roots are isolated with exact Sturm counts and kept as certified dyadic
-brackets [a/2^k, b/2^k], shrunk by exact signs to a configurable working
-precision (default 80 bits).  One primitive, `NumberField.enclose`,
-decides every question about the embeddings sigma_i(x) of integer
-coordinate rows past float accuracy (box membership, heights, unit
-logarithms): it encloses them by interval arithmetic on integers and
-doubles the bracket bits until the enclosure decides (Moore, *Interval
-Analysis*, 1966).  Norms
-are always computed by exact integer arithmetic, never by rounding a
-floating product: one fraction-free elimination kernel, run on int64
-where a Hadamard bound proves it exact and on Python integers past it.
+brackets [a/2^k, b/2^k].  One primitive, `NumberField.enclose`, decides
+every question about the embeddings sigma_i(x) of integer coordinate rows
+past float accuracy (box membership, heights, unit logarithms): it
+encloses them by interval arithmetic on integers and shrinks the brackets
+by exact signs, doubling their bits until the enclosure decides (Moore,
+*Interval Analysis*, 1966).  So no working precision is set: each answer
+takes the bits it needs.  Norms are always computed by exact integer
+arithmetic, never by rounding a floating product: one fraction-free
+elimination kernel, run on int64 where a Hadamard bound proves it exact
+and on Python integers past it.
 Each field keeps one LLL-reduced basis of Z[theta], found lazily; the box
 scan walks its coordinates, and the norm kernel takes its multiplication
 matrices in it, whose entries and minors are far smaller than in the
@@ -31,11 +31,9 @@ import numpy as np
 from .errors import (EmptyInput, InvariantError, NotMonic, NotSquarefree, NotTotallyReal,
                      PrecisionTooHigh, ValidationError)
 
-DEFAULT_PRECISION_BITS = 80
-# float64 mantissa: certification takes the float embeddings as exact to ~1e-14
-MIN_PRECISION_BITS = 53
-# the octic fixture loads in about 0.2 s at 4,096 bits;
-# also the most bits `NumberField.enclose` doubles up to
+# the bits `NumberField.enclose` starts from, and the most it doubles up
+# to: the octic fixture's brackets refine to 4,096 bits in about 0.2 s
+START_PRECISION_BITS = 80
 MAX_PRECISION_BITS = 4096
 
 # decimal digits of the logarithms that `_log_abs` rounds to float
@@ -409,7 +407,7 @@ def real_roots(poly, precision: float = 1e-15) -> list[Fraction]:
     coeffs = poly.coeffs if isinstance(poly, Polynomial) else tuple(int(c) for c in poly)
     if _sylvester_resultant(coeffs, _poly_derivative(coeffs)) == 0:
         raise NotSquarefree("root isolation requires a squarefree polynomial")
-    prec_bits = max(DEFAULT_PRECISION_BITS, int(-math.log2(precision)) + 8)
+    prec_bits = max(START_PRECISION_BITS, int(-math.log2(precision)) + 8)
     return [Fraction(a + b, 1 << (k + 1))
             for a, b, k in (_refine(coeffs, *iv, prec_bits) for iv in _isolate(coeffs))]
 
@@ -494,21 +492,20 @@ class NumberField:
 
     Instances are immutable after construction and safe to share across
     threads; all element operations are pure functions of (field, coords).
-    The enclosure tables fill lazily, and whichever brackets a thread
-    builds one from, it is certified and decides the same.
+    The enclosure tables fill lazily and refine the root brackets as they
+    go; whichever brackets a thread builds a table from, it is certified
+    and decides the same.
     """
 
-    def __init__(self, min_poly: Polynomial, brackets, precision_bits: int, label: str = ""):
+    def __init__(self, min_poly: Polynomial, brackets, label: str = ""):
         self.min_poly = min_poly
         self.degree = min_poly.degree
-        # certified dyadic root brackets (a, b, k), ascending, at precision_bits
-        self.brackets = tuple(brackets)
+        # certified dyadic root brackets (a, b, k), ascending; `_table` refines them
+        self.brackets = list(brackets)
         self.signature = (self.degree, 0)
-        self.precision_bits = int(precision_bits)
         self.label = label or str(min_poly)
-        # enclosure tables by bits, and the finest brackets refined for them
+        # enclosure tables by bits
         self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._brackets = list(self.brackets)
         n = self.degree
         theta = [0, 1] + [0] * (n - 2)
         self.embeddings = np.array(self.enclose([theta], _rounded)[0])
@@ -548,7 +545,7 @@ class NumberField:
         return self.element([0, 1] + [0] * (self.degree - 2))
 
     def key(self):
-        return (self.min_poly.coeffs, self.precision_bits)
+        return self.min_poly.coeffs
 
     def __eq__(self, other):
         return isinstance(other, NumberField) and self.key() == other.key()
@@ -567,9 +564,9 @@ class NumberField:
         each refined on from the finest one held."""
         if bits not in self._tables:
             coeffs = self.min_poly.coeffs
-            brackets = [_refine(coeffs, *bracket, bits) for bracket in self._brackets]
+            brackets = [_refine(coeffs, *bracket, bits) for bracket in self.brackets]
             rows = [_power_bounds(bracket, self.degree, bits) for bracket in brackets]
-            self._brackets = brackets
+            self.brackets[:] = brackets
             self._tables[bits] = tuple(np.array(m, dtype=object) for m in zip(*rows))
         return self._tables[bits]
 
@@ -582,13 +579,14 @@ class NumberField:
         |sigma_i(x)·2^bits - C[p, i]| <= E[p, i], the sum over j of x_j
         times the interval theta_i^j of `_table`, and returns one value per
         row, None where the enclosure does not decide.  Undecided rows go
-        again with the brackets at twice the bits, from `precision_bits` up
-        to `MAX_PRECISION_BITS`; a row still undecided there raises
-        PrecisionTooHigh.  Rows may hold Python integers past int64.
+        again with the brackets at twice the bits, from
+        `START_PRECISION_BITS` up to `MAX_PRECISION_BITS`; a row still
+        undecided there raises PrecisionTooHigh.  Rows may hold Python
+        integers past int64.
         """
         rows = np.array(rows, dtype=object).reshape(-1, self.degree)
         out = [None] * len(rows)
-        pending, bits = np.arange(len(rows)), self.precision_bits
+        pending, bits = np.arange(len(rows)), START_PRECISION_BITS
         while len(pending):
             centres, radii = self._table(bits)
             x = rows[pending]
@@ -814,15 +812,8 @@ class AlgebraicInt:
 # module-level operations
 
 
-def parse_field(poly: Polynomial, precision_bits: int = DEFAULT_PRECISION_BITS,
-                label: str = "") -> NumberField:
+def parse_field(poly: Polynomial, label: str = "") -> NumberField:
     """Construct the field, certifying that every root of ``poly`` is real."""
-    if precision_bits < MIN_PRECISION_BITS:
-        raise ValidationError(f"precision must be at least {MIN_PRECISION_BITS} bits, "
-                              f"got {precision_bits}")
-    if precision_bits > MAX_PRECISION_BITS:
-        raise PrecisionTooHigh(f"precision must be at most {MAX_PRECISION_BITS} bits, "
-                               f"got {precision_bits}")
     if not isinstance(poly, Polynomial):
         poly = Polynomial(tuple(int(c) for c in poly))
     n = poly.degree
@@ -831,8 +822,7 @@ def parse_field(poly: Polynomial, precision_bits: int = DEFAULT_PRECISION_BITS,
         raise NotTotallyReal(
             f"{poly} has {len(intervals)} real roots out of degree {n}; field is not totally real"
         )
-    brackets = [_refine(poly.coeffs, a, b, k, precision_bits) for a, b, k in intervals]
-    return NumberField(poly, brackets, precision_bits, label)
+    return NumberField(poly, intervals, label)
 
 
 def min_product_distance(points) -> int:

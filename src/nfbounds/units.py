@@ -164,8 +164,9 @@ def build_unit_system(field: NumberField, units=None, w: int = 2,
     row_sums = np.abs(A.sum(axis=1))
     if row_sums.max() > 1e-8:
         raise NotAUnit(f"log rows do not sum to zero (max {row_sums.max():.2e})")
-    reg = abs(np.linalg.det(A[:, :rank]))
-    reg_alt = abs(np.linalg.det(A[:, 1:]))
+    # numpy's det goes through exp(log|det|): a 1x1 minor can come back an ulp off
+    reg, reg_alt = (abs(m[0, 0]) if rank == 1 else abs(np.linalg.det(m))
+                    for m in (A[:, :rank], A[:, 1:]))
     if reg < _DEPENDENCE_FLOOR:
         raise DependentUnits("regulator below 1e-9; units are multiplicatively dependent")
     if abs(reg - reg_alt) > _MINOR_AGREEMENT * max(1.0, reg):

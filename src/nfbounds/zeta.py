@@ -318,7 +318,7 @@ def dirichlet_coeffs(field: NumberField, N: int) -> ZetaSeries:
         raise ValidationError("cutoff must be >= 1")
     if N > _MAX_COEFFICIENTS:
         raise SieveTooLarge(f"{N} coefficients exceed the sieve ceiling of {_MAX_COEFFICIENTS}")
-    key = ("series", field.min_poly.coeffs)
+    key = ("series", field.key())
     cached = _memo.get(key)
     if cached is not None and len(cached) > N:
         return ZetaSeries(field, N, cached[: N + 1])
@@ -389,15 +389,15 @@ def zeta_derivative(series: ZetaSeries, m: int, s: int,
     return SeriesValue(sign * total, tail, N)
 
 
-def bounded_height_zeta(field: NumberField, unit_system, s: int, m: float) -> float:
+def bounded_height_zeta(field: NumberField, s: int, m: float) -> float:
     """Sum of 1/N(I)^s over principal ideals whose minimal-height generator
     has height <= m (class-number-one fields).
 
     Every generator of height <= m lies in the box of radius m, so grouping
-    the box into unit orbits recovers exactly the ideals of height <= m.  The
-    box is closed up to its boundary tolerance, so an m just below 1 already
-    counts the unit ideal.  The orbits need no unit basis, so ``unit_system``
-    is not read.
+    the box into unit orbits recovers exactly the ideals of height <= m; the
+    orbits come from exact division, so no unit basis is needed.  The box is
+    closed up to its boundary tolerance, so an m just below 1 already counts
+    the unit ideal.
     """
     if s < 2:
         raise ValidationError("evaluation requires integer s >= 2")

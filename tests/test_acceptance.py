@@ -225,13 +225,13 @@ def test_criterion_09_zeta_value(q5):
     assert elapsed < 10.0
 
 
-def test_criterion_10_truncated_sum_propositions(q5, q5_units, quartic, quartic_units):
+def test_criterion_10_truncated_sum_propositions(q5, quartic):
     t0 = time.perf_counter()
-    cases = [(q5, q5_units, m) for m in (10, 100)] + [(quartic, quartic_units, 10)]
+    cases = [(q5, m) for m in (10, 100)] + [(quartic, 10)]
     all_ok = True
-    for field, units, m in cases:
+    for field, m in cases:
         for s in (2, 3):
-            rep = height_bound_report(field, units, s, m)
+            rep = height_bound_report(field, s, m)
             holds = rep.lower_holds and rep.upper_holds
             all_ok = all_ok and holds
             assert rep.norm_sum > rep.zeta_truncated > 1, (field.label, s, m)

@@ -61,32 +61,32 @@ def test_eve_pep_aliases(q5):
     assert pep_sum(table) >= eve_sum(table)
 
 
-def test_lower_bound_check(q5, q5_units):
+def test_lower_bound_check(q5):
     for s in (2, 3):
-        s_sum, z_sum, holds = lower_bound_check(q5, q5_units, s, 10)
+        s_sum, z_sum, holds = lower_bound_check(q5, s, 10)
         assert holds
         assert s_sum > z_sum > 1
     # degenerate truncation: only the unit ideal fits
-    s_sum, z_sum, holds = lower_bound_check(q5, q5_units, 3, 1)
+    s_sum, z_sum, holds = lower_bound_check(q5, 3, 1)
     assert s_sum == 2.0 and z_sum == 1.0
     assert not holds  # the z > 1 leg fails until a second ideal fits
-    rep = height_bound_report(q5, q5_units, 3, 1)
+    rep = height_bound_report(q5, 3, 1)
     assert rep.degenerate
 
 
-def test_coefficient_upper_bound(q5, q5_units):
+def test_coefficient_upper_bound(q5):
     z1 = dirichlet_coeffs(q5, 1)
     t1 = count_table(q5, BoxSpec(1.0), z1)
-    bound = coefficient_upper_bound(t1, q5, q5_units, 3)
+    bound = coefficient_upper_bound(t1, q5, 3)
     assert bound == pytest.approx(2.0)  # max b = 2, zeta(3,1) = 1: tight
     # the closed box at R = 1 - 1e-10 still holds the units +-1
     t_edge = count_table(q5, BoxSpec(1 - 1e-10), z1)
-    assert coefficient_upper_bound(t_edge, q5, q5_units, 3) == pytest.approx(2.0)
+    assert coefficient_upper_bound(t_edge, q5, 3) == pytest.approx(2.0)
     z = dirichlet_coeffs(q5, 100)
     table = count_table(q5, BoxSpec(10.0), z)
-    bound = coefficient_upper_bound(table, q5, q5_units, 3)
+    bound = coefficient_upper_bound(table, q5, 3)
     assert bound >= norm_sum(table, 3)
-    assert bound == pytest.approx(18 * height_bound_report(q5, q5_units, 3, 10).zeta_truncated)
+    assert bound == pytest.approx(18 * height_bound_report(q5, 3, 10).zeta_truncated)
 
 
 def test_synthetic_constant_coefficient_table(q5, q5_units):
@@ -104,11 +104,11 @@ def test_synthetic_constant_coefficient_table(q5, q5_units):
     assert ssum == pytest.approx(factored, rel=1e-12)
 
 
-def test_height_report_consistency(q5, q5_units):
-    rep = height_bound_report(q5, q5_units, 2, 10)
+def test_height_report_consistency(q5):
+    rep = height_bound_report(q5, 2, 10)
     assert rep.lower_holds and rep.upper_holds
     assert rep.coefficient_upper_bound == 18 * rep.zeta_truncated  # max b_k = 18
-    full = full_height_report(q5, q5_units, 2, 10)
+    full = full_height_report(q5, 2, 10)
     assert full.norm_sum == rep.norm_sum
     payload = json.loads(full.to_json(label="x"))
     assert payload["label"] == "x"
@@ -120,12 +120,11 @@ def test_height_table_matches_counts_by_norm(request, monkeypatch, name, m):
     """The report, summed from orbit sizes without a sieve, agrees with the
     per-point counts of the box."""
     field = request.getfixturevalue(name)
-    units = request.getfixturevalue(f"{name}_units")
     monkeypatch.setattr(_memo, "_entries", OrderedDict())
     with monkeypatch.context() as patched:
         patched.setattr("nfbounds.zeta._primes_upto",
                         lambda N: pytest.fail("the height report sieved"))
-        rep = height_bound_report(field, units, 2, m)
+        rep = height_bound_report(field, 2, m)
     box = BoxSpec(float(m))
     oracle = count_by_norm(cached_points(field, box),
                            dirichlet_coeffs(field, _norm_cap(field, box, None)), box)
@@ -133,7 +132,7 @@ def test_height_table_matches_counts_by_norm(request, monkeypatch, name, m):
     assert rep.coefficient_upper_bound == int(oracle.b.max()) * rep.zeta_truncated
 
 
-def test_height_report_takes_each_norm_once(quartic, quartic_units, monkeypatch):
+def test_height_report_takes_each_norm_once(quartic, monkeypatch):
     """The orbits and the table share one batch of norms over the box."""
     rows = []
     real_norm_rows = NumberField.norm_rows
@@ -144,7 +143,7 @@ def test_height_report_takes_each_norm_once(quartic, quartic_units, monkeypatch)
 
     monkeypatch.setattr(NumberField, "norm_rows", counted)
     monkeypatch.setattr(_memo, "_entries", OrderedDict())
-    height_bound_report(quartic, quartic_units, 3, 5)
+    height_bound_report(quartic, 3, 5)
     assert sum(rows) == len(cached_points(quartic, BoxSpec(5.0))) == 372
 
 
@@ -194,4 +193,4 @@ def test_invalid_exponent(q5, q5_units):
     with pytest.raises(ValidationError):
         geometric_bound(z, q5_units, 1, 5.0)
     with pytest.raises(ValidationError):
-        height_bound_report(q5, q5_units, 3, 0.5)
+        height_bound_report(q5, 3, 0.5)

@@ -211,8 +211,6 @@ def test_exit_code_validation(tmp_path, capsys):
                         (COUNTS_HEAD.replace("degree=2", "degree=8") + "1,1,2\n",)]),
     ("eve", None, ["--radius", "10", "--gamma", "nan"]),
     ("eve", None, ["--radius", "10", "--gamma", "1", "--vol", "inf"]),
-    ("field-info", None, ["--precision", "-10"]),
-    ("field-info", None, ["--precision", "10"]),
     ("bounds", None, ["--s", "2", "--height", "3", "--cutoff", "5"]),
     ("bounds", None, ["--s", "2", "--radius", "10", "--cutoff", "0"]),
     ("estimate", None, ["--from-counts", (COUNTS_HEAD + Q5_ROWS_R3,), "--radius", "3"]),
@@ -226,7 +224,7 @@ def test_exit_code_validation(tmp_path, capsys):
         "no-min-poly", "roots-of-unity-text", "regulator-text", "not-json",
         "max-norm-negative", "counts-no-R", "counts-R-text", "counts-R-nan",
         "counts-short-row", "pep-empty-table", "counts-other-degree", "eve-gamma-nan",
-        "eve-vol-inf", "precision-negative", "precision-below-53", "height-with-cutoff",
+        "eve-vol-inf", "height-with-cutoff",
         "radius-cutoff-zero", "from-counts-with-radius", "from-counts-with-max-norm",
         "budget-negative", "from-counts-with-budget", "from-counts-with-tol",
         "from-counts-with-invalid-budget-and-tol"])
@@ -362,17 +360,16 @@ def test_snr_grid_past_its_ceiling_is_a_named_error(monkeypatch, capsys):
     assert "Traceback" not in err and out == ""
 
 
-@pytest.mark.parametrize("bits, code", [("4096", 0), ("4097", 3), ("1000000", 3)])
-def test_precision_past_its_ceiling_is_a_named_error(monkeypatch, capsys, bits, code):
-    """Past 4,096 bits the field is refused before any root is isolated."""
-    if code:
-        monkeypatch.setattr("nfbounds.numberfield._isolate",
-                            lambda coeffs: pytest.fail("roots isolated past the ceiling"))
-    got, out, err = run(capsys, "field-info", Q5, "--precision", bits)
-    assert got == code
-    if code:
-        assert err.startswith("error:") and "PrecisionTooHigh" in err and "--precision" in err
-        assert "Traceback" not in err and out == ""
+def test_undecided_embedding_is_a_named_error(monkeypatch, capsys):
+    """A boundary point that 4,096 bits cannot place exits 3 and names the
+    options that move the boundary."""
+    monkeypatch.setattr("nfbounds.enumeration._closed_box",
+                        lambda bound: lambda C, E, bits: [None] * len(C))
+    code, out, err = run(capsys, "enumerate", Q5, "--radius", "3", "--tol", "0")
+    assert code == 3
+    assert err.startswith("error:") and "PrecisionTooHigh" in err
+    assert "(move --radius or --tol off a boundary point)" in err
+    assert "Traceback" not in err and out == ""
 
 
 @pytest.mark.parametrize("command, rest", [

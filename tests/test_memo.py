@@ -1,5 +1,5 @@
 """The one memo: hits share the stored object, stored values are frozen,
-the coefficient array is keyed on the polynomial alone, the table stays
+every entry names its field by the polynomial alone, the table stays
 within its bound, concurrent callers agree with a serial run, and no
 other module keeps a cache of its own."""
 
@@ -114,14 +114,22 @@ def test_smaller_cutoff_is_a_slice(q5, monkeypatch):
     assert sum(calls) == 46
 
 
-def test_series_ignores_precision(q5, monkeypatch):
+def test_one_polynomial_is_one_field(q5, monkeypatch):
+    """Two parses of one polynomial are equal fields with one hash, and
+    the second reuses the series, points and orbits of the first."""
     _clear_memo()
+    box = BoxSpec(4.0)
     first = dirichlet_coeffs(q5, 300)
-    precise = parse_field(q5.min_poly, precision_bits=120)
+    points, orbits = cached_points(q5, box), cached_orbits(q5, box)
+    twin = parse_field(q5.min_poly)
+    assert twin is not q5 and twin == q5 and hash(twin) == hash(q5)
     monkeypatch.setattr(zeta, "_splitting_counts", None)  # any sieve would fail
-    again = dirichlet_coeffs(precise, 300)
+    monkeypatch.setattr(enumeration, "_scan_blocks", None)  # and any box scan
+    again = dirichlet_coeffs(twin, 300)
     assert np.shares_memory(again.a, first.a)
-    assert again.field is precise
+    assert again.field is twin
+    assert cached_points(twin, box) is points
+    assert cached_orbits(twin, box) is orbits
 
 
 def test_memo_stays_within_its_bound(q5):

@@ -9,7 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import load_fixture_doc
-from nfbounds.errors import EmptyInput, NotMonic, NotSquarefree, NotTotallyReal, ValidationError
+from nfbounds.errors import (EmptyInput, NotMonic, NotSquarefree, NotTotallyReal,
+                             PrecisionTooHigh, ValidationError)
 from nfbounds.numberfield import (
     Polynomial,
     _isolate,
@@ -144,6 +145,20 @@ def test_parse_field_roots_are_certified(low):
     assert len(roots) == field.degree and roots == sorted(set(roots))
     for r in roots:
         assert _encloses_a_root(coeffs, r, max(1, abs(r)) * Fraction(1, 2 ** 80))
+
+
+def test_enclose_doubles_its_bits_up_to_the_ceiling(q5):
+    """A rule that never decides sees every doubling from the start bits
+    to the ceiling, then PrecisionTooHigh."""
+    seen = []
+
+    def never(C, E, bits):
+        seen.append(bits)
+        return [None] * len(C)
+
+    with pytest.raises(PrecisionTooHigh):
+        q5.enclose([(1, 1)], never)
+    assert seen == [80, 160, 320, 640, 1280, 2560, 4096]
 
 
 def test_embed_examples(q5):

@@ -54,8 +54,9 @@ def test_fundamental_unit_brute_force_oracle(coeffs):
 
 def test_every_quadratic_unit_below_1000_validates():
     """x^2 - d for all 968 nonsquare d in [2, 999]: the continued-fraction
-    unit eps = a + b·sqrt(d) validates, and its log row is the correctly
-    rounded (-log eps, log eps), against 400-bit-plus mpmath.  The small
+    unit eps = a + b·sqrt(d) validates, its log row is the correctly
+    rounded (-log eps, log eps), against 400-bit-plus mpmath, and the
+    regulator is that row's own entry, not numpy's 1x1 det.  The small
     conjugate 1/eps cancels in a + b·(-sqrt(d)): at a fixed 104 bits its
     log row failed to sum to zero for 154 of these d (151 and 211 among
     them)."""
@@ -71,6 +72,7 @@ def test_every_quadratic_unit_below_1000_validates():
             log_eps = float(mpmath.log(a + b * mpmath.sqrt(d)))
         assert us.log_matrix.tolist() == [[-log_eps, log_eps]], d
         assert us.regulator == pytest.approx(log_eps, rel=1e-15, abs=0), d
+        assert us.regulator == abs(us.log_matrix[0, 0]), d
         checked += 1
     assert checked == 968
 

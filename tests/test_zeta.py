@@ -339,12 +339,12 @@ def test_zeta_derivative(q5):
     assert zeta_derivative(z, 2, 2).value > 0
 
 
-def test_bounded_height_zeta_small_cases(q5, q5_units):
-    assert bounded_height_zeta(q5, q5_units, 3, 0.5) == 0.0
-    assert bounded_height_zeta(q5, q5_units, 3, 1) == 1.0
+def test_bounded_height_zeta_small_cases(q5):
+    assert bounded_height_zeta(q5, 3, 0.5) == 0.0
+    assert bounded_height_zeta(q5, 3, 1) == 1.0
 
 
-def test_bounded_height_zeta_orbit_oracle(q5, q5_units):
+def test_bounded_height_zeta_orbit_oracle(q5):
     """Brute-force oracle: group box points into ideals by pairwise exact
     division only, then sum norm powers once per group."""
     m = 10
@@ -363,7 +363,7 @@ def test_bounded_height_zeta_orbit_oracle(q5, q5_units):
             else:
                 groups.append([x])
         total += len(groups) / k ** 3
-    value = bounded_height_zeta(q5, q5_units, 3, m)
+    value = bounded_height_zeta(q5, 3, m)
     assert value == pytest.approx(total, rel=1e-12)
     # spec-level shape: 1 + 1/4^3 + 1/5^3 + 1/9^3 + positive remainder
     base = 1 + 1 / 64 + 1 / 125 + 1 / 729
@@ -371,27 +371,27 @@ def test_bounded_height_zeta_orbit_oracle(q5, q5_units):
     assert value - base < 0.01
 
 
-def test_bounded_height_zeta_monotone(q5, q5_units):
+def test_bounded_height_zeta_monotone(q5):
     z = dirichlet_coeffs(q5, 10 ** 4)
     full = zeta_value(z, 3).value
-    values = [bounded_height_zeta(q5, q5_units, 3, m) for m in (1, 2, 4, 8, 10)]
+    values = [bounded_height_zeta(q5, 3, m) for m in (1, 2, 4, 8, 10)]
     assert all(u <= v + 1e-15 for u, v in zip(values, values[1:]))
     assert all(v <= full for v in values)
     # units have height phi but generate the unit ideal; the first new ideal
     # is (2) at height 2, so the sum leaves 1 exactly there
-    assert bounded_height_zeta(q5, q5_units, 3, PHI + 1e-9) == 1.0
-    assert bounded_height_zeta(q5, q5_units, 3, 2) > 1
+    assert bounded_height_zeta(q5, 3, PHI + 1e-9) == 1.0
+    assert bounded_height_zeta(q5, 3, 2) > 1
 
 
 @pytest.mark.parametrize("k, s, kind", [(2, 400, "normal"), (3, 650, "subnormal"),
                                         (2, 1074, "subnormal"), (2, 1075, "zero"),
                                         (3, 700, "zero")])
-def test_bounded_height_zeta_terms_past_the_float_range(q5, q5_units, monkeypatch, k, s, kind):
+def test_bounded_height_zeta_terms_past_the_float_range(q5, monkeypatch, k, s, kind):
     """Where k**s has no float, 1/k^s is rounded exactly: a subnormal stays
     subnormal, and a term below half the least one is 0.0."""
     table = enumeration.OrbitTable(np.zeros((1, 2), dtype=np.int64), np.array([0]), np.array([k]))
     monkeypatch.setattr(enumeration, "cached_orbits", lambda field, box: table)
-    value = bounded_height_zeta(q5, q5_units, s, 3)
+    value = bounded_height_zeta(q5, s, 3)
     assert value == 1 / k ** s
     assert kind == ("zero" if value == 0 else
                     "subnormal" if value < sys.float_info.min else "normal")

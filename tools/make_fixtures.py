@@ -28,7 +28,7 @@ import mpmath
 import numpy as np
 
 from nfbounds.enumeration import BoxSpec, enumerate_box
-from nfbounds.numberfield import Polynomial, _poly_eval, parse_field
+from nfbounds.numberfield import Polynomial, _poly_eval, _refine, parse_field
 
 PREC_BITS = 220
 
@@ -105,9 +105,12 @@ def saturate(field, units):
 
 def embed_mp(field, u):
     """sigma_i(u) in mpmath, by Horner at the midpoints of the field's
-    root brackets, with 24 guard bits over the working precision."""
+    root brackets refined to the working precision, with 24 guard bits
+    over it."""
+    coeffs = field.min_poly.coeffs
+    brackets = [_refine(coeffs, *bracket, PREC_BITS) for bracket in field.brackets]
     with mpmath.workprec(PREC_BITS + 24):
-        roots = [mpmath.ldexp(mpmath.mpf(a + b), -(k + 1)) for a, b, k in field.brackets]
+        roots = [mpmath.ldexp(mpmath.mpf(a + b), -(k + 1)) for a, b, k in brackets]
         return [_poly_eval(u.coords, r) for r in roots]
 
 
@@ -123,7 +126,7 @@ def regulator_mp(field, units):
 
 
 def quartic_fixture():
-    field = parse_field(Polynomial((1, 1, -3, -1, 1)), precision_bits=PREC_BITS,
+    field = parse_field(Polynomial((1, 1, -3, -1, 1)),
                         label="totally real quartic, discriminant 725")
     pts = enumerate_box(field, BoxSpec(10.0))
     units = [field.element(r) for r in pts[np.abs(field.norm_rows(pts)) == 1].tolist()]
@@ -143,7 +146,6 @@ def quartic_fixture():
 
 def octic_fixture():
     field = parse_field(Polynomial((2, 0, -16, 0, 20, 0, -8, 0, 1)),
-                        precision_bits=PREC_BITS,
                         label="real subfield of the 32nd cyclotomic field")
     # sine-quotient units: values under the embedding sending theta to
     # 2cos(t*pi/16) are sin(t*a*pi/32)/sin(t*pi/32)
