@@ -24,14 +24,13 @@ from .bounds import (
 )
 from .channel import PepCurve, eve_probability, pep_curve
 from .numberfield import (
-    AlgebraicInt,
     NumberField,
     Polynomial,
     min_product_distance,
     parse_field,
     real_roots,
 )
-from .units import UnitSystem, build_unit_system, is_unit, quadratic_fundamental_unit
+from .units import UnitSystem, build_unit_system, quadratic_fundamental_unit
 from .zeta import (
     SplittingType,
     ZetaSeries,
@@ -45,7 +44,6 @@ from .zeta import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgebraicInt",
     "BoundReport",
     "BoxSpec",
     "CountTable",
@@ -73,7 +71,6 @@ __all__ = [
     "full_height_report",
     "geometric_bound",
     "height_bound_report",
-    "is_unit",
     "lower_bound_check",
     "min_product_distance",
     "norm_sum",

@@ -111,7 +111,11 @@ def load_field_document(path: str) -> tuple[NumberField, dict]:
         raise ValidationError(
             "field document must set assume_maximal_order: computations use Z[theta]"
         )
-    field = parse_field(poly, label=doc.get("label", ""))
+    label = doc.get("label", "")
+    # the label goes into the one-line preamble of the counts CSV
+    if not isinstance(label, str) or "".join(label.splitlines()) != label:
+        raise ValidationError(f"label must be a one-line string, got {label!r}")
+    field = parse_field(poly, label=label)
     return field, doc
 
 
@@ -123,11 +127,12 @@ def unit_system_from_document(field: NumberField, doc: dict) -> UnitSystem:
     if not isinstance(w, int) or isinstance(w, bool):
         raise ValidationError(f"roots_of_unity must be an integer, got {w!r}")
     regulator = doc.get("expected_regulator")
-    if regulator is not None and not isinstance(regulator, (int, float)):
+    if regulator is not None and (not isinstance(regulator, (int, float))
+                                  or isinstance(regulator, bool)):
         raise ValidationError(f"expected_regulator must be a number, got {regulator!r}")
     return build_unit_system(
         field,
-        units=[field.element(_int_list(u, "a fundamental unit")) for u in units] or None,
+        units=[_int_list(u, "a fundamental unit") for u in units] or None,
         w=w,
         expected_regulator=regulator,
     )
@@ -162,7 +167,7 @@ def cmd_field_info(args) -> int:
         "signature": list(field.signature),
         "embeddings": [float(v) for v in field.embeddings],
         "poly_discriminant": field.poly_discriminant,
-        "fundamental_units": [list(u.coords) for u in us.units],
+        "fundamental_units": [list(u) for u in us.units],
         "roots_of_unity": us.w,
         "regulator": us.regulator,
         "log_volume": us.log_volume,
@@ -207,12 +212,13 @@ def cmd_counts(args) -> int:
     return 0
 
 
-def _read_counts_csv(path: str) -> tuple[CountTable, dict]:
+def _read_counts_csv(path: str) -> CountTable:
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or not lines[0].startswith("# nfbounds-counts"):
         raise ValidationError("counts CSV lacks the nfbounds-counts preamble")
     try:
-        meta = dict(tok.split("=", 1) for tok in lines[0].split()[2:])
+        # the label may hold spaces: the five fields after it split off the right
+        meta = dict(tok.split("=", 1) for tok in lines[0].rsplit(" ", 5)[1:])
         body = [[int(v) for v in ln.split(",")] for ln in lines[2:] if ln]
         if any(len(r) != 3 for r in body):
             raise ValueError("every row needs exactly the three fields k,a_k,b_k")
@@ -226,7 +232,7 @@ def _read_counts_csv(path: str) -> tuple[CountTable, dict]:
         raise ValidationError(f"counts CSV preamble lacks {exc}") from exc
     except (ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed counts CSV: {exc}") from exc
-    return table, meta
+    return table
 
 
 def _check_counts_field(field: NumberField, table: CountTable) -> None:
@@ -253,7 +259,7 @@ def cmd_estimate(args) -> int:
                  if value is not None]
         if given:
             raise ValidationError(f"{' and '.join(given)} build a table: --from-counts reads one")
-        table, _meta = _read_counts_csv(args.from_counts)
+        table = _read_counts_csv(args.from_counts)
         if table.degree != field.degree:
             raise ValidationError(f"counts file is for degree {table.degree}, "
                                   f"the field document for degree {field.degree}")
@@ -263,11 +269,12 @@ def cmd_estimate(args) -> int:
             raise ValidationError("estimate needs --radius or --from-counts")
         table = _table_for(field, args)
     table = estimator.add_estimates(table, us)
+    # before any output: a table the profile refuses leaves no file behind
+    profile = estimator.error_profile(table) if args.profile_out else None
     rows = _cells(table.ks, table.a, table.b, table.n_raw, table.n_est, table.f)
     _write_csv(["k", "a_k", "b_k", "n_k_raw", "n_k", "f_k"], rows, args.out,
                _counts_preamble(field, table))
-    if args.profile_out:
-        profile = estimator.error_profile(table)
+    if profile is not None:
         fs, cumulative = zip(*profile.cumulative)
         rows = _cells(fs, [profile.histogram[f] for f in fs], cumulative)
         _write_csv(["f", "count", "cumulative_fraction"], rows, args.profile_out)

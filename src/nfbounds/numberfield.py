@@ -484,7 +484,7 @@ def _closed_box(bound: float):
 
 
 # ---------------------------------------------------------------------------
-# number field and elements
+# number field
 
 
 class NumberField:
@@ -513,16 +513,6 @@ class NumberField:
         self.embedding_matrix = np.vander(self.embeddings, n, increasing=True)
         self.embeddings.setflags(write=False)
         self.embedding_matrix.setflags(write=False)
-        # theta^(n+t) reduced to the power basis, exact integers
-        red = [list(-c for c in min_poly.coeffs[:n])]
-        for _ in range(n - 2):
-            nxt = [0] + red[-1][: n - 1]
-            lead = red[-1][n - 1]
-            if lead:
-                for j in range(n):
-                    nxt[j] += lead * -min_poly.coeffs[j]
-            red.append(nxt)
-        self._reduction_rows = tuple(tuple(r) for r in red)
 
     @cached_property
     def poly_discriminant(self) -> int:
@@ -531,18 +521,6 @@ class NumberField:
         res = _sylvester_resultant(list(coeffs), _poly_trim(_poly_derivative(coeffs)))
         sign = -1 if (n * (n - 1) // 2) % 2 else 1
         return sign * res
-
-    def element(self, coords) -> "AlgebraicInt":
-        return AlgebraicInt(self, tuple(int(c) for c in coords))
-
-    def zero(self) -> "AlgebraicInt":
-        return self.element([0] * self.degree)
-
-    def one(self) -> "AlgebraicInt":
-        return self.element([1] + [0] * (self.degree - 1))
-
-    def theta(self) -> "AlgebraicInt":
-        return self.element([0, 1] + [0] * (self.degree - 2))
 
     def key(self):
         return self.min_poly.coeffs
@@ -606,22 +584,6 @@ class NumberField:
         return np.abs(rounded).max(axis=1, initial=0.0)
 
     # -- exact ring helpers ------------------------------------------------
-
-    def mul_coords(self, a, b):
-        n = self.degree
-        prod = [0] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        out = prod[:n]
-        for t in range(n - 1):
-            c = prod[n + t]
-            if c:
-                row = self._reduction_rows[t]
-                for j in range(n):
-                    out[j] += c * row[j]
-        return tuple(out)
 
     def _mul_matrices(self, rows: np.ndarray) -> np.ndarray:
         """Stack of M(x) (column j holds x·theta^j) for rows x, in their dtype."""
@@ -730,82 +692,28 @@ class NumberField:
         det, adj = self._solve(coords, [1] + [0] * (self.degree - 1))
         return [Fraction(c, det) for c in adj]
 
-    def divide_exact(self, x: "AlgebraicInt", y: "AlgebraicInt"):
-        """x / y when the quotient lies in Z[theta], else None."""
-        det, adj = self._solve(y.coords, x.coords)
+    def divide_exact(self, x, y):
+        """The coordinates of x / y, a tuple, when the quotient lies in
+        Z[theta], else None."""
+        det, adj = self._solve(y, x)
         if any(c % det for c in adj):
             return None
-        return self.element([c // det for c in adj])
+        return tuple(c // det for c in adj)
 
 
+# `perfbench/tracer.py` counts the scan's closed-box re-checks by wrapping
+# this method, so the scan still calls it once per re-checked point; a
+# trace inside the library (ROADMAP item 1) frees the name.
 @dataclass(frozen=True)
 class AlgebraicInt:
-    """Element of Z[theta] as an integer vector over the power basis."""
+    """One coordinate row of Z[theta], for `embed_mp` alone."""
 
     field: NumberField
     coords: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.coords) != self.field.degree:
-            raise ValidationError(
-                f"coordinate vector has length {len(self.coords)}, expected {self.field.degree}"
-            )
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
-    def embed(self) -> np.ndarray:
-        return self.field.embedding_matrix @ np.array(self.coords, dtype=float)
-
     def embed_mp(self, rule):
-        """`NumberField.enclose` on this one element: rule's verdict.  The
-        scan's closed-box re-checks call it once per point, so a trace of
-        this method counts them."""
+        """`NumberField.enclose` on this one row: rule's verdict."""
         return self.field.enclose([self.coords], rule)[0]
-
-    def norm(self) -> int:
-        return self.field.norm_coords(self.coords)
-
-    def height(self) -> float:
-        return float(self.field.heights([self.coords])[0])
-
-    def __add__(self, other):
-        self._check(other)
-        return AlgebraicInt(self.field, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return AlgebraicInt(self.field, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        return AlgebraicInt(self.field, tuple(-a for a in self.coords))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return AlgebraicInt(self.field, tuple(a * other for a in self.coords))
-        self._check(other)
-        return AlgebraicInt(self.field, self.field.mul_coords(self.coords, other.coords))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValidationError("negative powers are not closed in Z[theta]; divide explicitly")
-        result = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def _check(self, other):
-        if self.field != other.field:
-            raise ValidationError("elements belong to different fields")
-
-    def __repr__(self):
-        return f"AlgebraicInt{self.coords}"
 
 
 # ---------------------------------------------------------------------------
@@ -825,11 +733,14 @@ def parse_field(poly: Polynomial, label: str = "") -> NumberField:
     return NumberField(poly, intervals, label)
 
 
-def min_product_distance(points) -> int:
-    """Smallest |norm| over a nonempty collection of nonzero elements."""
-    points = list(points)
-    if not points:
+def min_product_distance(field: NumberField, rows) -> int:
+    """Smallest |N(x)| over a nonempty collection of nonzero coordinate
+    rows of the field."""
+    rows = [tuple(x) for x in rows]
+    if not rows:
         raise EmptyInput("minimum product distance of an empty set")
-    if any(x.is_zero() for x in points):
+    if any(len(x) != field.degree for x in rows):
+        raise ValidationError(f"coordinate rows must have length {field.degree}")
+    if not all(any(x) for x in rows):
         raise ValidationError("minimum product distance is over nonzero points")
-    return int(np.abs(points[0].field.norm_rows([x.coords for x in points])).min())
+    return int(np.abs(field.norm_rows(rows)).min())

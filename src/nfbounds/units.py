@@ -3,7 +3,9 @@
 For real quadratic fields the fundamental unit is computed from scratch by
 the periodic continued-fraction expansion of theta, entirely in integer
 arithmetic.  For higher degree the caller supplies an independent system
-of units (fixture data); the builder validates unit-ness and independence
+of units (fixture data).  Units are coordinate tuples over the power basis,
+of Python integers, so they stay exact past int64 (x^2 - 991 has a 99-bit
+unit).  The builder validates unit-ness and independence
 and cross-checks the resulting regulator against two different minors and,
 when available, an expected value.  The log rows are the correctly
 rounded log|sigma_j(eps_i)|, decided by `NumberField.enclose` with as many
@@ -24,16 +26,11 @@ from .errors import (
     ValidationError,
     WrongRank,
 )
-from .numberfield import AlgebraicInt, NumberField, _log_abs, _rounded
+from .numberfield import NumberField, _log_abs, _rounded
 
 _MINOR_AGREEMENT = 1e-9
 _REGULATOR_RTOL = 1e-6
 _DEPENDENCE_FLOOR = 1e-9
-
-
-def is_unit(x: AlgebraicInt) -> bool:
-    """Exact test |N(x)| = 1."""
-    return abs(x.norm()) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -60,8 +57,9 @@ def _floor_surd(P: int, D: int, Q: int) -> int:
     return a
 
 
-def quadratic_fundamental_unit(field: NumberField) -> AlgebraicInt:
-    """Fundamental unit of Z[theta] for a real quadratic field.
+def quadratic_fundamental_unit(field: NumberField) -> tuple[int, int]:
+    """Coordinates of the fundamental unit of Z[theta] for a real
+    quadratic field.
 
     Runs the continued-fraction expansion of theta with exact integer
     state (P, Q); the first repeated state closes the period and the
@@ -89,7 +87,7 @@ def quadratic_fundamental_unit(field: NumberField) -> AlgebraicInt:
             inv = (b0 * det, -a0 * det, -b1 * det, a1 * det)  # det in {1,-1}
             C = k1 * inv[0] + k0 * inv[2]
             Dg = k1 * inv[1] + k0 * inv[3]
-            u = field.element([Dg, C])
+            u = (Dg, C)
             break
         seen[state] = (h1, h0, k1, k0)
         a = _floor_surd(P, D, Q)
@@ -99,15 +97,14 @@ def quadratic_fundamental_unit(field: NumberField) -> AlgebraicInt:
         k1, k0 = a * k1 + k0, k1
     else:
         raise ValidationError("continued fraction did not become periodic")
-    if abs(u.norm()) != 1:
+    if abs(field.norm_coords(u)) != 1:
         raise ValidationError("internal error: automorph is not a unit")
     # pick the representative with sigma_max > 1 among {u, -u, u^-1, -u^-1}
-    inv_coords = field.inverse_coords_rational(u.coords)
-    u_inv = field.element([int(c) for c in inv_coords])
+    u_inv = tuple(int(c) for c in field.inverse_coords_rational(u))
     # sigma_max of a unit other than ±1 is at least phi or at most 1/phi in
     # size, so its correctly rounded float compares with 1 as it does
-    candidates = (u, -u, u_inv, -u_inv)
-    for cand, sigma in zip(candidates, field.enclose([c.coords for c in candidates], _rounded)):
+    candidates = (u, (-u[0], -u[1]), u_inv, (-u_inv[0], -u_inv[1]))
+    for cand, sigma in zip(candidates, field.enclose(candidates, _rounded)):
         if sigma[-1] > 1:
             return cand
     raise ValidationError("internal error: no candidate exceeds 1")
@@ -122,7 +119,7 @@ class UnitSystem:
     """An independent system of units with its log-lattice data."""
 
     field: NumberField
-    units: tuple[AlgebraicInt, ...]
+    units: tuple[tuple[int, ...], ...]  # power-basis coordinates, Python integers
     w: int
     log_matrix: np.ndarray  # r x (r1 + r2), entries log|sigma_j(eps_i)|
     regulator: float
@@ -137,7 +134,8 @@ def build_unit_system(field: NumberField, units=None, w: int = 2,
                       expected_regulator: float | None = None) -> UnitSystem:
     """Validate a fundamental system of units and compute its regulator.
 
-    ``units`` may be omitted for degree-2 fields, in which case the
+    ``units`` are coordinate rows over the power basis, exact past int64.
+    They may be omitted for degree-2 fields, in which case the
     continued-fraction unit is used.  The regulator is the absolute
     determinant of the minor of the log matrix dropping the last column;
     agreement with the minor dropping the first column is checked as a
@@ -147,20 +145,26 @@ def build_unit_system(field: NumberField, units=None, w: int = 2,
     rank = r1 + r2 - 1
     if w != 2:
         raise ValidationError(f"totally real fields have w = 2 roots of unity, got {w}")
+    if expected_regulator is not None and not math.isfinite(expected_regulator):
+        raise ValidationError(f"expected_regulator must be finite, got {expected_regulator!r}")
     if units is None:
         if field.degree != 2:
             raise WrongRank(
                 f"no units supplied and degree {field.degree} > 2; expected {rank} units"
             )
         units = [quadratic_fundamental_unit(field)]
-    units = [u if isinstance(u, AlgebraicInt) else field.element(u) for u in units]
+    units = [tuple(int(c) for c in u) for u in units]
+    for u in units:
+        if len(u) != field.degree:
+            raise ValidationError(
+                f"coordinate vector has length {len(u)}, expected {field.degree}")
     if len(units) != rank:
         raise WrongRank(f"got {len(units)} units, expected rank r1+r2-1 = {rank}")
-    for u, k in zip(units, field.norm_rows([u.coords for u in units])):
+    for u, k in zip(units, field.norm_rows(units)):
         if abs(k) != 1:
-            raise NotAUnit(f"|N{u.coords}| = {abs(k)} != 1")
+            raise NotAUnit(f"|N{u}| = {abs(k)} != 1")
     # correctly rounded logs: a small conjugate needs the bits its cancellation eats
-    A = np.array(field.enclose([u.coords for u in units], _log_abs))
+    A = np.array(field.enclose(units, _log_abs))
     row_sums = np.abs(A.sum(axis=1))
     if row_sums.max() > 1e-8:
         raise NotAUnit(f"log rows do not sum to zero (max {row_sums.max():.2e})")

@@ -4,7 +4,9 @@ One matrix at a time, in pure-Python integers, with a row loop per
 elimination step.  The library runs the same elimination on whole stacks
 of matrices in numpy (`numberfield._bareiss_dets`); the tests compare the
 two matrix by matrix.  Norms here build M(x) from ring products alone,
-not from the library's batched multiplication matrices.
+not from the library's batched multiplication matrices: the schoolbook
+product `mul`, with `power` on top of it, is the tests' one ring
+multiplication of coordinate rows.
 """
 
 from __future__ import annotations
@@ -49,12 +51,46 @@ def bareiss(rows, rhs=None):
     return det, adj
 
 
+def mul(field, x, y):
+    """x·y in Z[theta] as a coordinate tuple: the schoolbook product of
+    the two rows, with each theta^(n+t) replaced by its power-basis row.
+    The reference for the library's multiplication matrices."""
+    n, f = field.degree, field.min_poly.coeffs
+    # theta^(n+t) reduced to the power basis, from theta^n = -(f_0 + ... + f_(n-1) theta^(n-1))
+    reduction = [[-c for c in f[:n]]]
+    for _ in range(n - 2):
+        prev = reduction[-1]
+        reduction.append([0] + prev[:n - 1])
+        for j in range(n):
+            reduction[-1][j] -= prev[n - 1] * f[j]
+    prod = [0] * (2 * n - 1)
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            prod[i + j] += int(xi) * int(yj)
+    out = prod[:n]
+    for t, c in enumerate(prod[n:]):
+        for j in range(n):
+            out[j] += c * reduction[t][j]
+    return tuple(out)
+
+
+def power(field, x, e: int):
+    """x^e for e >= 0, by square and multiply on `mul`."""
+    result, base = (1,) + (0,) * (field.degree - 1), tuple(x)
+    while e:
+        if e & 1:
+            result = mul(field, result, base)
+        base = mul(field, base, base)
+        e >>= 1
+    return result
+
+
 def mul_matrix(field, coords):
     """M(x) as lists of Python integers: column j holds x·theta^j."""
-    theta = field.theta().coords
+    theta = (0, 1) + (0,) * (field.degree - 2)
     cols = [tuple(int(c) for c in coords)]
     for _ in range(field.degree - 1):
-        cols.append(field.mul_coords(cols[-1], theta))
+        cols.append(mul(field, cols[-1], theta))
     return [list(r) for r in zip(*cols)]
 
 

@@ -40,7 +40,7 @@ def quartic_units(quartic):
     doc = load_fixture_doc("quartic725.json")
     return build_unit_system(
         quartic,
-        units=[quartic.element(u) for u in doc["fundamental_units"]],
+        units=doc["fundamental_units"],
         expected_regulator=doc["expected_regulator"],
     )
 
@@ -56,6 +56,6 @@ def octic_units(octic):
     doc = load_fixture_doc("cyclo32real.json")
     return build_unit_system(
         octic,
-        units=[octic.element(u) for u in doc["fundamental_units"]],
+        units=doc["fundamental_units"],
         expected_regulator=doc["expected_regulator"],
     )

@@ -82,7 +82,7 @@ def test_criterion_02_regulator_degree_8(octic, octic_units):
     t0 = time.perf_counter()
     doc = load_fixture_doc("cyclo32real.json")
     us = build_unit_system(
-        octic, units=[octic.element(u) for u in doc["fundamental_units"]],
+        octic, units=doc["fundamental_units"],
     )
     elapsed = time.perf_counter() - t0
     ok = abs(us.regulator - OCTIC_REGULATOR_CLAIMED) <= 1e-6 and elapsed < 1.0

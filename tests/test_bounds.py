@@ -37,7 +37,7 @@ def test_norm_sum_examples(q5):
     table = count_table(q5, BoxSpec(10.0), z)
     # independent oracle: direct sum over enumerated points
     points = enumerate_box(q5, BoxSpec(10.0))
-    oracle = sum(1.0 / abs(q5.element(r).norm()) ** 3 for r in points.tolist())
+    oracle = sum(1.0 / abs(q5.norm_coords(r)) ** 3 for r in points.tolist())
     assert norm_sum(table, 3) == pytest.approx(oracle, rel=1e-12)
     assert norm_sum(table, 3) > 18  # dominated by the 18 units
     values = [norm_sum(table, s) for s in (2, 3, 4, 6, 8)]

@@ -89,6 +89,40 @@ def test_estimate_and_round_trip(tmp_path, capsys):
     assert prof_lines[-1].split(",")[2] == "1"
 
 
+@pytest.mark.parametrize("label", [None, "a b=c degree=9 R=1 ", "Q(sqrt5), golden"],
+                         ids=["default-label", "label-with-fields", "label-with-comma"])
+def test_counts_round_trip_with_any_one_line_label(tmp_path, capsys, label):
+    """A counts CSV reads back whatever one-line label its preamble holds:
+    the default label of a document without one is x^2 - x - 1, spaces
+    and all.  Re-ingested, it gives the estimate of the box itself."""
+    payload = json.loads(open(Q5, encoding="utf-8").read())
+    if label is None:
+        del payload["label"]
+    else:
+        payload["label"] = label
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(payload))
+    counts, direct, again = (tmp_path / name for name in ("c.csv", "d.csv", "e.csv"))
+    assert run(capsys, "counts", str(doc), "--radius", "5", "--out", str(counts))[0] == 0
+    want = label or "x^2 - x - 1"
+    assert counts.read_text().startswith(f"# nfbounds-counts label={want} degree=2 ")
+    assert run(capsys, "estimate", str(doc), "--radius", "5", "--out", str(direct))[0] == 0
+    code, _, err = run(capsys, "estimate", str(doc), "--from-counts", str(counts),
+                       "--out", str(again))
+    assert (code, err) == (0, "")
+    assert again.read_bytes() == direct.read_bytes()
+
+
+def test_refused_profile_writes_no_estimate(tmp_path, capsys):
+    """An empty table has no error profile: estimate exits 2 before it
+    writes the --out file."""
+    out, prof = tmp_path / "e.csv", tmp_path / "p.csv"
+    code, _, err = run(capsys, "estimate", Q5, "--radius", "0.5",
+                       "--out", str(out), "--profile-out", str(prof))
+    assert code == 2 and "ValidationError" in err
+    assert not out.exists() and not prof.exists()
+
+
 def test_estimate_max_error_small(tmp_path, capsys):
     prof = tmp_path / "prof.csv"
     code, _, _ = run(capsys, "estimate", Q5, "--radius", "10",
@@ -220,6 +254,13 @@ def test_exit_code_validation(tmp_path, capsys):
     ("estimate", None, ["--from-counts", (COUNTS_HEAD + Q5_ROWS_R3,), "--tol", "0.1"]),
     ("estimate", None, ["--from-counts", (COUNTS_HEAD + Q5_ROWS_R3,),
                         "--budget", "-1", "--tol", "-5"]),
+    ("field-info", {"label": 5}, []),
+    ("counts", {"label": "two\nlines"}, ["--radius", "3"]),
+    ("counts", {"label": "carriage\rreturn"}, ["--radius", "3"]),
+    ("field-info", {"expected_regulator": math.nan}, []),
+    ("field-info", {"expected_regulator": math.inf}, []),
+    ("field-info", {"expected_regulator": True}, []),
+    ("field-info", {"fundamental_units": [[0, 1, 0]]}, []),
 ], ids=["radius-below-one", "counts-radius-inf", "bounds-radius-inf", "snr-nan",
         "no-min-poly", "roots-of-unity-text", "regulator-text", "not-json",
         "max-norm-negative", "counts-no-R", "counts-R-text", "counts-R-nan",
@@ -227,7 +268,9 @@ def test_exit_code_validation(tmp_path, capsys):
         "eve-vol-inf", "height-with-cutoff",
         "radius-cutoff-zero", "from-counts-with-radius", "from-counts-with-max-norm",
         "budget-negative", "from-counts-with-budget", "from-counts-with-tol",
-        "from-counts-with-invalid-budget-and-tol"])
+        "from-counts-with-invalid-budget-and-tol", "label-not-text", "label-newline",
+        "label-carriage-return", "regulator-nan", "regulator-inf", "regulator-bool",
+        "unit-wrong-length"])
 def test_bad_input_is_a_named_error(tmp_path, capsys, command, doc_change, rest):
     """doc_change edits the Q(sqrt5) document (None drops a key) or replaces its
     text; a one-item tuple in rest is written to a file and passed by path."""

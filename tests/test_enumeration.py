@@ -17,7 +17,7 @@ from nfbounds.enumeration import (
 from nfbounds.errors import BoxTooLarge, CutoffMismatch, ValidationError
 from nfbounds.estimator import add_estimates
 from nfbounds.zeta import dirichlet_coeffs
-from bareiss_oracle import bareiss, mul_matrix, norm as oracle_norm
+from bareiss_oracle import bareiss, mul, mul_matrix, norm as oracle_norm, power
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -55,14 +55,13 @@ def test_small_boxes(q5):
 
 def test_unit_content_radius_3(q5):
     points = enumerate_box(q5, BoxSpec(3.0))
-    units = {tuple(r) for r in points.tolist() if abs(q5.element(r).norm()) == 1}
-    theta = q5.theta()
-    inv = q5.element([-1, 1])  # theta - 1 = 1/theta
+    units = {tuple(r) for r, k in zip(points.tolist(), q5.norm_rows(points)) if abs(k) == 1}
+    theta = (0, 1)
+    inv = (-1, 1)  # theta - 1 = 1/theta
     expected = set()
     for j in range(3):
-        for base in ((theta ** j), (inv ** j)):
-            expected.add(base.coords)
-            expected.add((-base).coords)
+        for a, b in (power(q5, theta, j), power(q5, inv, j)):
+            expected |= {(a, b), (-a, -b)}
     assert units == expected
     assert len(units) == 10
 
@@ -138,7 +137,8 @@ def test_count_by_norm_is_exact_past_int64(quartic, quartic_units):
     cap and skipped, and every other row is bucketed as without it."""
     box = BoxSpec(5.0)
     rows = enumerate_box(quartic, box)
-    big = (quartic_units.units[0] ** 50 + quartic.one()).coords
+    u50 = power(quartic, quartic_units.units[0], 50)
+    big = (u50[0] + 1,) + u50[1:]
     with_big = np.concatenate([rows, np.array([big], dtype=np.int64)])
     norms = quartic.norm_rows(with_big)
     assert norms.dtype == object and abs(norms[-1]) > 2 ** 63
@@ -188,7 +188,7 @@ def test_exact_norm_keys(q5):
     z = dirichlet_coeffs(q5, 100)
     table = count_table(q5, BoxSpec(10.0), z)
     points = enumerate_box(q5, BoxSpec(10.0))
-    norms = sorted({abs(q5.element(r).norm()) for r in points.tolist()})
+    norms = sorted({abs(oracle_norm(q5, r)) for r in points.tolist()})
     assert sorted(set(table.ks[table.b > 0].tolist())) == norms
 
 
@@ -205,22 +205,21 @@ def min_heights(field, orbits):
 
 
 def test_unit_orbit_examples(q5):
-    theta = q5.theta()
-    orbits = unit_orbits(q5, [theta.coords, (theta ** 2).coords, (-q5.one()).coords])
+    theta = (0, 1)
+    orbits = unit_orbits(q5, [theta, power(q5, theta, 2), (-1, 0)])
     assert len(orbits) == 1
     assert min_heights(q5, orbits)[0] == pytest.approx(1.0, abs=1e-12)
     # y = x * theta lands in the same principal ideal
-    x = q5.element([-1, 2])
-    y = q5.element([2, 1])
-    assert (x * theta).coords == y.coords
-    assert len(unit_orbits(q5, [x.coords, y.coords])) == 1
+    x, y = (-1, 2), (2, 1)
+    assert mul(q5, x, theta) == y
+    assert len(unit_orbits(q5, [x, y])) == 1
     # recorded outcome: both norm-5 points generate the ramified prime
     assert len(unit_orbits(q5, [[2, 1], [3, -1]])) == 1
 
 
 def test_orbit_relation_is_equivalence(q5):
-    points = [r for r in enumerate_box(q5, BoxSpec(100.0)).tolist()
-              if abs(q5.element(r).norm()) == 5]
+    box = enumerate_box(q5, BoxSpec(100.0))
+    points = [r for r, k in zip(box.tolist(), q5.norm_rows(box)) if abs(k) == 5]
     orbits = unit_orbits(q5, points)
     groups = members(orbits)
     assert sum(map(len, groups)) == len(points)
@@ -230,13 +229,13 @@ def test_orbit_relation_is_equivalence(q5):
             assert m not in seen  # disjoint (symmetric + transitive grouping)
             seen.add(m)
         # every pair in one orbit is mutually divisible
-        g, *rest = map(q5.element, group)
+        g, *rest = group
         for m in rest:
             assert q5.divide_exact(m, g) is not None
             assert q5.divide_exact(g, m) is not None
     # distinct orbits are not mutually divisible
     if len(groups) >= 2:
-        assert q5.divide_exact(q5.element(groups[0][0]), q5.element(groups[1][0])) is None
+        assert q5.divide_exact(groups[0][0], groups[1][0]) is None
 
 
 def test_orbit_min_height_is_ideal_height(q5):
@@ -257,49 +256,47 @@ def log_lattice_partition(points, unit_system):
     where 2 is totally ramified, and one float rounding would split them.
 
     Returns {norm: {tuple of member coordinates}}."""
-    field = points[0].field
+    field = unit_system.field
     A = unit_system.log_matrix
     gram = A @ A.T
-    inverses = [field.element([int(c) for c in field.inverse_coords_rational(u.coords)])
+    inverses = [tuple(int(c) for c in field.inverse_coords_rational(u))
                 for u in unit_system.units]
 
     def remainder(x, exponents):
         r = x
         for u, inv, e in zip(unit_system.units, inverses, exponents):
-            r = r * (inv if e > 0 else u) ** abs(e)
-        coords = r.coords
-        return tuple(-c for c in coords) if next(c for c in coords if c) < 0 else coords
+            r = mul(field, r, power(field, inv if e > 0 else u, abs(e)))
+        return tuple(-c for c in r) if next(c for c in r if c) < 0 else r
 
     groups: dict[tuple, list] = {}
     for x in points:
-        logs = np.log(np.abs(x.embed()))
+        logs = np.log(np.abs(field.embedding_matrix @ np.array(x, dtype=float)))
         t = np.linalg.solve(gram, A @ (logs - logs.mean()))
         choices = [{math.floor(v), math.ceil(v)} if abs(v - round(v)) > 0.5 - 1e-6
                    else {round(v)} for v in t]
         rep = min(remainder(x, e) for e in itertools.product(*choices))
-        groups.setdefault((abs(oracle_norm(field, x.coords)), rep), []).append(x.coords)
+        groups.setdefault((abs(oracle_norm(field, x)), rep), []).append(x)
     partition: dict[int, set] = {}
     for (k, _rep), members in groups.items():
         partition.setdefault(k, set()).add(tuple(sorted(members)))
     return partition
 
 
-def division_orbits(points):
+def division_orbits(field, points):
     """Second oracle: each point, in coordinate order, joins the first
     orbit of its norm whose representative g divides it, decided by the
     scalar elimination adj(M(g))·x ≡ 0 mod N(g).  Returns [(norm, members)]
     in the order unit_orbits promises."""
-    field = points[0].field
     by_norm: dict[int, list] = {}
-    for x in sorted(points, key=lambda p: p.coords):
-        groups = by_norm.setdefault(abs(oracle_norm(field, x.coords)), [])
+    for x in sorted(points):
+        groups = by_norm.setdefault(abs(oracle_norm(field, x)), [])
         for mat, members in groups:
-            det, adj = bareiss(mat, x.coords)
+            det, adj = bareiss(mat, x)
             if all(c % det == 0 for c in adj):
-                members.append(x.coords)
+                members.append(x)
                 break
         else:
-            groups.append((mul_matrix(field, x.coords), [x.coords]))
+            groups.append((mul_matrix(field, x), [x]))
     return [(k, tuple(members)) for k in sorted(by_norm) for _, members in by_norm[k]]
 
 
@@ -309,7 +306,7 @@ def test_unit_orbits_match_log_lattice_oracle(request, fixture_name, R):
     field = request.getfixturevalue(fixture_name)
     units = request.getfixturevalue(f"{fixture_name}_units")
     rows = enumerate_box(field, BoxSpec(R))
-    points = [field.element(r) for r in rows.tolist()]
+    points = [tuple(r) for r in rows.tolist()]
     orbits = unit_orbits(field, rows)
     table = list(zip(orbits.norms.tolist(), members(orbits)))
     partition: dict[int, set] = {}
@@ -320,7 +317,7 @@ def test_unit_orbits_match_log_lattice_oracle(request, fixture_name, R):
     assert [(k, ms[0]) for k, ms in table] == sorted((k, ms[0]) for k, ms in table)
     assert all(list(ms) == sorted(ms) for _, ms in table)
     # the same orbits in the same order as pairwise scalar division
-    assert table == division_orbits(points)
+    assert table == division_orbits(field, points)
 
 
 def test_unit_orbits_past_int64_match_division(q5):
@@ -333,7 +330,7 @@ def test_unit_orbits_past_int64_match_division(q5):
     assert orbits.norms.dtype == object and max(orbits.norms) > 2 ** 63
     assert len(orbits) == 6
     table = list(zip(orbits.norms.tolist(), members(orbits)))
-    assert table == division_orbits([q5.element(r) for r in rows])
+    assert table == division_orbits(q5, rows)
 
 
 def test_orbit_table_is_frozen_and_counts_orbits(quartic):
@@ -352,11 +349,10 @@ def test_partial_unit_symmetry(q5):
     """Multiplying by a unit permutes the box points whose image stays inside."""
     R = 10.0
     points = {tuple(r) for r in enumerate_box(q5, BoxSpec(R)).tolist()}
-    theta = q5.theta()
-    for coords in list(points):
-        y = q5.element(coords) * theta
-        if float(np.abs(y.embed()).max()) <= R - 1e-6:
-            assert y.coords in points
+    for x in list(points):
+        y = mul(q5, x, (0, 1))
+        if float(np.abs(q5.embedding_matrix @ y).max()) <= R - 1e-6:
+            assert y in points
 
 
 def test_completeness_vs_brute_force_quartic(quartic):
@@ -392,15 +388,13 @@ def test_unit_translation_closure(request, fixture_name, R):
     steps = []
     for u in units:
         steps.append(u)
-        inv = field.inverse_coords_rational(u.coords)
-        steps.append(field.element([int(c) for c in inv]))
+        steps.append(tuple(int(c) for c in field.inverse_coords_rational(u)))
     missing = 0
-    for coords in points:
-        x = field.element(coords)
+    for x in points:
         for u in steps:
-            y = x * u
-            if float(np.abs(y.embed()).max()) <= R - 1e-6:
-                missing += y.coords not in points
+            y = mul(field, x, u)
+            if float(np.abs(field.embedding_matrix @ np.array(y, dtype=float)).max()) <= R - 1e-6:
+                missing += y not in points
     assert missing == 0
 
 
@@ -410,7 +404,7 @@ def test_concurrent_reads_are_consistent(q5, quartic):
     def job(_):
         pts = enumerate_box(q5, BoxSpec(7.0))
         qts = enumerate_box(quartic, BoxSpec(3.0))
-        return (pts.tolist(), qts.tolist(), [q5.element(r).norm() for r in pts[:50].tolist()])
+        return (pts.tolist(), qts.tolist(), [q5.norm_coords(r) for r in pts[:50].tolist()])
 
     with ThreadPoolExecutor(max_workers=4) as pool:
         results = list(pool.map(job, range(8)))

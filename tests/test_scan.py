@@ -23,7 +23,7 @@ from nfbounds.errors import BoxTooLarge, InvariantError
 from nfbounds.numberfield import (AlgebraicInt, _bareiss_dets, _fits_int64, _lll_transform,
                                   parse_field)
 from nfbounds.zeta import dirichlet_coeffs
-from bareiss_oracle import bareiss, mul_matrix, norm as oracle_norm
+from bareiss_oracle import bareiss, mul_matrix, norm as oracle_norm, power
 from scan_oracle import dfs_scan, mp_inside
 
 ORACLE_CASES = [("q5", 10.0), ("q5", 100.0), ("q5", 300.0), ("quartic", 5.0),
@@ -190,10 +190,11 @@ def test_rows_past_the_reduced_basis_guard_take_python_integers(octic, octic_uni
     """u^4, the smallest power of the first octic unit past the
     reduced-basis guard, and u^4 + 1 run on Python integers, exactly; u^3
     and u^3 + 1 run on int64."""
-    u, one = octic_units.units[0], octic.one()
+    u = octic_units.units[0]
 
     def rows(k):
-        return np.array([(u ** k).coords, (u ** k + one).coords], dtype=np.int64)
+        uk = power(octic, u, k)
+        return np.array([uk, (uk[0] + 1,) + uk[1:]], dtype=np.int64)
 
     fits = [_fits_int64(reduced_matrices(octic, rows(k)[:1]).astype(float)) for k in range(1, 5)]
     assert fits == [True, True, True, False]
@@ -261,7 +262,7 @@ def test_norm_rows_pivot_swaps(request, fixture_name):
 def test_int64_guard(octic, octic_units):
     """u^10 (coordinates up to 891, norm 1) wraps int64 Bareiss: the guard
     must send it to Python integers, and the kernel refuses it as int64."""
-    u10 = np.array([(octic_units.units[0] ** 10).coords], dtype=np.int64)
+    u10 = np.array([power(octic, octic_units.units[0], 10)], dtype=np.int64)
     theta7 = np.eye(8, dtype=np.int64)[7:]
     rows = np.concatenate([u10, theta7])
     assert not _fits_int64(octic._mul_matrices(rows.astype(float)))
@@ -274,8 +275,8 @@ def test_int64_guard(octic, octic_units):
 def test_norm_rows_past_int64(quartic, quartic_units):
     """Norms past int64 come back as Python integers, from int64 rows and
     from coordinates past int64 alike; so do the cofactors."""
-    u = quartic_units.units[0]
-    coords = [(u ** 50 + quartic.one()).coords, (u ** 100 + quartic.one()).coords]
+    coords = [power(quartic, quartic_units.units[0], e) for e in (50, 100)]
+    coords = [(c[0] + 1,) + c[1:] for c in coords]
     assert max(abs(c) for c in coords[0]) < 2 ** 62 < max(abs(c) for c in coords[1])
     want = [oracle_norm(quartic, c) for c in coords]
     assert min(abs(w) for w in want) > 2 ** 63
@@ -429,7 +430,7 @@ def test_closed_box_boundary_unit_height(q5, k, inside):
     want, _ = mp_brute_force(q5, R, 0.0)
     got = [tuple(r) for r in enumerate_box(q5, BoxSpec(R, 0.0)).tolist()]
     assert got == want
-    assert ((q5.theta() ** k).coords in got) == inside
+    assert (power(q5, (0, 1), k) in got) == inside
 
 
 def test_closed_box_boundary_mixed_signs(q5):
@@ -463,14 +464,14 @@ def test_closed_box_boundary_lucas_radius(q5, k, inside):
         fib.append(fib[-1] + fib[-2])
     x, lucas = (fib[k - 1], fib[k]), fib[k - 1] + fib[k + 1]
     R = float(lucas)
-    assert R == lucas and (q5.theta() ** k).coords == x
+    assert R == lucas and power(q5, (0, 1), k) == x
     with mpmath.workprec(400):
         assert (((1 + mpmath.sqrt(5)) / 2) ** k <= R) == inside
     assert mp_inside(q5, x, R) == inside
     rule = numberfield._closed_box(R)
     minus = tuple(-c for c in x)
     assert q5.enclose([x, minus], rule) == [inside, inside]
-    assert q5.element(x).embed_mp(rule) is inside
+    assert AlgebraicInt(q5, x).embed_mp(rule) is inside
     # one float below L_k both are outside, so the decision is not at the ulp of R
     below = numberfield._closed_box(math.nextafter(R, 0))
     assert q5.enclose([x, minus], below) == [False, False]

@@ -7,18 +7,20 @@ import numpy as np
 import pytest
 
 from nfbounds.enumeration import BoxSpec, enumerate_box
-from nfbounds.errors import DependentUnits, NotAUnit, RegulatorMismatch, WrongRank
+from nfbounds.errors import (DependentUnits, NotAUnit, RegulatorMismatch, ValidationError,
+                             WrongRank)
 from nfbounds.numberfield import Polynomial, parse_field
-from nfbounds.units import build_unit_system, is_unit, quadratic_fundamental_unit
+from nfbounds.units import build_unit_system, quadratic_fundamental_unit
+from bareiss_oracle import mul, power
 
 GOLDEN_REGULATOR = 0.481211825059603
 
 
 def test_fundamental_unit_golden(q5):
     u = quadratic_fundamental_unit(q5)
-    assert u.coords == (0, 1)  # theta itself
-    assert abs(u.norm()) == 1
-    assert math.log(u.embed()[-1]) == pytest.approx(GOLDEN_REGULATOR, abs=1e-12)
+    assert u == (0, 1)  # theta itself
+    assert abs(q5.norm_coords(u)) == 1
+    assert math.log((q5.embedding_matrix @ u)[-1]) == pytest.approx(GOLDEN_REGULATOR, abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -34,8 +36,9 @@ def test_fundamental_unit_golden(q5):
 def test_fundamental_unit_pell(coeffs, expected, expected_norm):
     field = parse_field(Polynomial(coeffs))
     u = quadratic_fundamental_unit(field)
-    assert u.coords == expected
-    assert u.norm() == expected_norm
+    assert u == expected
+    assert all(type(c) is int for c in u)
+    assert field.norm_coords(u) == expected_norm
 
 
 @pytest.mark.parametrize("coeffs", [(-2, 0, 1), (-7, 0, 1), (-5, -3, 1), (-11, 0, 1)])
@@ -43,11 +46,12 @@ def test_fundamental_unit_brute_force_oracle(coeffs):
     """No unit of the order lies strictly between 1 and the fundamental one."""
     field = parse_field(Polynomial(coeffs))
     u = quadratic_fundamental_unit(field)
-    top = u.height()
-    points = [field.element(r) for r in enumerate_box(field, BoxSpec(top + 1e-6)).tolist()]
+    top = field.heights([u])[0]
+    points = enumerate_box(field, BoxSpec(top + 1e-6))
     strictly_between = [
-        p for p in points
-        if abs(p.norm()) == 1 and 1 + 1e-9 < p.embed()[-1] < top - 1e-9
+        p for p, k, sigma in zip(points.tolist(), field.norm_rows(points),
+                                 points @ field.embedding_matrix.T)
+        if abs(k) == 1 and 1 + 1e-9 < sigma[-1] < top - 1e-9
     ]
     assert strictly_between == []
 
@@ -66,7 +70,7 @@ def test_every_quadratic_unit_below_1000_validates():
             continue
         field = parse_field(Polynomial((-d, 0, 1)))
         us = build_unit_system(field)
-        a, b = us.units[0].coords
+        a, b = us.units[0]
         assert a > 0 and b > 0 and a * a - d * b * b in (1, -1)
         with mpmath.workprec(2 * (a * b).bit_length() + 400):
             log_eps = float(mpmath.log(a + b * mpmath.sqrt(d)))
@@ -75,12 +79,6 @@ def test_every_quadratic_unit_below_1000_validates():
         assert us.regulator == abs(us.log_matrix[0, 0]), d
         checked += 1
     assert checked == 968
-
-
-def test_is_unit(q5):
-    assert is_unit(q5.one())
-    assert is_unit(q5.theta())
-    assert not is_unit(q5.element([2, 1]))
 
 
 def test_build_unit_system_golden(q5):
@@ -104,20 +102,31 @@ def test_build_unit_system_octic(octic_units):
 
 
 def test_unit_square_doubles_regulator(q5):
-    theta = q5.theta()
-    us = build_unit_system(q5, units=[theta * theta])
+    theta2 = mul(q5, (0, 1), (0, 1))
+    us = build_unit_system(q5, units=[theta2])
     assert us.regulator == pytest.approx(2 * GOLDEN_REGULATOR, abs=1e-9)
     with pytest.raises(RegulatorMismatch):
-        build_unit_system(q5, units=[theta * theta], expected_regulator=GOLDEN_REGULATOR)
+        build_unit_system(q5, units=[theta2], expected_regulator=GOLDEN_REGULATOR)
+
+
+def test_units_past_int64_stay_exact():
+    """x^2 - 991 has a 99-bit fundamental unit: it is held, validated and
+    printed as Python integers."""
+    field = parse_field(Polynomial((-991, 0, 1)))
+    us = build_unit_system(field)
+    (a, b), = us.units
+    assert type(a) is int and a.bit_length() == 99
+    assert a * a - 991 * b * b == 1
+    assert build_unit_system(field, units=[(a, b)]).regulator == us.regulator
 
 
 def test_regulator_invariance_under_basis_change(quartic, quartic_units):
     u1, u2, u3 = quartic_units.units
-    inv = lambda u: quartic.element([int(c) for c in quartic.inverse_coords_rational(u.coords)])
+    inv = lambda u: [int(c) for c in quartic.inverse_coords_rational(u)]
     variants = [
         [inv(u1), inv(u2), inv(u3)],
-        [u1 * u2, u2, u3],
-        [u1, u2 * (inv(u1) ** 2), u3],
+        [mul(quartic, u1, u2), u2, u3],
+        [u1, mul(quartic, u2, power(quartic, inv(u1), 2)), u3],
     ]
     for units in variants:
         us = build_unit_system(quartic, units=units)
@@ -125,23 +134,27 @@ def test_regulator_invariance_under_basis_change(quartic, quartic_units):
 
 
 def test_norm_invariant_under_unit_multiplication(q5):
-    theta = q5.theta()
-    for coords in [(2, 1), (3, -1), (7, 4)]:
-        x = q5.element(coords)
-        assert abs((x * theta).norm()) == abs(x.norm())
-        assert abs((x * (theta ** 3)).norm()) == abs(x.norm())
+    theta = (0, 1)
+    for x in [(2, 1), (3, -1), (7, 4)]:
+        assert abs(q5.norm_coords(mul(q5, x, theta))) == abs(q5.norm_coords(x))
+        assert abs(q5.norm_coords(mul(q5, x, power(q5, theta, 3)))) == abs(q5.norm_coords(x))
 
 
 def test_build_unit_system_errors(q5, quartic):
     with pytest.raises(NotAUnit):
-        build_unit_system(q5, units=[q5.element([2, 1])])
+        build_unit_system(q5, units=[(2, 1)])
     with pytest.raises(WrongRank):
         build_unit_system(quartic)  # needs 3 units, none supplied
     with pytest.raises(WrongRank):
-        build_unit_system(q5, units=[q5.theta(), q5.theta() ** 2])
-    theta4 = quartic.theta()
+        build_unit_system(q5, units=[(0, 1), power(q5, (0, 1), 2)])
+    theta4 = (0, 1, 0, 0)
     with pytest.raises(DependentUnits):
-        build_unit_system(quartic, units=[theta4, theta4 ** 2, theta4 ** 3])
+        build_unit_system(quartic, units=[power(quartic, theta4, e) for e in (1, 2, 3)])
+    with pytest.raises(ValidationError, match="length 3, expected 2"):
+        build_unit_system(q5, units=[(0, 1, 0)])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="finite"):
+            build_unit_system(q5, expected_regulator=bad)
 
 
 def test_floor_surd_randomized_oracle():

@@ -348,10 +348,10 @@ def test_bounded_height_zeta_orbit_oracle(q5):
     """Brute-force oracle: group box points into ideals by pairwise exact
     division only, then sum norm powers once per group."""
     m = 10
-    points = [q5.element(r) for r in cached_points(q5, BoxSpec(float(m))).tolist()]
+    points = cached_points(q5, BoxSpec(float(m)))
     by_norm: dict[int, list] = {}
-    for p in points:
-        by_norm.setdefault(abs(p.norm()), []).append(p)
+    for p, k in zip(points.tolist(), q5.norm_rows(points)):
+        by_norm.setdefault(abs(k), []).append(p)
     total = 0.0
     for k, members in by_norm.items():
         groups = []

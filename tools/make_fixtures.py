@@ -33,20 +33,37 @@ from nfbounds.numberfield import Polynomial, _poly_eval, _refine, parse_field
 PREC_BITS = 220
 
 
+def mul(field, x, y):
+    """x·y in Z[theta] as a coordinate tuple: M(x)·y, in Python integers."""
+    mat = field._mul_matrices(np.array([x], dtype=object))[0]
+    return tuple(int(c) for c in mat @ np.array(y, dtype=object))
+
+
+def power(field, x, e):
+    """x^e for e >= 0, by square and multiply."""
+    result = (1,) + (0,) * (field.degree - 1)
+    while e:
+        if e & 1:
+            result = mul(field, result, x)
+        x = mul(field, x, x)
+        e >>= 1
+    return result
+
+
 def saturate(field, units):
-    """Basis of the unit group generated by ``units`` (mod torsion)."""
+    """Basis of the unit group generated by ``units`` (mod torsion), as
+    coordinate tuples."""
     n = field.degree
     V = field.embedding_matrix
 
     def logvec(u):
-        return np.log(np.abs(V @ np.array(u.coords, dtype=float)))
+        return np.log(np.abs(V @ np.array(u, dtype=float)))
 
     def inv(u):
-        coords = field.inverse_coords_rational(u.coords)
-        return field.element([int(c) for c in coords])
+        return tuple(int(c) for c in field.inverse_coords_rational(u))
 
     def is_torsion(u):
-        return all(c == 0 for c in u.coords[1:]) and abs(u.coords[0]) == 1
+        return all(c == 0 for c in u[1:]) and abs(u[0]) == 1
 
     basis = []
 
@@ -61,17 +78,17 @@ def saturate(field, units):
                 return u
             for b, k in zip(basis, e):
                 if k > 0:
-                    u = u * (inv(b) ** int(k))
+                    u = mul(field, u, power(field, inv(b), int(k)))
                 elif k < 0:
-                    u = u * (b ** int(-k))
+                    u = mul(field, u, power(field, b, int(-k)))
         return u
 
     gens, seen = [], set()
     for u in units:
-        if u.coords in seen:
+        if u in seen:
             continue
-        seen.add(u.coords)
-        seen.add(tuple(-c for c in u.coords))
+        seen.add(u)
+        seen.add(tuple(-c for c in u))
         if not is_torsion(u):
             gens.append(u)
     gens.sort(key=lambda u: float(np.abs(logvec(u)).max()))
@@ -92,14 +109,13 @@ def saturate(field, units):
         raise RuntimeError(f"{len(bad)} box units do not reduce to torsion")
     # sign-normalise for a tidy fixture
     out = []
-    for b in basis:
-        coords = b.coords
+    for coords in basis:
         for c in coords:
             if c:
                 if c < 0:
                     coords = tuple(-v for v in coords)
                 break
-        out.append(field.element(coords))
+        out.append(coords)
     return out
 
 
@@ -111,7 +127,7 @@ def embed_mp(field, u):
     brackets = [_refine(coeffs, *bracket, PREC_BITS) for bracket in field.brackets]
     with mpmath.workprec(PREC_BITS + 24):
         roots = [mpmath.ldexp(mpmath.mpf(a + b), -(k + 1)) for a, b, k in brackets]
-        return [_poly_eval(u.coords, r) for r in roots]
+        return [_poly_eval(u, r) for r in roots]
 
 
 def regulator_mp(field, units):
@@ -129,7 +145,7 @@ def quartic_fixture():
     field = parse_field(Polynomial((1, 1, -3, -1, 1)),
                         label="totally real quartic, discriminant 725")
     pts = enumerate_box(field, BoxSpec(10.0))
-    units = [field.element(r) for r in pts[np.abs(field.norm_rows(pts)) == 1].tolist()]
+    units = [tuple(r) for r in pts[np.abs(field.norm_rows(pts)) == 1].tolist()]
     print(f"quartic: {len(units)} units of height <= 10")
     basis = saturate(field, units)
     reg = regulator_mp(field, basis)
@@ -139,7 +155,7 @@ def quartic_fixture():
         "min_poly": [1, 1, -3, -1, 1],
         "assume_maximal_order": True,
         "roots_of_unity": 2,
-        "fundamental_units": [list(b.coords) for b in basis],
+        "fundamental_units": [list(b) for b in basis],
         "expected_regulator": float(mpmath.nstr(reg, 17)),
     }
 
@@ -160,15 +176,15 @@ def octic_fixture():
         rounded = np.round(coords).astype(np.int64)
         if not np.allclose(coords, rounded, atol=1e-6):
             raise RuntimeError(f"sine quotient a={a} is not integral in the power basis")
-        u = field.element(rounded.tolist())
-        if abs(u.norm()) != 1:
+        u = tuple(rounded.tolist())
+        if abs(field.norm_coords(u)) != 1:
             raise RuntimeError(f"sine quotient a={a} has |norm| != 1")
         units.append(u)
     reg = regulator_mp(field, units)
     print(f"octic sine-quotient regulator: {mpmath.nstr(reg, 20)}")
     # independent check: saturating the box units must give the same lattice
     pts = enumerate_box(field, BoxSpec(5.0))
-    box_units = [field.element(r) for r in pts[np.abs(field.norm_rows(pts)) == 1].tolist()]
+    box_units = [tuple(r) for r in pts[np.abs(field.norm_rows(pts)) == 1].tolist()]
     print(f"octic: {len(box_units)} units of height <= 5")
     basis = saturate(field, box_units)
     reg_box = regulator_mp(field, basis)
@@ -181,7 +197,7 @@ def octic_fixture():
         "min_poly": [2, 0, -16, 0, 20, 0, -8, 0, 1],
         "assume_maximal_order": True,
         "roots_of_unity": 2,
-        "fundamental_units": [list(u.coords) for u in units],
+        "fundamental_units": [list(u) for u in units],
         "expected_regulator": float(mpmath.nstr(reg, 17)),
     }
 
