@@ -13,6 +13,7 @@ from .errors import ResourceLimitError, ValidationError
 from .estimator import ErrorProfile, add_estimates, error_profile, estimate_counts, section_volume
 from .bounds import (
     BoundReport,
+    bounded_height_zeta,
     coefficient_upper_bound,
     eve_sum,
     full_height_report,
@@ -34,7 +35,6 @@ from .units import UnitSystem, build_unit_system, quadratic_fundamental_unit
 from .zeta import (
     SplittingType,
     ZetaSeries,
-    bounded_height_zeta,
     dirichlet_coeffs,
     splitting_type,
     zeta_derivative,

@@ -3,13 +3,16 @@
 Three kinds of statement are computed:
 
 * height-truncated sums S(s, m) over elements, compared against the
-  bounded-height ideal sum (strict lower bound) and against
+  bounded-height ideal sum zeta(s, m) (strict lower bound) and against
   max{b_k} times that sum (upper bound), both valid for class number 1;
+  b_k and zeta(s, m) are read off one pass over the box's unit orbits;
 
 * the geometric bound: the estimator sum is expanded binomially in
   log(R^n) - log(k) and each power-of-log sum is majorised by the
-  corresponding derivative of the ideal-count series.  With derivative
-  partial sums taken at a cutoff at least the table cap, the chain
+  corresponding derivative of the ideal-count series, which is sieved
+  here to the cutoff (by default min(max(R^n, 10^4), 10^5)) and shares
+  the estimate's formula with `estimator`.  With derivative partial sums
+  taken at a cutoff at least the table cap, the chain
 
       sum n_k_raw / k^s  <=  K1 * sum_m C(n-1,m) (log R^n)^{n-1-m} |D^(m)|
 
@@ -31,9 +34,10 @@ import numpy as np
 
 from .enumeration import BoxSpec, CountTable, _norm_cap, cached_orbits
 from .errors import InvariantError, ValidationError
+from .estimator import _estimates
 from .numberfield import NumberField
 from .units import UnitSystem
-from .zeta import ZetaSeries, bounded_height_zeta, zeta_derivative
+from .zeta import dirichlet_coeffs, zeta_derivative
 
 
 def norm_sum(table: CountTable, s: int, column: str = "exact") -> float:
@@ -122,23 +126,50 @@ class BoundReport:
 # height-truncated statements (class number 1)
 
 
+def _height_sums(field: NumberField, s: int, m: float):
+    """The distinct norms k of the height-m box, their point counts b_k and
+    zeta(s, m), from one pass over the box's unit orbits.
+
+    Every generator of height <= m lies in the box of radius m, so its unit
+    orbits are exactly the principal ideals of height <= m: b_k is the total
+    size of the orbits of norm k, and zeta(s, m) sums 1/k^s once per orbit.
+    The orbits come from exact division, so no unit basis is needed.
+    """
+    orbits = cached_orbits(field, BoxSpec(float(m)))
+    ks, first, per_norm = np.unique(orbits.norms, return_index=True, return_counts=True)
+    b = np.diff(orbits.starts[first], append=len(orbits.rows))  # orbits come by norm
+    # 1.0 / k**s; past the float range the exactly rounded 1 / k**s, subnormal or 0.0
+    terms = [1.0 / p if p.bit_length() < 1024 else 1 / p for p in (k ** s for k in ks.tolist())]
+    return ks, b, float(sum(np.repeat(terms, per_norm).tolist()))  # orbit by orbit, in order
+
+
+def bounded_height_zeta(field: NumberField, s: int, m: float) -> float:
+    """Sum of 1/N(I)^s over principal ideals whose minimal-height generator
+    has height <= m (class-number-one fields).
+
+    The box is closed up to its boundary tolerance, so an m just below 1
+    already counts the unit ideal.
+    """
+    if s < 2:
+        raise ValidationError("evaluation requires integer s >= 2")
+    if m <= 0:
+        return 0.0
+    return _height_sums(field, s, m)[2]
+
+
 def height_bound_report(field: NumberField, s: int, m: float) -> BoundReport:
     """Both zeta-based statements for the height-m truncation at exponent s.
 
-    Read off the unit orbits of the height-m box: b_k, the number of box
-    points of norm k, is the total size of its orbits of norm k, so no
-    Dirichlet coefficient is needed.
+    Read off the unit orbits of the height-m box, so no Dirichlet
+    coefficient is needed.
     """
     if s < 2:
         raise ValidationError("s must be an integer >= 2")
     if m < 1:
         raise ValidationError("height bound m must be >= 1 (no points otherwise)")
-    orbits = cached_orbits(field, BoxSpec(float(m)))  # m >= 1: the units are in it
-    ks, first = np.unique(orbits.norms, return_index=True)  # orbits come by norm
-    b = np.diff(orbits.starts[first], append=len(orbits.rows))
+    ks, b, zeta_trunc = _height_sums(field, s, m)  # m >= 1: the units are in the box
     with np.errstate(over="ignore"):  # b_k / inf = 0.0 is below the last bit: b_1 >= 2
         total = float((b / ks.astype(float) ** s).sum())
-    zeta_trunc = bounded_height_zeta(field, s, m)
     return BoundReport(
         s=s, m_or_R=m, norm_sum=total,
         zeta_truncated=zeta_trunc, lower_bound=zeta_trunc,
@@ -167,28 +198,29 @@ def coefficient_upper_bound(table: CountTable, field: NumberField, s: int) -> fl
 # geometric bound via series derivatives
 
 
-def geometric_bound(zeta: ZetaSeries, unit_system: UnitSystem, s: int,
-                    R: float) -> BoundReport:
+def geometric_bound(unit_system: UnitSystem, s: int, R: float,
+                    cutoff: int | None = None) -> BoundReport:
     """Binomial-expansion bound on the estimator sum, with the chain check.
 
-    The left side sums raw estimates over table rows k <= min(R^n, cutoff);
-    the right side uses derivative partial sums at the series cutoff, which
-    can only exceed the matching finite sums, so the inequality is exact.
-    It needs R >= 1: below that log(R^n) < 0 and the expansion is no bound.
+    The derivative partial sums run to the series cutoff, by default
+    min(max(R^n, 10^4), 10^5).  The left side sums raw estimates over rows
+    k <= min(R^n, cutoff); the right side's partial sums can only exceed
+    the matching finite sums, so the inequality is exact.  It needs R >= 1:
+    below that log(R^n) < 0 and the expansion is no bound.
     """
     if s < 2:
         raise ValidationError("s must be an integer >= 2")
     if R < 1:
         raise ValidationError(f"the geometric bound needs R >= 1, got {R}")
-    field = zeta.field
+    field = unit_system.field
     n = field.degree
-    cap = _norm_cap(field, BoxSpec(R, 0.0), zeta.cutoff)  # BoxSpec rejects R = inf, nan
-    K1 = unit_system.w * math.sqrt(n) / (math.factorial(n - 1) * unit_system.log_volume)
-    ks = np.arange(1, cap + 1, dtype=float)
-    a = zeta.a[1 : cap + 1].astype(float)
-    t = n * math.log(R) - np.log(ks)
+    geo = _norm_cap(field, BoxSpec(R, 0.0), None)  # BoxSpec rejects R = inf, nan
+    zeta = dirichlet_coeffs(field, min(max(geo, 10 ** 4), 10 ** 5) if cutoff is None else cutoff)
+    cap = min(geo, zeta.cutoff)
+    ks = np.arange(1, cap + 1)
+    K1, raw = _estimates(unit_system, R, ks, zeta.a[1 : cap + 1])
     with np.errstate(over="ignore"):  # k^s past the float range: the term is 0.0
-        lhs = float(K1 * (a * np.maximum(t, 0.0) ** (n - 1) / ks ** s).sum())
+        lhs = float((raw / ks.astype(float) ** s).sum())
     logRn = n * math.log(R)
     derivs = [zeta_derivative(zeta, mm, s) for mm in range(n)]
     terms = [math.comb(n - 1, mm) * logRn ** (n - 1 - mm) * abs(dv.value)

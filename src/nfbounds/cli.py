@@ -26,15 +26,7 @@ import numpy as np
 
 from . import channel, estimator
 from .bounds import eve_sum, full_height_report, geometric_bound
-from .enumeration import (
-    DEFAULT_BUDGET,
-    BoxSpec,
-    CountTable,
-    _check_budget,
-    _norm_cap,
-    count_table,
-    enumerate_box,
-)
+from .enumeration import DEFAULT_BUDGET, BoxSpec, CountTable, count_table, enumerate_box
 from .errors import ResourceLimitError, ValidationError
 from .numberfield import NumberField, Polynomial, parse_field
 from .units import UnitSystem, build_unit_system
@@ -139,18 +131,10 @@ def unit_system_from_document(field: NumberField, doc: dict) -> UnitSystem:
 
 
 def _box_and_budget(args) -> tuple[BoxSpec, int]:
-    """The box of --radius and --tol and the budget of --budget, checked;
-    an option left out takes the library default."""
-    budget = DEFAULT_BUDGET if args.budget is None else args.budget
-    _check_budget(budget)
+    """The box of --radius and --tol and the budget of --budget; an option
+    left out takes the library default."""
     tol = BoxSpec.boundary_tolerance if args.tol is None else args.tol
-    return BoxSpec(args.radius, tol), budget
-
-
-def _table_for(field: NumberField, args) -> CountTable:
-    box, budget = _box_and_budget(args)  # before the sieve
-    series = dirichlet_coeffs(field, max(_norm_cap(field, box, args.max_norm), 1))
-    return count_table(field, box, series, max_norm=args.max_norm, budget=budget)
+    return BoxSpec(args.radius, tol), DEFAULT_BUDGET if args.budget is None else args.budget
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +190,16 @@ def _counts_preamble(field: NumberField, table: CountTable) -> str:
 
 def cmd_counts(args) -> int:
     field, _doc = load_field_document(args.field_doc)
-    table = _table_for(field, args)
+    box, budget = _box_and_budget(args)
+    table = count_table(field, box, args.max_norm, budget)
     _write_csv(["k", "a_k", "b_k"], _cells(table.ks, table.a, table.b), args.out,
                _counts_preamble(field, table))
     return 0
 
 
-def _read_counts_csv(path: str) -> CountTable:
+def _read_counts_csv(path: str, field: NumberField) -> CountTable:
+    """The table of a counts CSV, checked against the document's field
+    and against its own preamble."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or not lines[0].startswith("# nfbounds-counts"):
         raise ValidationError("counts CSV lacks the nfbounds-counts preamble")
@@ -223,21 +210,18 @@ def _read_counts_csv(path: str) -> CountTable:
         if any(len(r) != 3 for r in body):
             raise ValueError("every row needs exactly the three fields k,a_k,b_k")
         rows = np.array(body, dtype=np.int64).reshape(-1, 3)
-        table = CountTable(
-            R=BoxSpec(float(meta["R"])).R, degree=int(meta["degree"]), cap=int(meta["cap"]),
-            max_norm=int(meta["max_norm"]), ks=rows[:, 0], a=rows[:, 1], b=rows[:, 2],
-            total_points=int(meta["total"]),
-        )
+        table = CountTable(R=BoxSpec(float(meta["R"])).R, degree=int(meta["degree"]),
+                           cap=int(meta["cap"]), ks=rows[:, 0], a=rows[:, 1], b=rows[:, 2])
+        stated = {"total": int(meta["total"]), "max_norm": int(meta["max_norm"])}
     except KeyError as exc:
         raise ValidationError(f"counts CSV preamble lacks {exc}") from exc
     except (ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed counts CSV: {exc}") from exc
-    return table
-
-
-def _check_counts_field(field: NumberField, table: CountTable) -> None:
-    """The a_k column must be the document field's: equal at every listed
-    k, and no nonzero a_k up to the cap left out."""
+    if table.degree != field.degree:
+        raise ValidationError(f"counts file is for degree {table.degree}, "
+                              f"the field document for degree {field.degree}")
+    # the a_k column must be the document field's: equal at every listed k,
+    # and no nonzero a_k up to the cap left out
     ks = table.ks
     if not np.all((ks >= 1) & (ks <= table.cap)):
         raise ValidationError(f"counts file lists k outside 1..cap={table.cap}")
@@ -247,6 +231,11 @@ def _check_counts_field(field: NumberField, table: CountTable) -> None:
     if len(bad):
         raise ValidationError(f"counts file is not for {field.label}: its a_k disagrees "
                               f"with the field document's at k={bad[0]}")
+    for key, derived in (("total", table.total_points), ("max_norm", table.max_norm)):
+        if stated[key] != derived:
+            raise ValidationError(f"counts CSV preamble says {key}={stated[key]}, "
+                                  f"its rows give {derived}")
+    return table
 
 
 def cmd_estimate(args) -> int:
@@ -259,15 +248,12 @@ def cmd_estimate(args) -> int:
                  if value is not None]
         if given:
             raise ValidationError(f"{' and '.join(given)} build a table: --from-counts reads one")
-        table = _read_counts_csv(args.from_counts)
-        if table.degree != field.degree:
-            raise ValidationError(f"counts file is for degree {table.degree}, "
-                                  f"the field document for degree {field.degree}")
-        _check_counts_field(field, table)
+        table = _read_counts_csv(args.from_counts, field)
     else:
         if args.radius is None:
             raise ValidationError("estimate needs --radius or --from-counts")
-        table = _table_for(field, args)
+        box, budget = _box_and_budget(args)
+        table = count_table(field, box, args.max_norm, budget)
     table = estimator.add_estimates(table, us)
     # before any output: a table the profile refuses leaves no file behind
     profile = estimator.error_profile(table) if args.profile_out else None
@@ -291,10 +277,7 @@ def cmd_bounds(args) -> int:
             raise ValidationError("--cutoff belongs to --radius: --height reads no a_k")
         report = full_height_report(field, args.s, args.height)
     else:
-        cap = _norm_cap(field, BoxSpec(args.radius, 0.0), None)
-        cutoff = args.cutoff if args.cutoff is not None else min(max(cap, 10 ** 4), 10 ** 5)
-        series = dirichlet_coeffs(field, cutoff)
-        report = geometric_bound(series, us, args.s, args.radius)
+        report = geometric_bound(us, args.s, args.radius, args.cutoff)
     _emit(report.to_json(label=field.label) + "\n", args.out)
     return 0
 
@@ -308,7 +291,8 @@ def cmd_pep(args) -> int:
     except ValueError as exc:
         raise ValidationError(f"--snr must be START:STOP:POINTS, got {args.snr!r}") from exc
     channel.check_snr_grid(start, stop, npts)
-    table = estimator.add_estimates(_table_for(field, args), us)
+    box, budget = _box_and_budget(args)
+    table = estimator.add_estimates(count_table(field, box, args.max_norm, budget), us)
     curve = channel.pep_curve(table, start, stop, npts)
     rows = _cells(curve.snr_db, curve.snr_linear, curve.pe_estimate, curve.pe_exact)
     _write_csv(["snr_db", "gamma", "pe_estimate", "pe_exact"], rows, args.out,
@@ -318,7 +302,8 @@ def cmd_pep(args) -> int:
 
 def cmd_eve(args) -> int:
     field, _doc = load_field_document(args.field_doc)
-    table = _table_for(field, args)
+    box, budget = _box_and_budget(args)
+    table = count_table(field, box, args.max_norm, budget)
     value = channel.eve_probability(table, args.gamma, args.vol)
     payload = {
         "label": field.label,

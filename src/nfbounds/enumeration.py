@@ -25,22 +25,25 @@ certified.
 
 Norm bucketing is always exact: `count_table` gathers scan blocks into
 batches of `_STACK_ROWS` rows, one `NumberField.norm_rows` call and one
-kernel call each.  Unit orbits take one more such call, then rounds that
-place the points of every norm at once; they are kept as one frozen
-`OrbitTable` of arrays, not as an object per orbit.
+kernel call each.  A table takes its a_k from the field's memoised
+`dirichlet_coeffs`, sieved to the table's cap before the scan, so no
+caller sizes or matches a series.  Unit orbits take one more such call,
+then rounds that place the points of every norm at once; they are kept
+as one frozen `OrbitTable` of arrays, not as an object per orbit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import _memo
-from .errors import BoxTooLarge, CutoffMismatch, ValidationError
+from .errors import BoxTooLarge, ValidationError
 from .numberfield import _STACK_ROWS, AlgebraicInt, NumberField, _closed_box, _max_abs
-from .zeta import ZetaSeries
+from .zeta import dirichlet_coeffs
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -227,27 +230,45 @@ def enumerate_box(field: NumberField, box: BoxSpec,
 
 @dataclass(frozen=True)
 class CountTable:
-    """Per-norm records for a box: exact counts b_k, coefficients a_k, and (after
-    estimation) the estimates and error column, each a read-only view."""
+    """Per-norm records for a box: coefficients a_k, exact counts b_k and
+    (after estimation) the raw estimates, each a read-only view.  The point
+    total, the largest realized norm, the floored estimate and the error
+    column are derived from them."""
 
     R: float
     degree: int
     cap: int                      # largest norm admitted as a row
-    max_norm: int                 # largest |N| realized among counted points
     ks: np.ndarray                # sorted row keys (a_k != 0 or b_k != 0)
     a: np.ndarray
     b: np.ndarray | None
-    total_points: int
     n_raw: np.ndarray | None = None
-    n_est: np.ndarray | None = None
-    f: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("ks", "a", "b", "n_raw", "n_est", "f"):
+        for name in ("ks", "a", "b", "n_raw"):
             if getattr(self, name) is not None:
-                column = getattr(self, name).view()
-                column.flags.writeable = False
-                object.__setattr__(self, name, column)
+                object.__setattr__(self, name, _read_only(getattr(self, name).view()))
+
+    @cached_property
+    def total_points(self) -> int:
+        return int(self.b.sum()) if self.b is not None else 0
+
+    @cached_property
+    def max_norm(self) -> int:
+        """Largest |N| realized among the counted points, 0 if none."""
+        realized = self.ks[self.b > 0] if self.b is not None else self.ks[:0]
+        return int(realized.max()) if len(realized) else 0
+
+    @cached_property
+    def n_est(self) -> np.ndarray | None:
+        """The floored estimate n_k."""
+        return None if self.n_raw is None else _read_only(np.floor(self.n_raw).astype(np.int64))
+
+    @cached_property
+    def f(self) -> np.ndarray | None:
+        """The error column floor(|n_k_raw - b_k|)."""
+        if self.n_raw is None or self.b is None:
+            return None
+        return _read_only(np.floor(np.abs(self.n_raw - self.b)).astype(np.int64))
 
     def row(self, k: int):
         idx = int(np.searchsorted(self.ks, k))
@@ -266,6 +287,11 @@ class CountTable:
         return len(self.ks)
 
 
+def _read_only(column: np.ndarray) -> np.ndarray:
+    column.flags.writeable = False
+    return column
+
+
 def _norm_cap(field: NumberField, box: BoxSpec, max_norm: int | None) -> int:
     if max_norm is not None and max_norm < 0:
         raise ValidationError(f"max_norm must be nonnegative, got {max_norm}")
@@ -278,52 +304,37 @@ def _norm_cap(field: NumberField, box: BoxSpec, max_norm: int | None) -> int:
     return min(geo, max_norm) if max_norm is not None else geo
 
 
-def _build_table(field: NumberField, box: BoxSpec, zeta: ZetaSeries,
-                 norm_iter, max_norm: int | None) -> CountTable:
+def _build_table(field: NumberField, box: BoxSpec, max_norm: int | None,
+                 norm_iter) -> CountTable:
+    """Bucket the norms of norm_iter up to the cap; the field's a_k come from
+    its memoised series, sieved before the first norm is drawn."""
     cap = _norm_cap(field, box, max_norm)
-    if zeta.cutoff < cap:
-        raise CutoffMismatch(
-            f"zeta cutoff {zeta.cutoff} is below the table cap {cap}"
-        )
+    a_full = dirichlet_coeffs(field, max(cap, 1)).a[: cap + 1]
     acc = np.zeros(cap + 1, dtype=np.int64)
     for norms in norm_iter:
         # cast only the admitted norms: an `object` norm past int64 would overflow.
         # (np.bincount with minlength=cap + 1 costs O(cap) per block: slower here)
         np.add.at(acc, norms[norms <= cap].astype(np.int64), 1)
-    acc[0] = 0
-    a_full = zeta.a[: cap + 1]
+    acc[0] = 0  # a zero divisor's norm; a_0 = 0 too, so k = 0 is never a row
     keys = np.flatnonzero((a_full != 0) | (acc != 0))
-    keys = keys[keys >= 1]
-    b = acc[keys]
-    max_realized = int(keys[b > 0].max()) if np.any(b > 0) else 0
-    return CountTable(
-        R=box.R,
-        degree=field.degree,
-        cap=cap,
-        max_norm=max_realized,
-        ks=keys.astype(np.int64),
-        a=a_full[keys].copy(),
-        b=b,
-        total_points=int(b.sum()),
-    )
+    return CountTable(R=box.R, degree=field.degree, cap=cap, ks=keys.astype(np.int64),
+                      a=a_full[keys], b=acc[keys])
 
 
-def count_by_norm(rows, zeta: ZetaSeries, box: BoxSpec,
+def count_by_norm(field: NumberField, rows, box: BoxSpec,
                   max_norm: int | None = None) -> CountTable:
     """Exact per-norm counts of explicit coordinate rows."""
-    norms = np.abs(zeta.field.norm_rows(rows))
-    return _build_table(zeta.field, box, zeta, [norms], max_norm)
+    return _build_table(field, box, max_norm, [np.abs(field.norm_rows(rows))])
 
 
-def count_table(field: NumberField, box: BoxSpec, zeta: ZetaSeries,
-                max_norm: int | None = None,
+def count_table(field: NumberField, box: BoxSpec, max_norm: int | None = None,
                 budget: int = DEFAULT_BUDGET) -> CountTable:
     """Enumerate the box and bucket by exact |norm| without materialising
     element objects (streaming; each batch's norms in one call)."""
     _check_budget(budget)
     batches = _batches(_scan_blocks(field, box, budget), _STACK_ROWS)
-    norm_iter = (np.abs(field.norm_rows(rows)) for rows in batches)
-    return _build_table(field, box, zeta, norm_iter, max_norm)
+    return _build_table(field, box, max_norm,
+                        (np.abs(field.norm_rows(rows)) for rows in batches))
 
 
 def _batches(blocks, size: int):

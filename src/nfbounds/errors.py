@@ -63,10 +63,6 @@ class CutoffTooSmall(ResourceLimitError):
     pass
 
 
-class CutoffMismatch(ResourceLimitError):
-    pass
-
-
 class BoxTooLarge(ResourceLimitError):
     """The box needs more candidates than the budget, or (``budget_helps``
     false) its norm cap (R + tol)^n is past any float."""

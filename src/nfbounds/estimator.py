@@ -9,23 +9,42 @@ its (n-1)-volume has the closed form
 
 and the expected number of points on the sheet is the number of unit-orbit
 translates (w * a_k) times the section volume per fundamental cell of the
-unit log-lattice.  The raw (real-valued) estimate is kept alongside the
-floored integer; the error column f_k compares the raw estimate with the
-exact count, f_k = floor(|n_k - b_k|), matching how the estimate is read
-off the smooth curve.
+unit log-lattice.  That formula lives in one vector helper, `_estimates`:
+`section_volume` is its scalar face, and `estimate_counts`,
+`add_estimates` and `bounds.geometric_bound` read it.  The a_k come
+from the field's memoised series.  A table stores the raw (real-valued)
+estimate; the floored integer and the error column f_k =
+floor(|n_k - b_k|), which compares the raw estimate with the exact count
+as the estimate is read off the smooth curve, are derived from it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .enumeration import BoxSpec, CountTable, _norm_cap
-from .errors import CutoffMismatch, ValidationError
+from .enumeration import BoxSpec, CountTable
+from .errors import ValidationError
 from .units import UnitSystem
-from .zeta import ZetaSeries
+from .zeta import dirichlet_coeffs
+
+
+def _section_volumes(n: int, R: float, ks: np.ndarray) -> np.ndarray:
+    """vol(S_k) at each norm of ks, 0 once k >= R^n."""
+    t = n * math.log(R) - np.log(ks.astype(float))
+    return np.where(t > 0, np.sqrt(n) / math.factorial(n - 1) * np.maximum(t, 0) ** (n - 1), 0.0)
+
+
+def _estimates(unit_system: UnitSystem, R: float, ks: np.ndarray,
+               a: np.ndarray) -> tuple[float, np.ndarray]:
+    """K1 = w sqrt(n) / ((n-1)! covol) and the raw estimates
+    w a_k vol(S_k) / covol = K1 a_k (n log R - log k)^(n-1) at the norms ks,
+    with covol the covolume of the unit log-lattice."""
+    n, w, covol = unit_system.field.degree, unit_system.w, unit_system.log_volume
+    K1 = w * math.sqrt(n) / (math.factorial(n - 1) * covol)
+    return K1, w * a.astype(float) * _section_volumes(n, R, ks) / covol
 
 
 def section_volume(n: int, R: float, k: int) -> float:
@@ -34,57 +53,23 @@ def section_volume(n: int, R: float, k: int) -> float:
         raise ValidationError("norm must be >= 1")
     if R <= 0:
         raise ValidationError("radius must be positive")
-    t = n * math.log(R) - math.log(k)
-    if t <= 0:
-        return 0.0
-    return math.sqrt(n) / math.factorial(n - 1) * t ** (n - 1)
+    return float(_section_volumes(n, R, np.array([k]))[0])
 
 
-def _raw_estimates(a: np.ndarray, ks: np.ndarray, n: int, R: float,
-                   w: int, log_volume: float) -> np.ndarray:
-    t = n * math.log(R) - np.log(ks.astype(float))
-    vol = np.where(t > 0, np.sqrt(n) / math.factorial(n - 1) * np.maximum(t, 0) ** (n - 1), 0.0)
-    return w * a.astype(float) * vol / log_volume
-
-
-def estimate_counts(zeta: ZetaSeries, unit_system: UnitSystem, box: BoxSpec,
-                    k_max: int) -> CountTable:
+def estimate_counts(unit_system: UnitSystem, box: BoxSpec, k_max: int) -> CountTable:
     """Estimate-only table: rows for k <= k_max with a_k != 0 (no exact column)."""
-    if zeta.cutoff < k_max:
-        raise CutoffMismatch(f"zeta cutoff {zeta.cutoff} below k_max {k_max}")
-    field = zeta.field
-    cap = min(k_max, _norm_cap(field, box, None))
-    a_full = zeta.a[: k_max + 1]
-    ks = np.flatnonzero(a_full != 0)
-    ks = ks[ks >= 1]
-    a = a_full[ks].copy()
-    raw = np.zeros(len(ks))
-    inside = ks <= cap
-    raw[inside] = _raw_estimates(a[inside], ks[inside], field.degree, box.R,
-                                 unit_system.w, unit_system.log_volume)
-    return CountTable(
-        R=box.R, degree=field.degree, cap=int(k_max), max_norm=0,
-        ks=ks.astype(np.int64), a=a, b=None, total_points=0, n_raw=raw,
-        n_est=np.floor(raw).astype(np.int64),
-    )
+    field = unit_system.field
+    a_full = dirichlet_coeffs(field, k_max).a
+    ks = np.flatnonzero(a_full)  # a_0 = 0
+    _, raw = _estimates(unit_system, box.R, ks, a_full[ks])
+    return CountTable(R=box.R, degree=field.degree, cap=int(k_max), ks=ks.astype(np.int64),
+                      a=a_full[ks], b=None, n_raw=raw)
 
 
 def add_estimates(table: CountTable, unit_system: UnitSystem) -> CountTable:
-    """Fill the estimate and error columns of an exact count table."""
-    field = unit_system.field
-    raw = np.zeros(len(table.ks))
-    nz = table.a != 0
-    raw[nz] = _raw_estimates(table.a[nz], table.ks[nz], field.degree, table.R,
-                             unit_system.w, unit_system.log_volume)
-    n_est = np.floor(raw).astype(np.int64)
-    f = None
-    if table.b is not None:
-        f = np.floor(np.abs(raw - table.b)).astype(np.int64)
-    return CountTable(
-        R=table.R, degree=table.degree, cap=table.cap, max_norm=table.max_norm,
-        ks=table.ks, a=table.a, b=table.b, total_points=table.total_points,
-        n_raw=raw, n_est=n_est, f=f,
-    )
+    """Fill the estimate column of an exact count table."""
+    _, raw = _estimates(unit_system, table.R, table.ks, table.a)
+    return replace(table, n_raw=raw)
 
 
 @dataclass(frozen=True)

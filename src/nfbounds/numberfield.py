@@ -21,6 +21,7 @@ power basis.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from decimal import Decimal, localcontext
@@ -733,14 +734,26 @@ def parse_field(poly: Polynomial, label: str = "") -> NumberField:
     return NumberField(poly, intervals, label)
 
 
+def _integer_rows(rows, n: int) -> list[tuple[int, ...]]:
+    """Coordinate rows as tuples of Python integers, each of length n.  A
+    coordinate that is no integer, or is a bool, is refused, never truncated."""
+    out = []
+    for row in rows:
+        row = tuple(row)
+        if len(row) != n:
+            raise ValidationError(f"coordinate row has length {len(row)}, expected {n}")
+        if not all(isinstance(c, numbers.Integral) and not isinstance(c, bool) for c in row):
+            raise ValidationError(f"coordinates must be integers, got {row!r}")
+        out.append(tuple(map(int, row)))
+    return out
+
+
 def min_product_distance(field: NumberField, rows) -> int:
     """Smallest |N(x)| over a nonempty collection of nonzero coordinate
     rows of the field."""
-    rows = [tuple(x) for x in rows]
+    rows = _integer_rows(rows, field.degree)
     if not rows:
         raise EmptyInput("minimum product distance of an empty set")
-    if any(len(x) != field.degree for x in rows):
-        raise ValidationError(f"coordinate rows must have length {field.degree}")
     if not all(any(x) for x in rows):
         raise ValidationError("minimum product distance is over nonzero points")
     return int(np.abs(field.norm_rows(rows)).min())

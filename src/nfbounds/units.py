@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
     WrongRank,
 )
-from .numberfield import NumberField, _log_abs, _rounded
+from .numberfield import NumberField, _integer_rows, _log_abs, _rounded
 
 _MINOR_AGREEMENT = 1e-9
 _REGULATOR_RTOL = 1e-6
@@ -37,24 +37,13 @@ _DEPENDENCE_FLOOR = 1e-9
 # continued fractions for real quadratic fields
 
 
-def _below_sqrt(x: int, D: int) -> bool:
-    """x < sqrt(D), exactly (D not a perfect square, so never equal)."""
-    return x < 0 or x * x < D
-
-
 def _floor_surd(P: int, D: int, Q: int) -> int:
-    """floor((P + sqrt(D)) / Q) for integers with D a positive nonsquare."""
-    a = (P + math.isqrt(D)) // Q  # within a couple of the answer
+    """floor((P + sqrt(D)) / Q) for integers with D a positive nonsquare.
 
-    def le(c):  # c <= (P + sqrt(D))/Q
-        lhs = c * Q - P
-        return _below_sqrt(lhs, D) if Q > 0 else not _below_sqrt(lhs, D)
-
-    while le(a + 1):
-        a += 1
-    while not le(a):
-        a -= 1
-    return a
+    P + sqrt(D) lies strictly between the integers P + isqrt(D) and one
+    more, so no multiple of Q lies between it and the one of those that
+    the division rounds toward: the lower for Q > 0, the upper for Q < 0."""
+    return (P + math.isqrt(D) + (Q < 0)) // Q
 
 
 def quadratic_fundamental_unit(field: NumberField) -> tuple[int, int]:
@@ -153,11 +142,7 @@ def build_unit_system(field: NumberField, units=None, w: int = 2,
                 f"no units supplied and degree {field.degree} > 2; expected {rank} units"
             )
         units = [quadratic_fundamental_unit(field)]
-    units = [tuple(int(c) for c in u) for u in units]
-    for u in units:
-        if len(u) != field.degree:
-            raise ValidationError(
-                f"coordinate vector has length {len(u)}, expected {field.degree}")
+    units = _integer_rows(units, field.degree)
     if len(units) != rank:
         raise WrongRank(f"got {len(units)} units, expected rank r1+r2-1 = {rank}")
     for u, k in zip(units, field.norm_rows(units)):

@@ -15,10 +15,10 @@ factors one at a time; every larger prime enters by one array scatter.  A
 cold sieve to N = 10^6 takes about 0.1 s for Q(sqrt 5), 0.25 s for the
 quartic and 1.1 s for the octic fixture (2-vCPU VM, numpy 2.4).
 
-Evaluations of the zeta function, its derivatives, and the bounded-height
-variant are finite partial sums with a doubling-based tail estimate
-attached.  The caller decides how much tail risk to accept; a hard floor
-of N >= 10^4 is enforced for s = 2, where convergence is slowest.
+Evaluations of the zeta function and its derivatives are finite partial
+sums with a doubling-based tail estimate attached.  The caller decides
+how much tail risk to accept; a hard floor of N >= 10^4 is enforced for
+s = 2, where convergence is slowest.
 """
 
 from __future__ import annotations
@@ -313,7 +313,7 @@ def dirichlet_coeffs(field: NumberField, N: int) -> ZetaSeries:
     large primes at once, so no step holds more than one entry per prime.
 
     The memo keeps one array per polynomial, which serves every smaller
-    cutoff by slicing; the coefficients do not depend on the precision."""
+    cutoff by slicing: the tables and bounds draw their a_k from it."""
     if N < 1:
         raise ValidationError("cutoff must be >= 1")
     if N > _MAX_COEFFICIENTS:
@@ -387,25 +387,3 @@ def zeta_derivative(series: ZetaSeries, m: int, s: int,
         )
     sign = -1.0 if m % 2 else 1.0
     return SeriesValue(sign * total, tail, N)
-
-
-def bounded_height_zeta(field: NumberField, s: int, m: float) -> float:
-    """Sum of 1/N(I)^s over principal ideals whose minimal-height generator
-    has height <= m (class-number-one fields).
-
-    Every generator of height <= m lies in the box of radius m, so grouping
-    the box into unit orbits recovers exactly the ideals of height <= m; the
-    orbits come from exact division, so no unit basis is needed.  The box is
-    closed up to its boundary tolerance, so an m just below 1 already counts
-    the unit ideal.
-    """
-    if s < 2:
-        raise ValidationError("evaluation requires integer s >= 2")
-    if m <= 0:
-        return 0.0
-    from .enumeration import BoxSpec, cached_orbits
-
-    ks, per_norm = np.unique(cached_orbits(field, BoxSpec(float(m))).norms, return_counts=True)
-    # 1.0 / k**s; past the float range the exactly rounded 1 / k**s, subnormal or 0.0
-    terms = [1.0 / p if p.bit_length() < 1024 else 1 / p for p in (k ** s for k in ks.tolist())]
-    return float(sum(np.repeat(terms, per_norm).tolist()))  # orbit by orbit, in order

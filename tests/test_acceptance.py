@@ -41,14 +41,11 @@ def shared_table(name, field, units):
     criterion that needs it."""
     if name not in _tables:
         if name == "q5_r10":
-            z = dirichlet_coeffs(field, 100)
-            table = count_table(field, BoxSpec(10.0), z)
+            table = count_table(field, BoxSpec(10.0))
         elif name == "quartic_r10":
-            z = dirichlet_coeffs(field, 10 ** 4)
-            table = count_table(field, BoxSpec(10.0), z)
+            table = count_table(field, BoxSpec(10.0))
         elif name == "octic_r5":
-            z = dirichlet_coeffs(field, 65536)
-            table = count_table(field, BoxSpec(5.0), z, max_norm=65536)
+            table = count_table(field, BoxSpec(5.0), max_norm=65536)
         else:
             raise KeyError(name)
         _tables[name] = add_estimates(table, units)
@@ -122,8 +119,7 @@ def test_criterion_03_error_bound_degree_2(q5, q5_units):
 )
 def test_criterion_04_extended_degree_2(q5, q5_units):
     t0 = time.perf_counter()
-    z = dirichlet_coeffs(q5, 2000)
-    table = add_estimates(count_table(q5, BoxSpec(2000.0), z, max_norm=2000), q5_units)
+    table = add_estimates(count_table(q5, BoxSpec(2000.0), max_norm=2000), q5_units)
     prof = error_profile(table)
     elapsed = time.perf_counter() - t0
     report(4, prof.max_error <= 3,
@@ -136,8 +132,7 @@ def test_criterion_04_extended_degree_2(q5, q5_units):
 def test_criterion_04_variant_archive(q5, q5_units, tmp_path):
     # the sqrt(2000) reading is run and archived without a pass/fail gate
     R = math.sqrt(2000.0)
-    z = dirichlet_coeffs(q5, 2000)
-    table = add_estimates(count_table(q5, BoxSpec(R), z, max_norm=2000), q5_units)
+    table = add_estimates(count_table(q5, BoxSpec(R), max_norm=2000), q5_units)
     prof = error_profile(table)
     archive = tmp_path / "variant_sqrt2000.json"
     archive.write_text(json.dumps({
@@ -253,17 +248,15 @@ def test_criterion_11_geometric_bound_chain(q5, q5_units, quartic, quartic_units
     ]
     all_ok = True
     for field, units, cutoff in setups:
-        z = dirichlet_coeffs(field, cutoff)
         for s in (2, 3):
             for R in (5.0, 10.0):
-                rep = geometric_bound(z, units, s, R)
+                rep = geometric_bound(units, s, R, cutoff)
                 ok = rep.estimator_sum <= rep.geometric_bound * (1 + 1e-12)
                 all_ok = all_ok and ok
                 assert ok, (field.label, s, R)
                 # stability: extending the derivative cutoff keeps the
                 # inequality and can only grow the bound
-                z_ext = dirichlet_coeffs(field, 2 * cutoff)
-                rep_ext = geometric_bound(z_ext, units, s, R)
+                rep_ext = geometric_bound(units, s, R, 2 * cutoff)
                 assert rep.geometric_bound <= rep_ext.geometric_bound * (1 + 1e-12)
                 assert rep_ext.estimator_sum <= rep_ext.geometric_bound * (1 + 1e-12)
     elapsed = time.perf_counter() - t0

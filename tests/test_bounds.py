@@ -19,8 +19,8 @@ from nfbounds.bounds import (
     norm_sum,
     pep_sum,
 )
-from nfbounds.enumeration import (BoxSpec, CountTable, _norm_cap, cached_points,
-                                  count_by_norm, count_table, enumerate_box)
+from nfbounds.enumeration import (BoxSpec, CountTable, cached_points, count_by_norm,
+                                  count_table, enumerate_box)
 from nfbounds.errors import ValidationError
 from nfbounds.estimator import add_estimates
 from nfbounds.numberfield import NumberField
@@ -28,13 +28,11 @@ from nfbounds.zeta import dirichlet_coeffs
 
 
 def test_norm_sum_examples(q5):
-    z1 = dirichlet_coeffs(q5, 1)
-    t1 = count_table(q5, BoxSpec(1.0), z1)
+    t1 = count_table(q5, BoxSpec(1.0))
     assert norm_sum(t1, 3) == 2.0
     assert norm_sum(t1, 2) == 2.0
 
-    z = dirichlet_coeffs(q5, 100)
-    table = count_table(q5, BoxSpec(10.0), z)
+    table = count_table(q5, BoxSpec(10.0))
     # independent oracle: direct sum over enumerated points
     points = enumerate_box(q5, BoxSpec(10.0))
     oracle = sum(1.0 / abs(q5.norm_coords(r)) ** 3 for r in points.tolist())
@@ -47,15 +45,14 @@ def test_norm_sum_examples(q5):
 
 def test_norm_sum_at_large_s(q5):
     """A k^s past the float range leaves its term 0.0 without a warning."""
-    table = count_table(q5, BoxSpec(10.0), dirichlet_coeffs(q5, 100))
+    table = count_table(q5, BoxSpec(10.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert norm_sum(table, 400) == 18.0  # the units; 1/4^400 is below the last bit
 
 
 def test_eve_pep_aliases(q5):
-    z = dirichlet_coeffs(q5, 100)
-    table = count_table(q5, BoxSpec(10.0), z)
+    table = count_table(q5, BoxSpec(10.0))
     assert eve_sum(table) == norm_sum(table, 3)
     assert pep_sum(table) == norm_sum(table, 2)
     assert pep_sum(table) >= eve_sum(table)
@@ -75,29 +72,26 @@ def test_lower_bound_check(q5):
 
 
 def test_coefficient_upper_bound(q5):
-    z1 = dirichlet_coeffs(q5, 1)
-    t1 = count_table(q5, BoxSpec(1.0), z1)
+    t1 = count_table(q5, BoxSpec(1.0))
     bound = coefficient_upper_bound(t1, q5, 3)
     assert bound == pytest.approx(2.0)  # max b = 2, zeta(3,1) = 1: tight
     # the closed box at R = 1 - 1e-10 still holds the units +-1
-    t_edge = count_table(q5, BoxSpec(1 - 1e-10), z1)
+    t_edge = count_table(q5, BoxSpec(1 - 1e-10))
     assert coefficient_upper_bound(t_edge, q5, 3) == pytest.approx(2.0)
-    z = dirichlet_coeffs(q5, 100)
-    table = count_table(q5, BoxSpec(10.0), z)
+    table = count_table(q5, BoxSpec(10.0))
     bound = coefficient_upper_bound(table, q5, 3)
     assert bound >= norm_sum(table, 3)
     assert bound == pytest.approx(18 * height_bound_report(q5, 3, 10).zeta_truncated)
 
 
 def test_synthetic_constant_coefficient_table(q5, q5_units):
-    z = dirichlet_coeffs(q5, 100)
-    table = count_table(q5, BoxSpec(10.0), z)
+    table = count_table(q5, BoxSpec(10.0))
     c = 6
     synth = CountTable(
-        R=table.R, degree=table.degree, cap=table.cap, max_norm=table.max_norm,
+        R=table.R, degree=table.degree, cap=table.cap,
         ks=table.ks, a=table.a, b=np.full(len(table.ks), c, dtype=np.int64),
-        total_points=c * len(table.ks),
     )
+    assert synth.total_points == c * len(table.ks)
     s = 3
     ssum = norm_sum(synth, s)
     factored = c * float((1.0 / synth.ks.astype(float) ** s).sum())
@@ -126,8 +120,7 @@ def test_height_table_matches_counts_by_norm(request, monkeypatch, name, m):
                         lambda N: pytest.fail("the height report sieved"))
         rep = height_bound_report(field, 2, m)
     box = BoxSpec(float(m))
-    oracle = count_by_norm(cached_points(field, box),
-                           dirichlet_coeffs(field, _norm_cap(field, box, None)), box)
+    oracle = count_by_norm(field, cached_points(field, box), box)
     assert rep.norm_sum == pytest.approx(norm_sum(oracle, 2), rel=1e-12)
     assert rep.coefficient_upper_bound == int(oracle.b.max()) * rep.zeta_truncated
 
@@ -149,7 +142,7 @@ def test_height_report_takes_each_norm_once(quartic, monkeypatch):
 
 def test_geometric_bound_golden(q5, q5_units):
     z = dirichlet_coeffs(q5, 10 ** 4)
-    rep = geometric_bound(z, q5_units, 2, 5.0)
+    rep = geometric_bound(q5_units, 2, 5.0, cutoff=10 ** 4)
     expected_k1 = 2 * math.sqrt(2) / q5_units.log_volume
     assert rep.K1 == pytest.approx(expected_k1, rel=1e-12)
     assert rep.K1 == pytest.approx(4.1562, abs=1e-3)
@@ -167,30 +160,35 @@ def test_geometric_bound_golden(q5, q5_units):
     assert rep.leading_term_bound < rep.geometric_bound_terms[0]
 
 
+@pytest.mark.parametrize("R, cutoff", [(5.0, 10 ** 4), (150.0, 22500), (400.0, 10 ** 5)])
+def test_geometric_bound_default_cutoff(q5_units, R, cutoff):
+    """The series is sieved to min(max(R^n, 10^4), 10^5) unless a cutoff is given."""
+    rep = geometric_bound(q5_units, 2, R)
+    assert rep.zeta_cutoff == cutoff
+    assert rep == geometric_bound(q5_units, 2, R, cutoff)
+
+
 def test_geometric_bound_chain_cross_fixture(quartic, quartic_units):
-    z = dirichlet_coeffs(quartic, 10 ** 4)
     for s in (2, 3):
-        rep = geometric_bound(z, quartic_units, s, 5.0)
+        rep = geometric_bound(quartic_units, s, 5.0, cutoff=10 ** 4)
         assert rep.geometric_bound >= rep.estimator_sum > 0
         assert all(t >= 0 for t in rep.geometric_bound_terms)
         assert math.isfinite(rep.geometric_bound)
 
 
 def test_geometric_bound_dominates_estimator_sum(q5, q5_units):
-    z = dirichlet_coeffs(q5, 10 ** 4)
-    rep = geometric_bound(z, q5_units, 2, 5.0)
-    table = add_estimates(count_table(q5, BoxSpec(5.0), z), q5_units)
+    rep = geometric_bound(q5_units, 2, 5.0, cutoff=10 ** 4)
+    table = add_estimates(count_table(q5, BoxSpec(5.0)), q5_units)
     lhs = norm_sum(table, 2, "estimate_raw")
     assert lhs == pytest.approx(rep.estimator_sum, rel=1e-12)
     assert lhs <= rep.geometric_bound
 
 
 def test_invalid_exponent(q5, q5_units):
-    z = dirichlet_coeffs(q5, 10 ** 4)
-    table = count_table(q5, BoxSpec(5.0), z)
+    table = count_table(q5, BoxSpec(5.0))
     with pytest.raises(ValidationError):
         norm_sum(table, 1)
     with pytest.raises(ValidationError):
-        geometric_bound(z, q5_units, 1, 5.0)
+        geometric_bound(q5_units, 1, 5.0, cutoff=10 ** 4)
     with pytest.raises(ValidationError):
         height_bound_report(q5, 3, 0.5)

@@ -9,16 +9,13 @@ from nfbounds.channel import MAX_SNR_POINTS, check_snr_grid, eve_probability, pe
 from nfbounds.enumeration import BoxSpec, CountTable, count_table
 from nfbounds.errors import EmptyGrid, GridTooLarge, ValidationError
 from nfbounds.estimator import add_estimates
-from nfbounds.zeta import dirichlet_coeffs
 
 
 def single_row_table():
     return CountTable(
-        R=1.0, degree=2, cap=1, max_norm=1,
+        R=1.0, degree=2, cap=1,
         ks=np.array([1], dtype=np.int64), a=np.array([1], dtype=np.int64),
-        b=np.array([2], dtype=np.int64), total_points=2,
-        n_raw=np.array([2.0]), n_est=np.array([2], dtype=np.int64),
-        f=np.array([0], dtype=np.int64),
+        b=np.array([2], dtype=np.int64), n_raw=np.array([2.0]),
     )
 
 
@@ -39,8 +36,7 @@ def test_pep_scaling_law():
 
 
 def test_pep_ratio_snr_independent(q5, q5_units):
-    z = dirichlet_coeffs(q5, 100)
-    table = add_estimates(count_table(q5, BoxSpec(10.0), z), q5_units)
+    table = add_estimates(count_table(q5, BoxSpec(10.0)), q5_units)
     curve = pep_curve(table, 0.0, 40.0, 81)
     ratios = curve.pe_estimate / curve.pe_exact
     assert np.all(np.abs(ratios / curve.ratio - 1) < 1e-12)
@@ -49,16 +45,14 @@ def test_pep_ratio_snr_independent(q5, q5_units):
 
 
 def test_pep_slope_is_minus_10n_db_per_decade(q5, q5_units):
-    z = dirichlet_coeffs(q5, 100)
-    table = add_estimates(count_table(q5, BoxSpec(10.0), z), q5_units)
+    table = add_estimates(count_table(q5, BoxSpec(10.0)), q5_units)
     curve = pep_curve(table, 0.0, 40.0, 81)
     slope = np.polyfit(curve.snr_db, 10 * np.log10(curve.pe_exact), 1)[0]
     assert slope == pytest.approx(-table.degree, rel=1e-6)  # dB per dB = -n
 
 
 def test_pep_requires_columns_and_grid(q5, q5_units):
-    z = dirichlet_coeffs(q5, 100)
-    bare = count_table(q5, BoxSpec(10.0), z)
+    bare = count_table(q5, BoxSpec(10.0))
     with pytest.raises(ValidationError):
         pep_curve(bare, 0, 40, 81)
     table = add_estimates(bare, q5_units)
@@ -74,11 +68,10 @@ def test_snr_grid_ceiling():
 
 
 def test_eve_probability_examples(q5):
-    t1 = count_table(q5, BoxSpec(1.0), dirichlet_coeffs(q5, 1))
+    t1 = count_table(q5, BoxSpec(1.0))
     assert eve_probability(t1, 1.0, 1.0) == pytest.approx(0.5, rel=1e-15)
     assert eve_probability(t1, 2.0, 1.0) == pytest.approx(0.5 / 4, rel=1e-15)
-    z = dirichlet_coeffs(q5, 100)
-    table = count_table(q5, BoxSpec(10.0), z)
+    table = count_table(q5, BoxSpec(10.0))
     from nfbounds.bounds import eve_sum
 
     expected = eve_sum(table) / 400.0

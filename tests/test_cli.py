@@ -315,7 +315,7 @@ def test_negative_budget_is_refused_before_the_sieve(monkeypatch, capsys):
     def no_sieve(*args, **kwargs):
         pytest.fail("the sieve ran before the budget was checked")
 
-    monkeypatch.setattr("nfbounds.cli.dirichlet_coeffs", no_sieve)
+    monkeypatch.setattr("nfbounds.enumeration.dirichlet_coeffs", no_sieve)
     code, _, err = run(capsys, "counts", Q5, "--radius", "3", "--budget", "-1")
     assert code == 2 and "ValidationError" in err
 
@@ -466,6 +466,27 @@ def test_counts_of_another_field_are_rejected(tmp_path, capsys):
     gap.write_text("\n".join(lines[:3] + lines[4:]) + "\n")
     code, _, err = run(capsys, "estimate", Q5, "--from-counts", str(gap))
     assert code == 2 and "k=4" in err
+
+
+@pytest.mark.parametrize("edit", [{"total": "7"}, {"max_norm": "3"},
+                                  {"total": "7", "max_norm": "3"}],
+                         ids=["total", "max-norm", "both"])
+def test_counts_preamble_must_agree_with_its_rows(tmp_path, capsys, edit):
+    """The R = 10 counts hold 180 points up to norm 100: a preamble that
+    says otherwise is refused, not echoed into the estimate's preamble."""
+    counts = tmp_path / "counts.csv"
+    assert run(capsys, "counts", Q5, "--radius", "10", "--out", str(counts))[0] == 0
+    lines = counts.read_text().splitlines()
+    assert lines[0].endswith(" max_norm=100 total=180")
+    fields = dict(tok.split("=", 1) for tok in lines[0].rsplit(" ", 2)[1:])
+    fields.update(edit)
+    lines[0] = " ".join([lines[0].rsplit(" ", 2)[0]] + [f"{k}={v}" for k, v in fields.items()])
+    counts.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "est.csv"
+    code, _, err = run(capsys, "estimate", Q5, "--from-counts", str(counts), "--out", str(out))
+    assert code == 2
+    assert err.startswith("error:") and "ValidationError" in err
+    assert f"says {next(iter(edit))}=" in err and not out.exists()
 
 
 def test_deterministic_output(tmp_path, capsys):

@@ -14,8 +14,8 @@ from nfbounds.enumeration import (
     enumerate_box,
     unit_orbits,
 )
-from nfbounds.errors import BoxTooLarge, CutoffMismatch, ValidationError
-from nfbounds.estimator import add_estimates
+from nfbounds.errors import BoxTooLarge, ValidationError
+from nfbounds.estimator import add_estimates, estimate_counts
 from nfbounds.zeta import dirichlet_coeffs
 from bareiss_oracle import bareiss, mul, mul_matrix, norm as oracle_norm, power
 
@@ -86,32 +86,28 @@ def test_negation_closure(quartic):
 
 def test_budget_guard(q5):
     """A budget too small is a limit; a negative budget is bad input."""
-    z = dirichlet_coeffs(q5, 100)
     with pytest.raises(BoxTooLarge):
         enumerate_box(q5, BoxSpec(50.0), budget=100)
     with pytest.raises(BoxTooLarge):
-        count_table(q5, BoxSpec(10.0), z, budget=0)
+        count_table(q5, BoxSpec(10.0), budget=0)
     with pytest.raises(ValidationError):
         enumerate_box(q5, BoxSpec(10.0), budget=-1)
     with pytest.raises(ValidationError):
-        count_table(q5, BoxSpec(10.0), z, budget=-1)
+        count_table(q5, BoxSpec(10.0), budget=-1)
 
 
 def test_count_table_examples(q5):
-    z = dirichlet_coeffs(q5, 100)
-    table = count_by_norm(enumerate_box(q5, BoxSpec(10.0)), z, BoxSpec(10.0))
+    table = count_by_norm(q5, enumerate_box(q5, BoxSpec(10.0)), BoxSpec(10.0))
     assert table.row(1)["b"] == 18  # units +-theta^j, |j| <= 4
     assert 2 not in table.ks       # 2 is inert: no element of norm 2
     assert table.row(100)["b"] == 2
     # single-row table at R = 1
-    z1 = dirichlet_coeffs(q5, 1)
-    t1 = count_by_norm(enumerate_box(q5, BoxSpec(1.0)), z1, BoxSpec(1.0))
+    t1 = count_by_norm(q5, enumerate_box(q5, BoxSpec(1.0)), BoxSpec(1.0))
     assert list(t1.ks) == [1] and t1.row(1)["b"] == 2
 
 
 def test_count_table_invariants(q5):
-    z = dirichlet_coeffs(q5, 400)
-    table = count_table(q5, BoxSpec(4.47), z)
+    table = count_table(q5, BoxSpec(4.47))
     assert table.cap == int(math.floor(4.47 ** 2 + 1e-9))
     assert np.all(table.b % 2 == 0)              # x and -x counted separately
     assert table.b.sum() == table.total_points
@@ -123,10 +119,8 @@ def test_count_table_invariants(q5):
 
 def test_fast_path_matches_list_path(q5, quartic):
     for field, R in ((q5, 10.0), (quartic, 4.0)):
-        cap = int(math.floor(R ** field.degree + 1e-9))
-        z = dirichlet_coeffs(field, cap)
-        t_list = count_by_norm(enumerate_box(field, BoxSpec(R)), z, BoxSpec(R))
-        t_fast = count_table(field, BoxSpec(R), z)
+        t_list = count_by_norm(field, enumerate_box(field, BoxSpec(R)), BoxSpec(R))
+        t_fast = count_table(field, BoxSpec(R))
         assert np.array_equal(t_list.ks, t_fast.ks)
         assert np.array_equal(t_list.b, t_fast.b)
         assert t_list.total_points == t_fast.total_points
@@ -142,9 +136,8 @@ def test_count_by_norm_is_exact_past_int64(quartic, quartic_units):
     with_big = np.concatenate([rows, np.array([big], dtype=np.int64)])
     norms = quartic.norm_rows(with_big)
     assert norms.dtype == object and abs(norms[-1]) > 2 ** 63
-    z = dirichlet_coeffs(quartic, 625)
-    table = count_by_norm(with_big, z, box)
-    want = count_table(quartic, box, z)
+    table = count_by_norm(quartic, with_big, box)
+    want = count_table(quartic, box)
     assert np.array_equal(table.ks, want.ks) and np.array_equal(table.b, want.b)
     assert table.total_points == len(rows)
     counts = {}
@@ -154,11 +147,10 @@ def test_count_by_norm_is_exact_past_int64(quartic, quartic_units):
 
 
 def test_max_norm_filter(q5):
-    z = dirichlet_coeffs(q5, 10 ** 4)
-    table = count_table(q5, BoxSpec(100.0), z, max_norm=50)
+    table = count_table(q5, BoxSpec(100.0), max_norm=50)
     assert table.cap == 50
     assert table.ks.max() <= 50
-    full = count_table(q5, BoxSpec(100.0), z)
+    full = count_table(q5, BoxSpec(100.0))
     for k in table.ks:
         assert table.row(int(k))["b"] == full.row(int(k))["b"]
 
@@ -166,9 +158,9 @@ def test_max_norm_filter(q5):
 def test_returned_arrays_are_read_only(q5, q5_units):
     """Writing any column, embedding array or log matrix raises; a table
     takes views, so the caller's own arrays stay writable."""
-    table = add_estimates(count_table(q5, BoxSpec(10.0), dirichlet_coeffs(q5, 100)), q5_units)
+    table = add_estimates(count_table(q5, BoxSpec(10.0)), q5_units)
     ks, a, b = np.array([1]), np.array([1]), np.array([2])
-    mine = CountTable(R=1.0, degree=2, cap=1, max_norm=1, ks=ks, a=a, b=b, total_points=2)
+    mine = CountTable(R=1.0, degree=2, cap=1, ks=ks, a=a, b=b)
     arrays = [getattr(t, c) for t in (table, mine) for c in ("ks", "a", "b")]
     arrays += [table.n_raw, table.n_est, table.f,
                q5.embeddings, q5.embedding_matrix, q5_units.log_matrix]
@@ -178,15 +170,40 @@ def test_returned_arrays_are_read_only(q5, q5_units):
     assert all(x.flags.writeable for x in (ks, a, b))
 
 
-def test_cutoff_mismatch(q5):
-    z = dirichlet_coeffs(q5, 10)
-    with pytest.raises(CutoffMismatch):
-        count_table(q5, BoxSpec(10.0), z)
+def test_derived_quantities_follow_the_stored_columns(q5, q5_units):
+    """total_points, max_norm, n_est and f are read off b and n_raw; the
+    constructor takes none of them, and none of them can be written."""
+    table = add_estimates(count_table(q5, BoxSpec(10.0)), q5_units)
+    assert table.total_points == int(table.b.sum()) == 180
+    assert table.max_norm == int(table.ks[table.b > 0].max()) == 100
+    assert np.array_equal(table.n_est, np.floor(table.n_raw).astype(np.int64))
+    assert np.array_equal(table.f, np.floor(np.abs(table.n_raw - table.b)).astype(np.int64))
+    for name in ("total_points", "max_norm", "n_est", "f"):
+        with pytest.raises(AttributeError):
+            setattr(table, name, None)
+        with pytest.raises(TypeError):
+            CountTable(R=1.0, degree=2, cap=1, ks=np.array([1]), a=np.array([1]),
+                       b=np.array([2]), **{name: None})
+    bare = estimate_counts(q5_units, BoxSpec(10.0), 100)
+    assert (bare.total_points, bare.max_norm, bare.f) == (0, 0, None)
+    assert count_table(q5, BoxSpec(10.0)).n_est is None
+
+
+def test_a_column_is_the_fields_series(q5, quartic, quartic_units, q5_units):
+    """Each table takes its a_k from the field's own memoised series, sized
+    to the table: equal at every row to dirichlet_coeffs(field, cap).a."""
+    for field, units, R in ((q5, q5_units, 10.0), (quartic, quartic_units, 4.0)):
+        box = BoxSpec(R)
+        for table in (count_table(field, box), count_table(field, box, max_norm=50),
+                      count_by_norm(field, enumerate_box(field, box), box),
+                      estimate_counts(units, box, 300)):
+            a = dirichlet_coeffs(field, table.cap).a
+            assert np.array_equal(table.a, a[table.ks])
+            assert set(np.flatnonzero(a).tolist()) <= set(table.ks.tolist())
 
 
 def test_exact_norm_keys(q5):
-    z = dirichlet_coeffs(q5, 100)
-    table = count_table(q5, BoxSpec(10.0), z)
+    table = count_table(q5, BoxSpec(10.0))
     points = enumerate_box(q5, BoxSpec(10.0))
     norms = sorted({abs(oracle_norm(q5, r)) for r in points.tolist()})
     assert sorted(set(table.ks[table.b > 0].tolist())) == norms

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from nfbounds.enumeration import BoxSpec, CountTable, count_table
-from nfbounds.errors import CutoffMismatch, ValidationError
+from nfbounds.errors import ValidationError
 from nfbounds.estimator import (
     add_estimates,
     error_profile,
     estimate_counts,
     section_volume,
 )
-from nfbounds.zeta import dirichlet_coeffs
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -31,8 +30,7 @@ def test_section_volume_closed_form():
 
 
 def test_estimate_counts_golden(q5, q5_units):
-    z = dirichlet_coeffs(q5, 100)
-    table = estimate_counts(z, q5_units, BoxSpec(10.0), 100)
+    table = estimate_counts(q5_units, BoxSpec(10.0), 100)
     row = table.row(1)
     assert row["n_raw"] == pytest.approx(4 * math.log(10) / q5_units.regulator, rel=1e-12)
     assert row["n"] == 19
@@ -40,26 +38,18 @@ def test_estimate_counts_golden(q5, q5_units):
     assert table.row(100)["n"] == 0  # zero section volume at k = R^n
 
 
-def test_estimate_cutoff_guard(q5, q5_units):
-    z = dirichlet_coeffs(q5, 50)
-    with pytest.raises(CutoffMismatch):
-        estimate_counts(z, q5_units, BoxSpec(10.0), 100)
-
-
 def test_estimates_scale_with_coefficient(q5, q5_units):
-    z = dirichlet_coeffs(q5, 100)
-    table = estimate_counts(z, q5_units, BoxSpec(10.0), 100)
+    table = estimate_counts(q5_units, BoxSpec(10.0), 100)
     doubled = CountTable(
-        R=table.R, degree=table.degree, cap=table.cap, max_norm=table.max_norm,
-        ks=table.ks, a=2 * table.a, b=np.zeros_like(table.a), total_points=0,
+        R=table.R, degree=table.degree, cap=table.cap,
+        ks=table.ks, a=2 * table.a, b=np.zeros_like(table.a),
     )
     redone = add_estimates(doubled, q5_units)
     assert np.allclose(redone.n_raw, 2 * table.n_raw, rtol=1e-12)
 
 
 def test_estimate_monotone_in_k_along_coefficient_classes(q5, q5_units):
-    z = dirichlet_coeffs(q5, 100)
-    table = estimate_counts(z, q5_units, BoxSpec(10.0), 100)
+    table = estimate_counts(q5_units, BoxSpec(10.0), 100)
     for value in (1, 2):
         sel = table.a == value
         raw = table.n_raw[sel]
@@ -67,8 +57,7 @@ def test_estimate_monotone_in_k_along_coefficient_classes(q5, q5_units):
 
 
 def test_error_column_and_profile(q5, q5_units):
-    z = dirichlet_coeffs(q5, 100)
-    table = add_estimates(count_table(q5, BoxSpec(10.0), z), q5_units)
+    table = add_estimates(count_table(q5, BoxSpec(10.0)), q5_units)
     assert table.f is not None
     # f is the floor of the raw-estimate discrepancy, always a nonneg integer
     assert np.all(table.f >= 0)
@@ -85,14 +74,14 @@ def test_error_column_and_profile(q5, q5_units):
 
 
 def test_profile_of_perfect_table(q5, q5_units):
-    z = dirichlet_coeffs(q5, 100)
-    table = add_estimates(count_table(q5, BoxSpec(10.0), z), q5_units)
+    table = add_estimates(count_table(q5, BoxSpec(10.0)), q5_units)
     perfect = CountTable(
-        R=table.R, degree=table.degree, cap=table.cap, max_norm=table.max_norm,
+        R=table.R, degree=table.degree, cap=table.cap,
         ks=table.ks, a=table.a, b=table.n_est.astype(np.int64),
-        total_points=int(table.n_est.sum()), n_raw=table.n_est.astype(float),
-        n_est=table.n_est, f=np.zeros_like(table.ks),
+        n_raw=table.n_est.astype(float),
     )
+    assert np.array_equal(perfect.n_est, table.n_est)
+    assert np.array_equal(perfect.f, np.zeros_like(table.ks))
     prof = error_profile(perfect)
     assert prof.zero_fraction == 1.0
     assert prof.max_error == 0
@@ -114,7 +103,6 @@ def test_unit_count_accuracy_improves_at_scale(q5, q5_units):
 
 
 def test_error_profile_requires_columns(q5, q5_units):
-    z = dirichlet_coeffs(q5, 100)
-    bare = count_table(q5, BoxSpec(10.0), z)
+    bare = count_table(q5, BoxSpec(10.0))
     with pytest.raises(ValidationError):
         error_profile(bare)

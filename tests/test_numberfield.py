@@ -203,6 +203,14 @@ def test_min_product_distance(q5):
         min_product_distance(q5, [(1, 2, 3)])
 
 
+@pytest.mark.parametrize("rows", [[(0.5, 1.7)], [(1, 0), (2.0, 1)], [(True, 1)]],
+                         ids=["fractions", "integral-float", "bool"])
+def test_min_product_distance_refuses_non_integer_coordinates(q5, rows):
+    """(0.5, 1.7) would truncate to theta, of norm 1."""
+    with pytest.raises(ValidationError, match="must be integers"):
+        min_product_distance(q5, rows)
+
+
 coords2 = st.tuples(st.integers(-50, 50), st.integers(-50, 50))
 
 

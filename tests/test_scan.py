@@ -233,8 +233,7 @@ def test_non_unimodular_lll_falls_back_to_the_identity(monkeypatch, quartic, oct
         assert fresh.norm_rows(rows).tolist() == field.norm_rows(rows).tolist()
         got, want = fresh.norm_rows(rows, True), field.norm_rows(rows, True)
         assert [a.tolist() for a in got] == [a.tolist() for a in want]
-        z = dirichlet_coeffs(fresh, int(R ** fresh.degree))
-        assert count_table(fresh, box, z).total_points == len(rows)
+        assert count_table(fresh, box).total_points == len(rows)
     assert len(calls) == 2
 
 
@@ -367,8 +366,7 @@ def test_count_table_calls_no_per_row_norm(quartic, octic, monkeypatch):
 
     monkeypatch.setattr(type(quartic), "norm_coords", per_row)
     for field, R in ((quartic, 6.0), (octic, 3.0)):
-        z = dirichlet_coeffs(field, int(R ** field.degree))
-        table = count_table(field, BoxSpec(R), z)
+        table = count_table(field, BoxSpec(R))
         assert table.total_points == len(scan_rows(field, BoxSpec(R)))
 
 
@@ -488,7 +486,7 @@ def test_memory_stays_chunked(q5, octic):
     """The scan holds one bounded chunk per level, whatever the box: a
     frontier expanded a whole level at a time needs tens of MiB here."""
     limit = 4 * 2 ** 20
-    z = dirichlet_coeffs(q5, 1000)
+    dirichlet_coeffs(q5, 1000)  # the table's series, sieved before the measurement
     list(_scan_blocks(octic, BoxSpec(2.0), 10 ** 8))  # warm the lazy set-up
     tracemalloc.start()
     try:
@@ -500,7 +498,7 @@ def test_memory_stays_chunked(q5, octic):
         del blocks
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        table = count_table(q5, BoxSpec(1000.0), z, max_norm=1000)
+        table = count_table(q5, BoxSpec(1000.0), max_norm=1000)
         q5_extra = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

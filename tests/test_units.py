@@ -10,10 +10,27 @@ from nfbounds.enumeration import BoxSpec, enumerate_box
 from nfbounds.errors import (DependentUnits, NotAUnit, RegulatorMismatch, ValidationError,
                              WrongRank)
 from nfbounds.numberfield import Polynomial, parse_field
-from nfbounds.units import build_unit_system, quadratic_fundamental_unit
+from nfbounds.units import _floor_surd, build_unit_system, quadratic_fundamental_unit
 from bareiss_oracle import mul, power
 
 GOLDEN_REGULATOR = 0.481211825059603
+
+
+def floor_surd_by_steps(P: int, D: int, Q: int) -> int:
+    """floor((P + sqrt(D)) / Q) for D a positive nonsquare, by stepping a
+    first guess until c <= (P + sqrt(D)) / Q < c + 1 holds exactly."""
+    def below_sqrt(x):  # x < sqrt(D), never equal for a nonsquare D
+        return x < 0 or x * x < D
+
+    def le(c):  # c <= (P + sqrt(D)) / Q
+        return below_sqrt(c * Q - P) if Q > 0 else not below_sqrt(c * Q - P)
+
+    a = (P + math.isqrt(D)) // Q
+    while le(a + 1):
+        a += 1
+    while not le(a):
+        a -= 1
+    return a
 
 
 def test_fundamental_unit_golden(q5):
@@ -152,6 +169,16 @@ def test_build_unit_system_errors(q5, quartic):
         build_unit_system(quartic, units=[power(quartic, theta4, e) for e in (1, 2, 3)])
     with pytest.raises(ValidationError, match="length 3, expected 2"):
         build_unit_system(q5, units=[(0, 1, 0)])
+    assert build_unit_system(q5, units=[np.array([0, 1])]).units == ((0, 1),)
+
+
+@pytest.mark.parametrize("unit", [(0.9, 1), (True, 1), (0, 1.0)],
+                         ids=["float-truncated-to-0", "bool", "integral-float"])
+def test_non_integer_unit_coordinates_are_refused(q5, unit):
+    """(0.9, 1) would truncate to the unit (0, 1) and (True, 1) would read
+    as the unit (1, 1): both must be refused, not validated."""
+    with pytest.raises(ValidationError, match="must be integers"):
+        build_unit_system(q5, units=[unit])
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValidationError, match="finite"):
             build_unit_system(q5, expected_regulator=bad)
@@ -159,8 +186,6 @@ def test_build_unit_system_errors(q5, quartic):
 
 def test_floor_surd_randomized_oracle():
     import random
-
-    from nfbounds.units import _floor_surd
 
     rng = random.Random(7)
     checked = 0
@@ -176,3 +201,15 @@ def test_floor_surd_randomized_oracle():
             assert got == expect, (P, D, Q)
             checked += 1
     assert checked > 400
+
+
+def test_floor_surd_matches_the_stepping_oracle_on_a_grid():
+    checked = 0
+    for D in range(2, 300):
+        if math.isqrt(D) ** 2 == D:
+            continue
+        for P in range(-40, 41):
+            for Q in (*range(-30, 0), *range(1, 31)):
+                assert _floor_surd(P, D, Q) == floor_surd_by_steps(P, D, Q), (P, D, Q)
+                checked += 1
+    assert checked == 282 * 81 * 60

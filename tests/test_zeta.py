@@ -10,7 +10,8 @@ import pytest
 
 from ddf_oracle import _ddf_type
 from sieve_oracle import euler_sieve, splitting_types
-from nfbounds import _memo, enumeration, numberfield, zeta
+from nfbounds import _memo, bounds, enumeration, numberfield, zeta
+from nfbounds.bounds import bounded_height_zeta
 from nfbounds.enumeration import BoxSpec, cached_orbits, cached_points
 from nfbounds.errors import CutoffTooSmall, InvariantError, NotPrime, ValidationError
 from nfbounds.numberfield import Polynomial, parse_field
@@ -18,7 +19,6 @@ from nfbounds.zeta import (
     _fits_int64,
     _is_prime,
     _primes_upto,
-    bounded_height_zeta,
     dirichlet_coeffs,
     splitting_type,
     zeta_derivative,
@@ -390,7 +390,7 @@ def test_bounded_height_zeta_terms_past_the_float_range(q5, monkeypatch, k, s, k
     """Where k**s has no float, 1/k^s is rounded exactly: a subnormal stays
     subnormal, and a term below half the least one is 0.0."""
     table = enumeration.OrbitTable(np.zeros((1, 2), dtype=np.int64), np.array([0]), np.array([k]))
-    monkeypatch.setattr(enumeration, "cached_orbits", lambda field, box: table)
+    monkeypatch.setattr(bounds, "cached_orbits", lambda field, box: table)
     value = bounded_height_zeta(q5, s, 3)
     assert value == 1 / k ** s
     assert kind == ("zero" if value == 0 else
