@@ -13,15 +13,10 @@ from .errors import ResourceLimitError, ValidationError
 from .estimator import ErrorProfile, add_estimates, error_profile, estimate_counts, section_volume
 from .bounds import (
     BoundReport,
-    bounded_height_zeta,
-    coefficient_upper_bound,
-    eve_sum,
     full_height_report,
     geometric_bound,
     height_bound_report,
-    lower_bound_check,
     norm_sum,
-    pep_sum,
 )
 from .channel import PepCurve, eve_probability, pep_curve
 from .numberfield import (
@@ -29,7 +24,6 @@ from .numberfield import (
     Polynomial,
     min_product_distance,
     parse_field,
-    real_roots,
 )
 from .units import UnitSystem, build_unit_system, quadratic_fundamental_unit
 from .zeta import (
@@ -38,7 +32,6 @@ from .zeta import (
     dirichlet_coeffs,
     splitting_type,
     zeta_derivative,
-    zeta_value,
 )
 
 __version__ = "0.1.0"
@@ -57,9 +50,7 @@ __all__ = [
     "ValidationError",
     "ZetaSeries",
     "add_estimates",
-    "bounded_height_zeta",
     "build_unit_system",
-    "coefficient_upper_bound",
     "count_by_norm",
     "count_table",
     "dirichlet_coeffs",
@@ -67,21 +58,16 @@ __all__ = [
     "error_profile",
     "estimate_counts",
     "eve_probability",
-    "eve_sum",
     "full_height_report",
     "geometric_bound",
     "height_bound_report",
-    "lower_bound_check",
     "min_product_distance",
     "norm_sum",
     "parse_field",
     "pep_curve",
-    "pep_sum",
     "quadratic_fundamental_unit",
-    "real_roots",
     "section_volume",
     "splitting_type",
     "unit_orbits",
     "zeta_derivative",
-    "zeta_value",
 ]

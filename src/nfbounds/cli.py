@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import channel, estimator
-from .bounds import eve_sum, full_height_report, geometric_bound
+from .bounds import full_height_report, geometric_bound, norm_sum
 from .enumeration import DEFAULT_BUDGET, BoxSpec, CountTable, count_table, enumerate_box
 from .errors import ResourceLimitError, ValidationError
 from .numberfield import NumberField, Polynomial, parse_field
@@ -118,6 +118,8 @@ def unit_system_from_document(field: NumberField, doc: dict) -> UnitSystem:
     w = doc.get("roots_of_unity", 2)
     if not isinstance(w, int) or isinstance(w, bool):
         raise ValidationError(f"roots_of_unity must be an integer, got {w!r}")
+    if w != 2:
+        raise ValidationError(f"totally real fields have w = 2 roots of unity, got {w}")
     regulator = doc.get("expected_regulator")
     if regulator is not None and (not isinstance(regulator, (int, float))
                                   or isinstance(regulator, bool)):
@@ -125,7 +127,6 @@ def unit_system_from_document(field: NumberField, doc: dict) -> UnitSystem:
     return build_unit_system(
         field,
         units=[_int_list(u, "a fundamental unit") for u in units] or None,
-        w=w,
         expected_regulator=regulator,
     )
 
@@ -225,6 +226,10 @@ def _read_counts_csv(path: str, field: NumberField) -> CountTable:
     ks = table.ks
     if not np.all((ks >= 1) & (ks <= table.cap)):
         raise ValidationError(f"counts file lists k outside 1..cap={table.cap}")
+    if np.any(np.diff(ks) <= 0):
+        raise ValidationError("counts file must list each k once, in increasing order")
+    if np.any(table.b < 0):
+        raise ValidationError(f"counts file lists a negative b_k at k={ks[table.b < 0][0]}")
     a = dirichlet_coeffs(field, max(table.cap, 1)).a
     bad = np.union1d(ks[table.a != a[ks]],
                      np.setdiff1d(np.flatnonzero(a[1:table.cap + 1]) + 1, ks))
@@ -310,7 +315,7 @@ def cmd_eve(args) -> int:
         "gamma_e": args.gamma,
         "vol_lambda_b": args.vol,
         "radius": args.radius,
-        "eve_sum": eve_sum(table),
+        "eve_sum": norm_sum(table.ks, table.b, 3),
         "probability_bound": value,
     }
     _emit(json.dumps(payload, indent=2) + "\n", args.out)

@@ -270,22 +270,6 @@ class CountTable:
             return None
         return _read_only(np.floor(np.abs(self.n_raw - self.b)).astype(np.int64))
 
-    def row(self, k: int):
-        idx = int(np.searchsorted(self.ks, k))
-        if idx >= len(self.ks) or self.ks[idx] != k:
-            raise KeyError(k)
-        return {
-            "k": k,
-            "a": int(self.a[idx]),
-            "b": int(self.b[idx]) if self.b is not None else None,
-            "n_raw": float(self.n_raw[idx]) if self.n_raw is not None else None,
-            "n": int(self.n_est[idx]) if self.n_est is not None else None,
-            "f": int(self.f[idx]) if self.f is not None else None,
-        }
-
-    def __len__(self):
-        return len(self.ks)
-
 
 def _read_only(column: np.ndarray) -> np.ndarray:
     column.flags.writeable = False

@@ -8,14 +8,15 @@ its (n-1)-volume has the closed form
     vol(S_k) = sqrt(n)/(n-1)! * (n log R - log k)^(n-1),
 
 and the expected number of points on the sheet is the number of unit-orbit
-translates (w * a_k) times the section volume per fundamental cell of the
-unit log-lattice.  That formula lives in one vector helper, `_estimates`:
+translates (w * a_k, w = 2) times the section volume per fundamental cell
+of the unit log-lattice.  That formula lives in one vector helper, `_estimates`:
 `section_volume` is its scalar face, and `estimate_counts`,
 `add_estimates` and `bounds.geometric_bound` read it.  The a_k come
 from the field's memoised series.  A table stores the raw (real-valued)
 estimate; the floored integer and the error column f_k =
 floor(|n_k - b_k|), which compares the raw estimate with the exact count
-as the estimate is read off the smooth curve, are derived from it.
+as the estimate is read off the smooth curve, are derived from it, and
+the profile's `cumulative` gives the share of rows with f_k <= f.
 """
 
 from __future__ import annotations
@@ -77,19 +78,10 @@ class ErrorProfile:
     """Distribution of the error column over rows with a_k != 0."""
 
     histogram: dict[int, int]
-    cumulative: list[tuple[int, float]]
+    cumulative: list[tuple[int, float]]  # (f, share of rows with f_k <= f), f ascending
     max_error: int
     zero_fraction: float
     row_count: int
-
-    def cumulative_at(self, f: int) -> float:
-        frac = 0.0
-        for value, cum in self.cumulative:
-            if value <= f:
-                frac = cum
-            else:
-                break
-        return frac
 
 
 def error_profile(table: CountTable) -> ErrorProfile:

@@ -399,20 +399,6 @@ def _refine(coeffs, a, b, k, prec_bits):
     return a, b, k
 
 
-def real_roots(poly, precision: float = 1e-15) -> list[Fraction]:
-    """All real roots of a squarefree polynomial, sorted ascending.
-
-    Each root is returned as a dyadic rational, the midpoint of a certified
-    bracket, whose absolute error is below ``precision * max(1, |root|)``.
-    """
-    coeffs = poly.coeffs if isinstance(poly, Polynomial) else tuple(int(c) for c in poly)
-    if _sylvester_resultant(coeffs, _poly_derivative(coeffs)) == 0:
-        raise NotSquarefree("root isolation requires a squarefree polynomial")
-    prec_bits = max(START_PRECISION_BITS, int(-math.log2(precision)) + 8)
-    return [Fraction(a + b, 1 << (k + 1))
-            for a, b, k in (_refine(coeffs, *iv, prec_bits) for iv in _isolate(coeffs))]
-
-
 # ---------------------------------------------------------------------------
 # certified dyadic enclosures of embeddings (integer interval arithmetic)
 

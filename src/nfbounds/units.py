@@ -109,17 +109,13 @@ class UnitSystem:
 
     field: NumberField
     units: tuple[tuple[int, ...], ...]  # power-basis coordinates, Python integers
-    w: int
     log_matrix: np.ndarray  # r x (r1 + r2), entries log|sigma_j(eps_i)|
     regulator: float
     log_volume: float
-
-    @property
-    def rank(self) -> int:
-        return len(self.units)
+    w = 2  # roots of unity: only +-1 in a totally real field
 
 
-def build_unit_system(field: NumberField, units=None, w: int = 2,
+def build_unit_system(field: NumberField, units=None,
                       expected_regulator: float | None = None) -> UnitSystem:
     """Validate a fundamental system of units and compute its regulator.
 
@@ -132,8 +128,6 @@ def build_unit_system(field: NumberField, units=None, w: int = 2,
     """
     r1, r2 = field.signature
     rank = r1 + r2 - 1
-    if w != 2:
-        raise ValidationError(f"totally real fields have w = 2 roots of unity, got {w}")
     if expected_regulator is not None and not math.isfinite(expected_regulator):
         raise ValidationError(f"expected_regulator must be finite, got {expected_regulator!r}")
     if units is None:
@@ -169,4 +163,4 @@ def build_unit_system(field: NumberField, units=None, w: int = 2,
             )
     log_volume = reg * math.sqrt(r1 + r2)
     A.setflags(write=False)
-    return UnitSystem(field, tuple(units), w, A, reg, log_volume)
+    return UnitSystem(field, tuple(units), A, reg, log_volume)

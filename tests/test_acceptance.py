@@ -22,7 +22,7 @@ from nfbounds.cli import main as cli_main
 from nfbounds.enumeration import BoxSpec, count_table
 from nfbounds.estimator import add_estimates, error_profile
 from nfbounds.units import build_unit_system
-from nfbounds.zeta import dirichlet_coeffs, zeta_value
+from nfbounds.zeta import dirichlet_coeffs, zeta_derivative
 
 GOLDEN_REGULATOR = 0.481211825059603          # degree-2 reference value
 OCTIC_REGULATOR_CLAIMED = 28.4375954169998    # published value, see xfail reason
@@ -168,24 +168,28 @@ def test_criterion_06_error_profile_degree_8(octic, octic_units):
     t0 = time.perf_counter()
     prof = error_profile(shared_table("octic_r5", octic, octic_units))
     elapsed = time.perf_counter() - t0
-    ok = prof.zero_fraction > 0.5 and prof.cumulative_at(15) >= 0.90
+    within_15 = max((c for f, c in prof.cumulative if f <= 15), default=0.0)
+    ok = prof.zero_fraction > 0.5 and within_15 >= 0.90
     report(6, ok, f"octic R=5, k<=65536: zero fraction {prof.zero_fraction:.3f} > 0.5, "
-                  f"cumulative(15) = {prof.cumulative_at(15):.3f} >= 0.90 "
+                  f"cumulative(15) = {within_15:.3f} >= 0.90 "
                   f"({prof.row_count} rows, {elapsed:.1f}s)")
     assert prof.zero_fraction > 0.5
-    assert prof.cumulative_at(15) >= 0.90
+    assert within_15 >= 0.90
     assert elapsed < 300.0
 
 
 def test_criterion_07_unit_count_spot_value(q5, q5_units):
     t0 = time.perf_counter()
-    row = shared_table("q5_r10", q5, q5_units).row(1)
+    table = shared_table("q5_r10", q5, q5_units)
+    i = np.searchsorted(table.ks, 1)
+    n_raw, b = float(table.n_raw[i]), int(table.b[i])
     elapsed = time.perf_counter() - t0
-    ok = abs(row["n_raw"] - 19.13) <= 0.01 and row["b"] == 18
-    report(7, ok, f"raw unit estimate {row['n_raw']:.4f} (19.13 +- 0.01), "
-                  f"exact count {row['b']} = 18")
-    assert abs(row["n_raw"] - 19.13) <= 0.01
-    assert row["b"] == 18
+    ok = table.ks[i] == 1 and abs(n_raw - 19.13) <= 0.01 and b == 18
+    report(7, ok, f"raw unit estimate {n_raw:.4f} (19.13 +- 0.01), "
+                  f"exact count {b} = 18")
+    assert table.ks[i] == 1
+    assert abs(n_raw - 19.13) <= 0.01
+    assert b == 18
     assert elapsed < 1.0
 
 
@@ -209,7 +213,7 @@ def test_criterion_08_coefficient_oracle(q5):
 def test_criterion_09_zeta_value(q5):
     t0 = time.perf_counter()
     z = dirichlet_coeffs(q5, 10 ** 4)
-    value = zeta_value(z, 2).value
+    value = zeta_derivative(z, 0, 2).value
     closed = (math.pi ** 2 / 6) * (4 * math.pi ** 2 / (25 * math.sqrt(5)))
     elapsed = time.perf_counter() - t0
     ok = abs(value - closed) <= 1e-3 and abs(value - 1.16167) <= 1e-3

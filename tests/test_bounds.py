@@ -9,16 +9,7 @@ import numpy as np
 import pytest
 
 from nfbounds import _memo
-from nfbounds.bounds import (
-    coefficient_upper_bound,
-    eve_sum,
-    full_height_report,
-    geometric_bound,
-    height_bound_report,
-    lower_bound_check,
-    norm_sum,
-    pep_sum,
-)
+from nfbounds.bounds import full_height_report, geometric_bound, height_bound_report, norm_sum
 from nfbounds.enumeration import (BoxSpec, CountTable, cached_points, count_by_norm,
                                   count_table, enumerate_box)
 from nfbounds.errors import ValidationError
@@ -29,16 +20,16 @@ from nfbounds.zeta import dirichlet_coeffs
 
 def test_norm_sum_examples(q5):
     t1 = count_table(q5, BoxSpec(1.0))
-    assert norm_sum(t1, 3) == 2.0
-    assert norm_sum(t1, 2) == 2.0
+    assert norm_sum(t1.ks, t1.b, 3) == 2.0
+    assert norm_sum(t1.ks, t1.b, 2) == 2.0
 
     table = count_table(q5, BoxSpec(10.0))
     # independent oracle: direct sum over enumerated points
     points = enumerate_box(q5, BoxSpec(10.0))
     oracle = sum(1.0 / abs(q5.norm_coords(r)) ** 3 for r in points.tolist())
-    assert norm_sum(table, 3) == pytest.approx(oracle, rel=1e-12)
-    assert norm_sum(table, 3) > 18  # dominated by the 18 units
-    values = [norm_sum(table, s) for s in (2, 3, 4, 6, 8)]
+    assert norm_sum(table.ks, table.b, 3) == pytest.approx(oracle, rel=1e-12)
+    assert norm_sum(table.ks, table.b, 3) > 18  # dominated by the 18 units
+    values = [norm_sum(table.ks, table.b, s) for s in (2, 3, 4, 6, 8)]
     assert all(u > v for u, v in zip(values, values[1:]))
     assert all(v >= 18 for v in values)
 
@@ -48,39 +39,28 @@ def test_norm_sum_at_large_s(q5):
     table = count_table(q5, BoxSpec(10.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert norm_sum(table, 400) == 18.0  # the units; 1/4^400 is below the last bit
-
-
-def test_eve_pep_aliases(q5):
-    table = count_table(q5, BoxSpec(10.0))
-    assert eve_sum(table) == norm_sum(table, 3)
-    assert pep_sum(table) == norm_sum(table, 2)
-    assert pep_sum(table) >= eve_sum(table)
+        assert norm_sum(table.ks, table.b, 400) == 18.0  # the units; 1/4^400 is below the last bit
 
 
 def test_lower_bound_check(q5):
     for s in (2, 3):
-        s_sum, z_sum, holds = lower_bound_check(q5, s, 10)
-        assert holds
-        assert s_sum > z_sum > 1
+        rep = height_bound_report(q5, s, 10)
+        assert rep.lower_holds
+        assert rep.norm_sum > rep.zeta_truncated > 1
     # degenerate truncation: only the unit ideal fits
-    s_sum, z_sum, holds = lower_bound_check(q5, 3, 1)
-    assert s_sum == 2.0 and z_sum == 1.0
-    assert not holds  # the z > 1 leg fails until a second ideal fits
     rep = height_bound_report(q5, 3, 1)
+    assert rep.norm_sum == 2.0 and rep.zeta_truncated == 1.0
+    assert not rep.lower_holds  # the z > 1 leg fails until a second ideal fits
     assert rep.degenerate
 
 
 def test_coefficient_upper_bound(q5):
     t1 = count_table(q5, BoxSpec(1.0))
-    bound = coefficient_upper_bound(t1, q5, 3)
+    bound = height_bound_report(q5, 3, t1.R).coefficient_upper_bound
     assert bound == pytest.approx(2.0)  # max b = 2, zeta(3,1) = 1: tight
-    # the closed box at R = 1 - 1e-10 still holds the units +-1
-    t_edge = count_table(q5, BoxSpec(1 - 1e-10))
-    assert coefficient_upper_bound(t_edge, q5, 3) == pytest.approx(2.0)
     table = count_table(q5, BoxSpec(10.0))
-    bound = coefficient_upper_bound(table, q5, 3)
-    assert bound >= norm_sum(table, 3)
+    bound = height_bound_report(q5, 3, table.R).coefficient_upper_bound
+    assert bound >= norm_sum(table.ks, table.b, 3)
     assert bound == pytest.approx(18 * height_bound_report(q5, 3, 10).zeta_truncated)
 
 
@@ -93,7 +73,7 @@ def test_synthetic_constant_coefficient_table(q5, q5_units):
     )
     assert synth.total_points == c * len(table.ks)
     s = 3
-    ssum = norm_sum(synth, s)
+    ssum = norm_sum(synth.ks, synth.b, s)
     factored = c * float((1.0 / synth.ks.astype(float) ** s).sum())
     assert ssum == pytest.approx(factored, rel=1e-12)
 
@@ -121,7 +101,7 @@ def test_height_table_matches_counts_by_norm(request, monkeypatch, name, m):
         rep = height_bound_report(field, 2, m)
     box = BoxSpec(float(m))
     oracle = count_by_norm(field, cached_points(field, box), box)
-    assert rep.norm_sum == pytest.approx(norm_sum(oracle, 2), rel=1e-12)
+    assert rep.norm_sum == pytest.approx(norm_sum(oracle.ks, oracle.b, 2), rel=1e-12)
     assert rep.coefficient_upper_bound == int(oracle.b.max()) * rep.zeta_truncated
 
 
@@ -149,9 +129,9 @@ def test_geometric_bound_golden(q5, q5_units):
     assert rep.geometric_bound >= rep.estimator_sum
     assert len(rep.geometric_bound_terms) == q5.degree
     # terms reproduce K1 * [(log R^2) * zeta + |D^1 zeta|]
-    from nfbounds.zeta import zeta_derivative, zeta_value
+    from nfbounds.zeta import zeta_derivative
 
-    t0 = rep.K1 * (2 * math.log(5.0)) * zeta_value(z, 2).value
+    t0 = rep.K1 * (2 * math.log(5.0)) * zeta_derivative(z, 0, 2).value
     t1 = rep.K1 * abs(zeta_derivative(z, 1, 2).value)
     assert rep.geometric_bound_terms[0] == pytest.approx(t0, rel=1e-12)
     assert rep.geometric_bound_terms[1] == pytest.approx(t1, rel=1e-12)
@@ -179,7 +159,7 @@ def test_geometric_bound_chain_cross_fixture(quartic, quartic_units):
 def test_geometric_bound_dominates_estimator_sum(q5, q5_units):
     rep = geometric_bound(q5_units, 2, 5.0, cutoff=10 ** 4)
     table = add_estimates(count_table(q5, BoxSpec(5.0)), q5_units)
-    lhs = norm_sum(table, 2, "estimate_raw")
+    lhs = norm_sum(table.ks, table.n_raw, 2)
     assert lhs == pytest.approx(rep.estimator_sum, rel=1e-12)
     assert lhs <= rep.geometric_bound
 
@@ -187,7 +167,7 @@ def test_geometric_bound_dominates_estimator_sum(q5, q5_units):
 def test_invalid_exponent(q5, q5_units):
     table = count_table(q5, BoxSpec(5.0))
     with pytest.raises(ValidationError):
-        norm_sum(table, 1)
+        norm_sum(table.ks, table.b, 1)
     with pytest.raises(ValidationError):
         geometric_bound(q5_units, 1, 5.0, cutoff=10 ** 4)
     with pytest.raises(ValidationError):

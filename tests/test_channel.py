@@ -51,6 +51,19 @@ def test_pep_slope_is_minus_10n_db_per_decade(q5, q5_units):
     assert slope == pytest.approx(-table.degree, rel=1e-6)  # dB per dB = -n
 
 
+def test_pep_past_the_float_range():
+    """gamma^2 past the float range: pe from logs, a subnormal where it is
+    one and 0.0 below; gamma = 0.0 gives pe past it, a ValidationError."""
+    curve = pep_curve(single_row_table(), 1545.0, 3075.0, 2)
+    assert list(curve.snr_linear) == pytest.approx([10.0 ** 154.5, 10.0 ** 307.5], rel=1e-15)
+    assert curve.pe_exact[0] == pytest.approx(2e-309, rel=1e-9)
+    assert curve.pe_exact[1] == 0.0 and curve.pe_estimate[1] == 0.0
+    with pytest.raises(ValidationError):
+        pep_curve(single_row_table(), -4000.0, -3000.0, 2)
+    with pytest.raises(ValidationError):
+        pep_curve(single_row_table(), 3090.0, 3090.0, 1)  # gamma = inf
+
+
 def test_pep_requires_columns_and_grid(q5, q5_units):
     bare = count_table(q5, BoxSpec(10.0))
     with pytest.raises(ValidationError):
@@ -72,9 +85,9 @@ def test_eve_probability_examples(q5):
     assert eve_probability(t1, 1.0, 1.0) == pytest.approx(0.5, rel=1e-15)
     assert eve_probability(t1, 2.0, 1.0) == pytest.approx(0.5 / 4, rel=1e-15)
     table = count_table(q5, BoxSpec(10.0))
-    from nfbounds.bounds import eve_sum
+    from nfbounds.bounds import norm_sum
 
-    expected = eve_sum(table) / 400.0
+    expected = norm_sum(table.ks, table.b, 3) / 400.0
     assert eve_probability(table, 10.0, 1.0) == pytest.approx(expected, rel=1e-15)
     assert eve_probability(table, 20.0, 1.0) == pytest.approx(expected / 4, rel=1e-12)
     with pytest.raises(ValidationError):

@@ -22,7 +22,11 @@ Q5 = fixture_path("qsqrt5.json")
 QUARTIC = fixture_path("quartic725.json")
 COUNTS_HEAD = ("# nfbounds-counts label=Q(sqrt5) degree=2 R=3 cap=9 max_norm=1 total=2\n"
                "k,a_k,b_k\n")
-Q5_ROWS_R3 = "1,1,10\n4,1,2\n5,1,2\n9,1,2\n"  # a valid table body under COUNTS_HEAD
+Q5_ROWS_R3 = "1,1,10\n4,1,2\n5,1,2\n9,1,2\n"
+# what `counts qsqrt5.json --radius 3` writes: a valid file
+Q5_COUNTS_R3 = ("# nfbounds-counts label=qsqrt5 degree=2 R=3 cap=9 max_norm=9 total=16\n"
+                "k,a_k,b_k\n" + Q5_ROWS_R3)
+OCTIC_TEXT = Path(fixture_path("cyclo32real.json")).read_text(encoding="utf-8")
 
 
 def run(capsys, *argv):
@@ -216,6 +220,28 @@ def test_eve_json(capsys):
     assert payload["eve_sum"] == pytest.approx(2.0)
 
 
+def test_eve_bound_below_the_float_range_is_zero(capsys):
+    """gamma_e^2 overflows; the bound itself, about 1e-601, underflows to 0.0."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "eve", Q5, "--radius", "5", "--gamma", "1e300")
+    assert code == 0 and err == ""
+    payload = json.loads(out, parse_constant=lambda c: pytest.fail(f"{c} in the JSON"))
+    assert payload["probability_bound"] == 0.0
+
+
+def test_q5_r3_counts_file_is_valid(tmp_path, capsys):
+    """The bad-input cases edit this file, so each edit is its only defect."""
+    code, out, _ = run(capsys, "counts", Q5, "--radius", "3")
+    assert code == 0 and out == Q5_COUNTS_R3
+    path = tmp_path / "counts.csv"
+    path.write_text(Q5_COUNTS_R3)
+    code, out, _ = run(capsys, "estimate", Q5, "--from-counts", str(path))
+    assert code == 0
+    assert [ln.split(",")[:3] for ln in out.splitlines()[2:]] == [
+        ln.split(",") for ln in Q5_ROWS_R3.splitlines()]
+
+
 def test_exit_code_validation(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({
@@ -247,13 +273,12 @@ def test_exit_code_validation(tmp_path, capsys):
     ("eve", None, ["--radius", "10", "--gamma", "1", "--vol", "inf"]),
     ("bounds", None, ["--s", "2", "--height", "3", "--cutoff", "5"]),
     ("bounds", None, ["--s", "2", "--radius", "10", "--cutoff", "0"]),
-    ("estimate", None, ["--from-counts", (COUNTS_HEAD + Q5_ROWS_R3,), "--radius", "3"]),
-    ("estimate", None, ["--from-counts", (COUNTS_HEAD + Q5_ROWS_R3,), "--max-norm", "5"]),
+    ("estimate", None, ["--from-counts", (Q5_COUNTS_R3,), "--radius", "3"]),
+    ("estimate", None, ["--from-counts", (Q5_COUNTS_R3,), "--max-norm", "5"]),
     ("counts", None, ["--radius", "3", "--budget", "-1"]),
-    ("estimate", None, ["--from-counts", (COUNTS_HEAD + Q5_ROWS_R3,), "--budget", "10"]),
-    ("estimate", None, ["--from-counts", (COUNTS_HEAD + Q5_ROWS_R3,), "--tol", "0.1"]),
-    ("estimate", None, ["--from-counts", (COUNTS_HEAD + Q5_ROWS_R3,),
-                        "--budget", "-1", "--tol", "-5"]),
+    ("estimate", None, ["--from-counts", (Q5_COUNTS_R3,), "--budget", "10"]),
+    ("estimate", None, ["--from-counts", (Q5_COUNTS_R3,), "--tol", "0.1"]),
+    ("estimate", None, ["--from-counts", (Q5_COUNTS_R3,), "--budget", "-1", "--tol", "-5"]),
     ("field-info", {"label": 5}, []),
     ("counts", {"label": "two\nlines"}, ["--radius", "3"]),
     ("counts", {"label": "carriage\rreturn"}, ["--radius", "3"]),
@@ -261,6 +286,17 @@ def test_exit_code_validation(tmp_path, capsys):
     ("field-info", {"expected_regulator": math.inf}, []),
     ("field-info", {"expected_regulator": True}, []),
     ("field-info", {"fundamental_units": [[0, 1, 0]]}, []),
+    ("field-info", {"roots_of_unity": 4}, []),
+    ("eve", None, ["--radius", "5", "--gamma", "1e-300"]),
+    ("eve", None, ["--radius", "5", "--gamma", "1e-160"]),
+    ("eve", OCTIC_TEXT, ["--radius", "3", "--max-norm", "100", "--gamma", "1e-40"]),
+    ("pep", None, ["--radius", "5", "--snr", "1e308:1e308:2"]),
+    ("pep", None, ["--radius", "5", "--snr=-4000:-3000:2"]),
+    ("estimate", None, ["--from-counts", (Q5_COUNTS_R3.replace("total=16", "total=12")
+                                          .replace("4,1,2", "4,1,-2"),)]),
+    ("estimate", None, ["--from-counts", (Q5_COUNTS_R3.replace("4,1,2", "4,1,1\n4,1,1"),)]),
+    ("estimate", None, ["--from-counts", (Q5_COUNTS_R3.replace("1,1,10\n4,1,2",
+                                                               "4,1,2\n1,1,10"),)]),
 ], ids=["radius-below-one", "counts-radius-inf", "bounds-radius-inf", "snr-nan",
         "no-min-poly", "roots-of-unity-text", "regulator-text", "not-json",
         "max-norm-negative", "counts-no-R", "counts-R-text", "counts-R-nan",
@@ -270,7 +306,9 @@ def test_exit_code_validation(tmp_path, capsys):
         "budget-negative", "from-counts-with-budget", "from-counts-with-tol",
         "from-counts-with-invalid-budget-and-tol", "label-not-text", "label-newline",
         "label-carriage-return", "regulator-nan", "regulator-inf", "regulator-bool",
-        "unit-wrong-length"])
+        "unit-wrong-length", "roots-of-unity-4", "eve-gamma-1e-300", "eve-gamma-1e-160",
+        "octic-eve-gamma-1e-40", "pep-snr-1e308", "pep-snr-minus-4000",
+        "counts-negative-b", "counts-k-twice", "counts-k-out-of-order"])
 def test_bad_input_is_a_named_error(tmp_path, capsys, command, doc_change, rest):
     """doc_change edits the Q(sqrt5) document (None drops a key) or replaces its
     text; a one-item tuple in rest is written to a file and passed by path."""
@@ -295,7 +333,9 @@ def test_bad_input_is_a_named_error(tmp_path, capsys, command, doc_change, rest)
             path.write_text(item[0])
             item = str(path)
         argv.append(item)
-    code, out, err = run(capsys, command, str(doc), *argv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, command, str(doc), *argv)
     assert code == 2
     assert err.startswith("error:") and "ValidationError" in err
     assert "Traceback" not in err and "nan" not in out

@@ -98,12 +98,13 @@ def test_budget_guard(q5):
 
 def test_count_table_examples(q5):
     table = count_by_norm(q5, enumerate_box(q5, BoxSpec(10.0)), BoxSpec(10.0))
-    assert table.row(1)["b"] == 18  # units +-theta^j, |j| <= 4
+    assert table.b[np.searchsorted(table.ks, 1)] == 18  # units +-theta^j, |j| <= 4
     assert 2 not in table.ks       # 2 is inert: no element of norm 2
-    assert table.row(100)["b"] == 2
+    assert table.ks[np.searchsorted(table.ks, 100)] == 100
+    assert table.b[np.searchsorted(table.ks, 100)] == 2
     # single-row table at R = 1
     t1 = count_by_norm(q5, enumerate_box(q5, BoxSpec(1.0)), BoxSpec(1.0))
-    assert list(t1.ks) == [1] and t1.row(1)["b"] == 2
+    assert list(t1.ks) == [1] and t1.b[0] == 2
 
 
 def test_count_table_invariants(q5):
@@ -151,8 +152,9 @@ def test_max_norm_filter(q5):
     assert table.cap == 50
     assert table.ks.max() <= 50
     full = count_table(q5, BoxSpec(100.0))
-    for k in table.ks:
-        assert table.row(int(k))["b"] == full.row(int(k))["b"]
+    rows = np.searchsorted(full.ks, table.ks)
+    assert np.array_equal(full.ks[rows], table.ks)
+    assert np.array_equal(full.b[rows], table.b)
 
 
 def test_returned_arrays_are_read_only(q5, q5_units):

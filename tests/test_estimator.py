@@ -31,11 +31,12 @@ def test_section_volume_closed_form():
 
 def test_estimate_counts_golden(q5, q5_units):
     table = estimate_counts(q5_units, BoxSpec(10.0), 100)
-    row = table.row(1)
-    assert row["n_raw"] == pytest.approx(4 * math.log(10) / q5_units.regulator, rel=1e-12)
-    assert row["n"] == 19
+    assert table.ks[0] == 1
+    assert table.n_raw[0] == pytest.approx(4 * math.log(10) / q5_units.regulator, rel=1e-12)
+    assert table.n_est[0] == 19
     assert 2 not in table.ks  # a_2 = 0 never produces a row
-    assert table.row(100)["n"] == 0  # zero section volume at k = R^n
+    i = np.searchsorted(table.ks, 100)
+    assert table.ks[i] == 100 and table.n_est[i] == 0  # zero section volume at k = R^n
 
 
 def test_estimates_scale_with_coefficient(q5, q5_units):
@@ -67,7 +68,7 @@ def test_error_column_and_profile(q5, q5_units):
     assert prof.max_error <= 2
     assert prof.histogram[1] >= 1
     assert prof.cumulative[-1][1] == pytest.approx(1.0)
-    assert prof.cumulative_at(prof.max_error) == pytest.approx(1.0)
+    assert prof.cumulative[-1] == (prof.max_error, pytest.approx(1.0))
     assert prof.zero_fraction == prof.histogram.get(0, 0) / prof.row_count
     fracs = [c for _f, c in prof.cumulative]
     assert all(u <= v for u, v in zip(fracs, fracs[1:]))

@@ -17,7 +17,6 @@ from nfbounds.numberfield import (
     _refine,
     min_product_distance,
     parse_field,
-    real_roots,
 )
 from bareiss_oracle import mul, power
 from refine_oracle import _mpf_to_fraction, _refine as oracle_refine
@@ -62,21 +61,15 @@ def test_parse_field_rejects_complex_roots():
 
 
 def test_real_roots_golden():
-    roots = [float(r) for r in real_roots(Polynomial((-1, -1, 1)), 1e-12)]
+    roots = list(parse_field(Polynomial((-1, -1, 1))).embeddings)
     assert roots == pytest.approx([1 - PHI, PHI], abs=1e-12)
 
 
 def test_real_roots_octic():
-    roots = [float(r) for r in real_roots((2, 0, -16, 0, 20, 0, -8, 0, 1))]
+    roots = list(parse_field((2, 0, -16, 0, 20, 0, -8, 0, 1)).embeddings)
     assert len(roots) == 8
     assert roots == pytest.approx([-r for r in roots[::-1]], abs=1e-12)  # symmetric
     assert roots[-1] == pytest.approx(2 * math.cos(math.pi / 16), abs=1e-12)
-
-
-def test_real_roots_cubic():
-    roots = real_roots((-2, 0, 0, 1))
-    assert len(roots) == 1
-    assert float(roots[0]) == pytest.approx(2 ** (1 / 3), abs=1e-12)
 
 
 def test_real_root_count():
@@ -87,7 +80,7 @@ def test_real_root_count():
 
 def test_exact_integer_roots_handled():
     # x^2 - x - 2 = (x-2)(x+1) is squarefree with integer roots
-    roots = [float(r) for r in real_roots((-2, -1, 1))]
+    roots = list(parse_field((-2, -1, 1)).embeddings)
     assert roots == pytest.approx([-1.0, 2.0], abs=0)
 
 

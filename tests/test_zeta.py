@@ -11,7 +11,7 @@ import pytest
 from ddf_oracle import _ddf_type
 from sieve_oracle import euler_sieve, splitting_types
 from nfbounds import _memo, bounds, enumeration, numberfield, zeta
-from nfbounds.bounds import bounded_height_zeta
+from nfbounds.bounds import height_bound_report
 from nfbounds.enumeration import BoxSpec, cached_orbits, cached_points
 from nfbounds.errors import CutoffTooSmall, InvariantError, NotPrime, ValidationError
 from nfbounds.numberfield import Polynomial, parse_field
@@ -22,7 +22,6 @@ from nfbounds.zeta import (
     dirichlet_coeffs,
     splitting_type,
     zeta_derivative,
-    zeta_value,
 )
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -207,9 +206,9 @@ def test_isolate_root_count_invariant(monkeypatch):
 
 def test_dirichlet_examples(q5):
     z = dirichlet_coeffs(q5, 100)
-    assert [z.coefficient(k) for k in (1, 4, 5, 9, 11)] == [1, 1, 1, 1, 2]
-    assert [z.coefficient(k) for k in (2, 3, 7)] == [0, 0, 0]
-    assert z.coefficient(1) == 1
+    assert [int(z.a[k]) for k in (1, 4, 5, 9, 11)] == [1, 1, 1, 1, 2]
+    assert [int(z.a[k]) for k in (2, 3, 7)] == [0, 0, 0]
+    assert int(z.a[1]) == 1
 
 
 def test_dirichlet_series_is_read_only(q5):
@@ -297,10 +296,10 @@ def test_sieve_memory_is_bounded(q5):
 def test_zeta_value_golden(q5):
     z = dirichlet_coeffs(q5, 10 ** 4)
     closed = (math.pi ** 2 / 6) * (4 * math.pi ** 2 / (25 * math.sqrt(5)))
-    v = zeta_value(z, 2)
+    v = zeta_derivative(z, 0, 2)
     assert v.value == pytest.approx(closed, abs=1e-3)
     assert v.value > 1
-    v3 = zeta_value(z, 3)
+    v3 = zeta_derivative(z, 0, 3)
     assert 1 < v3.value < 1.05
     # frozen from a 10^6-term partial sum of the character oracle
     assert v3.value == pytest.approx(1.0275480117, abs=1e-6)
@@ -308,7 +307,7 @@ def test_zeta_value_golden(q5):
 
 def test_zeta_value_decreasing_in_s(q5):
     z = dirichlet_coeffs(q5, 10 ** 4)
-    values = [zeta_value(z, s).value for s in (2, 3, 4, 5, 6)]
+    values = [zeta_derivative(z, 0, s).value for s in (2, 3, 4, 5, 6)]
     assert all(u > v for u, v in zip(values, values[1:]))
     assert all(v > 1 for v in values)
 
@@ -316,17 +315,14 @@ def test_zeta_value_decreasing_in_s(q5):
 def test_zeta_value_cutoff_guard(q5):
     z = dirichlet_coeffs(q5, 100)
     with pytest.raises(CutoffTooSmall):
-        zeta_value(z, 2)  # hard floor for s = 2
+        zeta_derivative(z, 0, 2)  # hard floor for s = 2
     z2 = dirichlet_coeffs(q5, 10 ** 4)
-    with pytest.raises(CutoffTooSmall):
-        zeta_value(z2, 2, tolerance=1e-9)
     with pytest.raises(ValidationError):
-        zeta_value(z2, 1)
+        zeta_derivative(z2, 0, 1)
 
 
 def test_zeta_derivative(q5):
     z = dirichlet_coeffs(q5, 10 ** 4)
-    assert zeta_derivative(z, 0, 2).value == zeta_value(z, 2).value
     d1 = zeta_derivative(z, 1, 2)
     ks = np.arange(1, z.cutoff + 1, dtype=float)
     oracle = float((z.a[1:] * np.log(ks) / ks ** 2).sum())
@@ -340,8 +336,7 @@ def test_zeta_derivative(q5):
 
 
 def test_bounded_height_zeta_small_cases(q5):
-    assert bounded_height_zeta(q5, 3, 0.5) == 0.0
-    assert bounded_height_zeta(q5, 3, 1) == 1.0
+    assert height_bound_report(q5, 3, 1).zeta_truncated == 1.0
 
 
 def test_bounded_height_zeta_orbit_oracle(q5):
@@ -363,7 +358,7 @@ def test_bounded_height_zeta_orbit_oracle(q5):
             else:
                 groups.append([x])
         total += len(groups) / k ** 3
-    value = bounded_height_zeta(q5, 3, m)
+    value = height_bound_report(q5, 3, m).zeta_truncated
     assert value == pytest.approx(total, rel=1e-12)
     # spec-level shape: 1 + 1/4^3 + 1/5^3 + 1/9^3 + positive remainder
     base = 1 + 1 / 64 + 1 / 125 + 1 / 729
@@ -373,14 +368,14 @@ def test_bounded_height_zeta_orbit_oracle(q5):
 
 def test_bounded_height_zeta_monotone(q5):
     z = dirichlet_coeffs(q5, 10 ** 4)
-    full = zeta_value(z, 3).value
-    values = [bounded_height_zeta(q5, 3, m) for m in (1, 2, 4, 8, 10)]
+    full = zeta_derivative(z, 0, 3).value
+    values = [height_bound_report(q5, 3, m).zeta_truncated for m in (1, 2, 4, 8, 10)]
     assert all(u <= v + 1e-15 for u, v in zip(values, values[1:]))
     assert all(v <= full for v in values)
     # units have height phi but generate the unit ideal; the first new ideal
     # is (2) at height 2, so the sum leaves 1 exactly there
-    assert bounded_height_zeta(q5, 3, PHI + 1e-9) == 1.0
-    assert bounded_height_zeta(q5, 3, 2) > 1
+    assert height_bound_report(q5, 3, PHI + 1e-9).zeta_truncated == 1.0
+    assert height_bound_report(q5, 3, 2).zeta_truncated > 1
 
 
 @pytest.mark.parametrize("k, s, kind", [(2, 400, "normal"), (3, 650, "subnormal"),
@@ -391,7 +386,7 @@ def test_bounded_height_zeta_terms_past_the_float_range(q5, monkeypatch, k, s, k
     subnormal, and a term below half the least one is 0.0."""
     table = enumeration.OrbitTable(np.zeros((1, 2), dtype=np.int64), np.array([0]), np.array([k]))
     monkeypatch.setattr(bounds, "cached_orbits", lambda field, box: table)
-    value = bounded_height_zeta(q5, s, 3)
+    value = height_bound_report(q5, s, 3).zeta_truncated
     assert value == 1 / k ** s
     assert kind == ("zero" if value == 0 else
                     "subnormal" if value < sys.float_info.min else "normal")
