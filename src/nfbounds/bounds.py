@@ -78,11 +78,6 @@ class BoundReport:
     zeta_cutoff: int | None = None
 
     @property
-    def degenerate(self) -> bool:
-        """Only the unit ideal fits below the height truncation."""
-        return self.zeta_truncated <= 1.0
-
-    @property
     def lower_holds(self) -> bool:
         return self.norm_sum > self.zeta_truncated > 1.0
 

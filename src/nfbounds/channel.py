@@ -85,10 +85,11 @@ def pep_curve(table: CountTable, snr_db_start: float, snr_db_stop: float,
     )
 
 
-def eve_probability(table: CountTable, gamma_e: float, vol_lambda_b: float = 1.0) -> float:
-    """Eavesdropper correct-decision bound (1/(4 gamma_e^2))^(n/2) vol S at
-    linear SNR gamma_e, with S the inverse norm power sum at s = 3 of the
-    exact counts."""
+def eve_probability(table: CountTable, gamma_e: float,
+                    vol_lambda_b: float = 1.0) -> tuple[float, float]:
+    """(S, bound): S the inverse norm power sum at s = 3 of the exact
+    counts, and the eavesdropper correct-decision bound
+    (1/(4 gamma_e^2))^(n/2) vol S at linear SNR gamma_e."""
     if not (0 < gamma_e < math.inf and 0 < vol_lambda_b < math.inf):
         raise ValidationError(f"gamma_e and vol_lambda_b must be positive and finite, "
                               f"got {gamma_e}, {vol_lambda_b}")
@@ -102,4 +103,5 @@ def eve_probability(table: CountTable, gamma_e: float, vol_lambda_b: float = 1.0
     with np.errstate(divide="ignore"):
         log_value = (np.log(total) + math.log(vol_lambda_b)
                      - n / 2.0 * math.log(4.0) - n * math.log(gamma_e))
-    return float(_in_float_range(value, log_value, f"the eavesdropper bound at gamma_e={gamma_e}"))
+    return total, float(_in_float_range(value, log_value,
+                                        f"the eavesdropper bound at gamma_e={gamma_e}"))

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import channel, estimator
-from .bounds import full_height_report, geometric_bound, norm_sum
+from .bounds import full_height_report, geometric_bound
 from .enumeration import DEFAULT_BUDGET, BoxSpec, CountTable, count_table, enumerate_box
 from .errors import ResourceLimitError, ValidationError
 from .numberfield import NumberField, Polynomial, parse_field
@@ -309,13 +309,13 @@ def cmd_eve(args) -> int:
     field, _doc = load_field_document(args.field_doc)
     box, budget = _box_and_budget(args)
     table = count_table(field, box, args.max_norm, budget)
-    value = channel.eve_probability(table, args.gamma, args.vol)
+    eve_sum, value = channel.eve_probability(table, args.gamma, args.vol)
     payload = {
         "label": field.label,
         "gamma_e": args.gamma,
         "vol_lambda_b": args.vol,
         "radius": args.radius,
-        "eve_sum": norm_sum(table.ks, table.b, 3),
+        "eve_sum": eve_sum,
         "probability_bound": value,
     }
     _emit(json.dumps(payload, indent=2) + "\n", args.out)

@@ -1,16 +1,19 @@
 """Complete enumeration of Z[theta] points inside a height hypercube.
 
-The search fixes one integer coordinate per level with interval
-propagation: at each level the remaining linear constraints
-|sum_j c_j sigma_i(theta)^j| <= R are intersected, using a priori ranges
-for the still-undecided coordinates.  To keep those intervals tight the
-search works in the field's LLL-reduced basis, `NumberField.reduced_basis`
-(a unimodular change of variables, so the point set is unchanged).  It
-walks the tree as a
+The search fixes one integer coordinate per level.  The box is the
+parallelotope {x : |W x|_inf <= R}, W the embeddings of the field's
+LLL-reduced basis, `NumberField.reduced_basis` (a unimodular change of
+variables, so the point set is unchanged, and W is well conditioned).
+Level j takes its interval from the facets of the box's projection onto
+the coordinates j..n-1, one per (j+1)-subset of the embeddings
+(`NumberField.projection_facets`, cached per field; only their right-hand
+sides scale with R): given the decided coordinates, that is the exact
+range of x_j up to a float pad.  It walks the tree as a
 frontier (Fincke and Pohst 1985): the intervals of a whole chunk of
-prefixes are computed as arrays and expanded into the next level's
-chunk, depth-first over chunks, so at most one chunk per level is alive
-and working memory is bounded by `_CHUNK_ELEMENTS` whatever the box.
+prefixes are one product of the facet normals with the chunk's partial
+embeddings, expanded into the next level's chunk, depth-first over
+chunks, so at most one chunk per level is alive and working memory is
+bounded by `_CHUNK_ELEMENTS` whatever the box.
 A chunk is column-major, one column per prefix (partial embeddings
 (n, P) float, reduced coordinates (n, P) int64), so every reduction over
 embeddings or coordinates runs along the long axis; the scan hands out
@@ -42,13 +45,11 @@ import numpy as np
 
 from . import _memo
 from .errors import BoxTooLarge, ValidationError
-from .numberfield import _STACK_ROWS, AlgebraicInt, NumberField, _closed_box, _max_abs
+from .numberfield import (_SCAN_PAD, _STACK_ROWS, AlgebraicInt, NumberField, _closed_box,
+                          _max_abs)
 from .zeta import dirichlet_coeffs
 
 DEFAULT_BUDGET = 10 ** 8
-
-# float slack of the candidate ranges, which certification then decides
-_FLOAT_MARGIN = 1e-10
 
 # prefixes x degree per frontier chunk: bounds the scan's working memory
 # whatever the box, yet keeps each numpy call long at every degree
@@ -79,7 +80,10 @@ def _scan_blocks(field: NumberField, box: BoxSpec, budget: int):
 
     Deterministic: rows arrive in ascending order of the reduced-basis
     prefix, ascending in the innermost coordinate within one prefix.  The
-    zero vector is excluded.  For one prefix the box points form a run of
+    zero vector is excluded.  Level j's candidates are the integers of
+    the range that the projection facets give x_j, padded outward by
+    `_SCAN_PAD`; the budget counts them.  At the leaf (j = 0) the facets
+    are the box's own rows.  For one prefix the box points form a run of
     innermost coordinates (x is affine in it and the box is convex), so
     the closed-box rule is certified at the two ends of each run only.
     """
@@ -87,13 +91,9 @@ def _scan_blocks(field: NumberField, box: BoxSpec, budget: int):
     V = field.embedding_matrix
     U = field.reduced_basis[0]
     W = V @ U
+    facets = field.projection_facets
     Rt = box.R + box.boundary_tolerance
-    bounds = (Rt) * np.abs(np.linalg.inv(W)).sum(axis=1)
-    pad = _FLOAT_MARGIN * max(1.0, box.R) * 100
-    # rem[j][i] = max contribution of coords < j to embedding i
-    rem = np.zeros((n + 1, n))
-    for j in range(1, n + 1):
-        rem[j] = rem[j - 1] + np.abs(W[:, j - 1]) * bounds[j - 1]
+    pad = _SCAN_PAD * max(1.0, Rt)
     # the box holds vol(box shrunk by half a reduced cell) / covolume lattice points
     # or more, each a candidate: a box sure to pass the budget is refused at once
     cell = (np.abs(W).sum(axis=1) / 2).tolist()  # Python floats overflow to inf quietly
@@ -121,16 +121,11 @@ def _scan_blocks(field: NumberField, box: BoxSpec, budget: int):
         """The level-j candidates of every prefix in one chunk, counted
         against the budget: the first (float) and the count (int64)."""
         nonlocal examined
-        lo = np.full(partial.shape[1], -bounds[j] - pad)
-        hi = np.full(partial.shape[1], bounds[j] + pad)
-        for i in np.flatnonzero(np.abs(W[:, j]) > 1e-14):
-            wij = W[i, j]
-            low_end = (-Rt - partial[i] - rem[j, i]) / wij
-            high_end = (Rt - partial[i] + rem[j, i]) / wij
-            if wij < 0:
-                low_end, high_end = high_end, low_end
-            np.maximum(lo, low_end, out=lo)
-            np.minimum(hi, high_end, out=hi)
+        L, h = facets[j]
+        offset, rhs = L @ partial, Rt * h[:, None]
+        # no facet left at a level leaves its range unbounded, which the budget refuses
+        lo = -np.min(offset + rhs, axis=0, initial=np.inf)
+        hi = -np.max(offset - rhs, axis=0, initial=-np.inf)
         c_lo = np.ceil(lo - pad)
         counts = np.maximum(np.floor(hi + pad) - c_lo + 1, 0)
         total = counts.sum()

@@ -20,6 +20,7 @@ power basis.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -42,6 +43,10 @@ _LOG_DIGITS = 40
 
 # matrices per batched kernel call: bounds the stacks' memory for any point set
 _STACK_ROWS = 1024
+
+# outward pad of the box scan's candidate ranges per unit of max(1, R + tol);
+# `projection_facets` keeps only the facets whose float error it covers
+_SCAN_PAD = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -603,6 +608,50 @@ class NumberField:
         U.setflags(write=False)
         U_inv.setflags(write=False)
         return U, U_inv
+
+    @cached_property
+    def projection_facets(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per level j, read-only (L, h): the facets of the projection of the
+        box {x : |W x|_inf <= R} onto the reduced coordinates x_j..x_(n-1),
+        W = embedding_matrix·U, as bounds on x_j.
+
+        Each (j+1)-subset S of the embedding rows gives one row of the
+        (m, n) L: the last row lambda of W[S, :j+1]^-1 on the columns S,
+        scaled by its computed product with W[S, j].  So every x in the box
+        has |x_j + L[s]·p| <= R·h[s], p = sum over k > j of W[:, k]·x_k:
+        h[s] is |lambda|_1 plus the float residual |lambda·W[S, :j+1] - e_j|
+        at the box's coordinate bounds |x_k| <= R·sum_i |W^-1[k, i]|.  The
+        bound holds for any lambda, as every term is kept (Ziegler,
+        *Lectures on Polytopes*, ch. 7, for the facets).  A subset is
+        dropped, the singular ones among them, when its float error per
+        unit R passes `_SCAN_PAD`: a dropped facet only widens the range.
+        """
+        n = self.degree
+        V, U = self.embedding_matrix, self.reduced_basis[0]
+        W = V @ U
+        bounds = np.abs(np.linalg.inv(W)).sum(axis=1)
+        # |V|·|U| at the coordinate bounds: the rounding of W = V·U and of the
+        # scan's partial sums and products with lambda is within 4n·eps of it
+        size = np.abs(V) @ np.abs(U) @ bounds
+        levels = []
+        for j in range(n):
+            S = np.array(list(itertools.combinations(range(n), j + 1)))
+            M = W[S, :j + 1]
+            k, q = np.arange(j + 1), np.arange(j)
+            # the cofactors of column j: row k of S left out, q + (q >= k) the rest
+            cof = np.linalg.det(M[:, q + (q >= k[:, None]), :j]) * (-1.0) ** k
+            L = np.zeros((len(S), n))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                lam = cof / (cof * M[:, :, j]).sum(axis=1, keepdims=True)
+                resid = (lam[:, :, None] * M).sum(axis=1) - (k == j)
+                h = np.abs(lam).sum(axis=1) + np.abs(resid) @ bounds[:j + 1]
+                L[np.arange(len(S))[:, None], S] = lam
+                keep = 4 * n * np.finfo(float).eps * (np.abs(L) @ size) <= _SCAN_PAD
+            L, h = L[keep], h[keep]
+            L.setflags(write=False)
+            h.setflags(write=False)
+            levels.append((L, h))
+        return tuple(levels)
 
     @cached_property
     def _reduced_mul(self) -> np.ndarray:

@@ -1,26 +1,36 @@
 """Recursive depth-first box scan: the enumeration oracle.
 
-One coordinate per recursion level, in the LLL-reduced system, with the
-same interval propagation and margins as `enumeration._scan_blocks`.  It
-is the per-point certification oracle: every candidate of the innermost
-level passes the float prefilter and the closed-box test on its own, and
-the float test's undecided candidates go to 400-bit mpmath.  The library
-walks the same tree a chunk of prefixes at a time and tests only the two
-ends of each innermost run, relying on the convexity of the box for the
-points between; the tests compare the two row sets and candidate counts.
+One coordinate per recursion level, in the LLL-reduced system.  Level j
+bounds its coordinate by the facets of the box's projection onto the
+coordinates j..n-1, as `enumeration._scan_blocks` does, but derives them
+on its own: each normal solves lambda·W[S, :j+1] = e_j exactly, in
+rationals over W's float entries, by Gauss-Jordan elimination, and is then
+rounded to float.  It is the per-point certification oracle: every
+candidate of the innermost level passes the float prefilter and the
+closed-box test on its own, and the float test's undecided candidates go
+to 400-bit mpmath.  The library walks the same tree a chunk of prefixes
+at a time and tests only the two ends of each innermost run, relying on
+the convexity of the box for the points between; the tests compare the
+two row sets and candidate counts.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 
-from nfbounds.enumeration import _FLOAT_MARGIN, BoxSpec
+from nfbounds.enumeration import BoxSpec
 from nfbounds.errors import BoxTooLarge
-from nfbounds.numberfield import NumberField, _lll_transform
+from nfbounds.numberfield import _SCAN_PAD, NumberField, _lll_transform
+
+# a normal past this 1-norm comes from a (nearly) singular subset, whose
+# float facet would be noise: the library drops those by their float error
+_MAX_NORMAL = 1e8
 
 
 @functools.lru_cache(maxsize=None)
@@ -40,20 +50,59 @@ def mp_inside(field: NumberField, coords, bound: float) -> bool:
                    for r in _mp_roots(field.min_poly.coeffs))
 
 
+def _exact_normal(M):
+    """lambda with lambda·M = e_last for a square matrix M of Fractions, by
+    Gauss-Jordan elimination of [M^T | e_last]; None when M is singular."""
+    k = len(M)
+    rows = [[M[c][r] for c in range(k)] + [Fraction(r == k - 1)] for r in range(k)]
+    for c in range(k):
+        p = next((r for r in range(c, k) if rows[r][c] != 0), None)
+        if p is None:
+            return None
+        rows[c], rows[p] = rows[p], rows[c]
+        for r in range(k):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return [rows[i][k] / rows[i][i] for i in range(k)]
+
+
+@functools.lru_cache(maxsize=None)
+def _facets(field: NumberField):
+    """(W, per level j a list of (S, lambda, h)): |x_j + lambda·p_S| <= R·h
+    for every box point x, p the partial embeddings of the decided
+    coordinates, and h holding the rounded normal's exact residual at the
+    box's coordinate bounds."""
+    V = field.embedding_matrix
+    W = V @ _lll_transform(V)
+    n = len(W)
+    b = np.abs(np.linalg.inv(W)).sum(axis=1)
+    Wq = [[Fraction(v) for v in row] for row in W]
+    levels = []
+    for j in range(n):
+        level = []
+        for S in itertools.combinations(range(n), j + 1):
+            lam = _exact_normal([Wq[i][:j + 1] for i in S])
+            if lam is None or sum(abs(v) for v in lam) > _MAX_NORMAL:
+                continue
+            lam = [float(v) for v in lam]
+            resid = [abs(sum(Fraction(v) * Wq[i][k] for v, i in zip(lam, S)) - (k == j))
+                     for k in range(j + 1)]
+            h = sum(abs(v) for v in lam) + float(sum(r * Fraction(bk) for r, bk in zip(resid, b)))
+            level.append((list(S), np.array(lam), h))
+        levels.append(level)
+    return W, levels
+
+
 def dfs_scan(field: NumberField, box: BoxSpec, budget: int = 10 ** 12):
     """(rows, examined): every accepted coordinate row in scan order, and
     the number of candidates the scan examined."""
     n = field.degree
     V = field.embedding_matrix
     U = _lll_transform(V)
-    W = V @ U
+    W, facets = _facets(field)
     Rt = box.R + box.boundary_tolerance
-    bounds = (Rt) * np.abs(np.linalg.inv(W)).sum(axis=1)
-    pad = _FLOAT_MARGIN * max(1.0, box.R) * 100
-    # rem[j][i] = max contribution of coords < j to embedding i
-    rem = np.zeros((n + 1, n))
-    for j in range(1, n + 1):
-        rem[j] = rem[j - 1] + np.abs(W[:, j - 1]) * bounds[j - 1]
+    pad = _SCAN_PAD * max(1.0, Rt)
 
     examined = 0
     cprime = np.zeros(n, dtype=np.int64)
@@ -78,15 +127,11 @@ def dfs_scan(field: NumberField, box: BoxSpec, budget: int = 10 ** 12):
 
     def descend(j: int, partial: np.ndarray):
         nonlocal examined
-        lo, hi = -bounds[j] - pad, bounds[j] + pad
-        for i in range(n):
-            wij = W[i, j]
-            if wij > 1e-14:
-                lo = max(lo, (-Rt - partial[i] - rem[j, i]) / wij)
-                hi = min(hi, (Rt - partial[i] + rem[j, i]) / wij)
-            elif wij < -1e-14:
-                lo = max(lo, (Rt - partial[i] + rem[j, i]) / wij)
-                hi = min(hi, (-Rt - partial[i] - rem[j, i]) / wij)
+        lo, hi = -math.inf, math.inf
+        for S, lam, h in facets[j]:
+            offset = float(lam @ partial[S])
+            lo = max(lo, -offset - Rt * h)
+            hi = min(hi, -offset + Rt * h)
         c_lo = math.ceil(lo - pad)
         c_hi = math.floor(hi + pad)
         if c_hi < c_lo:

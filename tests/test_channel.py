@@ -82,13 +82,13 @@ def test_snr_grid_ceiling():
 
 def test_eve_probability_examples(q5):
     t1 = count_table(q5, BoxSpec(1.0))
-    assert eve_probability(t1, 1.0, 1.0) == pytest.approx(0.5, rel=1e-15)
-    assert eve_probability(t1, 2.0, 1.0) == pytest.approx(0.5 / 4, rel=1e-15)
+    assert eve_probability(t1, 1.0, 1.0) == (2.0, pytest.approx(0.5, rel=1e-15))
+    assert eve_probability(t1, 2.0, 1.0) == (2.0, pytest.approx(0.5 / 4, rel=1e-15))
     table = count_table(q5, BoxSpec(10.0))
     from nfbounds.bounds import norm_sum
 
-    expected = norm_sum(table.ks, table.b, 3) / 400.0
-    assert eve_probability(table, 10.0, 1.0) == pytest.approx(expected, rel=1e-15)
-    assert eve_probability(table, 20.0, 1.0) == pytest.approx(expected / 4, rel=1e-12)
+    total = norm_sum(table.ks, table.b, 3)
+    assert eve_probability(table, 10.0, 1.0) == (total, pytest.approx(total / 400, rel=1e-15))
+    assert eve_probability(table, 20.0, 1.0) == (total, pytest.approx(total / 1600, rel=1e-12))
     with pytest.raises(ValidationError):
         eve_probability(table, -1.0)

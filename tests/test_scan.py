@@ -89,6 +89,37 @@ def test_run_ends_step_inward_on_both_sides(q5, monkeypatch):
     assert np.array_equal(np.array(got), dfs_scan(q5, BoxSpec(R, 0.0))[0])
 
 
+@pytest.mark.parametrize("R,points,per_point", [(3.5, 150, 5), (4.5, 986, 4)])
+def test_octic_scan_examines_few_candidates_per_point(octic, R, points, per_point):
+    """Each level bounds its coordinate by the facets of the box's
+    projection, so the scan passes a budget below `per_point` candidates
+    per box point; bounding the undecided coordinates one embedding at a
+    time examined 142 and 58 per point here."""
+    assert len(scan_rows(octic, BoxSpec(R), budget=per_point * points - 1)) == points
+
+
+def test_projection_facets(q5, quartic, octic):
+    """Every cached facet is finite and read-only, and its normal lambda
+    has lambda·W[:, :j+1] = e_j on the decided coordinate j.  quartic725
+    contains Q(sqrt 5), and its reduced basis starts with 1 and an element
+    of that subfield: the two embedding pairs that agree on it give
+    singular 2x2 blocks W[S, :2], and their level-1 facets are dropped."""
+    for field in (q5, quartic, octic):
+        n = field.degree
+        W = field.embedding_matrix @ field.reduced_basis[0]
+        for j, (L, h) in enumerate(field.projection_facets):
+            assert np.isfinite(L).all() and np.isfinite(h).all()
+            assert not L.flags.writeable and not h.flags.writeable
+            assert np.allclose(L @ W[:, :j + 1], np.eye(j + 1)[j], atol=1e-12)
+            dropped = math.comb(n, j + 1) - len(L)
+            assert dropped == (2 if field is quartic and j == 1 else 0)
+    W = quartic.embedding_matrix @ quartic.reduced_basis[0]
+    twins = [tuple(np.flatnonzero(np.isclose(W[:, 1], w))) for w in np.unique(W[:, 1].round(9))]
+    assert np.all(W[:, 0] == 1) and len(twins) == 2
+    supports = {tuple(np.flatnonzero(row)) for row in quartic.projection_facets[1][0]}
+    assert supports == set(itertools.combinations(range(4), 2)) - set(twins)
+
+
 @pytest.mark.parametrize("fixture_name,R", ORACLE_CASES)
 def test_scan_blocks_are_int64_row_blocks(request, fixture_name, R):
     """Every block is a nonempty int64 (P, n) array, C-ordered or the
@@ -405,10 +436,13 @@ def test_octic_completeness_vs_mpmath_brute_force(octic):
     assert [tuple(r) for r in enumerate_box(octic, BoxSpec(3.0)).tolist()] == want
 
 
-@pytest.mark.parametrize("fixture_name,R", [
-    ("q5", 2.0), ("q5", 3.0), ("octic", 2.0), ("octic", 3.0)])
+@pytest.mark.parametrize("fixture_name,R", itertools.product(
+    ["q5", "quartic", "octic"], [1.0, 2.0, 3.0]))
 def test_closed_box_boundary_integer_radius(request, fixture_name, R):
-    """Tolerance 0: the rational integers ±R lie exactly on the boundary."""
+    """Tolerance 0: the rational integers ±R lie exactly on the boundary,
+    on all n faces at once.  At such a vertex of the box a coordinate's
+    facet range can end exactly on an integer, which the outward pad
+    keeps."""
     field = request.getfixturevalue(fixture_name)
     want, _ = mp_brute_force(field, R, 0.0)
     got = [tuple(r) for r in enumerate_box(field, BoxSpec(R, 0.0)).tolist()]
