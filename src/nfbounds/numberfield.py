@@ -81,45 +81,53 @@ def _bareiss_dets(a: np.ndarray, rhs: np.ndarray | None = None):
     [M | rhs], so all divisions are exact (Bareiss 1968; Cohen, *A Course
     in Computational Algebraic Number Theory*, §2.2).  Entries are int64
     or Python integers (`object`); int64 input must pass `_fits_int64`.
+    The elimination runs on an (n, n + 1, B) copy of [M | rhs], batch
+    last, so every step's update, exact division and back substitution is
+    one ufunc call along the stack; the inputs are never written.
     """
     # re-checked here, not trusted to the caller: past the guard int64 wraps
     if a.dtype != object and not _fits_int64(a, rhs):
         raise InvariantError("int64 matrices past the Hadamard guard")
     B, n, _ = a.shape
-    a = a.copy() if rhs is None else np.concatenate([a, rhs[:, :, None]], axis=2)
+    t = np.empty((n, n + (rhs is not None), B), dtype=a.dtype)
+    t[:, :n] = a.transpose(1, 2, 0)
+    if rhs is not None:
+        t[:, n] = rhs.T
     sign = np.ones(B, dtype=np.int64)
     singular = np.zeros(B, dtype=bool)
     prev = np.ones(B, dtype=a.dtype)
     for k in range(n):
-        zero = np.flatnonzero(a[:, k, k] == 0)
+        zero = np.flatnonzero(t[k, k] == 0)
         if len(zero):
-            below = a[zero, k + 1:, k] != 0
-            found = below.any(axis=1)
+            below = t[k + 1:, k][:, zero] != 0
+            found = below.any(axis=0)
             if found.any():
-                swap, r = zero[found], k + 1 + below[found].argmax(axis=1)
-                a[swap, k], a[swap, r] = a[swap, r], a[swap, k]
+                swap, r = zero[found], k + 1 + below[:, found].argmax(axis=0)
+                t[k, :, swap], t[r, :, swap] = t[r, :, swap], t[k, :, swap]
                 sign[swap] = -sign[swap]
             dead = zero[~found]
             singular[dead] = True
             # a zero column: keep the rest of this matrix zero, divisions exact
-            a[dead, k:, k:] = 0
-            a[dead, k, k] = 1
-        pivot = a[:, k, k].copy()
-        a[:, k + 1:, k + 1:] = ((a[:, k + 1:, k + 1:] * pivot[:, None, None]
-                                 - a[:, k + 1:, k, None] * a[:, k, None, k + 1:])
-                                // prev[:, None, None])
+            t[k:, k:, dead] = 0
+            t[k, k, dead] = 1
+        pivot = t[k, k].copy()
+        rest = t[k + 1:, k + 1:]
+        rest *= pivot
+        rest -= t[k + 1:, k, None] * t[k, None, k + 1:]
+        if k:  # the first step's divisor is 1
+            rest //= prev
         prev = pivot
     det = sign * prev
     det[singular] = 0
     if rhs is None:
         return det, None
-    # a[:, i, n] is a row of an equivalent system; det·x is integral (Cramer)
-    adj = np.zeros((B, n), dtype=a.dtype)
+    # t[i, n] is a row of an equivalent system; det·x is integral (Cramer)
+    adj = np.zeros((n, B), dtype=a.dtype)
     for i in range(n - 1, -1, -1):
-        acc = det * a[:, i, n] - (a[:, i, i + 1:n] * adj[:, i + 1:]).sum(axis=1)
-        adj[:, i] = acc // a[:, i, i]
-    adj[singular] = 0
-    return det, adj
+        acc = det * t[i, n] - (t[i, i + 1:n] * adj[i + 1:]).sum(axis=0)
+        adj[i] = acc // t[i, i]
+    adj[:, singular] = 0
+    return det, adj.T
 
 
 def _fits_int64(mats: np.ndarray, rhs: np.ndarray | None = None) -> bool:
@@ -131,13 +139,15 @@ def _fits_int64(mats: np.ndarray, rhs: np.ndarray | None = None) -> bool:
     elimination step's difference of two products stays below 2·H^2, and
     each back-substitution sum of at most n products below n·H^2.  The
     margin covers the float rounding of H^2.  Entries of matrices that
-    pass are below 2^32, hence exact in float.
+    pass are below 2^32, hence exact in float.  The squares are summed
+    batch last, like the kernel's elimination.
     """
     n = mats.shape[1]
+    cols = mats.transpose(2, 1, 0).astype(float, order="C")  # (column, row, matrix)
+    h2 = np.prod(np.maximum(np.einsum("jib,jib->jb", cols, cols), 1.0), axis=0)
     if rhs is not None:
-        mats = np.concatenate([mats, rhs[:, :, None]], axis=2)
-    mats = mats.astype(float)
-    h2 = np.prod(np.maximum((mats * mats).sum(axis=1), 1.0), axis=1)
+        r = rhs.T.astype(float, order="C")
+        h2 *= np.maximum(np.einsum("ib,ib->b", r, r), 1.0)
     terms = 2 if rhs is None else max(2, n)
     return bool(terms * h2.max(initial=1.0) * (1 + 1e-12) < 2.0 ** 63)
 

@@ -105,7 +105,8 @@ def test_height_table_matches_counts_by_norm(request, monkeypatch, name, m):
 
 
 def test_height_report_takes_each_norm_once(quartic, monkeypatch):
-    """The orbits and the table share one batch of norms over the box."""
+    """The orbits and the table share one batch of norms over the box, taken
+    once for each pair of points x, -x."""
     rows = []
     real_norm_rows = NumberField.norm_rows
 
@@ -116,7 +117,7 @@ def test_height_report_takes_each_norm_once(quartic, monkeypatch):
     monkeypatch.setattr(NumberField, "norm_rows", counted)
     monkeypatch.setattr(_memo, "_entries", OrderedDict())
     height_bound_report(quartic, 3, 5)
-    assert sum(rows) == len(cached_points(quartic, BoxSpec(5.0))) == 372
+    assert 2 * sum(rows) == len(cached_points(quartic, BoxSpec(5.0))) == 372
 
 
 def test_geometric_bound_golden(q5, q5_units):

@@ -302,12 +302,13 @@ def log_lattice_partition(points, unit_system):
 
 
 def division_orbits(field, points):
-    """Second oracle: each point, in coordinate order, joins the first
-    orbit of its norm whose representative g divides it, decided by the
-    scalar elimination adj(M(g))·x ≡ 0 mod N(g).  Returns [(norm, members)]
-    in the order unit_orbits promises."""
+    """Second oracle: each point, in input order, joins the first orbit of
+    its norm whose representative g (its first member) divides it, decided
+    by the scalar elimination adj(M(g))·x ≡ 0 mod N(g).  Returns
+    [(norm, members)] in the order unit_orbits promises: by norm, then by
+    first member, members in input order."""
     by_norm: dict[int, list] = {}
-    for x in sorted(points):
+    for x in points:
         groups = by_norm.setdefault(abs(oracle_norm(field, x)), [])
         for mat, members in groups:
             det, adj = bareiss(mat, x)
@@ -336,7 +337,45 @@ def test_unit_orbits_match_log_lattice_oracle(request, fixture_name, R):
     assert [(k, ms[0]) for k, ms in table] == sorted((k, ms[0]) for k, ms in table)
     assert all(list(ms) == sorted(ms) for _, ms in table)
     # the same orbits in the same order as pairwise scalar division
-    assert table == division_orbits(field, points)
+    assert table == division_orbits(field, sorted(points))
+
+
+def sign_pairs(rows):
+    """The rows split by the sign of their first nonzero coordinate: x and
+    -x sit at the same index of the two lists."""
+    rows = [tuple(r) for r in rows.tolist()]
+    pos = [r for r in rows if next(c for c in r if c) > 0]
+    return pos, [tuple(-c for c in r) for r in pos]
+
+
+@pytest.mark.parametrize("fixture_name,R", [("q5", 40.0), ("quartic", 8.0), ("octic", 4.0)])
+def test_unit_orbits_order_on_rows_that_are_not_a_box(request, fixture_name, R):
+    """Shuffled subsets, rows with only one sign of a pair, and x, -x far
+    apart give the partition and the order of scalar division over the
+    rows as given: by norm, then by each orbit's first row, members in
+    input order."""
+    field = request.getfixturevalue(fixture_name)
+    rng = np.random.default_rng(22)
+    rows = enumerate_box(field, BoxSpec(R))
+    pos, neg = sign_pairs(rows)
+    assert sorted(pos + neg) == [tuple(r) for r in rows.tolist()]
+    size = min(len(pos), 150)
+    picks = rng.permutation(len(pos))[:size]
+    # both signs, one sign only, and x in the first half with -x in the second
+    third = size // 3
+    both = [pos[i] for i in picks[:third]] + [neg[i] for i in picks[:third]]
+    single = [pos[i] for i in picks[third:2 * third]] + [neg[i] for i in picks[2 * third:]]
+    apart = [pos[i] for i in picks] + [neg[i] for i in picks[::-1]]
+    cases = {
+        "shuffled": [both[i] for i in rng.permutation(len(both))] + single,
+        "one sign": [single[i] for i in rng.permutation(len(single))],
+        "apart": apart,
+        "subset": [tuple(r) for r in rows[rng.choice(len(rows), 2 * size, replace=False)].tolist()],
+    }
+    for name, points in cases.items():
+        orbits = unit_orbits(field, np.array(points, dtype=np.int64))
+        table = list(zip(orbits.norms.tolist(), members(orbits)))
+        assert table == division_orbits(field, points), name
 
 
 def test_unit_orbits_past_int64_match_division(q5):
@@ -350,6 +389,35 @@ def test_unit_orbits_past_int64_match_division(q5):
     assert len(orbits) == 6
     table = list(zip(orbits.norms.tolist(), members(orbits)))
     assert table == division_orbits(q5, rows)
+
+
+def test_unit_orbits_build_head_matrices_past_int64(octic, octic_units):
+    """Octic rows of small coordinates and norm near 2^53: the head
+    matrix M(c) of their orbit has entries past 2^63 before the reduction
+    mod k, so it is built on Python integers, while the products
+    n·k·max|y| stay on int64."""
+    x = (-5, -7, 1, -7, -6, -11, 12, -7)
+    u, v = octic_units.units[:2]
+    rows = [mul(octic, x, u), x, tuple(-c for c in mul(octic, x, v)), tuple(-c for c in x)]
+    k = abs(oracle_norm(octic, x))
+    assert {abs(oracle_norm(octic, r)) for r in rows} == {k}
+    assert 8 * k * max(abs(c) for r in rows for c in r) < 2 ** 63
+    cofactor = octic.norm_rows(rows[:1], cofactors=True)[1].astype(object)  # the head's
+    assert np.abs(octic._mul_matrices(cofactor)).max() >= 2 ** 63
+    orbits = unit_orbits(octic, rows)
+    table = list(zip(orbits.norms.tolist(), members(orbits)))
+    assert table == division_orbits(octic, rows)
+    assert len(orbits) == 1
+
+
+def test_unit_orbits_keep_rows_holding_int64_min_apart(q5):
+    """-(-2^63) wraps to -2^63 in int64: normalising the sign of
+    (-1, -2^63) would give (1, -2^63), a different row of another norm."""
+    rows = [(-1, -2 ** 63), (1, -2 ** 63), (-2 ** 63, 0), (2 ** 63 - 1, 1)]
+    orbits = unit_orbits(q5, np.array(rows, dtype=np.int64))
+    table = list(zip(orbits.norms.tolist(), members(orbits)))
+    assert table == division_orbits(q5, rows)
+    assert not any(rows[0] in ms and rows[1] in ms for _, ms in table)
 
 
 def test_orbit_table_is_frozen_and_counts_orbits(quartic):

@@ -391,6 +391,24 @@ def test_bareiss_dets_match_oracle():
     assert singular > 100 and swapped > 100
 
 
+@pytest.mark.parametrize("dtype", [np.int64, object])
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+@pytest.mark.parametrize("B", [1, 7])
+def test_bareiss_dets_never_write_their_input(dtype, n, B):
+    """The kernel eliminates on its own batch-last copy: for n = 1 or
+    B = 1 the transpose of the stack is already contiguous, so
+    `ascontiguousarray` would hand back the caller's matrices."""
+    rng = np.random.default_rng(n * 10 + B)
+    mats = rng.integers(-1, 2, size=(B, n, n)).astype(dtype)
+    mats[0, 0, 0] = 0  # a zero pivot: a row swap or a singular matrix
+    rhs = rng.integers(-5, 6, size=(B, n)).astype(dtype)
+    before = mats.copy(), rhs.copy()
+    _bareiss_dets(mats)
+    _bareiss_dets(mats, rhs)
+    assert mats.dtype == before[0].dtype and rhs.dtype == before[1].dtype
+    assert mats.tolist() == before[0].tolist() and rhs.tolist() == before[1].tolist()
+
+
 def test_count_table_calls_no_per_row_norm(quartic, octic, monkeypatch):
     def per_row(*args):
         pytest.fail("count_table computed a norm row by row")
