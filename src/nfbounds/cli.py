@@ -8,9 +8,9 @@ the probability curves (`pep`, `eve`).
 
 Exit codes: 0 success, 2 validation error, 3 budget or cutoff failure.
 CSV output uses a header row, UTF-8, '.' decimals, and 15 significant
-digits for floats, so repeated runs diff cleanly.  Cells are formatted a
-column at a time and written a block of rows at a time, so no table is
-held as text.
+digits for floats, so repeated runs diff cleanly.  Columns become Python
+values a block of rows at a time, and each block is formatted by one `%`
+template and written at once, so no table is held as text.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import argparse
 import contextlib
 import json
 import sys
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -51,19 +51,13 @@ _HINTS = {
 _CSV_BLOCK = 4096
 
 
-def _column(values) -> list[str]:
-    """CSV cells of one column (an array, or a list numpy converts without
-    loss): integers as `str` gives them, floats to 15 significant digits."""
-    values = np.asarray(values)
-    spec = "{:.15g}" if values.dtype.kind == "f" else "{}"
-    return list(map(spec.format, values.tolist()))
-
-
 def _cells(*columns):
-    """Rows of preformatted cells from equal-length columns, formatted one
-    block of `_CSV_BLOCK` rows at a time."""
+    """Rows of plain Python values from equal-length columns (arrays, or
+    lists numpy converts without loss), one `.tolist()` per column per
+    block of `_CSV_BLOCK` rows: a float64 column gives floats, an integer
+    or `object` column Python integers."""
     for s in range(0, len(columns[0]), _CSV_BLOCK):
-        yield from zip(*(_column(c[s:s + _CSV_BLOCK]) for c in columns))
+        yield from zip(*(np.asarray(c[s:s + _CSV_BLOCK]).tolist() for c in columns))
 
 
 def _emit(text: str, out: str | None):
@@ -74,14 +68,17 @@ def _emit(text: str, out: str | None):
 
 
 def _write_csv(header, rows, out: str | None, preamble: str | None = None):
-    """Write rows of preformatted cells under the header, one block of
-    `_CSV_BLOCK` lines per write."""
+    """Write rows of `_cells` values under the header, one block of
+    `_CSV_BLOCK` lines per write, one item drawn from rows per line.  A
+    block's line template takes `%.15g` for a float cell and `%s` for any
+    other, so floats get 15 significant digits and integers `str`."""
     head = ([preamble] if preamble else []) + [",".join(header)]
     rows = iter(rows)
     with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
         fh.write("\n".join(head) + "\n")
-        while block := [",".join(row) for row in islice(rows, _CSV_BLOCK)]:
-            fh.write("\n".join(block) + "\n")
+        while block := list(islice(rows, _CSV_BLOCK)):
+            line = ",".join("%.15g" if type(v) is float else "%s" for v in block[0]) + "\n"
+            fh.write((line * len(block)) % tuple(chain.from_iterable(block)))
 
 
 def _int_list(value, what: str) -> list[int]:

@@ -8,12 +8,12 @@ Level j takes its interval from the facets of the box's projection onto
 the coordinates j..n-1, one per (j+1)-subset of the embeddings
 (`NumberField.projection_facets`, cached per field; only their right-hand
 sides scale with R): given the decided coordinates, that is the exact
-range of x_j up to a float pad.  It walks the tree as a
-frontier (Fincke and Pohst 1985): the intervals of a whole chunk of
-prefixes are one product of the facet normals with the chunk's partial
-embeddings, expanded into the next level's chunk, depth-first over
-chunks, so at most one chunk per level is alive and working memory is
-bounded by `_CHUNK_ELEMENTS` whatever the box.
+range of x_j up to a float pad.  It walks the tree as a frontier
+(Fincke and Pohst 1985): the intervals of a whole chunk of prefixes are
+one product of the facet normals with the chunk's partial embeddings,
+expanded into the next level's chunk by one `np.repeat` of each prefix
+column over its run, depth-first over chunks, so at most one chunk per
+level is alive and working memory is bounded by `_CHUNK_ELEMENTS`.
 A chunk is column-major, one column per prefix (partial embeddings
 (n, P) float, reduced coordinates (n, P) int64), so every reduction over
 embeddings or coordinates runs along the long axis; the scan hands out
@@ -136,8 +136,10 @@ def _scan_blocks(field: NumberField, box: BoxSpec, budget: int):
         return c_lo, counts.astype(np.int64)
 
     def runs(first: np.ndarray, counts: np.ndarray):
-        """(prefix index, coordinate) of the runs first[p], ...,
-        first[p] + counts[p] - 1, in chunks of at most `chunk` columns."""
+        """The runs first[p], ..., first[p] + counts[p] - 1, in chunks of at
+        most `chunk` columns: (prefixes sl, run lengths, coordinates), the
+        chunk holding lens[i] columns of prefix sl.start + i, so that a
+        prefix column expands to its run by one `np.repeat`."""
         ends = np.cumsum(counts)
         shift = first - ends + counts  # coordinate minus position among all runs
         total = int(ends[-1]) if len(ends) else 0
@@ -147,16 +149,15 @@ def _scan_blocks(field: NumberField, box: BoxSpec, budget: int):
             lens = counts[p:q + 1].copy()
             lens[0] = ends[p] - s
             lens[-1] -= ends[q] - e
-            parent = np.repeat(np.arange(p, q + 1), lens)
-            yield parent, np.arange(s, e) + shift[parent]
+            yield slice(p, q + 1), lens, np.arange(s, e) + np.repeat(shift[p:q + 1], lens)
 
     def children(j: int, partial: np.ndarray, prefix: np.ndarray):
         """The level-j candidates of every prefix in one chunk, as chunks of
         at most `chunk` columns: (partial embeddings, reduced coordinates)."""
-        for parent, cs in runs(*ranges(j, partial)):
-            block = prefix[:, parent]
+        for sl, lens, cs in runs(*ranges(j, partial)):
+            block = np.repeat(prefix[:, sl], lens, axis=1)
             block[j] = cs
-            yield partial[:, parent] + W[:, j, None] * cs, block
+            yield np.repeat(partial[:, sl], lens, axis=1) + W[:, j, None] * cs, block
 
     def leaf(partial: np.ndarray, prefix: np.ndarray):
         """The box points below one chunk of level-1 prefixes, as columns:
@@ -167,22 +168,21 @@ def _scan_blocks(field: NumberField, box: BoxSpec, budget: int):
         first = c_lo[some].astype(np.int64)
         last = first + counts[some] - 1
 
-        def points(p, cs):
-            return np.take(base, p, axis=1) + np.multiply.outer(U[:, 0], cs)
-
         low = high = np.arange(len(first))
         while len(low) or len(high):
             high = high[last[high] > first[high]]  # a one-point run is its low end
-            ok = inside(points(np.concatenate((low, high)),
-                               np.concatenate((first[low], last[high]))))
+            ends = np.concatenate((low, high))
+            ok = inside(np.take(base, ends, axis=1)
+                        + np.multiply.outer(U[:, 0], np.concatenate((first[low], last[high]))))
             low, high = low[~ok[:len(low)]], high[~ok[len(low):]]
             first[low] += 1
             last[high] -= 1
             low = low[first[low] <= last[low]]
         zero = np.flatnonzero(~base.any(axis=0))  # the prefix whose run holds 0
-        for parent, cs in runs(first, last - first + 1):
-            cols = points(parent, cs)
-            if len(zero) and parent[0] <= zero[0] <= parent[-1]:
+        for sl, lens, cs in runs(first, last - first + 1):
+            cols = np.repeat(base[:, sl], lens, axis=1)  # each prefix's column per run point
+            cols += np.multiply.outer(U[:, 0], cs)
+            if len(zero) and sl.start <= zero[0] < sl.stop:
                 cols = cols[:, cols.any(axis=0)]
             if cols.shape[1]:
                 yield cols.T
@@ -294,7 +294,7 @@ def _build_table(field: NumberField, box: BoxSpec, max_norm: int | None,
     for norms in norm_iter:
         # cast only the admitted norms: an `object` norm past int64 would overflow.
         # (np.bincount with minlength=cap + 1 costs O(cap) per block: slower here)
-        np.add.at(acc, norms[norms <= cap].astype(np.int64), 1)
+        np.add.at(acc, norms[norms <= cap].astype(np.int64, copy=False), 1)
     acc[0] = 0  # a zero divisor's norm; a_0 = 0 too, so k = 0 is never a row
     keys = np.flatnonzero((a_full != 0) | (acc != 0))
     return CountTable(R=box.R, degree=field.degree, cap=cap, ks=keys.astype(np.int64),

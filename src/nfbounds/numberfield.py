@@ -681,10 +681,11 @@ class NumberField:
         when a norm is past int64.  Rows are an int64 array or a sequence
         of coordinates, which may hold Python integers past int64.
 
-        Degree 2 without cofactors takes a^2 - c1·ab + c0·b^2.  Otherwise
-        each chunk of `_STACK_ROWS` rows is one kernel call on the
-        M_U(x) = U^-1·M(x)·U of `reduced_basis`, similar to M(x), so of the
-        same determinant.  The chunk runs on int64 when its M_U(x) were
+        Degree 2 without cofactors takes a·(a - c1·b) + c0·b^2, on int64
+        while max|x|^2·(1 + |c0| + |c1|) <= 2^62 bounds its partial sums.
+        Otherwise each chunk of `_STACK_ROWS` rows is one kernel call on
+        the M_U(x) = U^-1·M(x)·U of `reduced_basis`, similar to M(x), so of
+        the same determinant.  The chunk runs on int64 when its M_U(x) were
         built without wrapping and pass the Hadamard guard, and on Python
         integers otherwise.  With cofactors, the call takes right-hand side
         U^-1·e_0 and also returns c(x) = adj(M(x))·e_0 = N(x)/x mod |N(x)|,
@@ -701,9 +702,10 @@ class NumberField:
         if n == 2 and not cofactors:
             c0, c1, _ = self.min_poly.coeffs
             a, b = rows[:, 0], rows[:, 1]
-            if _max_abs(rows) ** 2 * (1 + abs(c0) + abs(c1)) > 2 ** 62:
+            # at least 1: a coefficient past int64 then sends even zero rows to Python
+            if max(_max_abs(rows), 1) ** 2 * (1 + abs(c0) + abs(c1)) > 2 ** 62:
                 a, b = a.astype(object), b.astype(object)  # exactness over speed
-            return _int64_if_fits(a * a - c1 * a * b + c0 * b * b)
+            return _int64_if_fits(a * (a - c1 * b) + c0 * (b * b))
         U, U_inv = self.reduced_basis
         dets, cofs = [np.zeros(0, dtype=np.int64)], [np.zeros((0, n), dtype=np.int64)]
         for s in range(0, len(rows), _STACK_ROWS):

@@ -1,9 +1,10 @@
 """Per-cell CSV writer: the formatting oracle for the command line.
 
-The command line formats one column at a time (`cli._column`, `cli._cells`)
-and writes one block of rows at a time.  This writer takes rows of raw
-values, formats every cell on its own with `fmt` and writes the whole text
-at once; the tests require the same bytes from both.
+The command line turns each column into Python values a block of rows at
+a time (`cli._cells`) and formats each block with one `%` line template
+(`cli._write_csv`).  This writer takes rows of raw values, formats every
+cell on its own with `fmt` and writes the whole text at once; the tests
+require the same bytes from both.
 """
 
 from __future__ import annotations

@@ -1,8 +1,12 @@
-"""Column-wise CSV output against the per-cell writer in `csv_oracle`: the
-same bytes for every table command over the three fixtures, and the same
-cell text from `_column` as from `fmt` on edge values."""
+"""Block-templated CSV output against the per-cell writer in `csv_oracle`:
+the same bytes for every table command over the three fixtures, for empty
+and one-row tables, and from `_cells` and `_write_csv` on edge values."""
 
 from __future__ import annotations
+
+import contextlib
+import inspect
+import io
 
 import numpy as np
 import pytest
@@ -74,21 +78,90 @@ DIGIT_FLOATS = st.builds(lambda m, e: float(f"{m}e{e}"),
 FLOATS = st.one_of(EDGE_FLOATS, DIGIT_FLOATS, st.floats(allow_nan=True, allow_infinity=True))
 
 
-def same_as_fmt(values):
-    assert cli._column(values) == [csv_oracle.fmt(x) for x in values]
+def written(write, *columns) -> str:
+    """The CSV text of the columns under a header, as one writer gives it."""
+    rows = (cli._cells if write is cli._write_csv else csv_oracle.raw_rows)(*columns)
+    with contextlib.redirect_stdout(io.StringIO()) as text:
+        write([f"c{i}" for i in range(len(columns))], rows, None, "# pre")
+    return text.getvalue()
+
+
+def same_as_oracle(*columns):
+    got = written(cli._write_csv, *columns)
+    assert got == written(csv_oracle.write_csv, *columns)
+    assert len(got.splitlines()) == len(columns[0]) + 2
 
 
 @given(st.lists(INT64_EDGE))
-def test_column_int64_near_the_ends(values):
-    same_as_fmt(np.array(values, dtype=np.int64))
+def test_write_csv_int64_near_the_ends(values):
+    same_as_oracle(np.array(values, dtype=np.int64))
 
 
 @given(st.lists(BIG_INTS))
-def test_column_python_integers_past_int64(values):
-    same_as_fmt(np.array(values, dtype=object))
+def test_write_csv_python_integers_past_int64(values):
+    same_as_oracle(np.array(values, dtype=object))
 
 
 @given(st.lists(FLOATS))
-def test_column_floats(values):
-    same_as_fmt(np.array(values, dtype=float))
-    same_as_fmt(values)
+def test_write_csv_floats(values):
+    same_as_oracle(np.array(values, dtype=float))
+    same_as_oracle(values)
+
+
+@given(st.lists(st.tuples(BIG_INTS, FLOATS)))
+def test_write_csv_mixes_object_integers_and_floats(pairs):
+    """One block holding an `object` integer column next to a float one."""
+    ints, floats = zip(*pairs) if pairs else ((), ())
+    same_as_oracle(np.array(ints, dtype=object), np.array(floats, dtype=float))
+
+
+def test_float_cells_are_the_float64_columns():
+    """A float64 column takes 15 significant digits even where its values
+    are integral; an int64 or `object` column takes `str`."""
+    ints, floats, big = np.array([1, -2 ** 63]), np.array([1.0, -0.0]), np.array(
+        [2 ** 70, -1], dtype=object)
+    assert [tuple(map(type, row)) for row in cli._cells(ints, floats, big)] == [
+        (int, float, int)] * 2
+    assert written(cli._write_csv, ints, floats, big) == (
+        f"# pre\nc0,c1,c2\n1,1,{2 ** 70}\n{-2 ** 63},-0,-1\n")
+    assert written(cli._write_csv, np.array([1e20, 2 ** 53 + 1.0])).endswith(
+        "\n1e+20\n9.00719925474099e+15\n")
+
+
+def test_write_csv_draws_one_row_per_line():
+    """The benchmark counts written rows by wrapping `rows`: one item per
+    data line, across blocks, and `_cells` does no work before it is drawn."""
+    class Counting:
+        def __init__(self, rows):
+            self.rows, self.count = iter(rows), 0
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            row = next(self.rows)
+            self.count += 1
+            return row
+
+    class Untouched:
+        def __len__(self):
+            raise AssertionError("a column was read before the first row was drawn")
+
+    assert inspect.isgenerator(cells := cli._cells(Untouched()))
+    cells.close()
+    n = 2 * cli._CSV_BLOCK + 3
+    rows = Counting(cli._cells(np.arange(n), np.linspace(-1, 1, n)))
+    with contextlib.redirect_stdout(io.StringIO()) as text:
+        cli._write_csv(["k", "x"], rows, None)
+    assert rows.count == n == len(text.getvalue().splitlines()) - 1
+
+
+@pytest.mark.parametrize("max_norm,lines", [(0, 2), (1, 3)])
+def test_empty_and_one_row_tables(capsys, monkeypatch, tmp_path, max_norm, lines):
+    """A norm cap of 0 leaves only the preamble and the header; a cap of 1
+    leaves the one row of the units."""
+    argv = ["counts", fixture_path("qsqrt5.json"), "--radius", "10", "--max-norm", str(max_norm)]
+    (column, _), (oracle, _) = run_both(capsys, monkeypatch, tmp_path, argv)
+    assert column == oracle
+    assert len(column.splitlines()) == lines
+    assert column.splitlines()[1] == "k,a_k,b_k"

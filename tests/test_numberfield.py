@@ -18,7 +18,7 @@ from nfbounds.numberfield import (
     min_product_distance,
     parse_field,
 )
-from bareiss_oracle import mul, power
+from bareiss_oracle import mul, norm as bareiss_norm, power
 from refine_oracle import _mpf_to_fraction, _refine as oracle_refine
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -174,6 +174,30 @@ def test_norm_examples(q5):
     assert q5.norm_coords((1, 1)) == 1
     assert q5.norm_coords((-1, 2)) == -5
     assert q5.norm_coords((0, 0)) == 0
+
+
+@pytest.mark.parametrize("coeffs", [(-1, -1, 1), (-1000003, 3, 1)])
+def test_quadratic_norm_at_the_int64_guard(q5, coeffs):
+    """Rows with max|x|^2·(1 + |c0| + |c1|) just below 2^62 take int64,
+    just above it and at about 2^64 Python integers: all give the exact
+    norms, from int64 and from `object` rows alike."""
+    field = q5 if coeffs == (-1, -1, 1) else parse_field(Polynomial(coeffs))
+    c0, c1, _ = coeffs
+    below = math.isqrt(2 ** 62 // (1 + abs(c0) + abs(c1)))
+    for m in (below, below + 1, 2 * below):
+        rows = [(a, b) for a in (m, -m, m - 1, 0) for b in (m, -m, 1 - m, 0)]
+        want = [bareiss_norm(field, row) for row in rows]
+        for dtype in (np.int64, object):
+            got = field.norm_rows(np.array(rows, dtype=dtype))
+            assert got.tolist() == want
+
+
+def test_quadratic_norm_of_zero_rows_past_int64_coefficients():
+    """c1 = -2^64 fits no int64, whatever the rows: zero and empty rows too."""
+    field = parse_field(Polynomial((-1, -2 ** 64, 1)))
+    assert field.norm_rows(np.zeros((3, 2), dtype=np.int64)).tolist() == [0, 0, 0]
+    assert field.norm_rows(np.zeros((0, 2), dtype=np.int64)).tolist() == []
+    assert field.norm_rows([(1, 0), (0, 1)]).tolist() == [1, -1]
 
 
 def test_height_examples(q5):

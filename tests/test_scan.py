@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fixture_path
-from nfbounds import numberfield
+from nfbounds import enumeration, numberfield
 from nfbounds.cli import main
 from nfbounds.enumeration import BoxSpec, _scan_blocks, count_table, enumerate_box, unit_orbits
 from nfbounds.errors import BoxTooLarge, InvariantError
@@ -35,16 +35,18 @@ def scan_rows(field, box, budget=10 ** 12):
     return np.concatenate(blocks) if blocks else np.empty((0, field.degree), dtype=np.int64)
 
 
-@pytest.mark.parametrize("fixture_name,R", ORACLE_CASES)
-def test_frontier_matches_dfs_oracle(request, fixture_name, R):
+def matches_dfs_oracle(field, box):
     """Same rows in the same order, and the same candidate count: the
     budget passes at `examined` and fails one below it."""
-    field = request.getfixturevalue(fixture_name)
-    box = BoxSpec(R)
     want, examined = dfs_scan(field, box)
     assert np.array_equal(scan_rows(field, box, budget=examined), want)
     with pytest.raises(BoxTooLarge):
         scan_rows(field, box, budget=examined - 1)
+
+
+@pytest.mark.parametrize("fixture_name,R", ORACLE_CASES)
+def test_frontier_matches_dfs_oracle(request, fixture_name, R):
+    matches_dfs_oracle(request.getfixturevalue(fixture_name), BoxSpec(R))
 
 
 @given(st.data())
@@ -53,11 +55,18 @@ def test_run_ends_match_dfs_oracle(q5, quartic, data):
     """The leaf certifies only the two ends of each innermost run; the
     oracle certifies every candidate.  Same rows, same candidate count."""
     field, top = data.draw(st.sampled_from([(q5, 300.0), (quartic, 8.0)]))
-    box = BoxSpec(data.draw(st.floats(1.0, top)), data.draw(st.sampled_from([0.0, 1e-9])))
-    want, examined = dfs_scan(field, box)
-    assert np.array_equal(scan_rows(field, box, budget=examined), want)
-    with pytest.raises(BoxTooLarge):
-        scan_rows(field, box, budget=examined - 1)
+    matches_dfs_oracle(field, BoxSpec(data.draw(st.floats(1.0, top)),
+                                      data.draw(st.sampled_from([0.0, 1e-9]))))
+
+
+@pytest.mark.parametrize("fixture_name,R", [("q5", 10.0), ("q5", 100.0), ("quartic", 5.0),
+                                            ("octic", 3.0)])
+def test_runs_split_across_chunks_match_dfs_oracle(request, monkeypatch, fixture_name, R):
+    """Chunks of three columns split the runs, the zero vector's among
+    them, across chunks at every level."""
+    field = request.getfixturevalue(fixture_name)
+    monkeypatch.setattr(enumeration, "_CHUNK_ELEMENTS", 3 * field.degree)
+    matches_dfs_oracle(field, BoxSpec(R))
 
 
 def test_run_ends_step_inward_on_both_sides(q5, monkeypatch):
