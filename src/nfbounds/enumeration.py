@@ -17,7 +17,7 @@ level is alive and working memory is bounded by `_CHUNK_ELEMENTS`.
 A chunk is column-major, one column per prefix (partial embeddings
 (n, P) float, reduced coordinates (n, P) int64), so every reduction over
 embeddings or coordinates runs along the long axis; the scan hands out
-its rows as (P, n) transposes.  Below a fixed prefix x is affine in the
+its rows as transposes.  Below a fixed prefix x is affine in the
 innermost coordinate and the box is convex, so the prefix's box points
 form one run of that coordinate: the closed-box rule
 |sigma_i(x)| <= R + boundary_tolerance is tested only at the two ends of
@@ -26,14 +26,24 @@ between are inside.  An end within the float error bound of the boundary
 is decided by `NumberField.enclose`, in integers, so membership is
 certified.
 
-Norm bucketing is always exact: `count_table` gathers scan blocks into
-batches of `_STACK_ROWS` rows, one `NumberField.norm_rows` call and one
-kernel call each.  A table takes its a_k from the field's memoised
-`dirichlet_coeffs`, sieved to the table's cap before the scan, so no
-caller sizes or matches a series.  Unit orbits fold each pair x, -x
-into one row, take one more such call over those rows, then run rounds
-that place the rows of every norm at once; they are kept as one frozen
-`OrbitTable` of arrays, not as an object per orbit.
+The box is symmetric, so the scan walks only the half of it whose last
+nonzero reduced coordinate is positive: a prefix of zeros takes c >= 0
+at its level, and c >= 1 at the leaf, so the zero vector is never a
+candidate.  The mirror -x of a walked point needs no walk or check of its
+own: negated partial embeddings give exactly negated float ranges, and
+the closed-box rule reads |sigma_i|.  Each leaf chunk B is yielded as the
+one block [B; -B], and the budget counts the whole box's candidates.
+
+Norm bucketing is always exact, and |N(-x)| = |N(x)|: `count_table`
+takes the norms of the walked half B of each block only, each counting
+two points, gathered into batches of `_STACK_ROWS` rows, one
+`NumberField.norm_rows` call and one kernel call each.  A table takes
+its a_k from the field's memoised `dirichlet_coeffs`, sieved to the
+table's cap before the scan, so no caller sizes or matches a series.
+Unit orbits fold each pair x, -x into one row, take one more such call
+over those rows, then run rounds that place the rows of every norm at
+once; they are kept as one frozen `OrbitTable` of arrays, not as an
+object per orbit.
 """
 
 from __future__ import annotations
@@ -76,17 +86,22 @@ class BoxSpec:
 
 
 def _scan_blocks(field: NumberField, box: BoxSpec, budget: int):
-    """Yield int64 (P, n) arrays of accepted power-basis coordinate rows,
-    P >= 1, each the transpose of a column-major leaf chunk.
+    """Yield int64 (2P, n) arrays [B; -B] of accepted power-basis
+    coordinate rows, P >= 1, each the transpose of a column-major array:
+    every box point exactly once, the zero vector never.
 
-    Deterministic: rows arrive in ascending order of the reduced-basis
-    prefix, ascending in the innermost coordinate within one prefix.  The
-    zero vector is excluded.  Level j's candidates are the integers of
-    the range that the projection facets give x_j, padded outward by
-    `_SCAN_PAD`; the budget counts them.  At the leaf (j = 0) the facets
-    are the box's own rows.  For one prefix the box points form a run of
-    innermost coordinates (x is affine in it and the box is convex), so
-    the closed-box rule is certified at the two ends of each run only.
+    The walked rows B are the box points whose last nonzero reduced
+    coordinate is positive.  Deterministic: they arrive in ascending order
+    of the reduced-basis prefix, ascending in the innermost coordinate
+    within one prefix, and -B follows B in the same block.  Level j's
+    candidates are the integers of the range that the projection facets
+    give x_j, padded outward by `_SCAN_PAD`; the budget counts them for
+    the whole box, each walked prefix's twice (for it and its mirror) and
+    the zero prefix's symmetric range once.  A level with no facet left
+    is refused.  At the leaf (j = 0) the facets are the box's own rows.
+    For one prefix the box points form a run of innermost coordinates (x
+    is affine in it and the box is convex), so the closed-box rule is
+    certified at the two ends of each run only.
     """
     n = field.degree
     V = field.embedding_matrix
@@ -118,19 +133,30 @@ def _scan_blocks(field: NumberField, box: BoxSpec, budget: int):
             keep[idx] = x.embed_mp(_closed_box(Rt))  # certified, in integers
         return keep
 
-    def ranges(j: int, partial: np.ndarray):
+    def ranges(j: int, partial: np.ndarray, prefix: np.ndarray):
         """The level-j candidates of every prefix in one chunk, counted
-        against the budget: the first (float) and the count (int64)."""
+        against the budget for the prefixes and their mirrors: the first
+        (float) and the count (int64)."""
         nonlocal examined
         L, h = facets[j]
         offset, rhs = L @ partial, Rt * h[:, None]
-        # no facet left at a level leaves its range unbounded, which the budget refuses
         lo = -np.min(offset + rhs, axis=0, initial=np.inf)
         hi = -np.max(offset - rhs, axis=0, initial=-np.inf)
-        c_lo = np.ceil(lo - pad)
-        counts = np.maximum(np.floor(hi + pad) - c_lo + 1, 0)
+        c_lo, c_hi = np.ceil(lo - pad), np.floor(hi + pad)
+        counts = np.maximum(c_hi - c_lo + 1, 0)
         total = counts.sum()
-        if not max(examined + total, least) <= budget:  # also an unbounded range
+        if not np.isfinite(total):  # no facet left at this level: no budget bounds it
+            raise BoxTooLarge(f"level {j} of the scan has no facet left, so its candidate "
+                              "range is unbounded", budget_helps=False)
+        # the mirror -p of a walked prefix has the exactly negated range; the zero
+        # prefix (first in its chunk) is its own mirror and walks only c >= 0, or
+        # c >= 1 at the leaf, which leaves out the zero vector
+        total *= 2
+        if not prefix[:, 0].any():
+            total -= counts[0]
+            c_lo[0] = max(c_lo[0], float(j == 0))
+            counts[0] = max(c_hi[0] - c_lo[0] + 1, 0)
+        if not max(examined + total, least) <= budget:
             raise BoxTooLarge(f"candidate budget {budget} exceeded at radius {box.R}")
         examined += int(total)
         return c_lo, counts.astype(np.int64)
@@ -154,7 +180,7 @@ def _scan_blocks(field: NumberField, box: BoxSpec, budget: int):
     def children(j: int, partial: np.ndarray, prefix: np.ndarray):
         """The level-j candidates of every prefix in one chunk, as chunks of
         at most `chunk` columns: (partial embeddings, reduced coordinates)."""
-        for sl, lens, cs in runs(*ranges(j, partial)):
+        for sl, lens, cs in runs(*ranges(j, partial, prefix)):
             block = np.repeat(prefix[:, sl], lens, axis=1)
             block[j] = cs
             yield np.repeat(partial[:, sl], lens, axis=1) + W[:, j, None] * cs, block
@@ -162,7 +188,7 @@ def _scan_blocks(field: NumberField, box: BoxSpec, budget: int):
     def leaf(partial: np.ndarray, prefix: np.ndarray):
         """The box points below one chunk of level-1 prefixes, as columns:
         each candidate run shrinks from both ends until both are inside."""
-        c_lo, counts = ranges(0, partial)
+        c_lo, counts = ranges(0, partial, prefix)
         some = counts > 0
         base = U @ prefix[:, some]  # each prefix's point at innermost coordinate 0
         first = c_lo[some].astype(np.int64)
@@ -178,14 +204,10 @@ def _scan_blocks(field: NumberField, box: BoxSpec, budget: int):
             first[low] += 1
             last[high] -= 1
             low = low[first[low] <= last[low]]
-        zero = np.flatnonzero(~base.any(axis=0))  # the prefix whose run holds 0
         for sl, lens, cs in runs(first, last - first + 1):
             cols = np.repeat(base[:, sl], lens, axis=1)  # each prefix's column per run point
             cols += np.multiply.outer(U[:, 0], cs)
-            if len(zero) and sl.start <= zero[0] < sl.stop:
-                cols = cols[:, cols.any(axis=0)]
-            if cols.shape[1]:
-                yield cols.T
+            yield np.concatenate((cols, -cols), axis=1).T
 
     # one generator per level above the leaf, each expanding one chunk of the
     # level above it; n >= 2, so level 1 always exists
@@ -285,16 +307,17 @@ def _norm_cap(field: NumberField, box: BoxSpec, max_norm: int | None) -> int:
 
 
 def _build_table(field: NumberField, box: BoxSpec, max_norm: int | None,
-                 norm_iter) -> CountTable:
-    """Bucket the norms of norm_iter up to the cap; the field's a_k come from
-    its memoised series, sieved before the first norm is drawn."""
+                 norm_iter, per_norm: int = 1) -> CountTable:
+    """Bucket the norms of norm_iter up to the cap, each counting per_norm
+    points; the field's a_k come from its memoised series, sieved before
+    the first norm is drawn."""
     cap = _norm_cap(field, box, max_norm)
     a_full = dirichlet_coeffs(field, max(cap, 1)).a[: cap + 1]
     acc = np.zeros(cap + 1, dtype=np.int64)
     for norms in norm_iter:
         # cast only the admitted norms: an `object` norm past int64 would overflow.
         # (np.bincount with minlength=cap + 1 costs O(cap) per block: slower here)
-        np.add.at(acc, norms[norms <= cap].astype(np.int64, copy=False), 1)
+        np.add.at(acc, norms[norms <= cap].astype(np.int64, copy=False), per_norm)
     acc[0] = 0  # a zero divisor's norm; a_0 = 0 too, so k = 0 is never a row
     keys = np.flatnonzero((a_full != 0) | (acc != 0))
     return CountTable(R=box.R, degree=field.degree, cap=cap, ks=keys.astype(np.int64),
@@ -310,11 +333,14 @@ def count_by_norm(field: NumberField, rows, box: BoxSpec,
 def count_table(field: NumberField, box: BoxSpec, max_norm: int | None = None,
                 budget: int = DEFAULT_BUDGET) -> CountTable:
     """Enumerate the box and bucket by exact |norm| without materialising
-    element objects (streaming; each batch's norms in one call)."""
+    element objects (streaming; each batch's norms in one call).  Only the
+    walked half B of each scan block [B; -B] is normed, and each norm
+    counts two points, since |N(-x)| = |N(x)|."""
     _check_budget(budget)
-    batches = _batches(_scan_blocks(field, box, budget), _STACK_ROWS)
+    halves = (block[:len(block) // 2] for block in _scan_blocks(field, box, budget))
+    batches = _batches(halves, _STACK_ROWS)
     return _build_table(field, box, max_norm,
-                        (np.abs(field.norm_rows(rows)) for rows in batches))
+                        (np.abs(field.norm_rows(rows)) for rows in batches), per_norm=2)
 
 
 def _batches(blocks, size: int):

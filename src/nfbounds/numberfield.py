@@ -176,6 +176,17 @@ def _int64_if_fits(values: np.ndarray) -> np.ndarray:
         return values
 
 
+def _put(out: np.ndarray, start: int, values: np.ndarray) -> np.ndarray:
+    """out with values written from row start on.  An int64 out moves to
+    Python integers (a copy) only when a value is past int64."""
+    try:
+        out[start:start + len(values)] = values
+    except OverflowError:
+        out = out.astype(object)
+        out[start:start + len(values)] = values
+    return out
+
+
 def _lll_transform(B: np.ndarray, delta: float = 0.99) -> np.ndarray:
     """Integer U whose column operations LLL-reduce the columns of B, in
     float arithmetic.  Every step is a unimodular column operation, but
@@ -690,7 +701,9 @@ class NumberField:
         integers otherwise.  With cofactors, the call takes right-hand side
         U^-1·e_0 and also returns c(x) = adj(M(x))·e_0 = N(x)/x mod |N(x)|,
         from adj(M(x)) = U·adj(M_U(x))·U^-1: x divides y iff
-        y·c(x) ≡ 0 mod N(x).
+        y·c(x) ≡ 0 mod N(x).  Each chunk writes into preallocated int64
+        outputs, which move to Python integers only at the first chunk
+        holding a value past int64, so the result is held once.
         """
         n = self.degree
         if not isinstance(rows, np.ndarray):
@@ -707,7 +720,8 @@ class NumberField:
                 a, b = a.astype(object), b.astype(object)  # exactness over speed
             return _int64_if_fits(a * (a - c1 * b) + c0 * (b * b))
         U, U_inv = self.reduced_basis
-        dets, cofs = [np.zeros(0, dtype=np.int64)], [np.zeros((0, n), dtype=np.int64)]
+        norms = np.empty(len(rows), dtype=np.int64)
+        cofs = np.empty((len(rows), n), dtype=np.int64) if cofactors else None
         for s in range(0, len(rows), _STACK_ROWS):
             chunk = rows[s:s + _STACK_ROWS]
             rhs = U_inv[None, :, 0].repeat(len(chunk), axis=0) if cofactors else None
@@ -715,15 +729,14 @@ class NumberField:
             if mats.dtype != object and not _fits_int64(mats, rhs):
                 mats = mats.astype(object)
             det, adj = _bareiss_dets(mats, rhs)
-            dets.append(det)
+            norms = _put(norms, s, det)
             if cofactors:
                 if not det.all():
                     raise ZeroDivisionError("zero or a zero divisor has no cofactor")
                 k = np.abs(det)[:, None]
                 # reduce, map back by U, reduce again: mod |N| is a ring map
-                cofs.append(_exact_matmul(adj % k, U.T) % k)
-        norms = _int64_if_fits(np.concatenate(dets))
-        return (norms, _int64_if_fits(np.concatenate(cofs))) if cofactors else norms
+                cofs = _put(cofs, s, _exact_matmul(adj % k, U.T) % k)
+        return (norms, cofs) if cofactors else norms
 
     def _solve(self, y_coords, rhs):
         """(N(y), adj(M(y))·rhs), so that y·q = rhs has q = adj·rhs / N(y):

@@ -8,6 +8,7 @@ from __future__ import annotations
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -18,7 +19,8 @@ from hypothesis import strategies as st
 from conftest import fixture_path
 from nfbounds import enumeration, numberfield
 from nfbounds.cli import main
-from nfbounds.enumeration import BoxSpec, _scan_blocks, count_table, enumerate_box, unit_orbits
+from nfbounds.enumeration import (BoxSpec, _scan_blocks, count_by_norm, count_table,
+                                  enumerate_box, unit_orbits)
 from nfbounds.errors import BoxTooLarge, InvariantError
 from nfbounds.numberfield import (AlgebraicInt, _bareiss_dets, _fits_int64, _lll_transform,
                                   parse_field)
@@ -35,11 +37,31 @@ def scan_rows(field, box, budget=10 ** 12):
     return np.concatenate(blocks) if blocks else np.empty((0, field.degree), dtype=np.int64)
 
 
+def walked_half(field, rows):
+    """The rows whose last nonzero reduced coordinate is positive, in order:
+    one of each pair x, -x."""
+    reduced = rows @ field.reduced_basis[1].T
+    last = np.array([r[np.flatnonzero(r)[-1]] for r in reduced], dtype=np.int64)
+    return rows[last > 0]
+
+
+def first_halves(field, box, budget=10 ** 12):
+    """The walked rows of every block, which must be [B; -B]."""
+    halves = [np.zeros((0, field.degree), dtype=np.int64)]
+    for block in _scan_blocks(field, box, budget):
+        half = block[:len(block) // 2]
+        assert len(block) == 2 * len(half) and np.array_equal(block[len(half):], -half)
+        halves.append(half)
+    return np.concatenate(halves)
+
+
 def matches_dfs_oracle(field, box):
-    """Same rows in the same order, and the same candidate count: the
-    budget passes at `examined` and fails one below it."""
+    """Every block is [B; -B], and the B, in order, are the oracle's rows
+    whose last nonzero reduced coordinate is positive.  The candidate count
+    is the oracle's: the budget passes at `examined` and fails one below
+    it."""
     want, examined = dfs_scan(field, box)
-    assert np.array_equal(scan_rows(field, box, budget=examined), want)
+    assert np.array_equal(first_halves(field, box, budget=examined), walked_half(field, want))
     with pytest.raises(BoxTooLarge):
         scan_rows(field, box, budget=examined - 1)
 
@@ -62,8 +84,8 @@ def test_run_ends_match_dfs_oracle(q5, quartic, data):
 @pytest.mark.parametrize("fixture_name,R", [("q5", 10.0), ("q5", 100.0), ("quartic", 5.0),
                                             ("octic", 3.0)])
 def test_runs_split_across_chunks_match_dfs_oracle(request, monkeypatch, fixture_name, R):
-    """Chunks of three columns split the runs, the zero vector's among
-    them, across chunks at every level."""
+    """Chunks of three columns split the runs, the zero prefix's clipped
+    ones among them, across chunks at every level."""
     field = request.getfixturevalue(fixture_name)
     monkeypatch.setattr(enumeration, "_CHUNK_ELEMENTS", 3 * field.degree)
     matches_dfs_oracle(field, BoxSpec(R))
@@ -95,7 +117,8 @@ def test_run_ends_step_inward_on_both_sides(q5, monkeypatch):
     monkeypatch.undo()
     want, _ = mp_brute_force(q5, R, 0.0)
     assert sorted(got) == want
-    assert np.array_equal(np.array(got), dfs_scan(q5, BoxSpec(R, 0.0))[0])
+    assert np.array_equal(first_halves(q5, BoxSpec(R, 0.0)),
+                          walked_half(q5, dfs_scan(q5, BoxSpec(R, 0.0))[0]))
 
 
 @pytest.mark.parametrize("R,points,per_point", [(3.5, 150, 5), (4.5, 986, 4)])
@@ -213,12 +236,13 @@ def test_norm_rows_cofactors_match_oracle(request, kernel_calls, fixture_name, R
 
 
 @pytest.mark.parametrize("argv,rows", [
-    (["counts", "--radius", "4.5", "--max-norm", "1000"], 986),
+    (["counts", "--radius", "4.5", "--max-norm", "1000"], 493),
     (["enumerate", "--radius", "3.5"], 150)], ids=["counts", "enumerate"])
 def test_octic_box_norms_take_one_int64_kernel_call(kernel_calls, tmp_path, argv, rows):
     """The octic jobs of the benchmark: every box row's norm in one int64
-    kernel call.  The other calls are the resultant and the inverse of the
-    reduced basis, on Python integers."""
+    kernel call, of one row per pair x, -x for `counts` (986 box points).
+    The other calls are the resultant and the inverse of the reduced
+    basis, on Python integers."""
     out = tmp_path / "out.csv"
     assert main([argv[0], fixture_path("cyclo32real.json"), *argv[1:], "--out", str(out)]) == 0
     norm_calls = [(dtype, size) for dtype, size, n, rhs in kernel_calls if n == 8 and not rhs]
@@ -326,6 +350,46 @@ def test_norm_rows_past_int64(quartic, quartic_units):
     for c, k, cof in zip(coords, norms, cofs):
         det, adj = bareiss(mul_matrix(quartic, c), [1, 0, 0, 0])
         assert (k, cof.tolist()) == (det, [v % abs(det) for v in adj])
+
+
+def test_norm_rows_mix_int64_and_python_integer_chunks(quartic, quartic_units, monkeypatch):
+    """Chunks of two rows: int64 ones around one whose norm is past int64.
+    The outputs move to Python integers from that chunk on and keep the
+    int64 chunks' values; with no such chunk they stay int64."""
+    u = power(quartic, quartic_units.units[0], 50)
+    big = (u[0] + 1,) + u[1:]
+    small = [(1, 1, 0, 0), (2, 0, 1, 0), (0, 3, 0, 1), (1, 0, 0, 1), (5, 1, 1, 1)]
+    monkeypatch.setattr(numberfield, "_STACK_ROWS", 2)
+    e0 = [1, 0, 0, 0]
+    for rows, dtype in ((small[:3] + [big] + small[3:], object), (small, np.int64)):
+        norms, cofs = quartic.norm_rows(np.array(rows, dtype=np.int64), cofactors=True)
+        plain = quartic.norm_rows(np.array(rows, dtype=np.int64))
+        assert norms.dtype == cofs.dtype == plain.dtype == np.dtype(dtype)
+        for row, k, cof, k_plain in zip(rows, norms.tolist(), cofs.tolist(), plain.tolist()):
+            det, adj = bareiss(mul_matrix(quartic, row), e0)
+            assert (k, k_plain, cof) == (det, det, [v % abs(det) for v in adj])
+    assert abs(oracle_norm(quartic, big)) > 2 ** 63
+
+
+def test_norm_rows_hold_their_result_once(q5):
+    """The norms and cofactors of 80,198 rows of the Q(sqrt 5) box of
+    radius 300 are written chunk by chunk into their outputs: the peak
+    stays near the result's size, where lists of chunks and their
+    concatenation took twice it."""
+    first = enumerate_box(q5, BoxSpec(300.0))
+    first = first[first[:, 1] > 0]  # one row of each pair x, -x with b != 0
+    q5.norm_rows(first[:10], cofactors=True)  # the lazy set-up
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = q5.norm_rows(first, cofactors=True)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    size = sum(a.nbytes for a in result)
+    assert len(first) == 80198 and size == len(first) * 3 * 8
+    assert peak < 1.25 * size, (peak, size)
 
 
 def test_int64_guard_covers_back_substitution():
@@ -534,6 +598,43 @@ def test_closed_box_boundary_lucas_radius(q5, k, inside):
     # one float below L_k both are outside, so the decision is not at the ulp of R
     below = numberfield._closed_box(math.nextafter(R, 0))
     assert q5.enclose([x, minus], below) == [False, False]
+
+
+@pytest.mark.parametrize("fixture_name,R", [("q5", 47.0), ("q5", 76.0), ("quartic", 5.0),
+                                            ("octic", 3.0)])
+def test_closed_boundary_counts_match_the_oracle(request, fixture_name, R):
+    """Tolerance 0 at radii that put points exactly on the closed boundary:
+    the Lucas numbers L_8 = 47 and L_9 = 76 for Q(sqrt 5), where phi^8
+    lies phi^-8 inside and phi^9 as far outside, and integer R, where the
+    rational integers ±R lie on every face.  The scan walks one of each
+    pair x, -x and mirrors it: its blocks hold neither the zero row nor any
+    row twice, and the streamed counts, the counts of the listed points and
+    the DFS oracle's |N| histogram agree."""
+    field = request.getfixturevalue(fixture_name)
+    box = BoxSpec(R, 0.0)
+    blocks = list(_scan_blocks(field, box, 10 ** 12))
+    assert not any((block == 0).all(axis=1).any() for block in blocks)
+    rows = np.concatenate(blocks).tolist()
+    assert len(set(map(tuple, rows))) == len(rows)
+    assert {(k,) + (0,) * (field.degree - 1) for k in (R, -R)} <= set(map(tuple, rows))
+    want = Counter(abs(oracle_norm(field, r)) for r in dfs_scan(field, box)[0].tolist())
+    assert sum(want.values()) == len(rows)
+    for table in (count_table(field, box), count_by_norm(field, enumerate_box(field, box), box)):
+        counted = table.b > 0
+        assert dict(zip(table.ks[counted].tolist(), table.b[counted].tolist())) == want
+
+
+def test_level_without_facets_is_refused(octic, monkeypatch):
+    """A level whose every facet was dropped leaves its candidate range
+    unbounded.  The scan refuses that by name, whatever the budget, rather
+    than leave the check to a mirrored count of 2·inf - inf = nan."""
+    facets = list(octic.projection_facets)
+    L, h = facets[3]
+    facets[3] = (L[:0], h[:0])
+    monkeypatch.setattr(octic, "projection_facets", tuple(facets))
+    with pytest.raises(BoxTooLarge, match="level 3 .* unbounded") as refusal:
+        next(_scan_blocks(octic, BoxSpec(3.0), 10 ** 12))
+    assert not refusal.value.budget_helps
 
 
 def test_box_sure_to_pass_the_budget_is_refused_at_once(q5):
