@@ -102,10 +102,11 @@ def height_bound_report(field: NumberField, s: int, m: float) -> BoundReport:
     and the upper bound max{b_k} zeta(s, m).
 
     Every generator of height <= m lies in the box of radius m, so its unit
-    orbits are exactly the principal ideals of height <= m: b_k is the total
-    size of the orbits of norm k, and zeta(s, m) sums 1/k^s once per orbit.
-    The orbits come from exact division, so neither a unit basis nor a
-    Dirichlet coefficient is needed.
+    orbits are exactly the principal ideals of height <= m: zeta(s, m) sums
+    1/k^s once per orbit, and b_k is the total size of the orbits of norm
+    k, twice their rows, since the memoised table holds one row of each
+    pair x, -x.  The orbits come from exact division, so neither a unit
+    basis nor a Dirichlet coefficient is needed.
     """
     if s < 2:
         raise ValidationError("s must be an integer >= 2")
@@ -113,7 +114,7 @@ def height_bound_report(field: NumberField, s: int, m: float) -> BoundReport:
         raise ValidationError("height bound m must be >= 1 (no points otherwise)")
     orbits = cached_orbits(field, BoxSpec(float(m)))  # m >= 1: the units are in the box
     ks, first, per_norm = np.unique(orbits.norms, return_index=True, return_counts=True)
-    b = np.diff(orbits.starts[first], append=len(orbits.rows))  # orbits come by norm
+    b = 2 * np.diff(orbits.starts[first], append=len(orbits.rows))  # orbits come by norm
     # 1.0 / k**s; past the float range the exactly rounded 1 / k**s, subnormal or 0.0
     terms = [1.0 / p if p.bit_length() < 1024 else 1 / p for p in (k ** s for k in ks.tolist())]
     zeta_trunc = float(sum(np.repeat(terms, per_norm).tolist()))  # orbit by orbit, in order

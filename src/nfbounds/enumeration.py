@@ -40,10 +40,11 @@ two points, gathered into batches of `_STACK_ROWS` rows, one
 `NumberField.norm_rows` call and one kernel call each.  A table takes
 its a_k from the field's memoised `dirichlet_coeffs`, sieved to the
 table's cap before the scan, so no caller sizes or matches a series.
-Unit orbits fold each pair x, -x into one row, take one more such call
-over those rows, then run rounds that place the rows of every norm at
-once; they are kept as one frozen `OrbitTable` of arrays, not as an
-object per orbit.
+Unit orbits take one more such call over the rows they are given, then
+run rounds that place the rows of every norm at once; they are kept as
+one frozen `OrbitTable` of arrays, not as an object per orbit.  -1 is a
+unit, so the memoised orbits of a box are taken over the first half of
+its sorted points, one row of each pair x, -x.
 """
 
 from __future__ import annotations
@@ -367,9 +368,10 @@ def _batches(blocks, size: int):
 
 @dataclass(frozen=True, eq=False)
 class OrbitTable:
-    """Box points grouped by unit orbit: int64 (P, n) coordinate rows, each
-    orbit contiguous, orbit i starting at row starts[i] with norm norms[i].
-    The three arrays are read-only, and len() is the orbit count."""
+    """Rows grouped by unit orbit: int64 (P, n) coordinate rows, each orbit
+    contiguous, orbit i starting at row starts[i] with norm norms[i].  The
+    three arrays are read-only, and len() is the orbit count.  The table
+    of a box (`cached_orbits`) holds one row of each pair x, -x."""
 
     rows: np.ndarray
     starts: np.ndarray
@@ -384,40 +386,37 @@ class OrbitTable:
 
 
 def unit_orbits(field: NumberField, rows) -> OrbitTable:
-    """Partition the coordinate rows of box points into unit orbits.
+    """Partition coordinate rows of nonzero elements into unit orbits.
 
-    -1 is a unit, so x and -x always share an orbit: rows equal up to sign
-    form one class (`_sign_classes`), and only one row of each class is
-    divided.  Classes x, y with |N(x)| = |N(y)| = k generate one principal
-    ideal iff y / x lies in Z[theta], that is iff M(c(x))·y ≡ 0 mod k,
-    where c(x) = N(x)/x comes with the norms from one `norm_rows` call.  In
-    each round the first unplaced class g of every norm starts an orbit,
-    and every unplaced class of that norm that g divides joins it: one
-    round per orbit of the most crowded norm.  The heads' M(c(g)) are
-    built on int64 while k·(1 + max|f_i|)^(n-1) < 2^63 bounds their
-    entries, and a round's test is n^2 multiply-adds along the classes,
-    on int64 when n·k·max|y| < 2^63 over all classes.  Orbits come by
-    ascending norm, then by their first row, and members keep the order
-    of rows: for the lexicographic rows of `enumerate_box`, by
-    coordinates.
+    Rows x, y with |N(x)| = |N(y)| = k generate one principal ideal iff
+    y / x lies in Z[theta], that is iff M(c(x))·y ≡ 0 mod k, where
+    c(x) = N(x)/x comes with the norms from one `norm_rows` call; -1 is a
+    unit, so x and -x join one orbit by this test like any other pair.  In
+    each round the first unplaced row g of every norm starts an orbit, and
+    every unplaced row of that norm that g divides joins it: one round per
+    orbit of the most crowded norm.  The heads' M(c(g)) are built on int64
+    while k·(1 + max|f_i|)^(n-1) < 2^63 bounds their entries, and a round's
+    test is n^2 multiply-adds along the rows, on int64 when
+    n·k·max|y| < 2^63 over all rows.  Orbits come by ascending norm, then
+    by their first row, and members keep the order of rows: for
+    lexicographic rows, by coordinates.
     """
     n = field.degree
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, n)
-    first, cls = _sign_classes(rows)
-    norms, cofactors = field.norm_rows(np.take(rows, first, axis=0), cofactors=True)
-    order = np.lexsort((first, np.abs(norms)))  # by norm, then by first row
+    norms, cofactors = field.norm_rows(rows, cofactors=True)
+    order = np.argsort(np.abs(norms), kind="stable")  # by norm, then by row
     norms = np.abs(norms[order])
-    # the unplaced classes: positions in norm order, norms and coordinates, batch last
-    live, k, y = np.arange(len(first)), norms, np.take(rows.T, first[order], axis=1)
+    # the unplaced rows: positions in norm order, norms and coordinates, batch last
+    live, k, y = np.arange(len(rows)), norms, np.take(rows.T, order, axis=1)
     # exact in int64 while every sum of n products stays below 2^63
     if n * int(k.max(initial=0)) * _max_abs(y) >= 2 ** 63:
         k, y = k.astype(object), y.astype(object)
     # M(c) for 0 <= c < k: each column's entries stay below k·(1 + max|f_i|)^(n-1)
     growth = (1 + max(abs(c) for c in field.min_poly.coeffs[:-1])) ** (n - 1)
-    head = np.empty(len(first), dtype=np.intp)  # the first position of each one's orbit
+    head = np.empty(len(rows), dtype=np.intp)  # the first position of each one's orbit
     while len(live):
         new = np.r_[True, k[1:] != k[:-1]]
-        g, which, kg = live[new], np.cumsum(new) - 1, k[new]  # each norm's g, each class's g
+        g, which, kg = live[new], np.cumsum(new) - 1, k[new]  # each norm's g, each row's g
         c = cofactors[order[g]]
         if int(kg[-1]) * growth >= 2 ** 63:
             c, kg = c.astype(object), kg.astype(object)
@@ -431,37 +430,10 @@ def unit_orbits(field: NumberField, rows) -> OrbitTable:
             raise InvariantError("an orbit's first point does not divide itself")
         head[live[joins]] = g[which[joins]]
         live, k, y = live[~joins], k[~joins], y[:, ~joins]
-    where = np.empty_like(order)
-    where[order] = np.arange(len(order))
-    label = head[where[cls]]  # each row's orbit, named by its first class in norm order
-    by_orbit = np.argsort(label, kind="stable")
-    label = label[by_orbit]
-    starts = np.flatnonzero(np.diff(label, prepend=-1))
-    return OrbitTable(np.take(rows, by_orbit, axis=0), starts, norms[label[starts]])
-
-
-def _sign_classes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows' classes up to sign: the position of each class's first
-    row, and each row's class.
-
-    Each row is normalised to a positive first nonzero coordinate, batch
-    last, and equal normalised rows are grouped by one lexsort.
-    """
-    keys = rows.T.copy()
-    lead = np.zeros(len(rows), dtype=np.int64)  # the first nonzero coordinate
-    for j in range(rows.shape[1] - 1, -1, -1):
-        lead = np.where(keys[j] != 0, keys[j], lead)
-    # -(-2^63) wraps: a row holding it stays as it is (its negative is past int64)
-    np.negative(keys, out=keys, where=(lead < 0) & (keys != np.iinfo(np.int64).min).all(axis=0))
-    del lead
-    srt = np.lexsort(keys)
-    keys = np.take(keys, srt, axis=1)
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
-    del keys
-    cls = np.empty_like(srt)
-    cls[srt] = np.cumsum(new) - 1
-    return srt[new], cls  # lexsort is stable: each class's first row
+    by_orbit = np.argsort(head, kind="stable")  # positions, orbit by orbit
+    head = head[by_orbit]
+    starts = np.flatnonzero(np.diff(head, prepend=-1))
+    return OrbitTable(np.take(rows, order[by_orbit], axis=0), starts, norms[head[starts]])
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +449,12 @@ def cached_points(field: NumberField, box: BoxSpec) -> np.ndarray:
 
 
 def cached_orbits(field: NumberField, box: BoxSpec) -> OrbitTable:
+    """The box's unit orbits, over the first half of its sorted points: the
+    box is symmetric and zero-free, so row P-1-i is -(row i), and the first
+    half holds one row of each pair x, -x, which share an orbit."""
     key = ("orbits", field.key(), box.R, box.boundary_tolerance)
     orbits = _memo.get(key)
     if orbits is None:
-        orbits = _memo.put(key, unit_orbits(field, cached_points(field, box)))
+        points = cached_points(field, box)
+        orbits = _memo.put(key, unit_orbits(field, points[:len(points) // 2]))
     return orbits

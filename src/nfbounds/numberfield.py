@@ -80,14 +80,14 @@ def _bareiss_dets(a: np.ndarray, rhs: np.ndarray | None = None):
     with its own row swaps.  Every intermediate entry is a minor of
     [M | rhs], so all divisions are exact (Bareiss 1968; Cohen, *A Course
     in Computational Algebraic Number Theory*, §2.2).  Entries are int64
-    or Python integers (`object`); int64 input must pass `_fits_int64`.
-    The elimination runs on an (n, n + 1, B) copy of [M | rhs], batch
-    last, so every step's update, exact division and back substitution is
-    one ufunc call along the stack; the inputs are never written.
+    or Python integers (`object`); int64 input runs on int64 when it
+    passes `_fits_int64`, and on Python integers otherwise.  The
+    elimination runs on an (n, n + 1, B) copy of [M | rhs], batch last, so
+    every step's update, exact division and back substitution is one ufunc
+    call along the stack; the inputs are never written.
     """
-    # re-checked here, not trusted to the caller: past the guard int64 wraps
-    if a.dtype != object and not _fits_int64(a, rhs):
-        raise InvariantError("int64 matrices past the Hadamard guard")
+    if a.dtype != object and not _fits_int64(a, rhs):  # past the guard int64 wraps
+        a = a.astype(object)
     B, n, _ = a.shape
     t = np.empty((n, n + (rhs is not None), B), dtype=a.dtype)
     t[:, :n] = a.transpose(1, 2, 0)
@@ -697,10 +697,11 @@ class NumberField:
         Otherwise each chunk of `_STACK_ROWS` rows is one kernel call on
         the M_U(x) = U^-1·M(x)·U of `reduced_basis`, similar to M(x), so of
         the same determinant.  The chunk runs on int64 when its M_U(x) were
-        built without wrapping and pass the Hadamard guard, and on Python
-        integers otherwise.  With cofactors, the call takes right-hand side
-        U^-1·e_0 and also returns c(x) = adj(M(x))·e_0 = N(x)/x mod |N(x)|,
-        from adj(M(x)) = U·adj(M_U(x))·U^-1: x divides y iff
+        built without wrapping and pass the kernel's own Hadamard guard, and
+        on Python integers otherwise.  With cofactors, the call takes
+        right-hand side U^-1·e_0 and also returns
+        c(x) = adj(M(x))·e_0 = N(x)/x mod |N(x)|, from
+        adj(M(x)) = U·adj(M_U(x))·U^-1: x divides y iff
         y·c(x) ≡ 0 mod N(x).  Each chunk writes into preallocated int64
         outputs, which move to Python integers only at the first chunk
         holding a value past int64, so the result is held once.
@@ -726,8 +727,6 @@ class NumberField:
             chunk = rows[s:s + _STACK_ROWS]
             rhs = U_inv[None, :, 0].repeat(len(chunk), axis=0) if cofactors else None
             mats = _exact_matmul(chunk, self._reduced_mul).reshape(-1, n, n)
-            if mats.dtype != object and not _fits_int64(mats, rhs):
-                mats = mats.astype(object)
             det, adj = _bareiss_dets(mats, rhs)
             norms = _put(norms, s, det)
             if cofactors:

@@ -10,8 +10,8 @@ import pytest
 
 from nfbounds import _memo
 from nfbounds.bounds import full_height_report, geometric_bound, height_bound_report, norm_sum
-from nfbounds.enumeration import (BoxSpec, CountTable, cached_points, count_by_norm,
-                                  count_table, enumerate_box)
+from nfbounds.enumeration import (BoxSpec, CountTable, cached_orbits, cached_points,
+                                  count_by_norm, count_table, enumerate_box, unit_orbits)
 from nfbounds.errors import ValidationError
 from nfbounds.estimator import add_estimates
 from nfbounds.numberfield import NumberField
@@ -102,6 +102,33 @@ def test_height_table_matches_counts_by_norm(request, monkeypatch, name, m):
     oracle = count_by_norm(field, cached_points(field, box), box)
     assert rep.norm_sum == pytest.approx(norm_sum(oracle.ks, oracle.b, 2), rel=1e-12)
     assert rep.coefficient_upper_bound == int(oracle.b.max()) * rep.zeta_truncated
+
+
+@pytest.mark.parametrize("name, m", [("q5", 10), ("q5", 100), ("quartic", 5), ("quartic", 12),
+                                     ("octic", 3)])
+def test_height_report_matches_the_orbits_of_the_full_box(request, monkeypatch, name, m):
+    """The report reads a table of one row per pair x, -x and counts each
+    row twice: its per-norm orbit counts and b_k, and the sums built from
+    them, equal those of the unit orbits of the whole box."""
+    field = request.getfixturevalue(name)
+    monkeypatch.setattr(_memo, "_entries", OrderedDict())
+    rep = height_bound_report(field, 2, m)
+    box = BoxSpec(float(m))
+    full = unit_orbits(field, enumerate_box(field, box))
+    half = cached_orbits(field, box)
+
+    def per_norm(orbits):
+        ks, first, count = np.unique(orbits.norms, return_index=True, return_counts=True)
+        return ks.tolist(), count.tolist(), np.diff(orbits.starts[first],
+                                                    append=len(orbits.rows)).tolist()
+
+    ks, orbit_counts, b = per_norm(full)
+    assert per_norm(half) == (ks, orbit_counts, [v // 2 for v in b])
+    assert all(v % 2 == 0 for v in b)
+    zeta_trunc = float(sum(1.0 / k ** 2 for k, c in zip(ks, orbit_counts) for _ in range(c)))
+    assert rep.zeta_truncated == zeta_trunc
+    assert rep.norm_sum == norm_sum(np.array(ks), np.array(b), 2)
+    assert rep.coefficient_upper_bound == max(b) * zeta_trunc
 
 
 def test_height_report_takes_each_norm_once(quartic, monkeypatch):

@@ -84,6 +84,25 @@ def test_negation_closure(quartic):
     assert all(tuple(-c for c in p) in points for p in points)
 
 
+@pytest.mark.parametrize("fixture_name,R,tol", [
+    ("q5", 10.0, 1e-9), ("q5", 47.0, 0.0), ("q5", 76.0, 0.0), ("q5", 100.0, 1e-9),
+    ("quartic", 5.0, 0.0), ("quartic", 8.0, 1e-9), ("quartic", 12.0, 1e-9),
+    ("octic", 3.0, 0.0), ("octic", 4.5, 1e-9)])
+def test_sorted_box_mirrors_its_halves(request, fixture_name, R, tol):
+    """The memoised orbits take the first half of the box as one row of
+    each pair x, -x: the box has no zero row, row P-1-i is -(row i), and
+    the first half is the rows whose first nonzero coordinate is negative.
+    Lucas radii (Q(sqrt 5)) and integer radii at tolerance 0 put points on
+    the closed boundary."""
+    field = request.getfixturevalue(fixture_name)
+    points = enumerate_box(field, BoxSpec(R, tol))
+    P = len(points)
+    assert P % 2 == 0 and P > 0
+    assert np.array_equal(points[P // 2:], -points[:P // 2][::-1])
+    lead = [r[np.flatnonzero(r)[0]] for r in points[:P // 2]]
+    assert all(c < 0 for c in lead)
+
+
 def test_budget_guard(q5):
     """A budget too small is a limit; a negative budget is bad input."""
     with pytest.raises(BoxTooLarge):
@@ -411,8 +430,9 @@ def test_unit_orbits_build_head_matrices_past_int64(octic, octic_units):
 
 
 def test_unit_orbits_keep_rows_holding_int64_min_apart(q5):
-    """-(-2^63) wraps to -2^63 in int64: normalising the sign of
-    (-1, -2^63) would give (1, -2^63), a different row of another norm."""
+    """-(-2^63) wraps to -2^63 in int64, so (-1, -2^63) and (1, -2^63)
+    look like a pair x, -x but are different rows of different norms: the
+    division test alone places them, in orbits of their own."""
     rows = [(-1, -2 ** 63), (1, -2 ** 63), (-2 ** 63, 0), (2 ** 63 - 1, 1)]
     orbits = unit_orbits(q5, np.array(rows, dtype=np.int64))
     table = list(zip(orbits.norms.tolist(), members(orbits)))

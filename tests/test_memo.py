@@ -44,7 +44,7 @@ def test_hits_return_the_frozen_miss_object(quartic):
     for array in (orbits.starts, orbits.norms):
         with pytest.raises(ValueError):
             array[0] = 7
-    assert len(orbits.rows) == len(points)
+    assert 2 * len(orbits.rows) == len(points)  # one row of each pair x, -x
 
 
 def _retained_bytes(compute):
@@ -68,18 +68,20 @@ def test_memoised_points_cost_at_most_64_bytes_each(q5):
     assert retained <= 64 * len(points)
 
 
-def test_memoised_orbits_cost_at_most_32_bytes_per_point(q5):
-    """The orbits are one table of arrays, not an object per orbit."""
+def test_memoised_orbits_cost_at_most_16_bytes_per_point(q5):
+    """The orbits are one table of arrays, not an object per orbit, and
+    hold one row of each pair x, -x of the box."""
     _clear_memo()
     points = cached_points(q5, BoxSpec(100.0))
     orbits, retained = _retained_bytes(lambda: cached_orbits(q5, BoxSpec(100.0)))
-    assert len(orbits.rows) == len(points) == 17888
-    assert retained <= 32 * len(points)
+    assert 2 * len(orbits.rows) == len(points) == 17888
+    assert retained <= 16 * len(points)
 
 
 def test_cached_orbits_calls_unit_orbits_through_the_module(q5, monkeypatch):
     """A benchmark counter wraps enumeration.unit_orbits and reads len() of
-    its result as the orbit count, so both must hold."""
+    its result as the orbit count, so both must hold.  The memo passes the
+    first half of the sorted box, one row of each pair x, -x."""
     _clear_memo()
     rows = cached_points(q5, BoxSpec(10.0))
     orbits = enumeration.unit_orbits(q5, rows)
@@ -92,7 +94,7 @@ def test_cached_orbits_calls_unit_orbits_through_the_module(q5, monkeypatch):
 
     monkeypatch.setattr(enumeration, "unit_orbits", wrapped)
     assert cached_orbits(q5, BoxSpec(10.0)) is orbits
-    assert calls == [len(rows)]
+    assert calls == [len(rows) // 2]
 
 
 def test_smaller_cutoff_is_a_slice(q5, monkeypatch):

@@ -21,7 +21,7 @@ from nfbounds import enumeration, numberfield
 from nfbounds.cli import main
 from nfbounds.enumeration import (BoxSpec, _scan_blocks, count_by_norm, count_table,
                                   enumerate_box, unit_orbits)
-from nfbounds.errors import BoxTooLarge, InvariantError
+from nfbounds.errors import BoxTooLarge
 from nfbounds.numberfield import (AlgebraicInt, _bareiss_dets, _fits_int64, _lll_transform,
                                   parse_field)
 from nfbounds.zeta import dirichlet_coeffs
@@ -179,13 +179,15 @@ def reduced_matrices(field, rows):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """(dtype, matrices, n, has a right-hand side) of every kernel call."""
+    """(dtype it ran on, matrices, n, has a right-hand side) of every
+    kernel call: int64 input past the guard runs on Python integers."""
     calls = []
     kernel = numberfield._bareiss_dets
 
     def spy(a, rhs=None):
-        calls.append((a.dtype, a.shape[0], a.shape[1], rhs is not None))
-        return kernel(a, rhs)
+        det, adj = kernel(a, rhs)
+        calls.append((det.dtype, a.shape[0], a.shape[1], rhs is not None))
+        return det, adj
 
     monkeypatch.setattr(numberfield, "_bareiss_dets", spy)
     return calls
@@ -324,15 +326,39 @@ def test_norm_rows_pivot_swaps(request, fixture_name):
 
 def test_int64_guard(octic, octic_units):
     """u^10 (coordinates up to 891, norm 1) wraps int64 Bareiss: the guard
-    must send it to Python integers, and the kernel refuses it as int64."""
+    must send it to Python integers, and the kernel given it as int64 runs
+    on Python integers, exactly."""
     u10 = np.array([power(octic, octic_units.units[0], 10)], dtype=np.int64)
     theta7 = np.eye(8, dtype=np.int64)[7:]
     rows = np.concatenate([u10, theta7])
     assert not _fits_int64(octic._mul_matrices(rows.astype(float)))
     assert octic.norm_rows(rows).tolist() == [1, 2 ** 7]
     for row in rows:
-        with pytest.raises(InvariantError):
-            _bareiss_dets(octic._mul_matrices(row[None]))
+        mats = octic._mul_matrices(row[None])
+        assert mats.dtype == np.int64 and not _fits_int64(mats)
+        det = _bareiss_dets(mats)[0]
+        assert det.dtype == object and det.tolist() == [oracle_norm(octic, row.tolist())]
+
+
+def test_norm_rows_take_one_hadamard_guard_per_chunk(quartic, monkeypatch):
+    """The kernel alone decides each chunk's dtype: one `_fits_int64` pass
+    per chunk, with and without cofactors."""
+    calls = []
+    guard = numberfield._fits_int64
+
+    def counting(mats, rhs=None):
+        calls.append(len(mats))
+        return guard(mats, rhs)
+
+    rows = enumerate_box(quartic, BoxSpec(5.0))
+    monkeypatch.setattr(numberfield, "_STACK_ROWS", 100)
+    monkeypatch.setattr(numberfield, "_fits_int64", counting)
+    chunks = [len(rows[s:s + 100]) for s in range(0, len(rows), 100)]
+    assert len(chunks) == 4
+    for cofactors in (False, True):
+        calls.clear()
+        quartic.norm_rows(rows, cofactors=cofactors)
+        assert calls == chunks
 
 
 def test_norm_rows_past_int64(quartic, quartic_units):
@@ -395,13 +421,12 @@ def test_norm_rows_hold_their_result_once(q5):
 def test_int64_guard_covers_back_substitution():
     """M = diag(2^30, 1) passes the determinant guard, but adj(M)·rhs for
     rhs = (0, 2^34) is (0, 2^64), past int64: the guard over [M | rhs]
-    refuses int64, and the Python-integer path is exact."""
+    refuses int64, so the kernel runs on Python integers, exactly."""
     mats = np.array([[[2 ** 30, 0], [0, 1]]], dtype=np.int64)
     rhs = np.array([[0, 2 ** 34]], dtype=np.int64)
     assert _fits_int64(mats) and not _fits_int64(mats, rhs)
-    with pytest.raises(InvariantError):
-        _bareiss_dets(mats, rhs)
-    det, adj = _bareiss_dets(mats.astype(object), rhs.astype(object))
+    det, adj = _bareiss_dets(mats, rhs)
+    assert det.dtype == adj.dtype == object
     assert (int(det[0]), adj[0].tolist()) == bareiss(mats[0].tolist(), rhs[0].tolist())
     assert adj[0].tolist() == [0, 2 ** 64]
 
