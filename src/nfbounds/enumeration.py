@@ -41,7 +41,8 @@ two points, gathered into batches of `_STACK_ROWS` rows, one
 its a_k from the field's memoised `dirichlet_coeffs`, sieved to the
 table's cap before the scan, so no caller sizes or matches a series.
 Unit orbits take one more such call over the rows they are given, then
-run rounds that place the rows of every norm at once; they are kept as
+run rounds that place the rows of every norm at once, each taking the
+cofactors of its first rows alone; they are kept as
 one frozen `OrbitTable` of arrays, not as an object per orbit.  -1 is a
 unit, so the memoised orbits of a box are taken over the first half of
 its sorted points, one row of each pair x, -x.
@@ -390,20 +391,23 @@ def unit_orbits(field: NumberField, rows) -> OrbitTable:
 
     Rows x, y with |N(x)| = |N(y)| = k generate one principal ideal iff
     y / x lies in Z[theta], that is iff M(c(x))·y ≡ 0 mod k, where
-    c(x) = N(x)/x comes with the norms from one `norm_rows` call; -1 is a
-    unit, so x and -x join one orbit by this test like any other pair.  In
-    each round the first unplaced row g of every norm starts an orbit, and
-    every unplaced row of that norm that g divides joins it: one round per
-    orbit of the most crowded norm.  The heads' M(c(g)) are built on int64
-    while k·(1 + max|f_i|)^(n-1) < 2^63 bounds their entries, and a round's
-    test is n^2 multiply-adds along the rows, on int64 when
-    n·k·max|y| < 2^63 over all rows.  Orbits come by ascending norm, then
-    by their first row, and members keep the order of rows: for
+    c(x) = N(x)/x mod k; -1 is a unit, so x and -x join one orbit by this
+    test like any other pair.  In each round the first unplaced row g of
+    every norm starts an orbit, and every unplaced row of that norm that g
+    divides joins it: one round per orbit of the most crowded norm.  The
+    norms of all rows come from one `norm_rows` call, and each round takes
+    the c(g) of its heads alone, until the unplaced rows fit one kernel
+    chunk (`_STACK_ROWS`): their cofactors then come in one call, which
+    costs about as much as one on a few heads.  The heads' M(c(g)) are
+    built on int64 while k·(1 + max|f_i|)^(n-1) < 2^63 bounds their
+    entries, and a round's test is n^2 multiply-adds along the rows, on
+    int64 when n·k·max|y| < 2^63 over all rows.  Orbits come by ascending
+    norm, then by their first row, and members keep the order of rows: for
     lexicographic rows, by coordinates.
     """
     n = field.degree
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, n)
-    norms, cofactors = field.norm_rows(rows, cofactors=True)
+    norms = field.norm_rows(rows)
     order = np.argsort(np.abs(norms), kind="stable")  # by norm, then by row
     norms = np.abs(norms[order])
     # the unplaced rows: positions in norm order, norms and coordinates, batch last
@@ -414,10 +418,13 @@ def unit_orbits(field: NumberField, rows) -> OrbitTable:
     # M(c) for 0 <= c < k: each column's entries stay below k·(1 + max|f_i|)^(n-1)
     growth = (1 + max(abs(c) for c in field.min_poly.coeffs[:-1])) ** (n - 1)
     head = np.empty(len(rows), dtype=np.intp)  # the first position of each one's orbit
+    live_c = None  # the live rows' cofactors, taken once they fit one kernel chunk
     while len(live):
         new = np.r_[True, k[1:] != k[:-1]]
         g, which, kg = live[new], np.cumsum(new) - 1, k[new]  # each norm's g, each row's g
-        c = cofactors[order[g]]
+        if live_c is None and len(live) <= _STACK_ROWS:
+            _, live_c = field.norm_rows(rows[order[live]], cofactors=True)
+        c = field.norm_rows(rows[order[g]], cofactors=True)[1] if live_c is None else live_c[new]
         if int(kg[-1]) * growth >= 2 ** 63:
             c, kg = c.astype(object), kg.astype(object)
         # adj(M(g)) = M(c(g)) mod k, batch last: (row, column, head)
@@ -430,6 +437,8 @@ def unit_orbits(field: NumberField, rows) -> OrbitTable:
             raise InvariantError("an orbit's first point does not divide itself")
         head[live[joins]] = g[which[joins]]
         live, k, y = live[~joins], k[~joins], y[:, ~joins]
+        if live_c is not None:
+            live_c = live_c[~joins]
     by_orbit = np.argsort(head, kind="stable")  # positions, orbit by orbit
     head = head[by_orbit]
     starts = np.flatnonzero(np.diff(head, prepend=-1))

@@ -4,16 +4,20 @@ Coefficients a_k (number of integral ideals of norm k) are produced from
 the splitting type of each prime, the degrees of the distinct irreducible
 factors of the minimal polynomial f mod p, by expanding the local Euler
 factors through a sieve.  Full factorization is never performed.  Every
-type is read from the powers of the Berlekamp (Frobenius) matrix of f mod
-p, built for a chunk of primes at once: from their traces when p > n, from
-the ranks of Q^m - I over F_p when p <= n.  A chunk is held column-major,
-one column of residues per prime, so every step of the square-and-multiply
-runs along the primes; its "times x" step is a shift and one fold.
-Entries are int64 while no sum of residue products can wrap and Python
-integers past that.  Only the primes up to sqrt(N) expand their Euler
-factors one at a time; every larger prime enters by one array scatter.  A
-cold sieve to N = 10^6 takes about 0.1 s for Q(sqrt 5), 0.25 s for the
-quartic and 1.1 s for the octic fixture (2-vCPU VM, numpy 2.4).
+type is read from the powers of the Berlekamp (Frobenius) matrix Q of f
+mod p, built for a chunk of primes at once.  When p > n it is read from
+the traces of Q^m, m = 1..n, which take the powers up to ceil(n/2) alone:
+trace(Q^(a+b)) = sum_ij (Q^a)_ij (Q^b)_ji.  The few p <= n take every
+power, and the ranks of all their Q^m - I over F_p come from one
+elimination along the stack.  A chunk is held column-major, one column of
+residues per prime, so every step of the square-and-multiply runs along
+the primes; its "times x" step is a shift and one fold.  Entries are
+int64 while no sum of residue products can wrap and Python integers past
+that.  Only the primes up to sqrt(N) expand their Euler factors one at a
+time; every larger prime enters by one array scatter.  A cold sieve to
+N = 10^6 takes about 0.1 s for Q(sqrt 5), 0.25 s for the quartic and
+1.0-1.2 s for the octic fixture, and the octic's to N = 1,000 about 4 ms
+(2-vCPU VM, numpy 2.4).
 
 Evaluations of the zeta function (the derivative of order 0) and its
 derivatives are finite partial sums with a doubling-based tail estimate
@@ -162,20 +166,31 @@ def _divisor_solve(values, weight):
     return x
 
 
-def _rank_mod_p(rows, p: int) -> int:
-    """Rank over F_p of a small integer matrix, by Gaussian elimination."""
-    rows = [[int(v) % p for v in row] for row in rows]
-    rank = 0
-    for col in range(len(rows[0])):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], -1, p)
-        for i in range(rank + 1, len(rows)):
-            c = rows[i][col] * inv % p
-            rows[i] = [(u - c * v) % p for u, v in zip(rows[i], rows[rank])]
-        rank += 1
+def _ranks_mod_p(mats: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Rank over F_p[s] of each integer matrix mats[s], shape (S, n, n), by
+    one Gaussian elimination along the whole stack.  Per column, every
+    matrix takes its first nonzero entry at or below its own rank as the
+    pivot, scales the pivot row by its inverse from a table of the
+    inverses mod each prime, and clears the column below it.  The primes
+    are small (p <= n in the sieve), so entries stay below p^2."""
+    S, n, _ = mats.shape
+    p = np.asarray(p, dtype=np.int64)
+    a = np.asarray(mats, dtype=np.int64) % p[:, None, None]
+    inverse = np.zeros((int(p.max(initial=1)) + 1,) * 2, dtype=np.int64)
+    for q in set(p.tolist()):
+        inverse[q, 1:q] = [pow(v, -1, q) for v in range(1, q)]
+    stack, rows = np.arange(S), np.arange(n)
+    rank = np.zeros(S, dtype=np.int64)
+    for col in range(n):
+        open_ = (a[:, :, col] != 0) & (rows >= rank[:, None])
+        found = open_.any(axis=1)
+        at = np.minimum(rank, n - 1)  # a full-rank matrix swaps its last row with itself
+        pivot = np.where(found, open_.argmax(axis=1), at)
+        a[stack, [at, pivot]] = a[stack, [pivot, at]]
+        lead = a[stack, at] * inverse[p, a[stack, at, col]][:, None] % p[:, None]
+        below = np.where(found[:, None] & (rows > rank[:, None]), a[:, :, col], 0)
+        a = (a - below[:, :, None] * lead[:, None, :]) % p[:, None, None]
+        rank += found
     return rank
 
 
@@ -197,20 +212,27 @@ def _factor_counts(coeffs, primes) -> np.ndarray:
     p = np.array(primes, dtype=dtype)
     large = p > n
     small = np.flatnonzero(~large)
+    # Q^1..Q^h, h = ceil(n/2): trace(Q^(h+b)) = sum_ij (Q^h)_ij (Q^b)_ji for b <= h
+    h = (n + 1) // 2
+    powers = [q]
+    for _ in range(h - 1):
+        powers.append(np.einsum("ikb,kjb->ijb", powers[-1], q) % p)
     traces = np.empty((n, len(p)), dtype=dtype)
-    dims = np.empty((n, len(small)), dtype=np.int64)
-    eye = np.eye(n, dtype=np.int64)
-    power = q
-    for m in range(n):
-        if m:
-            power = np.einsum("ikb,kjb->ijb", power, q) % p
-        traces[m] = np.trace(power) % p
-        for j, b in enumerate(small):
-            dims[m, j] = n - _rank_mod_p(power[:, :, b] - eye, int(p[b]))
+    for m in range(1, n + 1):
+        if m <= h:
+            traces[m - 1] = np.trace(powers[m - 1]) % p
+        else:  # each of the n inner sums has n products below p^2, reduced before the outer
+            inner = np.einsum("ijb,jib->ib", powers[h - 1], powers[m - h - 1]) % p
+            traces[m - 1] = inner.sum(axis=0) % p
     counts = np.zeros((n, len(p)), dtype=np.int64)
     counts[:, large] = _divisor_solve(traces[:, large], lambda e: e)
-    if len(small):
-        g = _divisor_solve(dims, _totient)
+    if len(small):  # every Q^m - I of the primes p <= n, ranked in one stack
+        stack = [power[:, :, small] for power in powers]
+        for _ in range(n - h):
+            stack.append(np.einsum("ikb,kjb->ijb", stack[-1], q[:, :, small]) % p[small])
+        mats = np.stack(stack).transpose(0, 3, 1, 2) - np.eye(n, dtype=np.int64)
+        ranks = _ranks_mod_p(mats.reshape(-1, n, n), np.tile(p[small], n))
+        g = _divisor_solve(n - ranks.reshape(n, len(small)), _totient)
         for d in range(n, 0, -1):
             g[d - 1] -= g[2 * d - 1 :: d].sum(axis=0)
         counts[:, small] = g

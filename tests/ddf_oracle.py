@@ -4,7 +4,8 @@ Per prime, in pure-Python GF(p) arithmetic: the radical of f mod p by
 repeated gcds with the derivative, then distinct-degree factorization
 (gcd of x^(p^d) - x with the radical, one degree at a time).  The
 library reads the same types from the Berlekamp matrix instead; the
-tests compare the two prime by prime.
+tests compare the two prime by prime.  `_rank_mod_p` is the one-matrix
+Gaussian elimination that the library's batched `_ranks_mod_p` replaces.
 """
 
 from __future__ import annotations
@@ -12,6 +13,23 @@ from __future__ import annotations
 from nfbounds.errors import InvariantError
 from nfbounds.numberfield import NumberField
 from nfbounds.zeta import SplittingType
+
+
+def _rank_mod_p(rows, p: int) -> int:
+    """Rank over F_p of a small integer matrix, by Gaussian elimination."""
+    rows = [[int(v) % p for v in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for i in range(rank + 1, len(rows)):
+            c = rows[i][col] * inv % p
+            rows[i] = [(u - c * v) % p for u, v in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
 
 def _trim(a):

@@ -16,6 +16,7 @@ from nfbounds.enumeration import (
 )
 from nfbounds.errors import BoxTooLarge, ValidationError
 from nfbounds.estimator import add_estimates, estimate_counts
+from nfbounds.numberfield import _STACK_ROWS, NumberField
 from nfbounds.zeta import dirichlet_coeffs
 from bareiss_oracle import bareiss, mul, mul_matrix, norm as oracle_norm, power
 
@@ -450,6 +451,25 @@ def test_orbit_table_is_frozen_and_counts_orbits(quartic):
         assert not array.flags.writeable
     empty = unit_orbits(quartic, np.zeros((0, 4), dtype=np.int64))
     assert len(empty) == 0 and empty.rows.shape == (0, 4)
+
+
+def test_unit_orbits_take_cofactors_of_round_heads(quartic, monkeypatch):
+    """Norms come once for every row; cofactors only for each round's first
+    rows and, once the unplaced rows fit one kernel chunk, for those: never
+    for the whole input."""
+    rows = enumerate_box(quartic, BoxSpec(12.0))
+    half = rows[:len(rows) // 2]
+    taken = {False: 0, True: 0}
+    real_norm_rows = NumberField.norm_rows
+
+    def counted(self, coords, cofactors=False):
+        taken[cofactors] += len(coords)
+        return real_norm_rows(self, coords, cofactors)
+
+    monkeypatch.setattr(NumberField, "norm_rows", counted)
+    orbits = unit_orbits(quartic, half)
+    assert taken[False] == len(half) == 6163
+    assert taken[True] <= len(orbits) + _STACK_ROWS < len(half)
 
 
 def test_partial_unit_symmetry(q5):

@@ -107,3 +107,26 @@ def test_error_profile_requires_columns(q5, q5_units):
     bare = count_table(q5, BoxSpec(10.0))
     with pytest.raises(ValidationError):
         error_profile(bare)
+
+
+# the rows where |n_k_raw - b_k| = 2·a_k: k = R^2 for an integer R, where the
+# section is a point (n_k_raw = 0.0) and the closed box holds ±R, so b_k = 2
+EQUALITY_ROWS = {47: [47 ** 2], 76: [], 100: [100 ** 2], 1000: [1000 ** 2]}
+
+
+@pytest.mark.parametrize("R", sorted(EQUALITY_ROWS))
+def test_degree2_estimate_is_within_two_a_k(q5, q5_units, R):
+    """|n_k_raw - b_k| <= 2·a_k on every Q(sqrt 5) row: each orbit of norm k
+    holds floor(l) or floor(l) + 1 pairs ±u·x, where l = n_k/(w·a_k) is the
+    length of its unit interval, so b_k and n_k differ by at most w·a_k = 2·a_k.
+    n_k_raw is a float expression of log R, log k and the regulator, a few
+    ulps off the exact value, and the bound is tight (the named rows meet it),
+    so a row at the bound may read past it by rounding alone: the relative
+    slack of 1e-12 forgives that and nothing of the size of a point."""
+    table = add_estimates(count_table(q5, BoxSpec(float(R))), q5_units)
+    gap = np.abs(table.n_raw - table.b)
+    bound = 2.0 * table.a
+    assert np.all(gap <= bound * (1 + 1e-12))
+    at_bound = gap >= bound * (1 - 1e-12)
+    assert table.ks[at_bound].tolist() == EQUALITY_ROWS[R]
+    assert table.b[at_bound].tolist() == [2] * len(EQUALITY_ROWS[R])

@@ -7,8 +7,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ddf_oracle import _ddf_type
+from ddf_oracle import _ddf_type, _rank_mod_p
 from sieve_oracle import euler_sieve, splitting_types
 from nfbounds import _memo, bounds, enumeration, numberfield, zeta
 from nfbounds.bounds import height_bound_report
@@ -156,7 +158,7 @@ def test_ddf_degree_sum_invariant(quartic, monkeypatch):
     """p = 3 <= n is read from kernel ranks; a rank of 1 for every Q^m - I
     gives three linear factors, too few for a prime that does not divide
     the discriminant 725."""
-    monkeypatch.setattr(zeta, "_rank_mod_p", lambda rows, p: 1)
+    monkeypatch.setattr(zeta, "_ranks_mod_p", lambda mats, p: np.ones(len(mats), dtype=np.int64))
     with pytest.raises(InvariantError):
         splitting_type(quartic, 3)
 
@@ -169,6 +171,47 @@ def test_ramification_cross_check(quartic, disc):
     field.poly_discriminant = disc
     with pytest.raises(InvariantError):
         splitting_types(field, [2, 3, 5, 7])
+
+
+@st.composite
+def rank_stacks(draw):
+    """(mats, primes, most): a stack of n×n integer matrices, one prime of
+    {2, 3, 5, 7, 11, 13} each, and an upper bound on each rank.  The kinds
+    are zero, a multiple of the identity, a product X·Y through r < n
+    columns (rank at most r) and a free matrix."""
+    n = draw(st.integers(1, 8))
+    entry = st.integers(-40, 40)
+    mats, primes, most = [], [], []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["zero", "identity", "deficient", "free"]))
+        if kind == "zero":
+            m, r = np.zeros((n, n), dtype=np.int64), 0
+        elif kind == "identity":
+            m, r = draw(entry) * np.eye(n, dtype=np.int64), n
+        elif kind == "deficient":
+            r = draw(st.integers(0, n - 1))
+            x = np.array(draw(st.lists(entry, min_size=n * r, max_size=n * r)), dtype=np.int64)
+            y = np.array(draw(st.lists(entry, min_size=n * r, max_size=n * r)), dtype=np.int64)
+            m = x.reshape(n, r) @ y.reshape(r, n)
+        else:
+            m = np.array(draw(st.lists(entry, min_size=n * n, max_size=n * n)),
+                         dtype=np.int64).reshape(n, n)
+            r = n
+        mats.append(m)
+        primes.append(draw(st.sampled_from([2, 3, 5, 7, 11, 13])))
+        most.append(r)
+    return np.array(mats), np.array(primes), most
+
+
+@settings(max_examples=300, deadline=None)
+@given(rank_stacks())
+def test_batched_ranks_match_the_oracle(stack):
+    """One elimination along the stack gives each matrix its own rank mod its
+    own prime, as the one-matrix elimination does."""
+    mats, primes, most = stack
+    ranks = zeta._ranks_mod_p(mats, primes)
+    assert ranks.tolist() == [_rank_mod_p(m.tolist(), int(p)) for m, p in zip(mats, primes)]
+    assert all(r <= bound for r, bound in zip(ranks.tolist(), most))
 
 
 @pytest.mark.parametrize("traces", [[1, 0], [2, 4], [0, 0]])
