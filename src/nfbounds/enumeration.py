@@ -59,7 +59,7 @@ import numpy as np
 from . import _memo
 from .errors import BoxTooLarge, InvariantError, ValidationError
 from .numberfield import (_SCAN_PAD, _STACK_ROWS, AlgebraicInt, NumberField, _closed_box,
-                          _max_abs)
+                          _coordinate_rows, _max_abs)
 from .zeta import dirichlet_coeffs
 
 DEFAULT_BUDGET = 10 ** 8
@@ -387,18 +387,20 @@ class OrbitTable:
 
 
 def unit_orbits(field: NumberField, rows) -> OrbitTable:
-    """Partition coordinate rows of nonzero elements into unit orbits.
+    """Partition int64 coordinate rows of nonzero elements into unit
+    orbits; a row past int64 or of norm zero raises ValidationError.
 
     Rows x, y with |N(x)| = |N(y)| = k generate one principal ideal iff
     y / x lies in Z[theta], that is iff M(c(x))·y ≡ 0 mod k, where
-    c(x) = N(x)/x mod k; -1 is a unit, so x and -x join one orbit by this
-    test like any other pair.  In each round the first unplaced row g of
-    every norm starts an orbit, and every unplaced row of that norm that g
-    divides joins it: one round per orbit of the most crowded norm.  The
-    norms of all rows come from one `norm_rows` call, and each round takes
-    the c(g) of its heads alone, until the unplaced rows fit one kernel
-    chunk (`_STACK_ROWS`): their cofactors then come in one call, which
-    costs about as much as one on a few heads.  The heads' M(c(g)) are
+    c(x) = N(x)/x is the exact cofactor of `norm_rows`, taken mod k here;
+    -1 is a unit, so x and -x join one orbit by this test like any other
+    pair.  In each round the first unplaced row g of every norm starts an
+    orbit, and every unplaced row of that norm that g divides joins it:
+    one round per orbit of the most crowded norm.  The norms of all rows
+    come from one `norm_rows` call, and each round takes the c(g) of its
+    heads alone, until the unplaced rows fit one kernel chunk
+    (`_STACK_ROWS`): their cofactors then come in one call, which costs
+    about as much as one on a few heads.  The heads' M(c(g) mod k) are
     built on int64 while k·(1 + max|f_i|)^(n-1) < 2^63 bounds their
     entries, and a round's test is n^2 multiply-adds along the rows, on
     int64 when n·k·max|y| < 2^63 over all rows.  Orbits come by ascending
@@ -406,8 +408,12 @@ def unit_orbits(field: NumberField, rows) -> OrbitTable:
     lexicographic rows, by coordinates.
     """
     n = field.degree
-    rows = np.asarray(rows, dtype=np.int64).reshape(-1, n)
+    rows = _coordinate_rows(rows, n)
+    if rows.dtype != np.int64:
+        raise ValidationError("unit orbits take coordinate rows within int64")
     norms = field.norm_rows(rows)
+    if not norms.all():
+        raise ValidationError("unit orbits take rows of nonzero norm")
     order = np.argsort(np.abs(norms), kind="stable")  # by norm, then by row
     norms = np.abs(norms[order])
     # the unplaced rows: positions in norm order, norms and coordinates, batch last
@@ -424,7 +430,8 @@ def unit_orbits(field: NumberField, rows) -> OrbitTable:
         g, which, kg = live[new], np.cumsum(new) - 1, k[new]  # each norm's g, each row's g
         if live_c is None and len(live) <= _STACK_ROWS:
             _, live_c = field.norm_rows(rows[order[live]], cofactors=True)
-        c = field.norm_rows(rows[order[g]], cofactors=True)[1] if live_c is None else live_c[new]
+        c = (field.norm_rows(rows[order[g]], cofactors=True)[1] if live_c is None
+             else live_c[new]) % kg[:, None]
         if int(kg[-1]) * growth >= 2 ** 63:
             c, kg = c.astype(object), kg.astype(object)
         # adj(M(g)) = M(c(g)) mod k, batch last: (row, column, head)

@@ -20,9 +20,11 @@ power basis.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from decimal import Decimal, localcontext
@@ -43,6 +45,9 @@ _LOG_DIGITS = 40
 
 # matrices per batched kernel call: bounds the stacks' memory for any point set
 _STACK_ROWS = 1024
+
+# Lovász constant of `_lll_transform`
+_LLL_DELTA = 0.99
 
 # outward pad of the box scan's candidate ranges per unit of max(1, R + tol);
 # `projection_facets` keeps only the facets whose float error it covers
@@ -187,6 +192,31 @@ def _put(out: np.ndarray, start: int, values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    """values as Python integers; one that is no integer, or is a bool, is
+    refused with ValidationError, never truncated."""
+    values = tuple(values)
+    if not all(isinstance(c, numbers.Integral) and not isinstance(c, bool) for c in values):
+        raise ValidationError(f"{what} must be integers, got {values!r}")
+    return tuple(map(int, values))
+
+
+def _coordinate_rows(rows, n: int) -> np.ndarray:
+    """The one intake of coordinate rows: a (P, n) array, int64, or Python
+    integers when a coordinate is past int64.  An int64 array whose last
+    axis is n passes after that shape check; anything else is read row by
+    row, and a row that is not n integers (`_integers`) is refused."""
+    if isinstance(rows, np.ndarray) and rows.dtype == np.int64 and rows.shape[-1:] == (n,):
+        return rows.reshape(-1, n)
+    out = []
+    for row in rows:
+        row = tuple(row) if isinstance(row, Iterable) else (row,)
+        if len(row) != n:
+            raise ValidationError(f"coordinate row has length {len(row)}, expected {n}")
+        out.append(_integers(row, "coordinates"))
+    return _int64_if_fits(np.array(out, dtype=object).reshape(-1, n))
+
+
 def _gram_schmidt(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(mu, B) of the columns of W: w_i = sum over j <= i of mu[i, j]·w*_j
     with mu[i, i] = 1, and B[j] = |w*_j|^2.  Modified Gram-Schmidt, one
@@ -203,7 +233,7 @@ def _gram_schmidt(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mu, B
 
 
-def _lll_transform(B: np.ndarray, delta: float = 0.99) -> np.ndarray:
+def _lll_transform(B: np.ndarray) -> np.ndarray:
     """Integer U whose column operations LLL-reduce the columns of B, in
     float arithmetic (Lenstra, Lenstra and Lovász, *Math. Ann.* 1982).
     Every step is a unimodular column operation, but int64 may wrap:
@@ -230,7 +260,7 @@ def _lll_transform(B: np.ndarray, delta: float = 0.99) -> np.ndarray:
                 W[:, k] -= q * W[:, j]
                 U[:, k] -= q * U[:, j]
                 mu[k, :j + 1] -= q * mu[j, :j + 1]
-        if norms[k] >= (delta - mu[k, k - 1] ** 2) * norms[k - 1]:
+        if norms[k] >= (_LLL_DELTA - mu[k, k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:
             W[:, [k - 1, k]] = W[:, [k, k - 1]]
@@ -257,12 +287,15 @@ def _sylvester_resultant(a, b):
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Monic squarefree integer polynomial, coefficients ascending."""
+    """Monic squarefree integer polynomial, coefficients ascending.  The
+    coefficients follow the rule of `_integers`."""
 
     coeffs: tuple[int, ...]
+    # (-1)^(n(n-1)/2)·Res(f, f'), from the squarefree test: nonzero
+    discriminant: int = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coeffs)
+        coeffs = _integers(self.coeffs, "polynomial coefficients")
         object.__setattr__(self, "coeffs", coeffs)
         if len(coeffs) < 3:
             raise ValidationError("polynomial degree must be at least 2")
@@ -270,8 +303,11 @@ class Polynomial:
             raise NotMonic(f"leading coefficient is {coeffs[-1]}, expected 1")
         if coeffs[0] == 0:
             raise ValidationError("constant coefficient must be nonzero")
-        if _sylvester_resultant(coeffs, _poly_derivative(coeffs)) == 0:
+        n = len(coeffs) - 1
+        res = _sylvester_resultant(coeffs, _poly_derivative(coeffs))
+        if res == 0:
             raise NotSquarefree("polynomial has a repeated factor over Q")
+        object.__setattr__(self, "discriminant", -res if n * (n - 1) // 2 % 2 else res)
 
     @property
     def degree(self) -> int:
@@ -530,6 +566,7 @@ class NumberField:
         self.brackets = list(brackets)
         self.signature = (self.degree, 0)
         self.label = label or str(min_poly)
+        self.poly_discriminant = min_poly.discriminant
         # enclosure tables by bits
         self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         n = self.degree
@@ -539,14 +576,6 @@ class NumberField:
         self.embedding_matrix = np.vander(self.embeddings, n, increasing=True)
         self.embeddings.setflags(write=False)
         self.embedding_matrix.setflags(write=False)
-
-    @cached_property
-    def poly_discriminant(self) -> int:
-        coeffs = self.min_poly.coeffs
-        n = self.degree
-        res = _sylvester_resultant(list(coeffs), _poly_trim(_poly_derivative(coeffs)))
-        sign = -1 if (n * (n - 1) // 2) % 2 else 1
-        return sign * res
 
     def key(self):
         return self.min_poly.coeffs
@@ -586,15 +615,17 @@ class NumberField:
         again with the brackets at twice the bits, from
         `START_PRECISION_BITS` up to `MAX_PRECISION_BITS`; a row still
         undecided there raises PrecisionTooHigh.  Rows may hold Python
-        integers past int64.
+        integers past int64; they enter through `_coordinate_rows`.
         """
-        rows = np.array(rows, dtype=object).reshape(-1, self.degree)
+        rows = _coordinate_rows(rows, self.degree)
         out = [None] * len(rows)
         pending, bits = np.arange(len(rows)), START_PRECISION_BITS
         while len(pending):
             centres, radii = self._table(bits)
             x = rows[pending]
-            for i, value in zip(pending.tolist(), rule(x @ centres.T, np.abs(x) @ radii.T, bits)):
+            # on Python integers, as the tables are: |-2^63| does not wrap
+            C, E = x @ centres.T, np.abs(x, dtype=object) @ radii.T
+            for i, value in zip(pending.tolist(), rule(C, E, bits)):
                 out[i] = value
             pending = np.array([i for i in pending.tolist() if out[i] is None], dtype=np.intp)
             if len(pending) and bits >= MAX_PRECISION_BITS:
@@ -704,8 +735,8 @@ class NumberField:
 
     def norm_rows(self, rows, cofactors: bool = False):
         """N(x) of every coordinate row, exactly: int64, or Python integers
-        when a norm is past int64.  Rows are an int64 array or a sequence
-        of coordinates, which may hold Python integers past int64.
+        when a norm is past int64.  Rows enter through `_coordinate_rows`,
+        and may hold Python integers past int64.
 
         Degree 2 without cofactors takes a·(a - c1·b) + c0·b^2, on int64
         while max|x|^2·(1 + |c0| + |c1|) <= 2^62 bounds its partial sums.
@@ -714,20 +745,14 @@ class NumberField:
         the same determinant.  The chunk runs on int64 when its M_U(x) were
         built without wrapping and pass the kernel's own Hadamard guard, and
         on Python integers otherwise.  With cofactors, the call takes
-        right-hand side U^-1·e_0 and also returns
-        c(x) = adj(M(x))·e_0 = N(x)/x mod |N(x)|, from
-        adj(M(x)) = U·adj(M_U(x))·U^-1: x divides y iff
-        y·c(x) ≡ 0 mod N(x).  Each chunk writes into preallocated int64
-        outputs, which move to Python integers only at the first chunk
-        holding a value past int64, so the result is held once.
+        right-hand side U^-1·e_0 and also returns the exact power-basis
+        c(x) = adj(M(x))·e_0 = N(x)/x, from adj(M(x)) = U·adj(M_U(x))·U^-1,
+        and raises ZeroDivisionError on zero divisors.  Each chunk writes
+        into preallocated int64 outputs, which move to Python integers only
+        at the first chunk holding a value past int64: held once.
         """
         n = self.degree
-        if not isinstance(rows, np.ndarray):
-            try:
-                rows = np.array(rows, dtype=np.int64)
-            except OverflowError:  # coordinates past int64 stay Python integers
-                rows = np.array(rows, dtype=object)
-        rows = rows.reshape(-1, n)
+        rows = _coordinate_rows(rows, n)
         if n == 2 and not cofactors:
             c0, c1, _ = self.min_poly.coeffs
             a, b = rows[:, 0], rows[:, 1]
@@ -747,33 +772,23 @@ class NumberField:
             if cofactors:
                 if not det.all():
                     raise ZeroDivisionError("zero or a zero divisor has no cofactor")
-                k = np.abs(det)[:, None]
-                # reduce, map back by U, reduce again: mod |N| is a ring map
-                cofs = _put(cofs, s, _exact_matmul(adj % k, U.T) % k)
+                cofs = _put(cofs, s, _exact_matmul(adj, U.T))  # back to the power basis
         return (norms, cofs) if cofactors else norms
 
-    def _solve(self, y_coords, rhs):
-        """(N(y), adj(M(y))·rhs), so that y·q = rhs has q = adj·rhs / N(y):
-        the kernel on a one-matrix stack of Python integers."""
-        mats = self._mul_matrices(np.array([[int(c) for c in y_coords]], dtype=object))
-        det, adj = _bareiss_dets(mats, np.array([[int(c) for c in rhs]], dtype=object))
-        if det[0] == 0:
-            raise ZeroDivisionError("division by zero or by a zero divisor")
-        return int(det[0]), [int(c) for c in adj[0]]
-
     def inverse_coords_rational(self, coords):
-        """Coordinates of 1/x over Q.  Raises ZeroDivisionError on zero
-        divisors (zero, or any x when the polynomial is reducible)."""
-        det, adj = self._solve(coords, [1] + [0] * (self.degree - 1))
-        return [Fraction(c, det) for c in adj]
+        """Coordinates of 1/x = c(x)/N(x) over Q, from `norm_rows`: raises
+        ZeroDivisionError on zero divisors (zero, or any x when the
+        polynomial is reducible)."""
+        (det,), (cof,) = self.norm_rows([coords], cofactors=True)
+        return [Fraction(c, int(det)) for c in cof.tolist()]
 
     def divide_exact(self, x, y):
-        """The coordinates of x / y, a tuple, when the quotient lies in
-        Z[theta], else None."""
-        det, adj = self._solve(y, x)
-        if any(c % det for c in adj):
-            return None
-        return tuple(c // det for c in adj)
+        """The coordinates of x / y = x·c(y)/N(y), a tuple, when the quotient
+        lies in Z[theta], else None; ZeroDivisionError as in `norm_rows`."""
+        x = _coordinate_rows([x], self.degree)[0]
+        (det,), cof = self.norm_rows([y], cofactors=True)
+        num, det = (self._mul_matrices(cof.astype(object))[0] @ x).tolist(), int(det)  # x·c
+        return None if any(c % det for c in num) else tuple(c // det for c in num)
 
 
 # `perfbench/tracer.py` counts the scan's closed-box re-checks by wrapping
@@ -798,7 +813,7 @@ class AlgebraicInt:
 def parse_field(poly: Polynomial, label: str = "") -> NumberField:
     """Construct the field, certifying that every root of ``poly`` is real."""
     if not isinstance(poly, Polynomial):
-        poly = Polynomial(tuple(int(c) for c in poly))
+        poly = Polynomial(tuple(poly))
     n = poly.degree
     intervals = _isolate(poly.coeffs)
     if len(intervals) < n:
@@ -808,26 +823,12 @@ def parse_field(poly: Polynomial, label: str = "") -> NumberField:
     return NumberField(poly, intervals, label)
 
 
-def _integer_rows(rows, n: int) -> list[tuple[int, ...]]:
-    """Coordinate rows as tuples of Python integers, each of length n.  A
-    coordinate that is no integer, or is a bool, is refused, never truncated."""
-    out = []
-    for row in rows:
-        row = tuple(row)
-        if len(row) != n:
-            raise ValidationError(f"coordinate row has length {len(row)}, expected {n}")
-        if not all(isinstance(c, numbers.Integral) and not isinstance(c, bool) for c in row):
-            raise ValidationError(f"coordinates must be integers, got {row!r}")
-        out.append(tuple(map(int, row)))
-    return out
-
-
 def min_product_distance(field: NumberField, rows) -> int:
     """Smallest |N(x)| over a nonempty collection of nonzero coordinate
     rows of the field."""
-    rows = _integer_rows(rows, field.degree)
-    if not rows:
+    rows = _coordinate_rows(rows, field.degree)
+    if not len(rows):
         raise EmptyInput("minimum product distance of an empty set")
-    if not all(any(x) for x in rows):
+    if not rows.any(axis=1).all():
         raise ValidationError("minimum product distance is over nonzero points")
     return int(np.abs(field.norm_rows(rows)).min())

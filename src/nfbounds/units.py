@@ -26,7 +26,7 @@ from .errors import (
     ValidationError,
     WrongRank,
 )
-from .numberfield import NumberField, _integer_rows, _log_abs, _rounded
+from .numberfield import NumberField, _coordinate_rows, _log_abs, _rounded
 
 _MINOR_AGREEMENT = 1e-9
 _REGULATOR_RTOL = 1e-6
@@ -136,7 +136,7 @@ def build_unit_system(field: NumberField, units=None,
                 f"no units supplied and degree {field.degree} > 2; expected {rank} units"
             )
         units = [quadratic_fundamental_unit(field)]
-    units = _integer_rows(units, field.degree)
+    units = [tuple(u) for u in _coordinate_rows(units, field.degree).tolist()]
     if len(units) != rank:
         raise WrongRank(f"got {len(units)} units, expected rank r1+r2-1 = {rank}")
     for u, k in zip(units, field.norm_rows(units)):

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _memo
-from .errors import CutoffTooSmall, InvariantError, NotPrime, SieveTooLarge, ValidationError
+from .errors import (CutoffTooSmall, InvariantError, NotPrime, ResourceLimitError,
+                     SieveTooLarge, ValidationError)
 from .numberfield import NumberField
 
 _HARD_FLOOR_S2 = 10 ** 4
@@ -42,17 +43,26 @@ _CHUNK = 4096
 # most coefficients one sieve may hold: 2 GiB of int64, checked before allocating
 _MAX_COEFFICIENTS = 2 ** 28
 
+# strong-probable-prime bases, the first 13 primes: the test is exact below
+# psi_13, which passes them all (Sorenson and Webster, *Math. Comp.* 2017)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Proven below `_PSI_13`; past it ResourceLimitError, not a guess."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _PRIME_BASES:
         if n % p == 0:
             return n == p
+    if n >= _PSI_13:
+        raise ResourceLimitError(f"primality is proven only below {_PSI_13}, got {n}")
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _PRIME_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -422,11 +422,27 @@ def test_unit_orbits_build_head_matrices_past_int64(octic, octic_units):
     k = abs(oracle_norm(octic, x))
     assert {abs(oracle_norm(octic, r)) for r in rows} == {k}
     assert 8 * k * max(abs(c) for r in rows for c in r) < 2 ** 63
-    cofactor = octic.norm_rows(rows[:1], cofactors=True)[1].astype(object)  # the head's
+    cofactor = octic.norm_rows(rows[:1], cofactors=True)[1].astype(object) % k  # the head's
     assert np.abs(octic._mul_matrices(cofactor)).max() >= 2 ** 63
     orbits = unit_orbits(octic, rows)
     table = list(zip(orbits.norms.tolist(), members(orbits)))
     assert table == division_orbits(octic, rows)
+    assert len(orbits) == 1
+
+
+def test_unit_orbits_reduce_exact_cofactors_mod_k(octic, octic_units):
+    """x = 3·u^16 has norm 3^8 and an int64 exact cofactor c(x) = N(x)/x
+    whose M(c) has entries past 2^63: the rounds take c mod k, so the head
+    matrices stay inside their int64 bound (a wrap mod 2^64 is no ring map
+    mod 3^8)."""
+    u, v = octic_units.units[:2]
+    x = tuple(3 * c for c in power(octic, u, 16))
+    rows = [x, mul(octic, x, v), tuple(-c for c in x)]
+    cofactor = octic.norm_rows(rows[:1], cofactors=True)[1]
+    assert cofactor.dtype == np.int64
+    assert np.abs(octic._mul_matrices(cofactor.astype(object))).max() >= 2 ** 63
+    orbits = unit_orbits(octic, rows)
+    assert list(zip(orbits.norms.tolist(), members(orbits))) == division_orbits(octic, rows)
     assert len(orbits) == 1
 
 

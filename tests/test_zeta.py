@@ -15,7 +15,8 @@ from sieve_oracle import euler_sieve, splitting_types
 from nfbounds import _memo, bounds, enumeration, numberfield, zeta
 from nfbounds.bounds import height_bound_report
 from nfbounds.enumeration import BoxSpec, cached_orbits, cached_points
-from nfbounds.errors import CutoffTooSmall, InvariantError, NotPrime, ValidationError
+from nfbounds.errors import (CutoffTooSmall, InvariantError, NotPrime, ResourceLimitError,
+                             ValidationError)
 from nfbounds.numberfield import Polynomial, parse_field
 from nfbounds.zeta import (
     _fits_int64,
@@ -56,6 +57,20 @@ def test_splitting_examples(q5):
     for bad in (0, 1, 10, 3 * (2 ** 31 - 1)):
         with pytest.raises(NotPrime):
             splitting_type(q5, bad)
+
+
+def test_primality_is_proven_or_refused(q5):
+    """psi_12 = 399165290221 · 798330580441 passes the strong test to the
+    bases 2..37 and fails base 41; psi_13 passes all 13 bases, so past it
+    no answer is proven; the Mersenne prime 2^61 - 1 is accepted."""
+    psi12, psi13 = 318665857834031151167461, 3317044064679887385961981
+    assert psi12 == 399165290221 * 798330580441
+    with pytest.raises(NotPrime):
+        splitting_type(q5, psi12)
+    with pytest.raises(ResourceLimitError, match=str(psi13)):
+        splitting_type(q5, psi13)
+    assert _is_prime(2 ** 61 - 1)
+    assert splitting_type(q5, 2 ** 61 - 1).p == 2 ** 61 - 1
 
 
 def test_splitting_octic_order_oracle(octic):
