@@ -81,13 +81,6 @@ def _write_csv(header, rows, out: str | None, preamble: str | None = None):
             fh.write((line * len(block)) % tuple(chain.from_iterable(block)))
 
 
-def _int_list(value, what: str) -> list[int]:
-    if not (isinstance(value, list)
-            and all(isinstance(c, int) and not isinstance(c, bool) for c in value)):
-        raise ValidationError(f"{what} must be a list of integers, got {value!r}")
-    return value
-
-
 def load_field_document(path: str) -> tuple[NumberField, dict]:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -95,7 +88,7 @@ def load_field_document(path: str) -> tuple[NumberField, dict]:
         raise ValidationError(f"field document is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError("field document must be a JSON object")
-    poly = Polynomial(tuple(_int_list(doc.get("min_poly"), "min_poly")))
+    poly = Polynomial(doc.get("min_poly"))
     if not doc.get("assume_maximal_order", False):
         raise ValidationError(
             "field document must set assume_maximal_order: computations use Z[theta]"
@@ -123,7 +116,7 @@ def unit_system_from_document(field: NumberField, doc: dict) -> UnitSystem:
         raise ValidationError(f"expected_regulator must be a number, got {regulator!r}")
     return build_unit_system(
         field,
-        units=[_int_list(u, "a fundamental unit") for u in units] or None,
+        units=units or None,
         expected_regulator=regulator,
     )
 
@@ -393,7 +386,7 @@ def main(argv=None) -> int:
         return 2
     except ResourceLimitError as exc:
         name = type(exc).__name__
-        hint = _HINTS.get(name, "raise the relevant limit")
+        hint = _HINTS.get(name, "no option lifts this ceiling")
         if name == "BoxTooLarge":  # name only options that this command takes
             fixes = [f"shrink --{opt}" for opt in ("radius", "height")
                      if getattr(args, opt, None) is not None]

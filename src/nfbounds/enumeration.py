@@ -36,8 +36,8 @@ one block [B; -B], and the budget counts the whole box's candidates.
 
 Norm bucketing is always exact, and |N(-x)| = |N(x)|: `count_table`
 takes the norms of the walked half B of each block only, each counting
-two points, gathered into batches of `_STACK_ROWS` rows, one
-`NumberField.norm_rows` call and one kernel call each.  A table takes
+two points, one `NumberField.norm_rows` call per block, which runs the
+kernel on chunks of `_STACK_ROWS` rows.  A table takes
 its a_k from the field's memoised `dirichlet_coeffs`, sieved to the
 table's cap before the scan, so no caller sizes or matches a series.
 Unit orbits take one more such call over the rows they are given, then
@@ -335,32 +335,13 @@ def count_by_norm(field: NumberField, rows, box: BoxSpec,
 def count_table(field: NumberField, box: BoxSpec, max_norm: int | None = None,
                 budget: int = DEFAULT_BUDGET) -> CountTable:
     """Enumerate the box and bucket by exact |norm| without materialising
-    element objects (streaming; each batch's norms in one call).  Only the
-    walked half B of each scan block [B; -B] is normed, and each norm
+    element objects (streaming; each scan block's norms in one call).  Only
+    the walked half B of each scan block [B; -B] is normed, and each norm
     counts two points, since |N(-x)| = |N(x)|."""
     _check_budget(budget)
-    halves = (block[:len(block) // 2] for block in _scan_blocks(field, box, budget))
-    batches = _batches(halves, _STACK_ROWS)
     return _build_table(field, box, max_norm,
-                        (np.abs(field.norm_rows(rows)) for rows in batches), per_norm=2)
-
-
-def _batches(blocks, size: int):
-    """The row blocks gathered into batches of at most `size` rows, so that
-    each batch is one kernel call; a block of `size` rows or more passes
-    through alone, uncopied."""
-    pending, held = [], 0
-    for block in blocks:
-        if pending and held + len(block) > size:
-            yield np.concatenate(pending)
-            pending, held = [], 0
-        if len(block) >= size:
-            yield block
-        else:
-            pending.append(block)
-            held += len(block)
-    if pending:
-        yield np.concatenate(pending)
+                        (np.abs(field.norm_rows(block[:len(block) // 2]))
+                         for block in _scan_blocks(field, box, budget)), per_norm=2)
 
 
 # ---------------------------------------------------------------------------

@@ -181,20 +181,30 @@ def _int64_if_fits(values: np.ndarray) -> np.ndarray:
         return values
 
 
+def _int64_if_abs_fits(values: np.ndarray) -> np.ndarray:
+    """The values as int64 when every |v| is below 2^63, or left as Python
+    integers: np.abs of an int64 -2^63 wraps.  An int64 input stays."""
+    if values.dtype == object and _max_abs(values) >= 2 ** 63:
+        return values
+    return values.astype(np.int64, copy=False)
+
+
 def _put(out: np.ndarray, start: int, values: np.ndarray) -> np.ndarray:
     """out with values written from row start on.  An int64 out moves to
-    Python integers (a copy) only when a value is past int64."""
-    try:
-        out[start:start + len(values)] = values
-    except OverflowError:
+    Python integers (a copy) only when some |value| is 2^63 or more."""
+    values = _int64_if_abs_fits(values)
+    if values.dtype == object and out.dtype != object:
         out = out.astype(object)
-        out[start:start + len(values)] = values
+    out[start:start + len(values)] = values
     return out
 
 
 def _integers(values, what: str) -> tuple[int, ...]:
-    """values as Python integers; one that is no integer, or is a bool, is
-    refused with ValidationError, never truncated."""
+    """values as Python integers; values that are not iterable, or one
+    that is no integer, or is a bool, are refused with ValidationError,
+    never truncated."""
+    if not isinstance(values, Iterable):
+        raise ValidationError(f"{what} must be integers, got {values!r}")
     values = tuple(values)
     if not all(isinstance(c, numbers.Integral) and not isinstance(c, bool) for c in values):
         raise ValidationError(f"{what} must be integers, got {values!r}")
@@ -274,8 +284,6 @@ def _sylvester_resultant(a, b):
     """Resultant of two integer polynomials, the determinant of their
     Sylvester matrix."""
     m, n = len(a) - 1, len(b) - 1
-    if m < 0 or n < 0:
-        return 0
     rows = [[0] * i + list(reversed(a)) + [0] * (n - 1 - i) for i in range(n)]
     rows += [[0] * i + list(reversed(b)) + [0] * (m - 1 - i) for i in range(m)]
     return int(_bareiss_dets(np.array(rows, dtype=object).reshape(1, m + n, m + n))[0][0])
@@ -378,21 +386,16 @@ def _sign_variations(chain, a, k):
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
-def _root_bound(coeffs):
-    lead = abs(coeffs[-1])
-    return 1 + max(abs(c) for c in coeffs[:-1]) // lead + 1
-
-
 def _isolate(coeffs):
     """Disjoint dyadic intervals [a/2^k, b/2^k] as (a, b, k), sorted, each
-    containing exactly one real root.
+    containing exactly one real root of the monic polynomial.
 
     The root bound is an integer and every split halves, so all endpoints
     are dyadic.  Endpoints are non-roots except for exact dyadic roots,
     which are returned as zero-width intervals.
     """
     chain = _sturm_chain(coeffs)
-    bound = _root_bound(coeffs)
+    bound = max(abs(c) for c in coeffs[:-1]) + 2  # past every root of a monic f (Cauchy)
     total = _sign_variations(chain, -bound, 0) - _sign_variations(chain, bound, 0)
     intervals = []
     stack = [(-bound, bound, 0, total)]
@@ -735,8 +738,8 @@ class NumberField:
 
     def norm_rows(self, rows, cofactors: bool = False):
         """N(x) of every coordinate row, exactly: int64, or Python integers
-        when a norm is past int64.  Rows enter through `_coordinate_rows`,
-        and may hold Python integers past int64.
+        when some |N(x)| is 2^63 or more.  Rows enter through
+        `_coordinate_rows`, and may hold Python integers past int64.
 
         Degree 2 without cofactors takes a·(a - c1·b) + c0·b^2, on int64
         while max|x|^2·(1 + |c0| + |c1|) <= 2^62 bounds its partial sums.
@@ -749,7 +752,7 @@ class NumberField:
         c(x) = adj(M(x))·e_0 = N(x)/x, from adj(M(x)) = U·adj(M_U(x))·U^-1,
         and raises ZeroDivisionError on zero divisors.  Each chunk writes
         into preallocated int64 outputs, which move to Python integers only
-        at the first chunk holding a value past int64: held once.
+        at the first chunk holding a value of size 2^63 or more: held once.
         """
         n = self.degree
         rows = _coordinate_rows(rows, n)
@@ -759,7 +762,7 @@ class NumberField:
             # at least 1: a coefficient past int64 then sends even zero rows to Python
             if max(_max_abs(rows), 1) ** 2 * (1 + abs(c0) + abs(c1)) > 2 ** 62:
                 a, b = a.astype(object), b.astype(object)  # exactness over speed
-            return _int64_if_fits(a * (a - c1 * b) + c0 * (b * b))
+            return _int64_if_abs_fits(a * (a - c1 * b) + c0 * (b * b))
         U, U_inv = self.reduced_basis
         norms = np.empty(len(rows), dtype=np.int64)
         cofs = np.empty((len(rows), n), dtype=np.int64) if cofactors else None
@@ -813,7 +816,7 @@ class AlgebraicInt:
 def parse_field(poly: Polynomial, label: str = "") -> NumberField:
     """Construct the field, certifying that every root of ``poly`` is real."""
     if not isinstance(poly, Polynomial):
-        poly = Polynomial(tuple(poly))
+        poly = Polynomial(poly)
     n = poly.degree
     intervals = _isolate(poly.coeffs)
     if len(intervals) < n:

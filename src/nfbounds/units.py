@@ -21,12 +21,14 @@ import numpy as np
 
 from .errors import (
     DependentUnits,
+    InvariantError,
     NotAUnit,
     RegulatorMismatch,
+    ResourceLimitError,
     ValidationError,
     WrongRank,
 )
-from .numberfield import NumberField, _coordinate_rows, _log_abs, _rounded
+from .numberfield import MAX_PRECISION_BITS, NumberField, _coordinate_rows, _log_abs, _rounded
 
 _MINOR_AGREEMENT = 1e-9
 _REGULATOR_RTOL = 1e-6
@@ -50,12 +52,16 @@ def quadratic_fundamental_unit(field: NumberField) -> tuple[int, int]:
     """Coordinates of the fundamental unit of Z[theta] for a real
     quadratic field.
 
-    Runs the continued-fraction expansion of theta with exact integer
-    state (P, Q); the first repeated state closes the period and the
-    corresponding convergent Moebius matrix G fixes theta, so
+    Runs the continued-fraction expansion of theta = a0 + 1/alpha_1 with
+    exact integer state (P, Q).  alpha_1 is reduced, as floor(theta) -
+    conj(theta) > sqrt(D) - 1 > 1 for D >= 5, so its expansion is purely
+    periodic (Galois): the period closes when alpha_1's state comes back,
+    and the convergent Moebius matrix G = M_now·M_1^-1 fixes theta, so
     u = G[1][0]*theta + G[1][1] is a unit with |N(u)| = |det G| = 1 and
-    minimal period, hence fundamental.  The result is normalised so that
-    its image under the largest embedding exceeds 1.
+    minimal period, hence fundamental.  A convergent past
+    `MAX_PRECISION_BITS` bits makes the unit too large for `enclose` to
+    take its logarithms, and raises ResourceLimitError.  The result is
+    normalised so that its image under the largest embedding exceeds 1.
     """
     if field.degree != 2:
         raise ValidationError("continued-fraction unit search requires degree 2")
@@ -63,40 +69,38 @@ def quadratic_fundamental_unit(field: NumberField) -> tuple[int, int]:
     D = c1 * c1 - 4 * c0
     if D <= 0 or math.isqrt(D) ** 2 == D:
         raise ValidationError("discriminant must be a positive nonsquare")
-    P, Q = -c1, 2
-    # convergents: theta = (h1*alpha_j + h0) / (k1*alpha_j + k0)
-    h1, h0, k1, k0 = 1, 0, 0, 1
-    seen: dict[tuple[int, int], tuple[int, int, int, int]] = {}
-    for _ in range(10 ** 7):
-        state = (P, Q)
-        if state in seen:
-            a1, a0, b1, b0 = seen[state]
-            # G = M_now * M_first^{-1}
-            det = a1 * b0 - a0 * b1
-            inv = (b0 * det, -a0 * det, -b1 * det, a1 * det)  # det in {1,-1}
-            C = k1 * inv[0] + k0 * inv[2]
-            Dg = k1 * inv[1] + k0 * inv[3]
-            u = (Dg, C)
-            break
-        seen[state] = (h1, h0, k1, k0)
+    a0 = _floor_surd(-c1, D, 2)
+    P = 2 * a0 + c1
+    Q = (D - P * P) // 2
+    first = (P, Q)  # alpha_1's state
+    # theta = (h1*alpha_j + h0) / (k1*alpha_j + k0), M_j = [[h1, h0], [k1, k0]];
+    # only the k row is needed, (1, 0) for M_1 = [[a0, 1], [1, 0]]
+    k1, k0 = 1, 0
+    while True:
         a = _floor_surd(P, D, Q)
         P = a * Q - P
         Q = (D - P * P) // Q
-        h1, h0 = a * h1 + h0, h1
         k1, k0 = a * k1 + k0, k1
-    else:
-        raise ValidationError("continued fraction did not become periodic")
-    if abs(field.norm_coords(u)) != 1:
-        raise ValidationError("internal error: automorph is not a unit")
-    # pick the representative with sigma_max > 1 among {u, -u, u^-1, -u^-1}
-    u_inv = tuple(int(c) for c in field.inverse_coords_rational(u))
+        if (P, Q) == first:
+            break
+        if k1.bit_length() > MAX_PRECISION_BITS:  # the unit's b is a later k0 >= k1
+            raise ResourceLimitError(
+                f"the fundamental unit of {field.min_poly} is past {MAX_PRECISION_BITS} "
+                "bits, so its logarithms are past the precision ceiling")
+    # row 1 of G = M_now·M_1^-1, M_1^-1 = [[0, 1], [1, -a0]]
+    u = (k1 - a0 * k0, k0)
+    if abs(field.norm_rows([u])[0]) != 1:
+        raise InvariantError("internal error: automorph is not a unit")
+    # pick the representative with sigma_max > 1 among {u, -u, u^-1, -u^-1}:
+    # N(u) = ±1, so ±u^-1 = ±conj(u) = ±((a - c1·b) - b·theta)
+    conj = (u[0] - c1 * u[1], -u[1])
     # sigma_max of a unit other than ±1 is at least phi or at most 1/phi in
     # size, so its correctly rounded float compares with 1 as it does
-    candidates = (u, (-u[0], -u[1]), u_inv, (-u_inv[0], -u_inv[1]))
+    candidates = (u, (-u[0], -u[1]), conj, (-conj[0], -conj[1]))
     for cand, sigma in zip(candidates, field.enclose(candidates, _rounded)):
         if sigma[-1] > 1:
             return cand
-    raise ValidationError("internal error: no candidate exceeds 1")
+    raise InvariantError("internal error: no candidate exceeds 1")
 
 
 # ---------------------------------------------------------------------------

@@ -258,6 +258,9 @@ def test_exit_code_validation(tmp_path, capsys):
     ("bounds", None, ["--s", "2", "--radius", "inf"]),
     ("pep", None, ["--radius", "5", "--snr", "0:nan:3"]),
     ("field-info", {"min_poly": None}, []),
+    ("field-info", {"min_poly": 5}, []),
+    ("field-info", {"min_poly": "x^2-5"}, []),
+    ("field-info", {"fundamental_units": ["ab"]}, []),
     ("field-info", {"roots_of_unity": "two"}, []),
     ("field-info", {"expected_regulator": "0.48"}, []),
     ("field-info", "{not json", []),
@@ -298,7 +301,8 @@ def test_exit_code_validation(tmp_path, capsys):
     ("estimate", None, ["--from-counts", (Q5_COUNTS_R3.replace("1,1,10\n4,1,2",
                                                                "4,1,2\n1,1,10"),)]),
 ], ids=["radius-below-one", "counts-radius-inf", "bounds-radius-inf", "snr-nan",
-        "no-min-poly", "roots-of-unity-text", "regulator-text", "not-json",
+        "no-min-poly", "min-poly-number", "min-poly-text", "unit-text",
+        "roots-of-unity-text", "regulator-text", "not-json",
         "max-norm-negative", "counts-no-R", "counts-R-text", "counts-R-nan",
         "counts-short-row", "pep-empty-table", "counts-other-degree", "eve-gamma-nan",
         "eve-vol-inf", "height-with-cutoff",
@@ -566,3 +570,23 @@ def test_cli_import_leaves_mpmath_out():
     done = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
                           text=True, timeout=60, env={**os.environ, "PYTHONPATH": path})
     assert done.stdout.strip() == "[]"
+
+
+def test_unit_past_the_precision_ceiling_is_a_named_error(tmp_path):
+    """x^2 - 1000000000039 has a continued-fraction period of 532,572
+    steps, its unit far past the 4,096 bits `enclose` can take: field-info
+    exits 3 at once.  Run under a 2 GB address-space limit in a fresh
+    process, since a table of every convergent would fill memory."""
+    doc = tmp_path / "big.json"
+    doc.write_text(json.dumps({"min_poly": [-1000000000039, 0, 1],
+                               "assume_maximal_order": True}))
+    src = str(Path(nfbounds.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+            "from nfbounds.cli import main; sys.exit(main(sys.argv[1:]))")
+    done = subprocess.run([sys.executable, "-c", code, "field-info", str(doc)],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 3, done.stderr
+    assert done.stderr.startswith("error: ResourceLimitError:") and "4096 bits" in done.stderr
+    assert "Traceback" not in done.stderr and done.stdout == ""

@@ -126,6 +126,27 @@ def test_polynomial_coefficients_follow_the_integer_rule(coeffs):
     assert poly == Polynomial((-5, 0, 1)) and all(type(c) is int for c in poly.coeffs)
 
 
+@pytest.mark.parametrize("coeffs", [None, 5])
+def test_polynomial_coefficients_must_be_a_sequence(coeffs):
+    with pytest.raises(ValidationError, match="integers"):
+        Polynomial(coeffs)
+    with pytest.raises(ValidationError, match="integers"):
+        parse_field(coeffs)
+
+
+def test_a_norm_of_size_2_63_keeps_python_integers():
+    """N = -2^63 is past int64 for its callers, whose np.abs would wrap it:
+    2^31·sqrt(2) in Z[sqrt 2] by the degree-2 closed form, 2^21·theta in
+    Z[theta] for x^3 - 3x + 1 by the kernel."""
+    quadratic, cubic = parse_field((-2, 0, 1)), parse_field((1, -3, 0, 1))
+    assert quadratic.norm_rows([(0, 2 ** 31)]).tolist() == [-2 ** 63]
+    assert cubic.norm_rows(np.array([(0, 2 ** 21, 0)])).tolist() == [-2 ** 63]
+    assert cubic.norm_rows([(0, 2 ** 21, 0)], cofactors=True)[0].tolist() == [-2 ** 63]
+    for field, row in ((quadratic, (0, 2 ** 31)), (cubic, (0, 2 ** 21, 0))):
+        assert min_product_distance(field, [row]) == 2 ** 63
+        assert unit_orbits(field, np.array([row])).norms.tolist() == [2 ** 63]
+
+
 def test_one_resultant_per_polynomial(monkeypatch):
     """The squarefree test's resultant is the discriminant's: loading a
     field and reading its discriminant build one Sylvester resultant."""

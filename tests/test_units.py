@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from nfbounds.enumeration import BoxSpec, enumerate_box
-from nfbounds.errors import (DependentUnits, NotAUnit, RegulatorMismatch, ValidationError,
-                             WrongRank)
+from nfbounds.errors import (DependentUnits, InvariantError, NotAUnit, RegulatorMismatch,
+                             ValidationError, WrongRank)
 from nfbounds.numberfield import Polynomial, parse_field
 from nfbounds.units import _floor_surd, build_unit_system, quadratic_fundamental_unit
 from bareiss_oracle import mul, power
@@ -58,9 +58,12 @@ def test_fundamental_unit_pell(coeffs, expected, expected_norm):
     assert field.norm_coords(u) == expected_norm
 
 
-@pytest.mark.parametrize("coeffs", [(-2, 0, 1), (-7, 0, 1), (-5, -3, 1), (-11, 0, 1)])
+@pytest.mark.parametrize("coeffs", [(-2, 0, 1), (-7, 0, 1), (-5, -3, 1), (-11, 0, 1),
+                                    (-1, -1, 1), (-3, -1, 1)])
 def test_fundamental_unit_brute_force_oracle(coeffs):
-    """No unit of the order lies strictly between 1 and the fundamental one."""
+    """No unit of the order lies strictly between 1 and the fundamental one.
+    theta is reduced, its expansion periodic from alpha_0, for x^2 - x - 1,
+    and not for x^2 - 7 or x^2 - x - 3."""
     field = parse_field(Polynomial(coeffs))
     u = quadratic_fundamental_unit(field)
     top = field.heights([u])[0]
@@ -71,6 +74,17 @@ def test_fundamental_unit_brute_force_oracle(coeffs):
         if abs(k) == 1 and 1 + 1e-9 < sigma[-1] < top - 1e-9
     ]
     assert strictly_between == []
+
+
+def test_internal_faults_of_the_unit_search_are_invariant_errors(q5, monkeypatch):
+    """A wrong automorph or no candidate above 1 is a bug, not bad input."""
+    with monkeypatch.context() as m:
+        m.setattr(type(q5), "norm_rows", lambda self, rows: np.array([2]))
+        with pytest.raises(InvariantError, match="not a unit"):
+            quadratic_fundamental_unit(q5)
+    monkeypatch.setattr(type(q5), "enclose", lambda self, rows, rule: [[0.5, 0.5]] * len(rows))
+    with pytest.raises(InvariantError, match="no candidate"):
+        quadratic_fundamental_unit(q5)
 
 
 def test_every_quadratic_unit_below_1000_validates():
