@@ -8,9 +8,10 @@ the probability curves (`pep`, `eve`).
 
 Exit codes: 0 success, 2 validation error, 3 budget or cutoff failure.
 CSV output uses a header row, UTF-8, '.' decimals, and 15 significant
-digits for floats, so repeated runs diff cleanly.  Columns become Python
-values a block of rows at a time, and each block is formatted by one `%`
-template and written at once, so no table is held as text.
+digits for floats, so repeated runs diff cleanly.  Each block of rows is
+built as one byte array, its integer cells by digit arithmetic and its
+float cells by `%.15g`, then decoded and written at once, so no table is
+held as text.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import argparse
 import contextlib
 import json
 import sys
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -49,15 +50,61 @@ _HINTS = {
 
 # rows formatted, joined and written per step: bounds the text alive at once
 _CSV_BLOCK = 4096
+# the least |v| // 10 that shows the digit of each place, the ones place first
+_SHOWN_FROM = np.array([-1] + [10 ** k for k in range(18)], dtype=np.int64)
 
 
-def _cells(*columns):
-    """Rows of plain Python values from equal-length columns (arrays, or
-    lists numpy converts without loss), one `.tolist()` per column per
-    block of `_CSV_BLOCK` rows: a float64 column gives floats, an integer
-    or `object` column Python integers."""
+def _int_cells(columns) -> np.ndarray:
+    """Integer columns as (column, row, byte) ASCII cells of one width: a
+    comma, the sign and the digits, NUL where a cell is shorter.  The
+    digits of all columns come from one pass of divisions by 10 in int64,
+    from -|v|, which fits even for v = -2^63."""
+    v = np.array(columns, dtype=np.int64)
+    neg_abs = -np.abs(v)  # |-2^63| wraps to -2^63, and its negation to itself
+    above = u = neg_abs // -10  # |v| // 10: the digits above the ones place
+    width = len(str(int(above.max()) * 10))
+    cells = np.empty((width + 2,) + v.shape, np.int64)  # comma, sign, digits
+    np.negative(neg_abs + above * 10, out=cells[-1])  # the ones digit
+    for slot in range(width, 1, -1):  # then the tens, hundreds, ...
+        q = u // 10
+        cells[slot] = u - q * 10
+        u = q
+    # a digit left of the leading one is 0, and stays NUL
+    cells[2:] += ord("0") * (above >= _SHOWN_FROM[width - 1::-1, None, None])
+    np.multiply(v < 0, ord("-"), out=cells[1])
+    cells[0] = ord(",")
+    return cells.transpose(1, 2, 0)
+
+
+def _text_cells(values: list, form: str) -> np.ndarray:
+    """One column's values as (row, byte) ASCII cells: a comma and the
+    value by `form`, which pads it with spaces to one width."""
+    text = ("," + form) * len(values) % tuple(values)
+    return np.frombuffer(text.encode(), np.uint8).reshape(len(values), -1)
+
+
+def _lines(*columns):
+    """The CSV line of each row of equal-length columns (arrays, or lists
+    numpy converts without loss), built a block of `_CSV_BLOCK` rows at a
+    time as one byte array: the signed integer columns by digit arithmetic,
+    a float column by `%.15g` and any other (`object` integers past int64)
+    by `str`.  The padding is dropped and the block decoded at once."""
     for s in range(0, len(columns[0]), _CSV_BLOCK):
-        yield from zip(*(np.asarray(c[s:s + _CSV_BLOCK]).tolist() for c in columns))
+        block = [np.asarray(c[s:s + _CSV_BLOCK]) for c in columns]
+        ints = [c for c in block if c.dtype.kind == "i"]
+        int_cells = iter(_int_cells(ints) if ints else ())
+        cells = []
+        for c in block:
+            if c.dtype.kind == "i":
+                cells.append(next(int_cells))
+            elif c.dtype.kind == "f":  # %.15g takes at most 22 characters
+                cells.append(_text_cells(c.tolist(), "%22.15g"))
+            else:
+                strs = list(map(str, c.tolist()))
+                cells.append(_text_cells(strs, f"%{max(map(len, strs))}s"))
+        text = np.concatenate(cells, axis=1, dtype=np.uint8, casting="unsafe")
+        text[:, 0] = ord("\n")  # each row's first comma starts its line
+        yield from text.tobytes()[1:].translate(None, b"\0 ").decode().split("\n")
 
 
 def _emit(text: str, out: str | None):
@@ -67,18 +114,15 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _write_csv(header, rows, out: str | None, preamble: str | None = None):
-    """Write rows of `_cells` values under the header, one block of
-    `_CSV_BLOCK` lines per write, one item drawn from rows per line.  A
-    block's line template takes `%.15g` for a float cell and `%s` for any
-    other, so floats get 15 significant digits and integers `str`."""
+def _write_csv(header, lines, out: str | None, preamble: str | None = None):
+    """Write the lines of `_lines` under the header, one block of
+    `_CSV_BLOCK` lines per write, one item drawn from lines per line."""
     head = ([preamble] if preamble else []) + [",".join(header)]
-    rows = iter(rows)
+    lines = iter(lines)
     with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
         fh.write("\n".join(head) + "\n")
-        while block := list(islice(rows, _CSV_BLOCK)):
-            line = ",".join("%.15g" if type(v) is float else "%s" for v in block[0]) + "\n"
-            fh.write((line * len(block)) % tuple(chain.from_iterable(block)))
+        while block := list(islice(lines, _CSV_BLOCK)):
+            fh.write("\n".join(block) + "\n")
 
 
 def load_field_document(path: str) -> tuple[NumberField, dict]:
@@ -155,7 +199,7 @@ def cmd_zeta_coeffs(args) -> int:
     field, _doc = load_field_document(args.field_doc)
     series = dirichlet_coeffs(field, args.max)
     ks = np.arange(1, args.max + 1)
-    _write_csv(["k", "a_k"], _cells(ks, series.a[ks]), args.out)
+    _write_csv(["k", "a_k"], _lines(ks, series.a[ks]), args.out)
     return 0
 
 
@@ -167,7 +211,7 @@ def cmd_enumerate(args) -> int:
     def rows():  # each block's norms and correctly rounded heights as it is written
         for s in range(0, len(points), _CSV_BLOCK):
             block = points[s:s + _CSV_BLOCK]
-            yield from _cells(*block.T, field.norm_rows(block), field.heights(block))
+            yield from _lines(*block.T, field.norm_rows(block), field.heights(block))
 
     _write_csv(header, rows(), args.out)
     return 0
@@ -183,7 +227,7 @@ def cmd_counts(args) -> int:
     field, _doc = load_field_document(args.field_doc)
     box, budget = _box_and_budget(args)
     table = count_table(field, box, args.max_norm, budget)
-    _write_csv(["k", "a_k", "b_k"], _cells(table.ks, table.a, table.b), args.out,
+    _write_csv(["k", "a_k", "b_k"], _lines(table.ks, table.a, table.b), args.out,
                _counts_preamble(field, table))
     return 0
 
@@ -252,12 +296,12 @@ def cmd_estimate(args) -> int:
     table = estimator.add_estimates(table, us)
     # before any output: a table the profile refuses leaves no file behind
     profile = estimator.error_profile(table) if args.profile_out else None
-    rows = _cells(table.ks, table.a, table.b, table.n_raw, table.n_est, table.f)
+    rows = _lines(table.ks, table.a, table.b, table.n_raw, table.n_est, table.f)
     _write_csv(["k", "a_k", "b_k", "n_k_raw", "n_k", "f_k"], rows, args.out,
                _counts_preamble(field, table))
     if profile is not None:
         fs, cumulative = zip(*profile.cumulative)
-        rows = _cells(fs, [profile.histogram[f] for f in fs], cumulative)
+        rows = _lines(fs, [profile.histogram[f] for f in fs], cumulative)
         _write_csv(["f", "count", "cumulative_fraction"], rows, args.profile_out)
     return 0
 
@@ -289,7 +333,7 @@ def cmd_pep(args) -> int:
     box, budget = _box_and_budget(args)
     table = estimator.add_estimates(count_table(field, box, args.max_norm, budget), us)
     curve = channel.pep_curve(table, start, stop, npts)
-    rows = _cells(curve.snr_db, curve.snr_linear, curve.pe_estimate, curve.pe_exact)
+    rows = _lines(curve.snr_db, curve.snr_linear, curve.pe_estimate, curve.pe_exact)
     _write_csv(["snr_db", "gamma", "pe_estimate", "pe_exact"], rows, args.out,
                f"# nfbounds-pep ratio={curve.ratio:.15g}")
     return 0
@@ -358,7 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--from-counts", help="re-ingest a counts CSV")
             p.add_argument("--profile-out", help="write the error histogram CSV here")
         if name == "pep":
-            p.add_argument("--snr", required=True, help="grid as START_DB:STOP_DB:POINTS")
+            p.add_argument("--snr", required=True,
+                           help="grid as START_DB:STOP_DB:POINTS; a negative START takes "
+                                "the --snr=START:STOP:POINTS form")
         if name == "eve":
             p.add_argument("--gamma", type=float, required=True, help="Eve's SNR (linear)")
             p.add_argument("--vol", type=float, default=1.0, help="Vol of Bob's lattice")

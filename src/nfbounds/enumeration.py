@@ -13,7 +13,8 @@ range of x_j up to a float pad.  It walks the tree as a frontier
 one product of the facet normals with the chunk's partial embeddings,
 expanded into the next level's chunk by one `np.repeat` of each prefix
 column over its run, depth-first over chunks, so at most one chunk per
-level is alive and working memory is bounded by `_CHUNK_ELEMENTS`.
+level is alive and working memory is bounded by `_CHUNK_ELEMENTS`; a
+yielded block holds at most 2·(`_CHUNK_ELEMENTS` // n) rows.
 A chunk is column-major, one column per prefix (partial embeddings
 (n, P) float, reduced coordinates (n, P) int64), so every reduction over
 embeddings or coordinates runs along the long axis; the scan hands out
@@ -65,8 +66,10 @@ from .zeta import dirichlet_coeffs
 DEFAULT_BUDGET = 10 ** 8
 
 # prefixes x degree per frontier chunk: bounds the scan's working memory
-# whatever the box, yet keeps each numpy call long at every degree
-_CHUNK_ELEMENTS = 8192
+# whatever the box, yet keeps each numpy call long at every degree.  The
+# Q(sqrt 5) R = 1000 table (max norm 50,000) took a median 15.0, 11.3,
+# 10.9 and 12.7 ms at 8,192, 16,384, 32,768 and 65,536 (2 vCPUs, numpy 2.4)
+_CHUNK_ELEMENTS = 32768
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
 """Per-cell CSV writer: the formatting oracle for the command line.
 
-The command line turns each column into Python values a block of rows at
-a time (`cli._cells`) and formats each block with one `%` line template
-(`cli._write_csv`).  This writer takes rows of raw values, formats every
-cell on its own with `fmt` and writes the whole text at once; the tests
-require the same bytes from both.
+The command line builds the lines of a block of rows as one byte array,
+integer cells by digit arithmetic (`cli._lines`), and writes them a block
+at a time (`cli._write_csv`).  This writer takes rows of raw values,
+formats every cell on its own with `fmt` and writes the whole text at
+once; the tests require the same bytes from both.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ def fmt(x) -> str:
 
 
 def raw_rows(*columns):
-    """Rows of unformatted values, in place of `cli._cells`."""
+    """Rows of unformatted values, in place of `cli._lines`."""
     return zip(*columns)
 
 

@@ -212,6 +212,23 @@ def test_pep_csv(capsys):
     assert len(lines) == 7
 
 
+def test_negative_snr_start_takes_the_equals_form(capsys):
+    """argparse reads a value that starts with `-` after `--snr ` as an
+    option, so a grid from below 0 dB is given as `--snr=START:STOP:POINTS`,
+    the form the help names."""
+    code, out, _ = run(capsys, "pep", Q5, "--radius", "3", "--snr=-400:0:3")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1] == "snr_db,gamma,pe_estimate,pe_exact"
+    assert [line.split(",")[0] for line in lines[2:]] == ["-400", "-200", "0"]
+    with pytest.raises(SystemExit) as exc:
+        main(["pep", Q5, "--radius", "3", "--snr", "-400:0:3"])
+    assert exc.value.code == 2 and "expected one argument" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["pep", "--help"])
+    assert exc.value.code == 0 and "--snr=START:STOP:POINTS" in capsys.readouterr().out
+
+
 def test_eve_json(capsys):
     code, out, _ = run(capsys, "eve", Q5, "--radius", "1", "--gamma", "1", "--vol", "1")
     assert code == 0

@@ -1,6 +1,6 @@
-"""Block-templated CSV output against the per-cell writer in `csv_oracle`:
+"""Block-built CSV output against the per-cell writer in `csv_oracle`:
 the same bytes for every table command over the three fixtures, for empty
-and one-row tables, and from `_cells` and `_write_csv` on edge values."""
+and one-row tables, and from `_lines` and `_write_csv` on edge values."""
 
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ def run_both(capsys, monkeypatch, tmp_path, argv):
         extra = ["--profile-out", str(profile)] if argv[0] == "estimate" else []
         with monkeypatch.context() as patch:
             if side == "oracle":
-                patch.setattr(cli, "_cells", csv_oracle.raw_rows)
+                patch.setattr(cli, "_lines", csv_oracle.raw_rows)
                 patch.setattr(cli, "_write_csv", csv_oracle.write_csv)
             assert cli.main(argv + extra) == 0
         outputs.append((capsys.readouterr().out, profile.read_bytes() if extra else None))
@@ -58,9 +58,9 @@ def test_write_csv_spans_blocks(capsys, tmp_path):
     csv_oracle.write_csv(["k", "x"], csv_oracle.raw_rows(ks, xs), None, "# pre")
     want = capsys.readouterr().out
     assert len(want.splitlines()) == n + 2
-    cli._write_csv(["k", "x"], cli._cells(ks, xs), None, "# pre")
+    cli._write_csv(["k", "x"], cli._lines(ks, xs), None, "# pre")
     assert capsys.readouterr().out == want
-    cli._write_csv(["k", "x"], cli._cells(ks, xs), str(tmp_path / "t.csv"), "# pre")
+    cli._write_csv(["k", "x"], cli._lines(ks, xs), str(tmp_path / "t.csv"), "# pre")
     assert (tmp_path / "t.csv").read_text(encoding="utf-8") == want
 
 
@@ -80,7 +80,7 @@ FLOATS = st.one_of(EDGE_FLOATS, DIGIT_FLOATS, st.floats(allow_nan=True, allow_in
 
 def written(write, *columns) -> str:
     """The CSV text of the columns under a header, as one writer gives it."""
-    rows = (cli._cells if write is cli._write_csv else csv_oracle.raw_rows)(*columns)
+    rows = (cli._lines if write is cli._write_csv else csv_oracle.raw_rows)(*columns)
     with contextlib.redirect_stdout(io.StringIO()) as text:
         write([f"c{i}" for i in range(len(columns))], rows, None, "# pre")
     return text.getvalue()
@@ -120,17 +120,55 @@ def test_float_cells_are_the_float64_columns():
     are integral; an int64 or `object` column takes `str`."""
     ints, floats, big = np.array([1, -2 ** 63]), np.array([1.0, -0.0]), np.array(
         [2 ** 70, -1], dtype=object)
-    assert [tuple(map(type, row)) for row in cli._cells(ints, floats, big)] == [
-        (int, float, int)] * 2
+    assert list(cli._lines(ints, floats, big)) == [f"1,1,{2 ** 70}", f"{-2 ** 63},-0,-1"]
     assert written(cli._write_csv, ints, floats, big) == (
         f"# pre\nc0,c1,c2\n1,1,{2 ** 70}\n{-2 ** 63},-0,-1\n")
-    assert written(cli._write_csv, np.array([1e20, 2 ** 53 + 1.0])).endswith(
-        "\n1e+20\n9.00719925474099e+15\n")
+    assert list(cli._lines(np.array([1e20, 2 ** 53 + 1.0]))) == ["1e+20", "9.00719925474099e+15"]
+
+
+def test_int64_cells_of_every_length_in_one_block():
+    """One block whose digit pass runs 19 places: values of 1 to 19 digits
+    of both signs, zero, ±(2^63 - 1) and -2^63 next to a one-digit column."""
+    values = [0, 2 ** 63 - 1, -2 ** 63 + 1, -2 ** 63]
+    for d in range(1, 20):  # the least and the largest d-digit magnitude
+        top = min(10 ** d - 1, 2 ** 63 - 1)
+        values += [10 ** (d - 1), -10 ** (d - 1), top, -top]
+    values = np.array(values, dtype=np.int64)
+    same_as_oracle(values, np.arange(len(values)) % 10, -values[::-1])
+
+
+def test_all_zero_and_all_negative_columns():
+    zeros = np.zeros(37, dtype=np.int64)
+    same_as_oracle(zeros, -np.arange(1, 38) ** 3, zeros)
+    same_as_oracle(np.full(37, -7), zeros)
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_blocks_of_exactly_and_one_past_csv_block_rows(extra):
+    n = cli._CSV_BLOCK + extra
+    ks = np.arange(1, n + 1) * 7919
+    same_as_oracle(ks, -ks, np.linspace(-3, 3, n) ** 5)
+
+
+def test_estimate_column_order():
+    """int, int, int, float, int, int: the integer cells come from one
+    digit pass and are put back around the float column."""
+    rng = np.random.default_rng(3)
+    n = 1000
+    ks = np.sort(rng.choice(10 ** 6, n, replace=False)) + 1
+    raw = rng.random(n) * 10.0 ** rng.integers(-3, 9, n)
+    same_as_oracle(ks, rng.integers(0, 9, n), rng.integers(0, 10 ** 6, n), raw,
+                   np.floor(raw).astype(np.int64), rng.integers(0, 10 ** 12, n))
+
+
+def test_object_column_between_int64_columns():
+    big = np.array([2 ** 64, -2 ** 90, 5, -(2 ** 63) - 1], dtype=object)
+    same_as_oracle(np.array([1, -22, 333, -4444]), big, np.array([-2 ** 63, 0, 9, 2 ** 63 - 1]))
 
 
 def test_write_csv_draws_one_row_per_line():
-    """The benchmark counts written rows by wrapping `rows`: one item per
-    data line, across blocks, and `_cells` does no work before it is drawn."""
+    """The benchmark counts written rows by wrapping `lines`: one item per
+    data line, across blocks, and `_lines` does no work before it is drawn."""
     class Counting:
         def __init__(self, rows):
             self.rows, self.count = iter(rows), 0
@@ -147,10 +185,10 @@ def test_write_csv_draws_one_row_per_line():
         def __len__(self):
             raise AssertionError("a column was read before the first row was drawn")
 
-    assert inspect.isgenerator(cells := cli._cells(Untouched()))
-    cells.close()
+    assert inspect.isgenerator(lines := cli._lines(Untouched()))
+    lines.close()
     n = 2 * cli._CSV_BLOCK + 3
-    rows = Counting(cli._cells(np.arange(n), np.linspace(-1, 1, n)))
+    rows = Counting(cli._lines(np.arange(n), np.linspace(-1, 1, n)))
     with contextlib.redirect_stdout(io.StringIO()) as text:
         cli._write_csv(["k", "x"], rows, None)
     assert rows.count == n == len(text.getvalue().splitlines()) - 1

@@ -167,6 +167,39 @@ def test_scan_blocks_are_int64_row_blocks(request, fixture_name, R):
     assert sum(len(block) for block in blocks) == len(enumerate_box(field, box))
 
 
+SCAN_BOXES = [("q5", 1000.0, 50000), ("quartic", 12.0, None), ("octic", 5.0, None)]
+# the chunk size before it was raised, against which the tables are compared
+EARLIER_CHUNK = 8192
+
+
+@pytest.mark.parametrize("fixture_name,R,max_norm", SCAN_BOXES)
+def test_scan_blocks_stay_within_one_chunk(request, fixture_name, R, max_norm):
+    """Working memory is bounded by the chunk: a block is one chunk of
+    walked rows and their mirrors, so at most 2·max(1, _CHUNK_ELEMENTS // n)
+    rows."""
+    field = request.getfixturevalue(fixture_name)
+    limit = 2 * max(1, enumeration._CHUNK_ELEMENTS // field.degree)
+    sizes = [len(block) for block in _scan_blocks(field, BoxSpec(R), 10 ** 12)]
+    assert sizes and max(sizes) <= limit
+    if fixture_name == "q5":
+        assert max(sizes) == limit and len(sizes) > 1
+
+
+@pytest.mark.parametrize("fixture_name,R,max_norm", SCAN_BOXES)
+def test_chunk_size_leaves_tables_unchanged(request, monkeypatch, fixture_name, R, max_norm):
+    """The same counts and the same sorted points at the earlier chunk size
+    as at the current one."""
+    field = request.getfixturevalue(fixture_name)
+    assert enumeration._CHUNK_ELEMENTS != EARLIER_CHUNK
+    results = []
+    for elements in (EARLIER_CHUNK, enumeration._CHUNK_ELEMENTS):
+        monkeypatch.setattr(enumeration, "_CHUNK_ELEMENTS", elements)
+        table = count_table(field, BoxSpec(R), max_norm)
+        results.append((table.ks, table.a, table.b, enumerate_box(field, BoxSpec(R))))
+    for earlier, now in zip(*results):
+        assert np.array_equal(earlier, now)
+
+
 def oracle_norms(field, rows):
     return [oracle_norm(field, r) for r in rows]
 
