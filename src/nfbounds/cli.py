@@ -308,15 +308,15 @@ def cmd_estimate(args) -> int:
 
 def cmd_bounds(args) -> int:
     field, doc = load_field_document(args.field_doc)
-    us = unit_system_from_document(field, doc)
     if (args.height is None) == (args.radius is None):
         raise ValidationError("bounds needs exactly one of --height or --radius")
-    if args.height is not None:
+    if args.height is not None:  # reads no unit system
         if args.cutoff is not None:
             raise ValidationError("--cutoff belongs to --radius: --height reads no a_k")
         report = full_height_report(field, args.s, args.height)
     else:
-        report = geometric_bound(us, args.s, args.radius, args.cutoff)
+        report = geometric_bound(unit_system_from_document(field, doc), args.s, args.radius,
+                                 args.cutoff)
     _emit(report.to_json(label=field.label) + "\n", args.out)
     return 0
 

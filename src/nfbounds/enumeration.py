@@ -37,8 +37,9 @@ one block [B; -B], and the budget counts the whole box's candidates.
 
 Norm bucketing is always exact, and |N(-x)| = |N(x)|: `count_table`
 takes the norms of the walked half B of each block only, each counting
-two points, one `NumberField.norm_rows` call per block, which runs the
-kernel on chunks of `_STACK_ROWS` rows.  A table takes
+two points, one `NumberField.norm_rows` call per block, which settles
+chunks of `_STACK_ROWS` rows by certified float products and hands the
+kernel only the rows their bound leaves open.  A table takes
 its a_k from the field's memoised `dirichlet_coeffs`, sieved to the
 table's cap before the scan, so no caller sizes or matches a series.
 Unit orbits take one more such call over the rows they are given, then
@@ -382,7 +383,7 @@ def unit_orbits(field: NumberField, rows) -> OrbitTable:
     orbit, and every unplaced row of that norm that g divides joins it:
     one round per orbit of the most crowded norm.  The norms of all rows
     come from one `norm_rows` call, and each round takes the c(g) of its
-    heads alone, until the unplaced rows fit one kernel chunk
+    heads alone, until the unplaced rows fit one chunk of `norm_rows`
     (`_STACK_ROWS`): their cofactors then come in one call, which costs
     about as much as one on a few heads.  The heads' M(c(g) mod k) are
     built on int64 while k·(1 + max|f_i|)^(n-1) < 2^63 bounds their

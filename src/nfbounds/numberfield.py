@@ -8,10 +8,11 @@ past float accuracy (box membership, heights, unit logarithms): it
 encloses them by interval arithmetic on integers and shrinks the brackets
 by exact signs, doubling their bits until the enclosure decides (Moore,
 *Interval Analysis*, 1966).  So no working precision is set: each answer
-takes the bits it needs.  Norms are always computed by exact integer
-arithmetic, never by rounding a floating product: one fraction-free
-elimination kernel, run on int64 where a Hadamard bound proves it exact
-and on Python integers past it.
+takes the bits it needs.  Norms are always exact integers: a float
+product of the certified embeddings is rounded to N(x) only under a
+proven error bound below 1/4, and every other row takes one
+fraction-free elimination kernel, run on int64 where a Hadamard bound
+proves it exact and on Python integers past it.
 Each field keeps one LLL-reduced basis of Z[theta], found lazily; the box
 scan walks its coordinates, and the norm kernel takes its multiplication
 matrices in it, whose entries and minors are far smaller than in the
@@ -43,8 +44,13 @@ MAX_PRECISION_BITS = 4096
 # decimal digits of the logarithms that `_log_abs` rounds to float
 _LOG_DIGITS = 40
 
-# matrices per batched kernel call: bounds the stacks' memory for any point set
+# rows per chunk of `norm_rows`, for its float front and for each kernel call
+# on the rows left open: bounds the working memory for any point set
 _STACK_ROWS = 1024
+
+# the float front of `norm_rows` rounds a product to N(x) only where its
+# proven error is at most this: half of the 1/2 that rounding needs
+_FLOAT_NORM_ERROR = 0.25
 
 # Lovász constant of `_lll_transform`
 _LLL_DELTA = 0.99
@@ -189,13 +195,14 @@ def _int64_if_abs_fits(values: np.ndarray) -> np.ndarray:
     return values.astype(np.int64, copy=False)
 
 
-def _put(out: np.ndarray, start: int, values: np.ndarray) -> np.ndarray:
-    """out with values written from row start on.  An int64 out moves to
-    Python integers (a copy) only when some |value| is 2^63 or more."""
+def _put(out: np.ndarray, where, values: np.ndarray) -> np.ndarray:
+    """out with values written at the rows where (a slice or indices).  An
+    int64 out moves to Python integers (a copy) only when some |value| is
+    2^63 or more."""
     values = _int64_if_abs_fits(values)
     if values.dtype == object and out.dtype != object:
         out = out.astype(object)
-    out[start:start + len(values)] = values
+    out[where] = values
     return out
 
 
@@ -733,6 +740,90 @@ class NumberField:
         mats = U_inv @ self._mul_matrices(np.eye(n, dtype=object)) @ U
         return _int64_if_fits(mats.reshape(n, n * n))
 
+    @cached_property
+    def _float_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(V, A), (n, n) floats for the float front of `norm_rows`: V[i, j]
+        is the centre of the certified `_table(START_PRECISION_BITS)` entry
+        of sigma_i(theta)^j, correctly rounded, and |y_i - sigma_i(x)| <=
+        (A·|x|)_i for y = V·x of an integer row x, both as computed.
+
+        x enters rounded, x_j·(1 + d) with |d| <= u = 2^-53, and a dot
+        product of n terms in any order is within gamma_n = n·u / (1 - n·u)
+        of the sum of its |terms| (Higham, *Accuracy and Stability of
+        Numerical Algorithms*, 2nd ed., ch. 3).  So A[i, j] is
+        (E[i, j] + g·|V[i, j]| + 2^-999)·(1 + 2g)·(1 + 16u): E the rounded
+        radius, g >= gamma_(n+1) + u for the dot product and the rounding
+        of V (within u·|V|), 2^-999 for an underflow of V[i, j]·x_j (it
+        also keeps A[i, j]·|x_j| normal), 1 + 2g for the rounding of A·|x|
+        and 1 + 16u for the roundings of E and of A itself.
+        """
+        n = self.degree
+        centres, radii = self._table(START_PRECISION_BITS)
+        scale, u = 1 << START_PRECISION_BITS, 2.0 ** -53
+        V, E = (centres / scale).astype(float), (radii / scale).astype(float)
+        g = (n + 2) * u * (1 + 4 * (n + 2) * u)
+        return V, (E + g * np.abs(V) + 2.0 ** -999) * (1 + 2 * g) * (1 + 16 * u)
+
+    @cached_property
+    def _cofactor_table(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """(V^-1, G, limit) for the cofactors of the float front.  V^-1 is
+        the float inverse of V of `_float_table`: a guess rests on it,
+        never a result.  G[i, j·n + k] is coordinate i of theta^j·theta^k
+        from `_mul_matrices` in floats, exact while its entries are below
+        (1 + max|f_i|)^(n-1) < 2^53; then x·c = G·(x ⊗ c), and max|c|·max|x|
+        < limit = 2^52 / (n^2·max|G|) keeps every term and partial sum of
+        it below 2^53, where floats are exact integers (a factor 2 for the
+        guard's own rounding).  Otherwise the limit is 0.
+        """
+        n, coeffs = self.degree, self.min_poly.coeffs[:-1]
+        G = self._mul_matrices(np.eye(n)).transpose(1, 0, 2).reshape(n, n * n)
+        exact = (1 + max(abs(c) for c in coeffs)) ** (n - 1) < 2 ** 53
+        return (np.linalg.inv(self._float_table[0]), G,
+                2.0 ** 52 / (n * n * np.abs(G).max()) if exact else 0.0)
+
+    def _float_norms(self, rows: np.ndarray, cofactors: bool):
+        """The float front of `norm_rows` on a (B, n) chunk: int64 (norms,
+        cofs, done), exact on the rows where done is set; cofs is None
+        without cofactors, and rows past int64 are never done.
+
+        y = V·x and u = A·|x| of `_float_table`, batch last, bound
+        |N(x) - prod y_i| by prod(|y_i| + u_i) - prod|y_i| plus the
+        rounding of prod y_i.  With T = prod(|y_i| + u_i) and P = prod y_i
+        as computed (|P| is the computed prod|y_i|: rounding is symmetric),
+        the three products round within (4n - 3)·u·T, so the error is at
+        most (T - |P| + n·2^-50·T as computed)·(1 + 3u).  A row is done
+        when that is at most `_FLOAT_NORM_ERROR`, so N(x) = rint(P), and
+        |P| < 2^50, which keeps the int64 cast exact whatever the bound.
+        Each |y_i| + u_i lies in [2^-m, 2^m], m = 1000 // n, so no partial
+        product of T over- or underflows, and an underflow inside P costs
+        at most n·2^-74, inside the margin up to 1/2.  With cofactors, a
+        done row also needs N(x) != 0 and c = rint(V^-1·(N(x)/y)) with
+        x·c = N(x), exactly under the limit of `_cofactor_table`: x is then
+        no zero divisor, and c = N(x)/x = adj(M(x))·e_0.
+        """
+        B, n = rows.shape
+        if rows.dtype == object:
+            cofs = np.zeros((B, n), dtype=np.int64) if cofactors else None
+            return np.zeros(B, dtype=np.int64), cofs, np.zeros(B, dtype=bool)
+        V, A = self._float_table
+        x, m = rows.T.astype(float, order="C"), 2.0 ** (1000 // n)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            y = V @ x
+            f = np.abs(y) + A @ np.abs(x)
+            top, p = f.prod(axis=0), y.prod(axis=0)
+            done = (((f >= 1 / m) & (f <= m)).all(axis=0) & (np.abs(p) < 2.0 ** 50)
+                    & (top - np.abs(p) + n * 2.0 ** -50 * top <= _FLOAT_NORM_ERROR))
+            norms = np.rint(np.where(done, p, 0.0)).astype(np.int64)
+            if not cofactors:
+                return norms, None, done
+            inverse, G, limit = self._cofactor_table
+            c = np.rint(inverse @ (norms / y))
+            done &= (norms != 0) & (np.abs(c).max(axis=0) * np.abs(x).max(axis=0) < limit)
+            xc = G @ (x[:, None] * c[None]).reshape(n * n, -1)  # x·c, exact where done
+            xc[0] -= norms
+            done &= ~xc.any(axis=0)
+        return norms, np.where(done, c, 0.0).T.astype(np.int64), done
+
     def norm_coords(self, coords) -> int:
         return int(self.norm_rows([coords])[0])
 
@@ -743,16 +834,20 @@ class NumberField:
 
         Degree 2 without cofactors takes a·(a - c1·b) + c0·b^2, on int64
         while max|x|^2·(1 + |c0| + |c1|) <= 2^62 bounds its partial sums.
-        Otherwise each chunk of `_STACK_ROWS` rows is one kernel call on
-        the M_U(x) = U^-1·M(x)·U of `reduced_basis`, similar to M(x), so of
-        the same determinant.  The chunk runs on int64 when its M_U(x) were
-        built without wrapping and pass the kernel's own Hadamard guard, and
-        on Python integers otherwise.  With cofactors, the call takes
-        right-hand side U^-1·e_0 and also returns the exact power-basis
-        c(x) = adj(M(x))·e_0 = N(x)/x, from adj(M(x)) = U·adj(M_U(x))·U^-1,
-        and raises ZeroDivisionError on zero divisors.  Each chunk writes
-        into preallocated int64 outputs, which move to Python integers only
-        at the first chunk holding a value of size 2^63 or more: held once.
+        Otherwise each chunk of `_STACK_ROWS` rows goes through the float
+        front, `_float_norms`, which rounds a float product to N(x) only
+        under a proven error bound below 1/4 and keeps a cofactor c only
+        where x·c = N(x) exactly.  The rows it leaves open take one kernel
+        call on the M_U(x) = U^-1·M(x)·U of `reduced_basis`, similar to
+        M(x), so of the same determinant.  That call runs on int64 when its
+        M_U(x) were built without wrapping and pass the kernel's own
+        Hadamard guard, and on Python integers otherwise.  With cofactors,
+        it takes right-hand side U^-1·e_0 and also returns the exact
+        power-basis c(x) = adj(M(x))·e_0 = N(x)/x, from adj(M(x)) =
+        U·adj(M_U(x))·U^-1, and raises ZeroDivisionError on zero divisors,
+        which the front never settles.  Each chunk writes into preallocated
+        int64 outputs, which move to Python integers only at the first
+        chunk holding a value of size 2^63 or more: held once.
         """
         n = self.degree
         rows = _coordinate_rows(rows, n)
@@ -767,15 +862,21 @@ class NumberField:
         norms = np.empty(len(rows), dtype=np.int64)
         cofs = np.empty((len(rows), n), dtype=np.int64) if cofactors else None
         for s in range(0, len(rows), _STACK_ROWS):
-            chunk = rows[s:s + _STACK_ROWS]
-            rhs = U_inv[None, :, 0].repeat(len(chunk), axis=0) if cofactors else None
-            mats = _exact_matmul(chunk, self._reduced_mul).reshape(-1, n, n)
-            det, adj = _bareiss_dets(mats, rhs)
-            norms = _put(norms, s, det)
+            chunk, where = rows[s:s + _STACK_ROWS], slice(s, s + _STACK_ROWS)
+            det, cof, done = self._float_norms(chunk, cofactors)
+            rest = np.flatnonzero(~done)
+            if len(rest):
+                rhs = U_inv[None, :, 0].repeat(len(rest), axis=0) if cofactors else None
+                mats = _exact_matmul(chunk[rest], self._reduced_mul).reshape(-1, n, n)
+                kernel_det, adj = _bareiss_dets(mats, rhs)
+                det = _put(det, rest, kernel_det)
+                if cofactors:
+                    if not kernel_det.all():
+                        raise ZeroDivisionError("zero or a zero divisor has no cofactor")
+                    cof = _put(cof, rest, _exact_matmul(adj, U.T))  # back to the power basis
+            norms = _put(norms, where, det)
             if cofactors:
-                if not det.all():
-                    raise ZeroDivisionError("zero or a zero divisor has no cofactor")
-                cofs = _put(cofs, s, _exact_matmul(adj, U.T))  # back to the power basis
+                cofs = _put(cofs, where, cof)
         return (norms, cofs) if cofactors else norms
 
     def inverse_coords_rational(self, coords):

@@ -3,9 +3,10 @@ from __future__ import annotations
 import json
 from importlib import resources
 
+import numpy as np
 import pytest
 
-from nfbounds.numberfield import Polynomial, parse_field
+from nfbounds.numberfield import NumberField, Polynomial, parse_field
 from nfbounds.units import build_unit_system
 
 
@@ -59,3 +60,16 @@ def octic_units(octic):
         units=doc["fundamental_units"],
         expected_regulator=doc["expected_regulator"],
     )
+
+
+@pytest.fixture
+def kernel_only(monkeypatch):
+    """`norm_rows` with its float front leaving every row open, so every
+    norm and cofactor comes from the exact kernel: for the tests of that
+    path, which box rows no longer reach."""
+    def nothing_done(self, rows, cofactors):
+        B, n = rows.shape
+        cofs = np.zeros((B, n), dtype=np.int64) if cofactors else None
+        return np.zeros(B, dtype=np.int64), cofs, np.zeros(B, dtype=bool)
+
+    monkeypatch.setattr(NumberField, "_float_norms", nothing_done)

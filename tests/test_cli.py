@@ -201,6 +201,21 @@ def test_bounds_mode_exclusive(capsys):
     assert code == 2 and "ValidationError" in err
 
 
+def test_bounds_height_reads_no_unit_system(tmp_path, capsys):
+    """`bounds --height` takes its orbits from the box alone: a document one
+    fundamental unit short gives the same report, and only `--radius`,
+    which reads the regulator, refuses it by name."""
+    doc = json.loads(Path(QUARTIC).read_text(encoding="utf-8"))
+    doc["fundamental_units"] = doc["fundamental_units"][1:]
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps(doc), encoding="utf-8")
+    want = run(capsys, "bounds", QUARTIC, "--s", "3", "--height", "5")
+    assert want[0] == 0
+    assert run(capsys, "bounds", str(short), "--s", "3", "--height", "5") == want
+    code, out, err = run(capsys, "bounds", str(short), "--s", "2", "--radius", "4")
+    assert code == 2 and out == "" and "WrongRank" in err
+
+
 def test_pep_csv(capsys):
     code, out, _ = run(capsys, "pep", QUARTIC, "--radius", "10",
                        "--snr", "0:40:5")
@@ -493,7 +508,8 @@ def test_box_flags_only_where_a_box_is_scanned(capsys, command, rest, flag):
     ["enumerate", fixture_path("cyclo32real.json"), "--radius", "3"],
 ], ids=["bounds-quartic-height-5", "enumerate-octic-3"])
 def test_no_per_point_elimination(tmp_path, monkeypatch, capsys, argv):
-    """Norms, orbits and units come from batched kernel calls: the CLI
+    """Norms, orbits and units come from batched `norm_rows` calls (the
+    float front, and the kernel for the rows it leaves open): the CLI
     never takes one element's norm or quotient, and gives the same output."""
     want = tmp_path / "want.out"
     assert run(capsys, *argv, "--out", str(want))[0] == 0

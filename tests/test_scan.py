@@ -244,7 +244,7 @@ def test_norm_rows_match_norm_coords(request, kernel_calls, fixture_name, R, pow
     mats = reduced_matrices(field, rows)
     assert _fits_int64(mats.astype(float))
     assert field.norm_rows(rows).tolist() == want
-    assert {call[0] for call in kernel_calls} <= {np.dtype(np.int64)}
+    assert kernel_calls == []  # the float front settles every box row
     # both dtypes of the kernel, and the power basis: similar matrices
     dets = _bareiss_dets(mats.astype(np.int64))[0]
     assert dets.dtype == np.int64 and dets.tolist() == want
@@ -256,8 +256,9 @@ def test_norm_rows_match_norm_coords(request, kernel_calls, fixture_name, R, pow
     ("quartic", 6.0), ("octic", 3.0), ("octic", 4.0), ("octic", 5.0)])
 def test_norm_rows_cofactors_match_oracle(request, kernel_calls, fixture_name, R):
     """Norms and exact cofactors adj(M(x))·e_0 = N(x)/x of box rows against
-    the scalar elimination of the power-basis M(x); the kernel runs on
-    int64 in the reduced basis."""
+    the scalar elimination of the power-basis M(x): from the float front,
+    which settles every row without the kernel, and from the kernel alone,
+    which runs on int64 in the reduced basis."""
     field = request.getfixturevalue(fixture_name)
     rows = scan_rows(field, BoxSpec(R))
     kernel_calls.clear()
@@ -267,17 +268,22 @@ def test_norm_rows_cofactors_match_oracle(request, kernel_calls, fixture_name, R
     for row, k, cof in zip(rows.tolist(), norms.tolist(), cofs.tolist()):
         det, adj = bareiss(mul_matrix(field, row), e0)
         assert (k, cof) == (det, adj)
+    assert kernel_calls == []
+    request.getfixturevalue("kernel_only")
+    kernel_norms, kernel_cofs = field.norm_rows(rows, cofactors=True)
+    assert kernel_norms.tolist() == norms.tolist() and kernel_cofs.tolist() == cofs.tolist()
     assert {dtype for dtype, *_ in kernel_calls} == {np.dtype(np.int64)}
 
 
 @pytest.mark.parametrize("argv,rows", [
     (["counts", "--radius", "4.5", "--max-norm", "1000"], 493),
     (["enumerate", "--radius", "3.5"], 150)], ids=["counts", "enumerate"])
-def test_octic_box_norms_take_one_int64_kernel_call(kernel_calls, tmp_path, argv, rows):
-    """The octic jobs of the benchmark: every box row's norm in one int64
-    kernel call, of one row per pair x, -x for `counts` (986 box points).
-    The other calls are the resultant and the inverse of the reduced
-    basis, on Python integers."""
+def test_octic_box_norms_take_one_int64_kernel_call(kernel_calls, kernel_only, tmp_path, argv,
+                                                    rows):
+    """The octic jobs of the benchmark with the float front off: every box
+    row's norm in one int64 kernel call, of one row per pair x, -x for
+    `counts` (986 box points).  The other calls are the resultant and the
+    inverse of the reduced basis, on Python integers."""
     out = tmp_path / "out.csv"
     assert main([argv[0], fixture_path("cyclo32real.json"), *argv[1:], "--out", str(out)]) == 0
     norm_calls = [(dtype, size) for dtype, size, n, rhs in kernel_calls if n == 8 and not rhs]
@@ -285,10 +291,10 @@ def test_octic_box_norms_take_one_int64_kernel_call(kernel_calls, tmp_path, argv
 
 
 def test_rows_past_the_reduced_basis_guard_take_python_integers(octic, octic_units,
-                                                                kernel_calls):
+                                                                kernel_calls, kernel_only):
     """u^4, the smallest power of the first octic unit past the
-    reduced-basis guard, and u^4 + 1 run on Python integers, exactly; u^3
-    and u^3 + 1 run on int64."""
+    reduced-basis guard, and u^4 + 1 run on Python integers in the kernel,
+    exactly; u^3 and u^3 + 1 run on int64."""
     u = octic_units.units[0]
 
     def rows(k):
@@ -373,9 +379,9 @@ def test_int64_guard(octic, octic_units):
         assert det.dtype == object and det.tolist() == [oracle_norm(octic, row.tolist())]
 
 
-def test_norm_rows_take_one_hadamard_guard_per_chunk(quartic, monkeypatch):
+def test_norm_rows_take_one_hadamard_guard_per_chunk(quartic, monkeypatch, kernel_only):
     """The kernel alone decides each chunk's dtype: one `_fits_int64` pass
-    per chunk, with and without cofactors."""
+    per chunk that reaches it, with and without cofactors."""
     calls = []
     guard = numberfield._fits_int64
 
@@ -464,10 +470,11 @@ def test_int64_guard_covers_back_substitution():
     assert adj[0].tolist() == [0, 2 ** 64]
 
 
-def test_norm_rows_cofactors_take_python_integers_past_the_sum_bound(octic, kernel_calls):
+def test_norm_rows_cofactors_take_python_integers_past_the_sum_bound(octic, kernel_calls,
+                                                                     kernel_only):
     """Back substitution sums n = 8 products: a row (a unit product plus 2)
     whose reduced-basis [M_U(x) | U^-1·e_0] has 2·H^2 < 2^63 <= 8·H^2 keeps
-    int64 norms but needs Python integers for its cofactor."""
+    int64 norms in the kernel but needs Python integers for its cofactor."""
     row = np.array([[3, 4, 2, -6, -3, 2, 1, 0]], dtype=np.int64)
     mats = reduced_matrices(octic, row).astype(float)
     rhs = octic.reduced_basis[1][None, :, 0]
