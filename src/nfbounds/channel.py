@@ -18,6 +18,7 @@ import numpy as np
 from .enumeration import CountTable
 from .errors import EmptyGrid, GridTooLarge, ValidationError
 from .bounds import norm_sum
+from .numberfield import _read_only
 
 # a fixed ceiling: the CSV of 10^5 points takes about a second, of 10^6 about ten
 MAX_SNR_POINTS = 100_000
@@ -25,11 +26,17 @@ MAX_SNR_POINTS = 100_000
 
 @dataclass(frozen=True)
 class PepCurve:
+    """The curves over the SNR grid, each a read-only view."""
+
     snr_db: np.ndarray
     snr_linear: np.ndarray
     pe_estimate: np.ndarray
     pe_exact: np.ndarray
     ratio: float
+
+    def __post_init__(self):
+        for name in ("snr_db", "snr_linear", "pe_estimate", "pe_exact"):
+            object.__setattr__(self, name, _read_only(getattr(self, name).view()))
 
 
 def check_snr_grid(snr_db_start: float, snr_db_stop: float, points: int) -> None:

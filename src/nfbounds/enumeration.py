@@ -61,7 +61,7 @@ import numpy as np
 from . import _memo
 from .errors import BoxTooLarge, InvariantError, ValidationError
 from .numberfield import (_SCAN_PAD, _STACK_ROWS, AlgebraicInt, NumberField, _closed_box,
-                          _coordinate_rows, _max_abs)
+                          _coordinate_rows, _max_abs, _read_only)
 from .zeta import dirichlet_coeffs
 
 DEFAULT_BUDGET = 10 ** 8
@@ -293,11 +293,6 @@ class CountTable:
         if self.n_raw is None or self.b is None:
             return None
         return _read_only(np.floor(np.abs(self.n_raw - self.b)).astype(np.int64))
-
-
-def _read_only(column: np.ndarray) -> np.ndarray:
-    column.flags.writeable = False
-    return column
 
 
 def _norm_cap(field: NumberField, box: BoxSpec, max_norm: int | None) -> int:

@@ -11,12 +11,9 @@ by exact signs, doubling their bits until the enclosure decides (Moore,
 takes the bits it needs.  Norms are always exact integers: a float
 product of the certified embeddings is rounded to N(x) only under a
 proven error bound below 1/4, and every other row takes one
-fraction-free elimination kernel, run on int64 where a Hadamard bound
-proves it exact and on Python integers past it.
+fraction-free elimination kernel on Python integers.
 Each field keeps one LLL-reduced basis of Z[theta], found lazily; the box
-scan walks its coordinates, and the norm kernel takes its multiplication
-matrices in it, whose entries and minors are far smaller than in the
-power basis.
+scan walks its coordinates.
 """
 
 from __future__ import annotations
@@ -91,22 +88,20 @@ def _bareiss_dets(a: np.ndarray, rhs: np.ndarray | None = None):
     with its own row swaps.  Every intermediate entry is a minor of
     [M | rhs], so all divisions are exact (Bareiss 1968; Cohen, *A Course
     in Computational Algebraic Number Theory*, §2.2).  Entries are int64
-    or Python integers (`object`); int64 input runs on int64 when it
-    passes `_fits_int64`, and on Python integers otherwise.  The
-    elimination runs on an (n, n + 1, B) copy of [M | rhs], batch last, so
-    every step's update, exact division and back substitution is one ufunc
-    call along the stack; the inputs are never written.
+    or Python integers; the elimination, and so det and adj·rhs, are on
+    Python integers (`object`), where nothing wraps.  It runs on an
+    (n, n + 1, B) copy of [M | rhs], batch last, so every step's update,
+    exact division and back substitution is one ufunc call along the
+    stack; the inputs are never written.
     """
-    if a.dtype != object and not _fits_int64(a, rhs):  # past the guard int64 wraps
-        a = a.astype(object)
     B, n, _ = a.shape
-    t = np.empty((n, n + (rhs is not None), B), dtype=a.dtype)
+    t = np.empty((n, n + (rhs is not None), B), dtype=object)
     t[:, :n] = a.transpose(1, 2, 0)
     if rhs is not None:
         t[:, n] = rhs.T
     sign = np.ones(B, dtype=np.int64)
     singular = np.zeros(B, dtype=bool)
-    prev = np.ones(B, dtype=a.dtype)
+    prev = np.ones(B, dtype=object)
     for k in range(n):
         zero = np.flatnonzero(t[k, k] == 0)
         if len(zero):
@@ -133,34 +128,12 @@ def _bareiss_dets(a: np.ndarray, rhs: np.ndarray | None = None):
     if rhs is None:
         return det, None
     # t[i, n] is a row of an equivalent system; det·x is integral (Cramer)
-    adj = np.zeros((n, B), dtype=a.dtype)
+    adj = np.zeros((n, B), dtype=object)
     for i in range(n - 1, -1, -1):
         acc = det * t[i, n] - (t[i, i + 1:n] * adj[i + 1:]).sum(axis=0)
         adj[i] = acc // t[i, i]
     adj[:, singular] = 0
     return det, adj.T
-
-
-def _fits_int64(mats: np.ndarray, rhs: np.ndarray | None = None) -> bool:
-    """Whether int64 Bareiss on these matrices and right-hand sides cannot
-    overflow.
-
-    Every entry of the elimination and of adj(M)·rhs is a minor of
-    [M | rhs], bounded by Hadamard's H = prod_j max(1, |column j|).  Each
-    elimination step's difference of two products stays below 2·H^2, and
-    each back-substitution sum of at most n products below n·H^2.  The
-    margin covers the float rounding of H^2.  Entries of matrices that
-    pass are below 2^32, hence exact in float.  The squares are summed
-    batch last, like the kernel's elimination.
-    """
-    n = mats.shape[1]
-    cols = mats.transpose(2, 1, 0).astype(float, order="C")  # (column, row, matrix)
-    h2 = np.prod(np.maximum(np.einsum("jib,jib->jb", cols, cols), 1.0), axis=0)
-    if rhs is not None:
-        r = rhs.T.astype(float, order="C")
-        h2 *= np.maximum(np.einsum("ib,ib->b", r, r), 1.0)
-    terms = 2 if rhs is None else max(2, n)
-    return bool(terms * h2.max(initial=1.0) * (1 + 1e-12) < 2.0 ** 63)
 
 
 def _max_abs(values: np.ndarray) -> int:
@@ -169,14 +142,9 @@ def _max_abs(values: np.ndarray) -> int:
     return max(int(values.max(initial=0)), -int(values.min(initial=0)))
 
 
-def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for integer matrices, exactly: on int64 when every partial sum
-    is below 2^63, that is max|a| times the largest column sum of |b|, and
-    on Python integers otherwise."""
-    if (a.dtype == b.dtype == np.int64
-            and _max_abs(a) * int(np.abs(b.astype(object)).sum(axis=0).max()) < 2 ** 63):
-        return a @ b
-    return a.astype(object) @ b.astype(object)
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def _int64_if_fits(values: np.ndarray) -> np.ndarray:
@@ -581,11 +549,9 @@ class NumberField:
         self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         n = self.degree
         theta = [0, 1] + [0] * (n - 2)
-        self.embeddings = np.array(self.enclose([theta], _rounded)[0])
+        self.embeddings = _read_only(np.array(self.enclose([theta], _rounded)[0]))
         # Vandermonde of embeddings: row i holds sigma_i(theta)^j
-        self.embedding_matrix = np.vander(self.embeddings, n, increasing=True)
-        self.embeddings.setflags(write=False)
-        self.embedding_matrix.setflags(write=False)
+        self.embedding_matrix = _read_only(np.vander(self.embeddings, n, increasing=True))
 
     def key(self):
         return self.min_poly.coeffs
@@ -610,7 +576,7 @@ class NumberField:
             brackets = [_refine(coeffs, *bracket, bits) for bracket in self.brackets]
             rows = [_power_bounds(bracket, self.degree, bits) for bracket in brackets]
             self.brackets[:] = brackets
-            self._tables[bits] = tuple(np.array(m, dtype=object) for m in zip(*rows))
+            self._tables[bits] = tuple(_read_only(np.array(m, dtype=object)) for m in zip(*rows))
         return self._tables[bits]
 
     def enclose(self, rows, rule) -> list:
@@ -666,13 +632,15 @@ class NumberField:
     @cached_property
     def reduced_basis(self) -> tuple[np.ndarray, np.ndarray]:
         """(U, U^-1), read-only int64: the columns of U are an LLL-reduced
-        basis of Z[theta] under the embeddings, in power-basis coordinates.
+        basis of Z[theta] under the embeddings, in power-basis coordinates,
+        and the box scan walks coordinates in it.
 
         Found on first use, not at construction, by `_lll_transform` (one
         Gram-Schmidt pass per swap: about 0.2 ms for the quartic and the
-        octic fixtures on a 2-vCPU VM).  U^-1 is the kernel's
-        exact adjugate over det(U); when det(U) is not ±1 (int64 wrapped
-        inside the float LLL) or U^-1 is past int64, both are the identity.
+        octic fixtures on a 2-vCPU VM).  U^-1, which takes power-basis
+        coordinates to reduced ones, is the kernel's exact adjugate over
+        det(U); when det(U) is not ±1 (int64 wrapped inside the float LLL)
+        or U^-1 is past int64, both are the identity.
         """
         n = self.degree
         U = _lll_transform(self.embedding_matrix)
@@ -682,9 +650,7 @@ class NumberField:
             U_inv = (adj * det[0]).T.astype(np.int64)
         else:
             U = U_inv = np.eye(n, dtype=np.int64)
-        U.setflags(write=False)
-        U_inv.setflags(write=False)
-        return U, U_inv
+        return _read_only(U), _read_only(U_inv)
 
     @cached_property
     def projection_facets(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -724,21 +690,8 @@ class NumberField:
                 h = np.abs(lam).sum(axis=1) + np.abs(resid) @ bounds[:j + 1]
                 L[np.arange(len(S))[:, None], S] = lam
                 keep = 4 * n * np.finfo(float).eps * (np.abs(L) @ size) <= _SCAN_PAD
-            L, h = L[keep], h[keep]
-            L.setflags(write=False)
-            h.setflags(write=False)
-            levels.append((L, h))
+            levels.append((_read_only(L[keep]), _read_only(h[keep])))
         return tuple(levels)
-
-    @cached_property
-    def _reduced_mul(self) -> np.ndarray:
-        """T of shape (n, n·n) with x @ T = U^-1·M(x)·U, row-major, for
-        power-basis rows x: M(x) is linear in x, so T stacks the products
-        for x = 1, theta, ..., theta^(n-1).  int64 when it fits."""
-        n = self.degree
-        U, U_inv = (m.astype(object) for m in self.reduced_basis)
-        mats = U_inv @ self._mul_matrices(np.eye(n, dtype=object)) @ U
-        return _int64_if_fits(mats.reshape(n, n * n))
 
     @cached_property
     def _float_table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -762,7 +715,8 @@ class NumberField:
         scale, u = 1 << START_PRECISION_BITS, 2.0 ** -53
         V, E = (centres / scale).astype(float), (radii / scale).astype(float)
         g = (n + 2) * u * (1 + 4 * (n + 2) * u)
-        return V, (E + g * np.abs(V) + 2.0 ** -999) * (1 + 2 * g) * (1 + 16 * u)
+        A = (E + g * np.abs(V) + 2.0 ** -999) * (1 + 2 * g) * (1 + 16 * u)
+        return _read_only(V), _read_only(A)
 
     @cached_property
     def _cofactor_table(self) -> tuple[np.ndarray, np.ndarray, float]:
@@ -778,7 +732,7 @@ class NumberField:
         n, coeffs = self.degree, self.min_poly.coeffs[:-1]
         G = self._mul_matrices(np.eye(n)).transpose(1, 0, 2).reshape(n, n * n)
         exact = (1 + max(abs(c) for c in coeffs)) ** (n - 1) < 2 ** 53
-        return (np.linalg.inv(self._float_table[0]), G,
+        return (_read_only(np.linalg.inv(self._float_table[0])), _read_only(G),
                 2.0 ** 52 / (n * n * np.abs(G).max()) if exact else 0.0)
 
     def _float_norms(self, rows: np.ndarray, cofactors: bool):
@@ -838,16 +792,12 @@ class NumberField:
         front, `_float_norms`, which rounds a float product to N(x) only
         under a proven error bound below 1/4 and keeps a cofactor c only
         where x·c = N(x) exactly.  The rows it leaves open take one kernel
-        call on the M_U(x) = U^-1·M(x)·U of `reduced_basis`, similar to
-        M(x), so of the same determinant.  That call runs on int64 when its
-        M_U(x) were built without wrapping and pass the kernel's own
-        Hadamard guard, and on Python integers otherwise.  With cofactors,
-        it takes right-hand side U^-1·e_0 and also returns the exact
-        power-basis c(x) = adj(M(x))·e_0 = N(x)/x, from adj(M(x)) =
-        U·adj(M_U(x))·U^-1, and raises ZeroDivisionError on zero divisors,
-        which the front never settles.  Each chunk writes into preallocated
-        int64 outputs, which move to Python integers only at the first
-        chunk holding a value of size 2^63 or more: held once.
+        call on their power-basis M(x), on Python integers.  With
+        cofactors, it takes right-hand side e_0 and also returns the exact
+        c(x) = adj(M(x))·e_0 = N(x)/x, and raises ZeroDivisionError on zero
+        divisors, which the front never settles.  Each chunk writes into
+        preallocated int64 outputs, which move to Python integers only at
+        the first chunk holding a value of size 2^63 or more: held once.
         """
         n = self.degree
         rows = _coordinate_rows(rows, n)
@@ -858,7 +808,6 @@ class NumberField:
             if max(_max_abs(rows), 1) ** 2 * (1 + abs(c0) + abs(c1)) > 2 ** 62:
                 a, b = a.astype(object), b.astype(object)  # exactness over speed
             return _int64_if_abs_fits(a * (a - c1 * b) + c0 * (b * b))
-        U, U_inv = self.reduced_basis
         norms = np.empty(len(rows), dtype=np.int64)
         cofs = np.empty((len(rows), n), dtype=np.int64) if cofactors else None
         for s in range(0, len(rows), _STACK_ROWS):
@@ -866,14 +815,13 @@ class NumberField:
             det, cof, done = self._float_norms(chunk, cofactors)
             rest = np.flatnonzero(~done)
             if len(rest):
-                rhs = U_inv[None, :, 0].repeat(len(rest), axis=0) if cofactors else None
-                mats = _exact_matmul(chunk[rest], self._reduced_mul).reshape(-1, n, n)
-                kernel_det, adj = _bareiss_dets(mats, rhs)
+                rhs = np.eye(1, n, dtype=np.int64).repeat(len(rest), axis=0) if cofactors else None
+                kernel_det, adj = _bareiss_dets(self._mul_matrices(chunk[rest].astype(object)), rhs)
                 det = _put(det, rest, kernel_det)
                 if cofactors:
                     if not kernel_det.all():
                         raise ZeroDivisionError("zero or a zero divisor has no cofactor")
-                    cof = _put(cof, rest, _exact_matmul(adj, U.T))  # back to the power basis
+                    cof = _put(cof, rest, adj)
             norms = _put(norms, where, det)
             if cofactors:
                 cofs = _put(cofs, where, cof)

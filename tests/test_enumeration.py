@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from nfbounds.channel import pep_curve
 from nfbounds.enumeration import (
     BoxSpec,
     CountTable,
@@ -178,14 +179,17 @@ def test_max_norm_filter(q5):
 
 
 def test_returned_arrays_are_read_only(q5, q5_units):
-    """Writing any column, embedding array or log matrix raises; a table
-    takes views, so the caller's own arrays stay writable."""
+    """Writing any column, embedding array, log matrix or PEP curve
+    raises; a table takes views, so the caller's own arrays stay
+    writable."""
     table = add_estimates(count_table(q5, BoxSpec(10.0)), q5_units)
     ks, a, b = np.array([1]), np.array([1]), np.array([2])
     mine = CountTable(R=1.0, degree=2, cap=1, ks=ks, a=a, b=b)
+    curve = pep_curve(table, 0.0, 40.0, 81)
     arrays = [getattr(t, c) for t in (table, mine) for c in ("ks", "a", "b")]
     arrays += [table.n_raw, table.n_est, table.f,
-               q5.embeddings, q5.embedding_matrix, q5_units.log_matrix]
+               q5.embeddings, q5.embedding_matrix, q5_units.log_matrix,
+               curve.snr_db, curve.snr_linear, curve.pe_estimate, curve.pe_exact]
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[0] = 0

@@ -41,7 +41,7 @@ def check(field, rows):
 
 @pytest.fixture
 def kernel_rows(monkeypatch):
-    """The rows of every kernel call, as the reduced-basis matrices it got."""
+    """The rows of every kernel call, as the matrices M(x) it got."""
     calls = []
     kernel = numberfield._bareiss_dets
 
@@ -53,15 +53,23 @@ def kernel_rows(monkeypatch):
     return calls
 
 
-def reduced(field, rows):
-    """U^-1·M(x)·U in Python integers: what the kernel gets for each row."""
-    U, U_inv = (m.astype(object) for m in field.reduced_basis)
-    return U_inv @ field._mul_matrices(np.array(rows, dtype=object)) @ U
+def matrices(field, rows):
+    """The power-basis M(x) in Python integers: what the kernel gets for
+    each row."""
+    return field._mul_matrices(np.array(rows, dtype=object))
 
 
 def coordinates(n):
     small, wide = st.integers(-30, 30), st.integers(-2 ** 40, 2 ** 40)
     return st.lists(st.tuples(*[st.one_of(small, wide)] * n), min_size=1, max_size=6)
+
+
+def rows_match_the_oracle(field, data):
+    """Drawn nonzero rows of the field against the oracle."""
+    rows = data.draw(coordinates(field.degree))
+    rows = [r for r in rows if any(r)] or [(1,) + (0,) * (field.degree - 1)]
+    check(field, rows)
+    assert [norm(field, r) for r in rows] == field.norm_rows(rows).tolist()
 
 
 @pytest.mark.parametrize("name", ["q5", "cubic", "quartic", "octic"])
@@ -72,10 +80,19 @@ def test_rows_match_the_oracle(request, name, data):
     cofactors equal the scalar elimination (Q(sqrt 5) takes the front for
     its cofactors, its norms take the closed form)."""
     field = CUBIC if name == "cubic" else request.getfixturevalue(name)
-    rows = data.draw(coordinates(field.degree))
-    rows = [r for r in rows if any(r)] or [(1,) + (0,) * (field.degree - 1)]
-    check(field, rows)
-    assert [norm(field, r) for r in rows] == field.norm_rows(rows).tolist()
+    rows_match_the_oracle(field, data)
+
+
+@pytest.mark.parametrize("name", ["q5", "cubic", "quartic", "octic"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_kernel_rows_match_the_oracle(request, name, data):
+    """The same random rows with the front off: every norm and cofactor
+    of degree 3 and up, and every cofactor of Q(sqrt 5), from the kernel
+    on Python integers."""
+    request.getfixturevalue("kernel_only")
+    field = CUBIC if name == "cubic" else request.getfixturevalue(name)
+    rows_match_the_oracle(field, data)
 
 
 def test_unit_powers_match_the_oracle(quartic, quartic_units, octic, octic_units):
@@ -133,7 +150,6 @@ def test_zero_row(request, field_name, kernel_rows):
     field = CUBIC if field_name == "cubic" else request.getfixturevalue(field_name)
     n = field.degree
     zero, one = (0,) * n, (1,) + (0,) * (n - 1)
-    field.reduced_basis  # its inverse is a kernel call of its own
     kernel_rows.clear()
     assert field.norm_rows([one, zero, one]).tolist() == [1, 0, 1]
     for rows in ([zero], [one, zero, one]):
@@ -148,6 +164,7 @@ def test_kernel_gets_only_the_open_rows(quartic, kernel_rows, monkeypatch, cofac
     kernel gets exactly the open rows of each chunk, in order, and no call
     for a chunk the front settles."""
     box = cached_points(quartic, BoxSpec(6.0))[:10].tolist()
+    kernel_rows.clear()  # a first scan inverts the reduced basis in the kernel
     far = [[2 ** 15 + 1, 2 ** 15, 3, 2 ** 15], [-2 ** 63, 0, 0, 1]]
     rows = box[:3] + far[:1] + box[3:9] + far[1:] + box[9:]
     monkeypatch.setattr(numberfield, "_STACK_ROWS", 4)
@@ -158,7 +175,7 @@ def test_kernel_gets_only_the_open_rows(quartic, kernel_rows, monkeypatch, cofac
     if cofactors:
         assert got[1].tolist() == [adj for _, adj in want]
     # chunks [box, box, box, far], [box] * 4 and [box, box, far, box]
-    assert [m.tolist() for m in kernel_rows] == [reduced(quartic, [r]).tolist() for r in far]
+    assert [m.tolist() for m in kernel_rows] == [matrices(quartic, [r]).tolist() for r in far]
 
 
 @pytest.mark.parametrize("name,R,rows", [
@@ -178,3 +195,14 @@ def test_benchmark_boxes_never_reach_the_kernel(request, kernel_rows, name, R, r
     unit_orbits(field, half)
     count_table(field, BoxSpec(R), 1000)
     assert kernel_rows == []
+
+
+def test_cached_tables_are_read_only(octic):
+    """The tables a field caches are shared by every caller: writing to
+    the enclosure table, V and A of the front, or V^-1 and G of its
+    cofactors raises."""
+    tables = [*octic._table(numberfield.START_PRECISION_BITS), *octic._float_table,
+              *octic._cofactor_table[:2]]
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[0, 0] = 0

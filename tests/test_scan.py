@@ -22,8 +22,7 @@ from nfbounds.cli import main
 from nfbounds.enumeration import (BoxSpec, _scan_blocks, count_by_norm, count_table,
                                   enumerate_box, unit_orbits)
 from nfbounds.errors import BoxTooLarge
-from nfbounds.numberfield import (AlgebraicInt, _bareiss_dets, _fits_int64, _lll_transform,
-                                  parse_field)
+from nfbounds.numberfield import AlgebraicInt, _bareiss_dets, _lll_transform, parse_field
 from nfbounds.zeta import dirichlet_coeffs
 from bareiss_oracle import bareiss, mul_matrix, norm as oracle_norm, power
 from scan_oracle import dfs_scan, mp_inside
@@ -204,16 +203,10 @@ def oracle_norms(field, rows):
     return [oracle_norm(field, r) for r in rows]
 
 
-def reduced_matrices(field, rows):
-    """U^-1·M(x)·U in Python integers, from the power-basis M(x)."""
-    U, U_inv = (m.astype(object) for m in field.reduced_basis)
-    return U_inv @ field._mul_matrices(rows.astype(object)) @ U
-
-
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """(dtype it ran on, matrices, n, has a right-hand side) of every
-    kernel call: int64 input past the guard runs on Python integers."""
+    """(dtype of its results, matrices, n, has a right-hand side) of every
+    kernel call: it runs on Python integers whatever its input."""
     calls = []
     kernel = numberfield._bareiss_dets
 
@@ -226,29 +219,17 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("fixture_name,R,power_basis_dtype", [
-    ("q5", 10.0, np.int64), ("q5", 100.0, np.int64), ("q5", 300.0, np.int64),
-    ("quartic", 5.0, np.int64), ("quartic", 10.0, np.int64),
-    ("octic", 3.0, object), ("octic", 4.0, object), ("octic", 5.0, object)])
-def test_norm_rows_match_norm_coords(request, kernel_calls, fixture_name, R, power_basis_dtype):
+@pytest.mark.parametrize("fixture_name,R", ORACLE_CASES)
+def test_norm_rows_match_norm_coords(request, kernel_calls, fixture_name, R):
     field = request.getfixturevalue(fixture_name)
     rows = scan_rows(field, BoxSpec(R))
     want = oracle_norms(field, rows)
     kernel_calls.clear()
     # the one-matrix call of the kernel, on a sample of the rows
     assert [field.norm_coords(tuple(r)) for r in rows[::40].tolist()] == want[::40]
-    # the Hadamard guard puts every box on int64 in the reduced basis; in the
-    # power basis it would send the octic ones to Python integers
-    power_basis_fits = _fits_int64(field._mul_matrices(rows.astype(float)))
-    assert power_basis_fits == (power_basis_dtype is np.int64)
-    mats = reduced_matrices(field, rows)
-    assert _fits_int64(mats.astype(float))
     assert field.norm_rows(rows).tolist() == want
     assert kernel_calls == []  # the float front settles every box row
-    # both dtypes of the kernel, and the power basis: similar matrices
-    dets = _bareiss_dets(mats.astype(np.int64))[0]
-    assert dets.dtype == np.int64 and dets.tolist() == want
-    assert _bareiss_dets(mats)[0].tolist() == want
+    # the kernel alone, on the power-basis M(x) the open rows take
     assert _bareiss_dets(field._mul_matrices(rows.astype(object)))[0].tolist() == want
 
 
@@ -258,7 +239,7 @@ def test_norm_rows_cofactors_match_oracle(request, kernel_calls, fixture_name, R
     """Norms and exact cofactors adj(M(x))·e_0 = N(x)/x of box rows against
     the scalar elimination of the power-basis M(x): from the float front,
     which settles every row without the kernel, and from the kernel alone,
-    which runs on int64 in the reduced basis."""
+    which runs on Python integers."""
     field = request.getfixturevalue(fixture_name)
     rows = scan_rows(field, BoxSpec(R))
     kernel_calls.clear()
@@ -272,43 +253,40 @@ def test_norm_rows_cofactors_match_oracle(request, kernel_calls, fixture_name, R
     request.getfixturevalue("kernel_only")
     kernel_norms, kernel_cofs = field.norm_rows(rows, cofactors=True)
     assert kernel_norms.tolist() == norms.tolist() and kernel_cofs.tolist() == cofs.tolist()
-    assert {dtype for dtype, *_ in kernel_calls} == {np.dtype(np.int64)}
+    assert {dtype for dtype, *_ in kernel_calls} == {np.dtype(object)}
 
 
 @pytest.mark.parametrize("argv,rows", [
     (["counts", "--radius", "4.5", "--max-norm", "1000"], 493),
     (["enumerate", "--radius", "3.5"], 150)], ids=["counts", "enumerate"])
-def test_octic_box_norms_take_one_int64_kernel_call(kernel_calls, kernel_only, tmp_path, argv,
-                                                    rows):
+def test_octic_box_norms_take_one_kernel_call(kernel_calls, kernel_only, tmp_path, argv, rows):
     """The octic jobs of the benchmark with the float front off: every box
-    row's norm in one int64 kernel call, of one row per pair x, -x for
-    `counts` (986 box points).  The other calls are the resultant and the
-    inverse of the reduced basis, on Python integers."""
+    row's norm in one kernel call on Python integers, of one row per pair
+    x, -x for `counts` (986 box points).  The other calls are the
+    resultant and the inverse of the reduced basis."""
     out = tmp_path / "out.csv"
     assert main([argv[0], fixture_path("cyclo32real.json"), *argv[1:], "--out", str(out)]) == 0
     norm_calls = [(dtype, size) for dtype, size, n, rhs in kernel_calls if n == 8 and not rhs]
-    assert norm_calls == [(np.dtype(np.int64), rows)]
+    assert norm_calls == [(np.dtype(object), rows)]
 
 
 def test_rows_past_the_reduced_basis_guard_take_python_integers(octic, octic_units,
                                                                 kernel_calls, kernel_only):
-    """u^4, the smallest power of the first octic unit past the
-    reduced-basis guard, and u^4 + 1 run on Python integers in the kernel,
-    exactly; u^3 and u^3 + 1 run on int64."""
+    """u^3 and u^4 of the first octic unit, and u^3 + 1 and u^4 + 1: the
+    kernel takes norms and cofactors of each pair exactly, in one call
+    each."""
     u = octic_units.units[0]
 
     def rows(k):
         uk = power(octic, u, k)
         return np.array([uk, (uk[0] + 1,) + uk[1:]], dtype=np.int64)
 
-    fits = [_fits_int64(reduced_matrices(octic, rows(k)[:1]).astype(float)) for k in range(1, 5)]
-    assert fits == [True, True, True, False]
     e0 = [1] + [0] * 7
-    for k, dtype in ((3, np.int64), (4, object)):
+    for k in (3, 4):
         kernel_calls.clear()
         norms, cofs = octic.norm_rows(rows(k), cofactors=True)
         assert octic.norm_rows(rows(k)).tolist() == norms.tolist()
-        assert [call[0] for call in kernel_calls] == [np.dtype(dtype)] * 2
+        assert [call[0] for call in kernel_calls] == [np.dtype(object)] * 2
         for row, norm, cof in zip(rows(k).tolist(), norms.tolist(), cofs.tolist()):
             det, adj = bareiss(mul_matrix(octic, row), e0)
             assert (norm, cof) == (det, adj)
@@ -356,48 +334,20 @@ def test_norm_rows_pivot_swaps(request, fixture_name):
     want = oracle_norms(field, rows)
     assert _bareiss_dets(field._mul_matrices(rows.astype(object)))[0].tolist() == want
     assert field.norm_rows(rows).tolist() == want
-    # int64 on the rows inside the guard: theta..theta^4 at least, all swaps
-    fits = np.array([_fits_int64(field._mul_matrices(r[None].astype(float))) for r in rows])
-    assert fits[1:min(n, 5)].all()
-    dets = _bareiss_dets(field._mul_matrices(rows[fits]))[0]
-    assert dets.dtype == np.int64 and dets.tolist() == list(np.array(want)[fits])
 
 
-def test_int64_guard(octic, octic_units):
-    """u^10 (coordinates up to 891, norm 1) wraps int64 Bareiss: the guard
-    must send it to Python integers, and the kernel given it as int64 runs
-    on Python integers, exactly."""
+def test_int64_guard(octic, octic_units, kernel_only):
+    """u^10 (coordinates up to 891, norm 1) would wrap int64 Bareiss: the
+    kernel given it as int64 runs on Python integers, exactly."""
     u10 = np.array([power(octic, octic_units.units[0], 10)], dtype=np.int64)
     theta7 = np.eye(8, dtype=np.int64)[7:]
     rows = np.concatenate([u10, theta7])
-    assert not _fits_int64(octic._mul_matrices(rows.astype(float)))
     assert octic.norm_rows(rows).tolist() == [1, 2 ** 7]
     for row in rows:
         mats = octic._mul_matrices(row[None])
-        assert mats.dtype == np.int64 and not _fits_int64(mats)
+        assert mats.dtype == np.int64
         det = _bareiss_dets(mats)[0]
         assert det.dtype == object and det.tolist() == [oracle_norm(octic, row.tolist())]
-
-
-def test_norm_rows_take_one_hadamard_guard_per_chunk(quartic, monkeypatch, kernel_only):
-    """The kernel alone decides each chunk's dtype: one `_fits_int64` pass
-    per chunk that reaches it, with and without cofactors."""
-    calls = []
-    guard = numberfield._fits_int64
-
-    def counting(mats, rhs=None):
-        calls.append(len(mats))
-        return guard(mats, rhs)
-
-    rows = enumerate_box(quartic, BoxSpec(5.0))
-    monkeypatch.setattr(numberfield, "_STACK_ROWS", 100)
-    monkeypatch.setattr(numberfield, "_fits_int64", counting)
-    chunks = [len(rows[s:s + 100]) for s in range(0, len(rows), 100)]
-    assert len(chunks) == 4
-    for cofactors in (False, True):
-        calls.clear()
-        quartic.norm_rows(rows, cofactors=cofactors)
-        assert calls == chunks
 
 
 def test_norm_rows_past_int64(quartic, quartic_units):
@@ -458,12 +408,11 @@ def test_norm_rows_hold_their_result_once(q5):
 
 
 def test_int64_guard_covers_back_substitution():
-    """M = diag(2^30, 1) passes the determinant guard, but adj(M)·rhs for
-    rhs = (0, 2^34) is (0, 2^64), past int64: the guard over [M | rhs]
-    refuses int64, so the kernel runs on Python integers, exactly."""
+    """For M = diag(2^30, 1) and rhs = (0, 2^34), given as int64,
+    adj(M)·rhs is (0, 2^64), past int64: the kernel runs on Python
+    integers, exactly."""
     mats = np.array([[[2 ** 30, 0], [0, 1]]], dtype=np.int64)
     rhs = np.array([[0, 2 ** 34]], dtype=np.int64)
-    assert _fits_int64(mats) and not _fits_int64(mats, rhs)
     det, adj = _bareiss_dets(mats, rhs)
     assert det.dtype == adj.dtype == object
     assert (int(det[0]), adj[0].tolist()) == bareiss(mats[0].tolist(), rhs[0].tolist())
@@ -473,16 +422,13 @@ def test_int64_guard_covers_back_substitution():
 def test_norm_rows_cofactors_take_python_integers_past_the_sum_bound(octic, kernel_calls,
                                                                      kernel_only):
     """Back substitution sums n = 8 products: a row (a unit product plus 2)
-    whose reduced-basis [M_U(x) | U^-1·e_0] has 2·H^2 < 2^63 <= 8·H^2 keeps
-    int64 norms in the kernel but needs Python integers for its cofactor."""
+    whose norm and cofactor the kernel takes exactly, on Python
+    integers."""
     row = np.array([[3, 4, 2, -6, -3, 2, 1, 0]], dtype=np.int64)
-    mats = reduced_matrices(octic, row).astype(float)
-    rhs = octic.reduced_basis[1][None, :, 0]
-    assert _fits_int64(mats) and not _fits_int64(mats, rhs)
     kernel_calls.clear()
     norm = octic.norm_rows(row)
     det, cof = octic.norm_rows(row, cofactors=True)
-    assert [call[0] for call in kernel_calls] == [np.dtype(np.int64), np.dtype(object)]
+    assert [call[0] for call in kernel_calls] == [np.dtype(object)] * 2
     want_det, want_adj = bareiss(mul_matrix(octic, row[0]), [1] + [0] * 7)
     assert norm.tolist() == det.tolist() == [want_det]
     assert cof[0].tolist() == want_adj
@@ -501,10 +447,10 @@ def test_int64_guards_take_magnitudes_in_python_integers(q5):
 
 
 def test_bareiss_dets_match_oracle():
-    """Random stacks on both dtypes against the scalar oracle, with and
-    without right-hand sides: 0/±1 matrices give many zero pivots (row
-    swaps) and many singular matrices; Python integers also get entries
-    far past int64."""
+    """Random stacks on both input dtypes against the scalar oracle, with
+    and without right-hand sides, the results on Python integers: 0/±1
+    matrices give many zero pivots (row swaps) and many singular matrices;
+    Python integers also get entries far past int64."""
     rng = np.random.default_rng(6)
     swapped = singular = 0
     for dtype, scale in ((np.int64, 3), (object, 10 ** 12)):
@@ -514,11 +460,9 @@ def test_bareiss_dets_match_oracle():
             mats[150:] *= rng.integers(-scale, scale + 1, size=(150, n, n)).astype(object)
             rhs[150:] *= scale
             mats, rhs = mats.astype(dtype), rhs.astype(dtype)
-            if dtype is np.int64:
-                assert _fits_int64(mats, rhs)
             dets, _ = _bareiss_dets(mats)
             dets_rhs, adj = _bareiss_dets(mats, rhs)
-            assert dets.dtype == adj.dtype == np.dtype(dtype)
+            assert dets.dtype == adj.dtype == np.dtype(object)
             for m, b, d, d_rhs, a in zip(mats.tolist(), rhs.tolist(), dets.tolist(),
                                          dets_rhs.tolist(), adj.tolist()):
                 want_det, want_adj = bareiss(m, b)
