@@ -23,9 +23,9 @@ innermost coordinate and the box is convex, so the prefix's box points
 form one run of that coordinate: the closed-box rule
 |sigma_i(x)| <= R + boundary_tolerance is tested only at the two ends of
 each candidate run, which step inward until they pass, and the points
-between are inside.  An end within the float error bound of the boundary
-is decided by `NumberField.enclose`, in integers, so membership is
-certified.
+between are inside.  An end is decided in floats from the proven error
+table (V, A) of `NumberField._float_table`, or by `NumberField.enclose`, in
+integers, within that error of the boundary, so membership is certified.
 
 The box is symmetric, so the scan walks only the half of it whose last
 nonzero reduced coordinate is positive: a prefix of zeros takes c >= 0
@@ -91,6 +91,20 @@ class BoxSpec:
 # core scan
 
 
+def _inside(field: NumberField, cols: np.ndarray, bound: float) -> np.ndarray:
+    """Exact closed-box test |sigma_i(x)| <= bound of int64 coordinate
+    columns (n, P), as a mask.  Rounding is monotonic and the bound a float:
+    for (y, u) of `NumberField._float_embeddings`, |y_i| + u_i computed below
+    it, or |y_i| - u_i above it, decides; `AlgebraicInt.embed_mp` the rest."""
+    y, u = field._float_embeddings(cols.astype(float))
+    size = np.abs(y)
+    keep = (size + u < bound).all(axis=0)
+    for idx in np.flatnonzero(~keep & ~(size - u > bound).any(axis=0)):
+        x = AlgebraicInt(field, tuple(int(v) for v in cols[:, idx]))
+        keep[idx] = x.embed_mp(_closed_box(bound))  # certified, in integers
+    return keep
+
+
 def _scan_blocks(field: NumberField, box: BoxSpec, budget: int):
     """Yield int64 (2P, n) arrays [B; -B] of accepted power-basis
     coordinate rows, P >= 1, each the transpose of a column-major array:
@@ -110,9 +124,8 @@ def _scan_blocks(field: NumberField, box: BoxSpec, budget: int):
     certified at the two ends of each run only.
     """
     n = field.degree
-    V = field.embedding_matrix
-    U = field.reduced_basis[0]
-    W = V @ U
+    U = field.reduced_basis
+    W = field.embedding_matrix @ U
     facets = field.projection_facets
     Rt = box.R + box.boundary_tolerance
     pad = _SCAN_PAD * max(1.0, Rt)
@@ -123,21 +136,6 @@ def _scan_blocks(field: NumberField, box: BoxSpec, budget: int):
 
     examined = 0
     chunk = max(1, _CHUNK_ELEMENTS // n)
-
-    # uncertainty of the float membership test, per unit coordinate mass
-    absV = np.abs(V)
-
-    def inside(cols: np.ndarray) -> np.ndarray:
-        """Exact closed-box test of power-basis coordinate columns, as a mask."""
-        Y = V @ cols.astype(float)
-        # sum_j |x_j·sigma_i(theta)^j|: signed columns would let the terms cancel
-        unc = absV @ np.abs(cols).astype(float) * 1e-14 + 1e-300
-        absy = np.abs(Y)
-        keep = (absy <= Rt - unc).all(axis=0)
-        for idx in np.flatnonzero(~keep & ~(absy > Rt + unc).any(axis=0)):
-            x = AlgebraicInt(field, tuple(int(v) for v in cols[:, idx]))
-            keep[idx] = x.embed_mp(_closed_box(Rt))  # certified, in integers
-        return keep
 
     def ranges(j: int, partial: np.ndarray, prefix: np.ndarray):
         """The level-j candidates of every prefix in one chunk, counted
@@ -204,8 +202,8 @@ def _scan_blocks(field: NumberField, box: BoxSpec, budget: int):
         while len(low) or len(high):
             high = high[last[high] > first[high]]  # a one-point run is its low end
             ends = np.concatenate((low, high))
-            ok = inside(np.take(base, ends, axis=1)
-                        + np.multiply.outer(U[:, 0], np.concatenate((first[low], last[high]))))
+            ok = _inside(field, np.take(base, ends, axis=1)
+                         + np.multiply.outer(U[:, 0], np.concatenate((first[low], last[high]))), Rt)
             low, high = low[~ok[:len(low)]], high[~ok[len(low):]]
             first[low] += 1
             last[high] -= 1
@@ -298,12 +296,13 @@ class CountTable:
 def _norm_cap(field: NumberField, box: BoxSpec, max_norm: int | None) -> int:
     if max_norm is not None and max_norm < 0:
         raise ValidationError(f"max_norm must be nonnegative, got {max_norm}")
-    try:
-        geo = int(math.floor((box.R + box.boundary_tolerance) ** field.degree + 1e-9))
-    except OverflowError as exc:
+    # floor((R + tol)^n) exactly; from R + tol = 2^1023 up (inf too) it is refused
+    p, q = min(box.R + box.boundary_tolerance, 2.0 ** 1023).as_integer_ratio()
+    geo = p ** field.degree // q ** field.degree
+    if geo >= 2 ** 1024:
         raise BoxTooLarge(f"the norm cap (R + tol)^{field.degree} overflows at radius "
                           f"{box.R} and tolerance {box.boundary_tolerance}",
-                          budget_helps=False) from exc
+                          budget_helps=False)
     return min(geo, max_norm) if max_norm is not None else geo
 
 

@@ -547,11 +547,8 @@ class NumberField:
         self.poly_discriminant = min_poly.discriminant
         # enclosure tables by bits
         self._tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        n = self.degree
-        theta = [0, 1] + [0] * (n - 2)
+        theta = [0, 1] + [0] * (self.degree - 2)
         self.embeddings = _read_only(np.array(self.enclose([theta], _rounded)[0]))
-        # Vandermonde of embeddings: row i holds sigma_i(theta)^j
-        self.embedding_matrix = _read_only(np.vander(self.embeddings, n, increasing=True))
 
     def key(self):
         return self.min_poly.coeffs
@@ -630,52 +627,52 @@ class NumberField:
         return out
 
     @cached_property
-    def reduced_basis(self) -> tuple[np.ndarray, np.ndarray]:
-        """(U, U^-1), read-only int64: the columns of U are an LLL-reduced
-        basis of Z[theta] under the embeddings, in power-basis coordinates,
-        and the box scan walks coordinates in it.
+    def embedding_matrix(self) -> np.ndarray:
+        """V, read-only (n, n) floats, the one float table of the embeddings:
+        V[i, j] is the centre of the certified `_table(START_PRECISION_BITS)`
+        entry of sigma_i(theta)^j, correctly rounded; see `_float_table`."""
+        centres, _ = self._table(START_PRECISION_BITS)
+        return _read_only((centres / (1 << START_PRECISION_BITS)).astype(float))
 
-        Found on first use, not at construction, by `_lll_transform` (one
-        Gram-Schmidt pass per swap: about 0.2 ms for the quartic and the
-        octic fixtures on a 2-vCPU VM).  U^-1, which takes power-basis
-        coordinates to reduced ones, is the kernel's exact adjugate over
-        det(U); when det(U) is not ±1 (int64 wrapped inside the float LLL)
-        or U^-1 is past int64, both are the identity.
-        """
-        n = self.degree
+    @cached_property
+    def reduced_basis(self) -> np.ndarray:
+        """U, read-only int64: its columns are an LLL-reduced basis of
+        Z[theta] under the embeddings, in power-basis coordinates, and the
+        box scan walks coordinates in it.  Found on first use by
+        `_lll_transform` (about 0.2 ms for the quartic and the octic fixtures
+        on a 2-vCPU VM); one kernel call checks det(U) exactly, and U is the
+        identity where it is not ±1 (int64 wrapped inside the float LLL)."""
         U = _lll_transform(self.embedding_matrix)
-        det, adj = _bareiss_dets(np.repeat(U[None].astype(object), n, axis=0),
-                                 np.eye(n, dtype=object))
-        if abs(det[0]) == 1 and _max_abs(adj) < 2 ** 63:
-            U_inv = (adj * det[0]).T.astype(np.int64)
-        else:
-            U = U_inv = np.eye(n, dtype=np.int64)
-        return _read_only(U), _read_only(U_inv)
+        if abs(_bareiss_dets(U[None].astype(object))[0][0]) != 1:
+            U = np.eye(self.degree, dtype=np.int64)
+        return _read_only(U)
 
     @cached_property
     def projection_facets(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per level j, read-only (L, h): the facets of the projection of the
-        box {x : |W x|_inf <= R} onto the reduced coordinates x_j..x_(n-1),
-        W = embedding_matrix·U, as bounds on x_j.
+        box {x : |sigma_i(U x)| <= R} onto the reduced coordinates
+        x_j..x_(n-1), as bounds on x_j, from W = V·U, (V, A) of `_float_table`.
 
         Each (j+1)-subset S of the embedding rows gives one row of the
         (m, n) L: the last row lambda of W[S, :j+1]^-1 on the columns S,
         scaled by its computed product with W[S, j].  So every x in the box
         has |x_j + L[s]·p| <= R·h[s], p = sum over k > j of W[:, k]·x_k:
-        h[s] is |lambda|_1 plus the float residual |lambda·W[S, :j+1] - e_j|
-        at the box's coordinate bounds |x_k| <= R·sum_i |W^-1[k, i]|.  The
+        h[s] is |lambda|_1 plus, at the box's coordinate bounds |x_k| <=
+        R·sum_i |W^-1[k, i]|, the float residual |lambda·W[S, :j+1] - e_j|
+        and sum_s |lambda_s|·(A·|U|·bounds)_(S_s), the error of V.  The
         bound holds for any lambda, as every term is kept (Ziegler,
         *Lectures on Polytopes*, ch. 7, for the facets).  A subset is
         dropped, the singular ones among them, when its float error per
         unit R passes `_SCAN_PAD`: a dropped facet only widens the range.
         """
         n = self.degree
-        V, U = self.embedding_matrix, self.reduced_basis[0]
+        (V, A), U = self._float_table, self.reduced_basis
         W = V @ U
         bounds = np.abs(np.linalg.inv(W)).sum(axis=1)
         # |V|·|U| at the coordinate bounds: the rounding of W = V·U and of the
         # scan's partial sums and products with lambda is within 4n·eps of it
         size = np.abs(V) @ np.abs(U) @ bounds
+        error = A @ np.abs(U) @ bounds
         levels = []
         for j in range(n):
             S = np.array(list(itertools.combinations(range(n), j + 1)))
@@ -687,18 +684,18 @@ class NumberField:
             with np.errstate(divide="ignore", invalid="ignore"):
                 lam = cof / (cof * M[:, :, j]).sum(axis=1, keepdims=True)
                 resid = (lam[:, :, None] * M).sum(axis=1) - (k == j)
-                h = np.abs(lam).sum(axis=1) + np.abs(resid) @ bounds[:j + 1]
                 L[np.arange(len(S))[:, None], S] = lam
+                h = np.abs(lam).sum(axis=1) + np.abs(resid) @ bounds[:j + 1] + np.abs(L) @ error
                 keep = 4 * n * np.finfo(float).eps * (np.abs(L) @ size) <= _SCAN_PAD
             levels.append((_read_only(L[keep]), _read_only(h[keep])))
         return tuple(levels)
 
     @cached_property
     def _float_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """(V, A), (n, n) floats for the float front of `norm_rows`: V[i, j]
-        is the centre of the certified `_table(START_PRECISION_BITS)` entry
-        of sigma_i(theta)^j, correctly rounded, and |y_i - sigma_i(x)| <=
-        (A·|x|)_i for y = V·x of an integer row x, both as computed.
+        """(V, A), (n, n) floats for every float decision on embeddings (the
+        float front of `norm_rows`, the scan's box test and the facets): V
+        is `embedding_matrix`, and |y_i - sigma_i(x)| <= (A·|x|)_i for
+        y = V·x of an integer row x, both as computed (`_float_embeddings`).
 
         x enters rounded, x_j·(1 + d) with |d| <= u = 2^-53, and a dot
         product of n terms in any order is within gamma_n = n·u / (1 - n·u)
@@ -710,13 +707,18 @@ class NumberField:
         also keeps A[i, j]·|x_j| normal), 1 + 2g for the rounding of A·|x|
         and 1 + 16u for the roundings of E and of A itself.
         """
-        n = self.degree
-        centres, radii = self._table(START_PRECISION_BITS)
-        scale, u = 1 << START_PRECISION_BITS, 2.0 ** -53
-        V, E = (centres / scale).astype(float), (radii / scale).astype(float)
+        n, V = self.degree, self.embedding_matrix
+        u = 2.0 ** -53
+        E = (self._table(START_PRECISION_BITS)[1] / (1 << START_PRECISION_BITS)).astype(float)
         g = (n + 2) * u * (1 + 4 * (n + 2) * u)
         A = (E + g * np.abs(V) + 2.0 ** -999) * (1 + 2 * g) * (1 + 16 * u)
-        return _read_only(V), _read_only(A)
+        return V, _read_only(A)
+
+    def _float_embeddings(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(y, u) for float columns x (n, P) of integer coordinate rows, y =
+        V·x and u = A·|x| of `_float_table`: |y_i - sigma_i(x)| <= u_i."""
+        V, A = self._float_table
+        return V @ x, A @ np.abs(x)
 
     @cached_property
     def _cofactor_table(self) -> tuple[np.ndarray, np.ndarray, float]:
@@ -740,7 +742,7 @@ class NumberField:
         cofs, done), exact on the rows where done is set; cofs is None
         without cofactors, and rows past int64 are never done.
 
-        y = V·x and u = A·|x| of `_float_table`, batch last, bound
+        y = V·x and u = A·|x| of `_float_embeddings`, batch last, bound
         |N(x) - prod y_i| by prod(|y_i| + u_i) - prod|y_i| plus the
         rounding of prod y_i.  With T = prod(|y_i| + u_i) and P = prod y_i
         as computed (|P| is the computed prod|y_i|: rounding is symmetric),
@@ -759,11 +761,10 @@ class NumberField:
         if rows.dtype == object:
             cofs = np.zeros((B, n), dtype=np.int64) if cofactors else None
             return np.zeros(B, dtype=np.int64), cofs, np.zeros(B, dtype=bool)
-        V, A = self._float_table
         x, m = rows.T.astype(float, order="C"), 2.0 ** (1000 // n)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            y = V @ x
-            f = np.abs(y) + A @ np.abs(x)
+            y, u = self._float_embeddings(x)
+            f = np.abs(y) + u
             top, p = f.prod(axis=0), y.prod(axis=0)
             done = (((f >= 1 / m) & (f <= m)).all(axis=0) & (np.abs(p) < 2.0 ** 50)
                     & (top - np.abs(p) + n * 2.0 ** -50 * top <= _FLOAT_NORM_ERROR))

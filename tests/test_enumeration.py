@@ -130,13 +130,24 @@ def test_count_table_examples(q5):
 
 def test_count_table_invariants(q5):
     table = count_table(q5, BoxSpec(4.47))
-    assert table.cap == int(math.floor(4.47 ** 2 + 1e-9))
+    p, q = (4.47).as_integer_ratio()
+    assert table.cap == p * p // (q * q) == 19
     assert np.all(table.b % 2 == 0)              # x and -x counted separately
     assert table.b.sum() == table.total_points
     assert table.max_norm <= 4.47 ** 2 + 1e-6
     mask_a0 = table.a == 0
     assert np.all(table.b[mask_a0] == 0)         # class number one: a=0 -> b=0
     assert np.all(table.ks[table.b > 0] <= table.cap)
+
+
+def test_norm_cap_is_the_exact_floor(q5):
+    """(R + tol)^2 = 3.999... at R = 2 - 2^-52 and tol 0: the cap is 3,
+    not the 4 of a float floor nudged up by 1e-9."""
+    box = BoxSpec(1.9999999999999998, 0.0)
+    table = count_table(q5, box)
+    assert table.cap == 3
+    assert 4 not in table.ks.tolist()
+    assert table.b.tolist() == [6]  # +-1 and +-phi^-1 are the units inside
 
 
 def test_fast_path_matches_list_path(q5, quartic):

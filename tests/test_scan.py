@@ -22,7 +22,8 @@ from nfbounds.cli import main
 from nfbounds.enumeration import (BoxSpec, _scan_blocks, count_by_norm, count_table,
                                   enumerate_box, unit_orbits)
 from nfbounds.errors import BoxTooLarge
-from nfbounds.numberfield import AlgebraicInt, _bareiss_dets, _lll_transform, parse_field
+from nfbounds.numberfield import (AlgebraicInt, Polynomial, _bareiss_dets, _lll_transform,
+                                  parse_field)
 from nfbounds.zeta import dirichlet_coeffs
 from bareiss_oracle import bareiss, mul_matrix, norm as oracle_norm, power
 from scan_oracle import dfs_scan, mp_inside
@@ -39,7 +40,10 @@ def scan_rows(field, box, budget=10 ** 12):
 def walked_half(field, rows):
     """The rows whose last nonzero reduced coordinate is positive, in order:
     one of each pair x, -x."""
-    reduced = rows @ field.reduced_basis[1].T
+    U = field.reduced_basis
+    U_inv = np.rint(np.linalg.inv(U)).astype(np.int64)
+    assert np.array_equal(U @ U_inv, np.eye(field.degree, dtype=np.int64))
+    reduced = rows @ U_inv.T
     last = np.array([r[np.flatnonzero(r)[-1]] for r in reduced], dtype=np.int64)
     return rows[last > 0]
 
@@ -137,14 +141,14 @@ def test_projection_facets(q5, quartic, octic):
     singular 2x2 blocks W[S, :2], and their level-1 facets are dropped."""
     for field in (q5, quartic, octic):
         n = field.degree
-        W = field.embedding_matrix @ field.reduced_basis[0]
+        W = field.embedding_matrix @ field.reduced_basis
         for j, (L, h) in enumerate(field.projection_facets):
             assert np.isfinite(L).all() and np.isfinite(h).all()
             assert not L.flags.writeable and not h.flags.writeable
             assert np.allclose(L @ W[:, :j + 1], np.eye(j + 1)[j], atol=1e-12)
             dropped = math.comb(n, j + 1) - len(L)
             assert dropped == (2 if field is quartic and j == 1 else 0)
-    W = quartic.embedding_matrix @ quartic.reduced_basis[0]
+    W = quartic.embedding_matrix @ quartic.reduced_basis
     twins = [tuple(np.flatnonzero(np.isclose(W[:, 1], w))) for w in np.unique(W[:, 1].round(9))]
     assert np.all(W[:, 0] == 1) and len(twins) == 2
     supports = {tuple(np.flatnonzero(row)) for row in quartic.projection_facets[1][0]}
@@ -263,10 +267,13 @@ def test_octic_box_norms_take_one_kernel_call(kernel_calls, kernel_only, tmp_pat
     """The octic jobs of the benchmark with the float front off: every box
     row's norm in one kernel call on Python integers, of one row per pair
     x, -x for `counts` (986 box points).  The other calls are the
-    resultant and the inverse of the reduced basis."""
+    resultant and, first among the degree-8 calls without a right-hand
+    side, the determinant of the reduced basis."""
     out = tmp_path / "out.csv"
     assert main([argv[0], fixture_path("cyclo32real.json"), *argv[1:], "--out", str(out)]) == 0
-    norm_calls = [(dtype, size) for dtype, size, n, rhs in kernel_calls if n == 8 and not rhs]
+    basis_call, *norm_calls = [(dtype, size) for dtype, size, n, rhs in kernel_calls
+                               if n == 8 and not rhs]
+    assert basis_call == (np.dtype(object), 1)
     assert norm_calls == [(np.dtype(object), rows)]
 
 
@@ -304,15 +311,14 @@ def test_non_unimodular_lll_falls_back_to_the_identity(monkeypatch, quartic, oct
         return 2 * np.eye(B.shape[1], dtype=np.int64)
 
     for field in (quartic, octic):  # the fixtures keep their real bases
-        assert not np.array_equal(field.reduced_basis[0], np.eye(field.degree))
+        assert not np.array_equal(field.reduced_basis, np.eye(field.degree))
     monkeypatch.setattr(numberfield, "_lll_transform", doubled)
     for field, R in ((quartic, 6.0), (octic, 3.0)):
         fresh = parse_field(field.min_poly, label=field.label)
         box = BoxSpec(R)
         rows = enumerate_box(fresh, box)
         assert np.array_equal(rows, enumerate_box(field, box))
-        for U in fresh.reduced_basis:
-            assert np.array_equal(U, np.eye(field.degree))
+        assert np.array_equal(fresh.reduced_basis, np.eye(field.degree))
         assert fresh.norm_rows(rows).tolist() == field.norm_rows(rows).tolist()
         got, want = fresh.norm_rows(rows, True), field.norm_rows(rows, True)
         assert [a.tolist() for a in got] == [a.tolist() for a in want]
@@ -676,3 +682,59 @@ def test_memory_stays_chunked(q5, octic):
     assert kept == 2172 * 8 * 8
     assert table.total_points > 0
     assert octic_extra < limit and q5_extra < limit, (octic_extra, q5_extra)
+
+
+
+def _period_poly(k: int, f: int) -> tuple[int, ...]:
+    """The integer minimal polynomial, coefficients ascending, of the
+    Gaussian periods of Q(zeta_k) over the subgroup H of order f: H = {±1}
+    for f = 2 (the real subfield, roots 2 cos(2 pi a / k)), else
+    {h : h^f = 1 mod k} for prime k.  -1 lies in H, so it is totally real."""
+    H = [1, k - 1] if f == 2 else [h for h in range(1, k) if pow(h, f, k) == 1]
+    coeffs, seen = [mpmath.mpf(1)], set()
+    with mpmath.workdps(60):
+        for a in range(1, k):
+            if math.gcd(a, k) == 1 and a not in seen:
+                seen.update(a * h % k for h in H)
+                r = sum(mpmath.cos(2 * mpmath.pi * a * h / k) for h in H)
+                coeffs = [c - r * d for c, d in zip([0] + coeffs, coeffs + [0])]
+        return tuple(int(mpmath.nint(c)) for c in coeffs)
+
+
+# degree: (k, f), one field of each degree 2..16; no real subfield of a
+# cyclotomic field has degree 7 or 13 (14 and 26 are no values of phi), so
+# those take the periods of order 4 of Q(zeta_29) and Q(zeta_53)
+BOUNDARY_FIELDS = {2: (5, 2), 3: (7, 2), 4: (15, 2), 5: (11, 2), 6: (13, 2), 7: (29, 4),
+                   8: (17, 2), 9: (19, 2), 10: (25, 2), 11: (23, 2), 12: (35, 2),
+                   13: (53, 4), 14: (29, 2), 15: (31, 2), 16: (51, 2)}
+
+
+@pytest.mark.parametrize("degree", sorted(BOUNDARY_FIELDS))
+def test_float_box_verdicts_agree_with_the_enclosure(degree, monkeypatch):
+    """Rows whose largest |sigma_i(x)| is the bound to within 3 ulps, and
+    rows 32 to 4,096 ulps to either side of it, at degrees 2 to 16: every
+    verdict the scan's membership test takes in floats, from the certified
+    (V, A), is the closed-box verdict of the enclosure, and the points it
+    leaves to the enclosure go there one `embed_mp` call each."""
+    field = parse_field(Polynomial(_period_poly(*BOUNDARY_FIELDS[degree])))
+    assert field.degree == degree
+    rows = np.random.default_rng(degree).integers(-3, 4, size=(40, degree))
+    rows = rows[rows.any(axis=1)]
+    heights = field.heights(rows)
+    rechecked = []
+
+    def spy(self, rule):
+        rechecked.append(self.coords)
+        return self.field.enclose([self.coords], rule)[0]
+
+    monkeypatch.setattr(AlgebraicInt, "embed_mp", spy)
+    floats = 0
+    for steps in (-4096, -256, -32, -3, -2, -1, 0, 1, 2, 3, 32, 256, 4096):
+        for row, height in zip(rows, heights):
+            bound = float(height) + steps * math.ulp(height)
+            rechecked.clear()
+            got = enumeration._inside(field, row[:, None].copy(), bound)
+            want = field.enclose([row.tolist()], numberfield._closed_box(bound))[0]
+            assert bool(got[0]) == want, (row.tolist(), steps)
+            floats += not rechecked
+    assert floats  # the proven band is narrow: floats decide the rows past it

@@ -7,6 +7,11 @@ workload that gives each job a fresh worker gets a fresh process per job
 here too; the session workload runs each variant's jobs in one process,
 in the listed order.  The workload file is imported, never edited.
 
+Then each job of `BOUNDARY_JOBS` runs in a fresh process on both
+checkouts: tolerance 0 at integer radii, where +-R lies exactly on the
+boundary of every field, so the scan's closed-box test reaches the
+enclosure; the benchmark's tolerance of 1e-9 never does.
+
 Each output file that differs byte for byte, or whose job's exit code
 differs, is printed; the exit code is 1 on any difference and 0 when every
 output is identical.
@@ -39,6 +44,15 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps(codes))
 """
 
+# (output stem, job arguments), each run in a fresh process
+BOUNDARY_JOBS = [
+    ("boundary/qsqrt5-enumerate-47", "enumerate {fixtures}/qsqrt5.json --radius 47 --tol 0"),
+    ("boundary/qsqrt5-counts-76", "counts {fixtures}/qsqrt5.json --radius 76 --tol 0"),
+    ("boundary/quartic-enumerate-5",
+     "enumerate {fixtures}/quartic725.json --radius 5 --tol 0"),
+    ("boundary/octic-enumerate-3", "enumerate {fixtures}/cyclo32real.json --radius 3 --tol 0"),
+]
+
 
 def _workloads():
     """This checkout's `perfbench/workloads.py`, imported from its path."""
@@ -56,6 +70,8 @@ def _groups(workloads):
         for index, variant in [*enumerate(w.variants), ("tiny", w.tiny)]:
             jobs = [(f"{w.name}/{index}/{job_id}", args.format(doc=doc)) for job_id, args in variant]
             yield from ([job] for job in jobs) if w.fresh_worker else [jobs]
+    for stem, args in BOUNDARY_JOBS:
+        yield [(stem, args.format(fixtures=workloads.FIXTURES))]
 
 
 def _run(checkout: Path, group, outdir: Path) -> dict:
